@@ -16,17 +16,17 @@ import sys
 
 from .builtin import BUILTIN_DOCUMENTS
 from .discriminant import principal_a_determinant
-from .elimination import Budget, BudgetExceeded
+from .elimination import Budget, BudgetExceeded, ExponentOverflow
 from .ktheory import verify_theorem
-from .polynomial import IntPolynomial
 from .polytope import InvalidConfiguration, faces, validate_aset
-from .report import build_report, records_to_json, report_to_dict
+from .report import build_report, edet_to_dict, report_to_dict
 from .secondary import NotAnEdge, edge_data, secondary_polytope
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_BUDGET = 3
+_STATUS_EXIT = {"pass": EXIT_OK, "fail": EXIT_VERIFICATION_FAILED, "budget": EXIT_BUDGET}
 
 
 class CliError(Exception):
@@ -55,7 +55,7 @@ def _load_document(path: str) -> dict:
 def _load_aset(path: str):
     doc = _load_document(path)
     try:
-        aset = validate_aset(int(doc["dim"]), doc["points"])
+        aset = validate_aset(doc["dim"], doc["points"])
     except (InvalidConfiguration, TypeError, ValueError) as exc:
         code = getattr(exc, "code", str(exc))
         raise CliError(EXIT_INVALID_INPUT, "invalid A-set: %s" % code)
@@ -64,10 +64,6 @@ def _load_aset(path: str):
 
 def _budget(args) -> Budget:
     return Budget(seconds=args.budget, max_terms=args.terms)
-
-
-def _poly_str(poly: IntPolynomial, n: int) -> str:
-    return poly.to_str()
 
 
 def _emit(args, text_lines, json_payload) -> None:
@@ -197,44 +193,21 @@ def cmd_edet(args) -> int:
     aset, name = _load_aset(args.input)
     result = principal_a_determinant(aset, _budget(args))
     lines = ["principal A-determinant of %s" % (name or args.input)]
-    rows = []
     for f in result.factors:
         if f.discriminant is None:
             desc = "BUDGET EXCEEDED: %s" % f.error
         else:
-            desc = _poly_str(f.discriminant, aset.n)
+            desc = f.discriminant.to_str()
         lines.append(
             "  face %s  u %d  i %d  exponent %d  discriminant %s"
             % (list(f.face.indices), f.u, f.index, f.exponent, desc)
         )
-        rows.append(
-            {
-                "face": list(f.face.indices),
-                "u": f.u,
-                "i": f.index,
-                "exponent": f.exponent,
-                "discriminant": records_to_json(
-                    None
-                    if f.discriminant is None
-                    else tuple(
-                        (r["coeff"], tuple(r["exps"]))
-                        for r in f.discriminant.to_records()
-                    )
-                ),
-                "error": f.error,
-            }
-        )
     if result.e_a is not None:
-        lines.append("E_A = %s" % _poly_str(result.e_a, aset.n))
+        lines.append("E_A = %s" % result.e_a.to_str())
         lines.append("terms: %d" % len(result.e_a.terms))
-        ea_json = [
-            {"coeff": r["coeff"], "exps": r["exps"]} for r in result.e_a.to_records()
-        ]
     else:
         lines.append("E_A: incomplete (budget exceeded)")
-        ea_json = None
-    payload = {"name": name, "factors": rows, "e_a": ea_json}
-    _emit(args, lines, payload)
+    _emit(args, lines, {"name": name, **edet_to_dict(result)})
     return EXIT_OK if result.e_a is not None else EXIT_BUDGET
 
 
@@ -265,20 +238,16 @@ def cmd_multiplicities(args) -> int:
             }
         )
     _emit(args, lines, {"name": name, "edges": rows})
-    if result.status == "fail":
-        return EXIT_VERIFICATION_FAILED
-    if result.status == "budget":
-        return EXIT_BUDGET
-    return EXIT_OK
+    return _STATUS_EXIT[result.status]
 
 
 def cmd_verify(args) -> int:
     aset, name = _load_aset(args.input)
     result = verify_theorem(aset, _budget(args))
-    report = build_report(result, name)
+    k0_rank = {fr.face.indices: fr.k0_rank for fr in result.face_ranks}
     lines = ["verification of %s" % (name or args.input)]
-    lines.append("triangulations: %d" % report.triangulation_count)
-    for e in report.edges:
+    lines.append("triangulations: %d" % result.triangulation_count)
+    for e in result.edges:
         if e.status == "skipped":
             lines.append(
                 "  edge %s circuit %s: SKIPPED (%s)"
@@ -286,22 +255,16 @@ def cmd_verify(args) -> int:
             )
             continue
         contrib = " + ".join(
-            "%d*%d" % (n, next(fr.k0_rank for fr in report.face_ranks if fr.indices == f))
-            for f, n in e.multiplicities
-            if n
+            "%d*%d" % (n, k0_rank[f]) for f, n in e.multiplicities if n
         ) or "0"
         mark = "ok" if e.status == "ok" else "FAIL (%s)" % e.detail
         lines.append(
             "  edge %s circuit %s: lhs %d = %s : %s"
             % (list(e.vertex_pair), list(e.circuit_indices), e.zf_rank, contrib, mark)
         )
-    lines.append("status: %s" % report.status)
-    _emit(args, lines, report_to_dict(report))
-    if report.status == "fail":
-        return EXIT_VERIFICATION_FAILED
-    if report.status == "budget":
-        return EXIT_BUDGET
-    return EXIT_OK
+    lines.append("status: %s" % result.status)
+    _emit(args, lines, report_to_dict(build_report(result, name)))
+    return _STATUS_EXIT[result.status]
 
 
 def cmd_example(args) -> int:
@@ -315,22 +278,33 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # false for NaN too
+        raise argparse.ArgumentTypeError("expected seconds >= 0, got %r" % text)
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
         "--budget",
-        type=float,
+        type=_seconds,
         default=None,
         help="oracle budget in seconds (default GKZ_BUDGET_SECS or 60)",
     )
     parser.add_argument(
-        "--terms", type=int, default=None, help="cap on intermediate polynomial terms"
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
+        "--terms",
+        type=_positive_int,
         default=None,
-        help="seed for randomized survey tooling (unused by deterministic commands)",
+        help="cap on intermediate polynomial terms",
     )
 
 
@@ -378,11 +352,13 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except CliError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return exc.code
+        error, code = exc, exc.code
+    except ExponentOverflow as exc:
+        error, code = exc, EXIT_INVALID_INPUT
     except BudgetExceeded as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_BUDGET
+        error, code = exc, EXIT_BUDGET
+    sys.stderr.write("error: %s\n" % error)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ Monomials are packed into single integers, one 16-bit field per variable
 plus a guard bit, with the x-block total degree in the most significant
 field.  Plain integer comparison of packed monomials then realizes the block
 order, monomial multiplication is integer addition, and divisibility is the
-classic guard-bit borrow test.
+classic guard-bit borrow test.  An exponent that does not fit its field
+raises ExponentOverflow.
 
 The oracle is budgeted: a wall-clock limit and an optional cap on the number
 of terms of any intermediate polynomial.  Exceeding either raises
@@ -68,6 +69,10 @@ class BudgetExceeded(RuntimeError):
         )
 
 
+class ExponentOverflow(ValueError):
+    """An exponent does not fit in its 16-bit packed monomial field."""
+
+
 class _Clock:
     __slots__ = ("budget", "deadline", "max_terms", "_tick")
 
@@ -115,7 +120,9 @@ class _Packing:
         for i, e in enumerate(exps):
             if e:
                 if e > _EXP_MAX:
-                    raise OverflowError("exponent too large to pack")
+                    raise ExponentOverflow(
+                        "exponent %d exceeds the elimination limit %d" % (e, _EXP_MAX)
+                    )
                 word += e << self.var_shift[i]
                 if i < self.n_elim:
                     xdeg += e
@@ -150,7 +157,7 @@ def _primitive(p: dict) -> dict:
     return {e: c // g for e, c in p.items()}
 
 
-def _normal_form(p: dict, basis, order, clock, guard_mask) -> dict:
+def _normal_form(p: dict, basis, clock, guard_mask) -> dict:
     """Full normal form of p against the basis entries, integer-primitive."""
     rem: dict = {}
     p = dict(p)
@@ -235,17 +242,13 @@ def _spoly(fe, ge, lcm_word, clock) -> dict:
 
 
 class _GroebnerState:
-    def __init__(self, pack: _Packing, clock: _Clock):
+    def __init__(self, pack: _Packing):
         self.pack = pack
-        self.clock = clock
         self.entries: list = []  # (lt, lc, poly) in packed form
         self.redundant: list[bool] = []
         self.pairs: list = []  # heap of (degree, lcm, i, j)
         self.alive: set = set()
         self.pairs_lcm: dict = {}
-
-    def reducers(self):
-        return self.entries
 
     def add(self, poly: dict):
         """Gebauer-Moller update with the new basis element."""
@@ -312,7 +315,7 @@ def groebner_basis_packed(polys, n_elim: int, nvars: int, budget: Budget | None 
     clock = _Clock(budget)
     pack = _Packing(n_elim, nvars)
 
-    state = _GroebnerState(pack, clock)
+    state = _GroebnerState(pack)
 
     seeds = []
     for p in polys:
@@ -326,7 +329,7 @@ def groebner_basis_packed(polys, n_elim: int, nvars: int, budget: Budget | None 
     seeds.sort(key=max)
 
     for p in seeds:
-        nf = _normal_form(p, state.reducers(), None, clock, pack.guard_mask)
+        nf = _normal_form(p, state.entries, clock, pack.guard_mask)
         if nf:
             state.add(nf)
 
@@ -339,7 +342,7 @@ def groebner_basis_packed(polys, n_elim: int, nvars: int, budget: Budget | None 
         s = _spoly(state.entries[i], state.entries[j], lcm_word, clock)
         if not s:
             continue
-        nf = _normal_form(s, state.reducers(), None, clock, pack.guard_mask)
+        nf = _normal_form(s, state.entries, clock, pack.guard_mask)
         if nf:
             state.add(nf)
 
@@ -359,7 +362,7 @@ def groebner_basis_packed(polys, n_elim: int, nvars: int, budget: Budget | None 
     for pos in range(len(min_entries)):
         lt, lc, g = min_entries[pos]
         others = min_entries[:pos] + min_entries[pos + 1 :]
-        nf = _normal_form(g, others, None, clock, pack.guard_mask)
+        nf = _normal_form(g, others, clock, pack.guard_mask)
         if nf:
             if nf[max(nf)] < 0:
                 nf = {e: -c for e, c in nf.items()}

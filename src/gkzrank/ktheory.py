@@ -265,13 +265,10 @@ def verify_theorem(
     face_list = faces(aset)
     face_ranks = tuple(rank_k0_face(aset, f) for f in face_list)
     edet = principal_a_determinant(aset, budget)
-    disc_of = {
-        row.face.indices: row.discriminant for row in edet.factors
-    }
+    disc_of = {row.face.indices: row.discriminant for row in edet.factors}
+    missing = [f.indices for f in face_list if disc_of[f.indices] is None]
 
     checks = []
-    any_fail = False
-    any_skip = False
     for (i, j) in sp.edges:
         ed = edge_data(sp, i, j)
         ranks = rank_k0_edge(aset, ed)
@@ -279,58 +276,32 @@ def verify_theorem(
             [aset.points[k] for k in ed.circuit.indices], aset.dim
         )
         spans = cgroup.free_rank == 0
-        cindex = cgroup.torsion_order if spans else None
-        missing = [
-            f.indices
-            for f in face_list
-            if disc_of.get(f.indices) is None
-        ]
-        if missing:
-            any_skip = True
-            checks.append(
-                EdgeCheck(
-                    vertex_pair=(i, j),
-                    circuit_indices=ed.circuit.indices,
-                    circuit_relation=ed.circuit.relation,
-                    circuit_spans=spans,
-                    circuit_index=cindex,
-                    separating_sets=ed.separating_sets,
-                    per_j_indices=ranks.per_j_indices,
-                    zf_rank=ranks.zf_rank,
-                    multiplicities=(),
-                    rhs=None,
-                    status="skipped",
-                    detail="face discriminants over budget: %s"
-                    % ", ".join(map(str, missing)),
-                )
-            )
-            continue
-        delta_i = circuit_discriminant(ed.circuit, aset.n)
         mults = []
-        rhs = 0
-        status = "ok"
-        detail = ""
-        try:
-            for f, fr in zip(face_list, face_ranks):
-                n_gf = multiplicity(aset, f, ed, disc_of[f.indices], delta_i)
-                mults.append((f.indices, n_gf))
-                rhs += n_gf * fr.k0_rank
-        except MultiplicityError as exc:
-            status = "fail"
-            detail = str(exc)
-            rhs = None
-        if status == "ok" and rhs != ranks.zf_rank:
-            status = "fail"
-            detail = "rank identity fails: lhs %d vs rhs %d" % (ranks.zf_rank, rhs)
-        if status == "fail":
-            any_fail = True
+        rhs = None
+        if missing:
+            status = "skipped"
+            detail = "face discriminants over budget: %s" % ", ".join(map(str, missing))
+        else:
+            delta_i = circuit_discriminant(ed.circuit, aset.n)
+            try:
+                for f in face_list:
+                    mults.append(
+                        (f.indices, multiplicity(aset, f, ed, disc_of[f.indices], delta_i))
+                    )
+                rhs = sum(n * fr.k0_rank for (_, n), fr in zip(mults, face_ranks))
+                status, detail = "ok", ""
+                if rhs != ranks.zf_rank:
+                    status = "fail"
+                    detail = "rank identity fails: lhs %d vs rhs %d" % (ranks.zf_rank, rhs)
+            except MultiplicityError as exc:
+                status, detail = "fail", str(exc)
         checks.append(
             EdgeCheck(
                 vertex_pair=(i, j),
                 circuit_indices=ed.circuit.indices,
                 circuit_relation=ed.circuit.relation,
                 circuit_spans=spans,
-                circuit_index=cindex,
+                circuit_index=cgroup.torsion_order if spans else None,
                 separating_sets=ed.separating_sets,
                 per_j_indices=ranks.per_j_indices,
                 zf_rank=ranks.zf_rank,
@@ -341,7 +312,8 @@ def verify_theorem(
             )
         )
 
-    status = "fail" if any_fail else ("budget" if any_skip else "pass")
+    statuses = {c.status for c in checks}
+    status = "fail" if "fail" in statuses else ("budget" if "skipped" in statuses else "pass")
     return TheoremReport(
         aset=aset,
         triangulation_count=len(sp.triangulations),

@@ -75,7 +75,11 @@ class MarkedPolytope:
 
 def validate_aset(dim: int, points) -> ASet:
     """Validate and build an A-set; raises InvalidConfiguration."""
-    pts = [tuple(int(x) for x in p) for p in points]
+    if not _is_int(dim):
+        raise InvalidConfiguration("non-integer dim")
+    pts = [tuple(p) for p in points]
+    if not all(_is_int(x) for p in pts for x in p):
+        raise InvalidConfiguration("non-integer coordinate")
     if not pts:
         raise InvalidConfiguration("empty configuration")
     if any(len(p) != dim for p in pts):
@@ -95,6 +99,10 @@ def validate_aset(dim: int, points) -> ASet:
     return ASet(dim=dim, points=tuple(pts), height=tuple(height))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def affine_rank(points) -> int:
     """Rank of the difference lattice of the points (dim of their affine hull)."""
     pts = [tuple(p) for p in points]
@@ -112,15 +120,6 @@ def _rank_of(rows) -> int:
     if not rows or not rows[0]:
         return 0
     return smith_normal_form(rows).rank
-
-
-def _primitive_vector(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g > 1:
-        return tuple(x // g for x in v)
-    return tuple(v)
 
 
 def faces(aset: ASet) -> tuple[Face, ...]:

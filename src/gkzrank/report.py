@@ -1,155 +1,67 @@
-"""Plain-data verification reports with bit-exact JSON round-tripping."""
+"""The JSON layout of verification reports.
+
+This module is the one place that fixes the layout.  It serializes the
+verifier's own frozen rows (FaceInvariants, EdgeCheck, FaceFactor) and takes
+polynomials as IntPolynomial.to_records() lists.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .discriminant import EDetResult
 from .ktheory import TheoremReport
-from .polynomial import IntPolynomial
-
-PolyRecords = tuple[tuple[str, tuple[int, ...]], ...]
-
-
-def poly_records(poly: IntPolynomial | None) -> PolyRecords | None:
-    if poly is None:
-        return None
-    return tuple((r["coeff"], tuple(r["exps"])) for r in poly.to_records())
-
-
-def records_to_json(records: PolyRecords | None):
-    if records is None:
-        return None
-    return [{"coeff": c, "exps": list(e)} for c, e in records]
-
-
-def records_from_json(data) -> PolyRecords | None:
-    if data is None:
-        return None
-    return tuple((r["coeff"], tuple(r["exps"])) for r in data)
-
-
-@dataclass(frozen=True)
-class FaceRankRow:
-    indices: tuple[int, ...]
-    dim: int
-    u: int
-    i: int
-    k0_rank: int
-    ray_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FactorRow:
-    face_indices: tuple[int, ...]
-    u: int
-    i: int
-    exponent: int
-    discriminant: PolyRecords | None
-    error: str | None
-
-
-@dataclass(frozen=True)
-class EdgeRow:
-    vertex_pair: tuple[int, int]
-    circuit_indices: tuple[int, ...]
-    circuit_relation: tuple[int, ...]
-    circuit_spans: bool
-    circuit_index: int | None
-    separating_sets: tuple[tuple[int, ...], ...]
-    per_j_indices: tuple[tuple[tuple[int, ...], int], ...]
-    zf_rank: int
-    multiplicities: tuple[tuple[tuple[int, ...], int], ...]
-    rhs: int | None
-    status: str
-    detail: str
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     name: str | None
-    dim: int
-    points: tuple[tuple[int, ...], ...]
-    height: tuple[int, ...]
-    triangulation_count: int
-    face_ranks: tuple[FaceRankRow, ...]
-    edges: tuple[EdgeRow, ...]
-    factors: tuple[FactorRow, ...]
-    e_a: PolyRecords | None
-    status: str
+    result: TheoremReport
 
 
 def build_report(result: TheoremReport, name: str | None = None) -> VerificationReport:
-    aset = result.aset
-    face_rows = tuple(
-        FaceRankRow(
-            indices=fr.face.indices,
-            dim=fr.face.dim,
-            u=fr.u,
-            i=fr.i,
-            k0_rank=fr.k0_rank,
-            ray_indices=fr.ray_indices,
-        )
-        for fr in result.face_ranks
-    )
-    edge_rows = tuple(
-        EdgeRow(
-            vertex_pair=e.vertex_pair,
-            circuit_indices=e.circuit_indices,
-            circuit_relation=e.circuit_relation,
-            circuit_spans=e.circuit_spans,
-            circuit_index=e.circuit_index,
-            separating_sets=e.separating_sets,
-            per_j_indices=e.per_j_indices,
-            zf_rank=e.zf_rank,
-            multiplicities=e.multiplicities,
-            rhs=e.rhs,
-            status=e.status,
-            detail=e.detail,
-        )
-        for e in result.edges
-    )
-    factor_rows = tuple(
-        FactorRow(
-            face_indices=f.face.indices,
-            u=f.u,
-            i=f.index,
-            exponent=f.exponent,
-            discriminant=poly_records(f.discriminant),
-            error=f.error,
-        )
-        for f in result.edet.factors
-    )
-    return VerificationReport(
-        name=name,
-        dim=aset.dim,
-        points=aset.points,
-        height=aset.height,
-        triangulation_count=result.triangulation_count,
-        face_ranks=face_rows,
-        edges=edge_rows,
-        factors=factor_rows,
-        e_a=poly_records(result.edet.e_a),
-        status=result.status,
-    )
+    return VerificationReport(name=name, result=result)
+
+
+def edet_to_dict(edet: EDetResult) -> dict:
+    """Per-face factors and E_A; `gkzrank edet --json` prints this layout too."""
+    return {
+        "factors": [
+            {
+                "face": list(f.face.indices),
+                "u": f.u,
+                "i": f.index,
+                "exponent": f.exponent,
+                "discriminant": None
+                if f.discriminant is None
+                else f.discriminant.to_records(),
+                "error": f.error,
+            }
+            for f in edet.factors
+        ],
+        "e_a": None if edet.e_a is None else edet.e_a.to_records(),
+    }
 
 
 def report_to_dict(rep: VerificationReport) -> dict:
+    result = rep.result
+    aset = result.aset
     return {
         "name": rep.name,
-        "dim": rep.dim,
-        "points": [list(p) for p in rep.points],
-        "height": list(rep.height),
-        "triangulations": rep.triangulation_count,
+        "dim": aset.dim,
+        "points": [list(p) for p in aset.points],
+        "height": list(aset.height),
+        "triangulations": result.triangulation_count,
         "face_ranks": [
             {
-                "indices": list(r.indices),
-                "dim": r.dim,
+                "indices": list(r.face.indices),
+                "dim": r.face.dim,
                 "u": r.u,
                 "i": r.i,
                 "k0_rank": r.k0_rank,
                 "ray_indices": list(r.ray_indices),
             }
-            for r in rep.face_ranks
+            for r in result.face_ranks
         ],
         "edges": [
             {
@@ -172,76 +84,8 @@ def report_to_dict(rep: VerificationReport) -> dict:
                 "status": e.status,
                 "detail": e.detail,
             }
-            for e in rep.edges
+            for e in result.edges
         ],
-        "edet": {
-            "factors": [
-                {
-                    "face": list(f.face_indices),
-                    "u": f.u,
-                    "i": f.i,
-                    "exponent": f.exponent,
-                    "discriminant": records_to_json(f.discriminant),
-                    "error": f.error,
-                }
-                for f in rep.factors
-            ],
-            "e_a": records_to_json(rep.e_a),
-        },
-        "status": rep.status,
+        "edet": edet_to_dict(result.edet),
+        "status": result.status,
     }
-
-
-def report_from_dict(data: dict) -> VerificationReport:
-    return VerificationReport(
-        name=data["name"],
-        dim=data["dim"],
-        points=tuple(tuple(p) for p in data["points"]),
-        height=tuple(data["height"]),
-        triangulation_count=data["triangulations"],
-        face_ranks=tuple(
-            FaceRankRow(
-                indices=tuple(r["indices"]),
-                dim=r["dim"],
-                u=r["u"],
-                i=r["i"],
-                k0_rank=r["k0_rank"],
-                ray_indices=tuple(r["ray_indices"]),
-            )
-            for r in data["face_ranks"]
-        ),
-        edges=tuple(
-            EdgeRow(
-                vertex_pair=tuple(e["vertex_pair"]),
-                circuit_indices=tuple(e["circuit"]["indices"]),
-                circuit_relation=tuple(e["circuit"]["relation"]),
-                circuit_spans=e["circuit_spans"],
-                circuit_index=e["circuit_index"],
-                separating_sets=tuple(tuple(j) for j in e["separating_sets"]),
-                per_j_indices=tuple(
-                    (tuple(r["j"]), r["index"]) for r in e["per_j_indices"]
-                ),
-                zf_rank=e["zf_rank"],
-                multiplicities=tuple(
-                    (tuple(m["face"]), m["n"]) for m in e["multiplicities"]
-                ),
-                rhs=e["rhs"],
-                status=e["status"],
-                detail=e["detail"],
-            )
-            for e in data["edges"]
-        ),
-        factors=tuple(
-            FactorRow(
-                face_indices=tuple(f["face"]),
-                u=f["u"],
-                i=f["i"],
-                exponent=f["exponent"],
-                discriminant=records_from_json(f["discriminant"]),
-                error=f["error"],
-            )
-            for f in data["edet"]["factors"]
-        ),
-        e_a=records_from_json(data["edet"]["e_a"]),
-        status=data["status"],
-    )

@@ -111,10 +111,6 @@ class SecondaryPolytope:
     dim: int
 
 
-def characteristic_function(aset: ASet, tri: Triangulation) -> tuple[int, ...]:
-    return tri.characteristic_function(aset)
-
-
 def check_triangulation(aset: ASet, simplices) -> tuple[tuple[int, ...], ...]:
     """Validate a set of index simplices as a triangulation of (Q, A).
 

@@ -9,7 +9,7 @@ import pytest
 
 from gkzrank.cli import main
 from gkzrank.ktheory import verify_theorem
-from gkzrank.report import build_report, report_from_dict, report_to_dict
+from gkzrank.report import build_report, report_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,12 +62,41 @@ def test_exit_code_invalid_inputs(tmp_path):
     code, _, err = run_cli(["validate", str(dup)])
     assert code == 2 and "duplicate point" in err
 
+    for doc, code_name in [
+        ({"dim": 2, "points": [[1, 0], [1, 1.5]]}, "non-integer coordinate"),
+        ({"dim": 2, "points": [[1, 0], [1, True]]}, "non-integer coordinate"),
+        ({"dim": 2, "points": [[1, 0], [1, "1"]]}, "non-integer coordinate"),
+        ({"dim": 2.7, "points": [[1, 0], [1, 1]]}, "non-integer dim"),
+    ]:
+        path = tmp_path / "coerced.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["validate", str(path)])
+        assert code == 2 and code_name in err
+
+
+def test_exit_code_exponent_overflow(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"dim": 2, "points": [[1, 0], [1, 1], [1, 70000]]}))
+    code, out, err = run_cli(["edet", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: exponent 70000 exceeds") and err.count("\n") == 1
+
 
 def test_exit_code_budget():
     code, out, _ = run_cli(["edet", "a3", "--budget", "0.0"])
     assert code == 3
     assert "BUDGET EXCEEDED" in out
     assert "incomplete" in out
+
+
+@pytest.mark.parametrize(
+    "flags", [["--budget", "nan"], ["--budget", "-1"], ["--terms", "0"]]
+)
+def test_exit_code_bad_budget_flags(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["edet", "a3"] + flags)
+    assert exc.value.code == 2
+    assert "error: argument %s" % flags[0] in capsys.readouterr().err
 
 
 def test_secondary_output():
@@ -122,10 +151,9 @@ def test_golden_outputs(name, command):
 
 
 def test_report_round_trip(kp2):
-    rep = build_report(verify_theorem(kp2), "kp2")
-    data = json.loads(json.dumps(report_to_dict(rep)))
-    assert report_from_dict(data) == rep
-    assert report_to_dict(report_from_dict(data)) == data
+    d = report_to_dict(build_report(verify_theorem(kp2), "kp2"))
+    assert json.loads(json.dumps(d)) == d
+    assert d == json.loads((GOLDEN / "kp2_verify.json").read_text())
 
 
 def test_env_budget_override(a3, monkeypatch):

@@ -36,6 +36,10 @@ def test_validate_examples(a3, kp2, f2):
         (2, [(1, 0), (1, 0)], "duplicate point"),
         (2, [(1, 0), (1, 2)], "does not generate lattice"),
         (3, [(0, 0, 1), (1, 0, 1)], "degenerate configuration"),
+        (2, [(1, 0), (1, 1.5)], "non-integer coordinate"),
+        (2, [(1, 0), (1, True)], "non-integer coordinate"),
+        (2, [(1, 0), (1, "1")], "non-integer coordinate"),
+        (2.7, [(1, 0), (1, 1)], "non-integer dim"),
     ],
 )
 def test_validate_errors(dim, pts, code):
