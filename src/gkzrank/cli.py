@@ -16,7 +16,14 @@ import sys
 
 from .builtin import BUILTIN_DOCUMENTS
 from .discriminant import principal_a_determinant
-from .elimination import Budget, BudgetExceeded, ExponentOverflow
+from .elimination import (
+    Budget,
+    BudgetExceeded,
+    ExponentOverflow,
+    InvalidBudget,
+    default_budget_seconds,
+    parse_seconds,
+)
 from .ktheory import verify_theorem
 from .polytope import InvalidConfiguration, faces, validate_aset
 from .report import build_report, edet_to_dict, report_to_dict
@@ -63,7 +70,8 @@ def _load_aset(path: str):
 
 
 def _budget(args) -> Budget:
-    return Budget(seconds=args.budget, max_terms=args.terms)
+    seconds = default_budget_seconds() if args.budget is None else args.budget
+    return Budget(seconds=seconds, max_terms=args.terms)
 
 
 def _emit(args, text_lines, json_payload) -> None:
@@ -151,6 +159,7 @@ def cmd_edge(args) -> int:
         ed = edge_data(sp, i, j)
     except NotAnEdge:
         raise CliError(EXIT_INVALID_INPUT, "not an edge: %d %d" % (i, j))
+    subdivision = ed.subdivision
     lines = [
         "edge %d-%d of %s" % (ed.vertex_pair[0], ed.vertex_pair[1], name or args.input),
         "endpoints: %s | %s"
@@ -163,7 +172,7 @@ def cmd_edge(args) -> int:
         "separating sets: %s" % ([list(j_) for j_ in ed.separating_sets],),
         "common simplices: %s" % ([list(s) for s in ed.common_simplices],),
         "subdivision cells: %s"
-        % ([[list(m.vertices_hull), list(m.marks)] for m in ed.subdivision],),
+        % ([[list(m.vertices_hull), list(m.marks)] for m in subdivision],),
         "psi: %s" % ([str(x) for x in ed.psi],),
     ]
     payload = {
@@ -181,7 +190,7 @@ def cmd_edge(args) -> int:
         "common_simplices": [list(s) for s in ed.common_simplices],
         "subdivision": [
             {"vertices_hull": list(m.vertices_hull), "marks": list(m.marks)}
-            for m in ed.subdivision
+            for m in subdivision
         ],
         "psi": [str(x) for x in ed.psi],
     }
@@ -279,10 +288,10 @@ def cmd_example(args) -> int:
 
 
 def _seconds(text: str) -> float:
-    value = float(text)
-    if not value >= 0:  # false for NaN too
-        raise argparse.ArgumentTypeError("expected seconds >= 0, got %r" % text)
-    return value
+    try:
+        return parse_seconds(text)
+    except InvalidBudget as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _positive_int(text: str) -> int:
@@ -353,7 +362,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CliError as exc:
         error, code = exc, exc.code
-    except ExponentOverflow as exc:
+    except (ExponentOverflow, InvalidBudget) as exc:
         error, code = exc, EXIT_INVALID_INPUT
     except BudgetExceeded as exc:
         error, code = exc, EXIT_BUDGET

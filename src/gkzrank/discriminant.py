@@ -282,7 +282,6 @@ def newton_polytope_check(e_a: IntPolynomial, sp: SecondaryPolytope) -> NewtonRe
     """Vertices of the Newton polytope of E_A must be exactly the
     characteristic functions of the regular triangulations."""
     from .linprog import feasible_point, in_convex_hull
-    from fractions import Fraction
 
     exps = set(e_a.terms)
     phis = list(sp.phis)
@@ -298,8 +297,8 @@ def newton_polytope_check(e_a: IntPolynomial, sp: SecondaryPolytope) -> NewtonRe
         a_ub = []
         b_ub = []
         for q in others:
-            a_ub.append([Fraction(q[k] - p[k]) for k in range(n)])
-            b_ub.append(Fraction(-1))
+            a_ub.append([q[k] - p[k] for k in range(n)])
+            b_ub.append(-1)
         if feasible_point(n, a_ub, b_ub) is None:
             non_vertex.append(p)
 

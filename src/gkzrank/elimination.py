@@ -34,14 +34,29 @@ _FIELD = 17
 _EXP_MAX = (1 << 16) - 1
 
 
+class InvalidBudget(ValueError):
+    """A time budget that is not a number of seconds >= 0."""
+
+
+def parse_seconds(text: str) -> float:
+    error = InvalidBudget("expected seconds >= 0, got %r" % text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise error from None
+    if not value >= 0:  # false for NaN too
+        raise error
+    return value
+
+
 def default_budget_seconds() -> float:
     raw = os.environ.get("GKZ_BUDGET_SECS")
     if raw is None:
         return DEFAULT_BUDGET_SECONDS
     try:
-        return float(raw)
-    except ValueError:
-        return DEFAULT_BUDGET_SECONDS
+        return parse_seconds(raw)
+    except InvalidBudget as exc:
+        raise InvalidBudget("GKZ_BUDGET_SECS: %s" % exc) from None
 
 
 @dataclass(frozen=True)

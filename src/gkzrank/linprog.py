@@ -1,14 +1,23 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over the rationals, on an integer tableau.
 
-A dense two-phase simplex with Bland's rule on Fraction arithmetic.  All
-variables are free; callers encode non-negativity explicitly.  Strict
-feasibility questions are posed by the callers as slack maximization.
+A dense two-phase simplex with Bland's rule, fraction-free: each tableau row
+is stored as integers, a positive multiple of the rational row, and is
+divided by the gcd of its entries after every pivot.  The multiple is the
+row's entry in its basic column.  The cost row is pivoted with the other
+rows and carries its own integer scale, and the ratio test compares by
+cross-multiplication, so the pivots are the ones Bland's rule takes on the
+rational tableau (Bareiss 1968; Azulay and Pique 1998).
+
+Coefficients may be ints or Fractions.  All variables are free; callers
+encode non-negativity explicitly.  Strict feasibility questions are posed by
+the callers as slack maximization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 @dataclass
@@ -21,60 +30,88 @@ class LPResult:
     farkas: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None
 
 
+def _exact(values) -> list:
+    return [v if isinstance(v, int) else Fraction(v) for v in values]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _integer_multiple(values) -> tuple[list[int], int]:
+    """Integers equal to the rationals times a positive multiplier, and it."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class _Tableau:
-    def __init__(self, rows, basis, ncols):
-        self.rows = rows  # list of lists of Fractions, last entry = rhs
+    def __init__(self, rows, basis):
+        self.rows = rows  # lists of ints, last entry = rhs
         self.basis = basis
-        self.ncols = ncols
+        # reduced costs, then minus the objective value, times self.scale
+        self.cost: list[int] = []
+        self.scale = 1
+
+    def set_costs(self, costs) -> None:
+        """Install the cost row c - c_B.B^-1.A for the current basis."""
+        ints, den = _integer_multiple(costs)
+        # (row, its scale, cost of its basic column) where that cost is nonzero
+        basic = [
+            (row, row[b], ints[b]) for row, b in zip(self.rows, self.basis) if ints[b]
+        ]
+        mult = lcm(*(scale for _, scale, _ in basic))
+        cost = [mult * c for c in ints] + [0]
+        for row, scale, cb in basic:
+            f = cb * (mult // scale)
+            cost = [a - f * b for a, b in zip(cost, row)]
+        self._store_cost(cost, den * mult)
+
+    def _store_cost(self, cost, scale) -> None:
+        g = gcd(scale, *cost)
+        self.cost = [v // g for v in cost]
+        self.scale = scale // g
 
     def pivot(self, r, c):
-        row = self.rows[r]
-        inv = Fraction(1) / row[c]
-        self.rows[r] = [v * inv for v in row]
         prow = self.rows[r]
-        for i, other in enumerate(self.rows):
-            if i == r:
-                continue
-            f = other[c]
-            if f:
-                self.rows[i] = [a - f * b for a, b in zip(other, prow)]
+        p = prow[c]
+        if p < 0:
+            prow = self.rows[r] = [-v for v in prow]
+            p = -p
+        for i, row in enumerate(self.rows):
+            f = row[c]
+            if f and i != r:
+                self.rows[i] = _primitive([p * a - f * b for a, b in zip(row, prow)])
+        f = self.cost[c]
+        if f:
+            self._store_cost(
+                [p * a - f * b for a, b in zip(self.cost, prow)], self.scale * p
+            )
         self.basis[r] = c
 
 
-def _run_simplex(tab: _Tableau, costs, allowed):
-    """Minimize costs over the tableau with Bland's rule; returns objective."""
-    m = len(tab.rows)
+def _run_simplex(tab: _Tableau, ncols: int):
+    """Minimize the cost row over columns below ncols with Bland's rule.
+
+    Returns the optimum, or None when unbounded below.
+    """
     while True:
-        # reduced costs: c_j - c_B . column_j
-        cb = [costs[tab.basis[i]] for i in range(m)]
-        entering = -1
-        for j in range(tab.ncols):
-            if not allowed[j] or j in tab.basis:
-                continue
-            red = costs[j]
-            for i in range(m):
-                if cb[i]:
-                    red -= cb[i] * tab.rows[i][j]
-            if red < 0:
-                entering = j
-                break  # Bland: first improving index
+        cost = tab.cost
+        # Bland: the first improving index
+        entering = next((j for j in range(ncols) if cost[j] < 0), -1)
         if entering < 0:
-            value = Fraction(0)
-            for i in range(m):
-                if cb[i]:
-                    value += cb[i] * tab.rows[i][-1]
-            return value
+            return Fraction(-cost[-1], tab.scale)
         leaving = -1
-        best = None
-        for i in range(m):
-            a = tab.rows[i][entering]
+        for i, row in enumerate(tab.rows):
+            a = row[entering]
             if a > 0:
-                ratio = tab.rows[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and tab.basis[i] < tab.basis[leaving]
-                ):
-                    best = ratio
-                    leaving = i
+                if leaving < 0:
+                    leaving, num, den = i, row[-1], a
+                    continue
+                # row[-1] / a against num / den, both denominators positive
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and tab.basis[i] < tab.basis[leaving]):
+                    leaving, num, den = i, row[-1], a
         if leaving < 0:
             return None  # unbounded below
         tab.pivot(leaving, entering)
@@ -93,14 +130,14 @@ def solve_lp(
 
     The x variables are unrestricted in sign.
     """
-    a_ub = [list(map(Fraction, row)) for row in a_ub]
-    b_ub = [Fraction(v) for v in b_ub]
-    a_eq = [list(map(Fraction, row)) for row in a_eq]
-    b_eq = [Fraction(v) for v in b_eq]
+    a_ub = [_exact(row) for row in a_ub]
+    b_ub = _exact(b_ub)
+    a_eq = [_exact(row) for row in a_eq]
+    b_eq = _exact(b_eq)
     if objective is None:
-        obj = [Fraction(0)] * nvars
+        obj = [0] * nvars
     else:
-        obj = [Fraction(v) for v in objective]
+        obj = _exact(objective)
         if maximize:
             obj = [-v for v in obj]
 
@@ -109,7 +146,8 @@ def solve_lp(
     m = n_ub + n_eq
     # columns: x+ (nvars) | x- (nvars) | slacks (n_ub) | artificials (m) | rhs
     nx = 2 * nvars
-    ncols = nx + n_ub + m
+    art = nx + n_ub
+    ncols = art + m
     rows = []
     flipped = []
     for r in range(m):
@@ -117,43 +155,33 @@ def solve_lp(
             coeff, rhs = a_ub[r], b_ub[r]
         else:
             coeff, rhs = a_eq[r - n_ub], b_eq[r - n_ub]
-        row = [Fraction(0)] * (ncols + 1)
+        row = [0] * (ncols + 1)
         for j in range(nvars):
             row[j] = coeff[j]
             row[nvars + j] = -coeff[j]
         if r < n_ub:
-            row[nx + r] = Fraction(1)
+            row[nx + r] = 1
         row[-1] = rhs
         flip = rhs < 0
         if flip:
-            row = [-v for v in row[:-1]] + [-rhs]
+            row = [-v for v in row]
         flipped.append(flip)
-        row[nx + n_ub + r] = Fraction(1)
-        rows.append(row)
+        row[art + r] = 1
+        rows.append(_primitive(_integer_multiple(row)[0]))
 
-    basis = [nx + n_ub + r for r in range(m)]
-    tab = _Tableau(rows, basis, ncols)
+    tab = _Tableau(rows, list(range(art, ncols)))
 
     # phase 1: minimize the artificial sum
-    costs1 = [Fraction(0)] * ncols
-    for r in range(m):
-        costs1[nx + n_ub + r] = Fraction(1)
-    allowed = [True] * ncols
-    value = _run_simplex(tab, costs1, allowed)
+    tab.set_costs([0] * art + [1] * m)
+    value = _run_simplex(tab, ncols)
     if value is None:
         raise RuntimeError("phase-1 objective unbounded; malformed tableau")
     if value > 0:
         # Farkas certificate from the phase-1 duals: y_r = 1 - reduced cost of
         # the r-th artificial column
         duals = []
-        cb = [costs1[tab.basis[i]] for i in range(len(tab.rows))]
         for r in range(m):
-            col = nx + n_ub + r
-            red = costs1[col]
-            for i in range(len(tab.rows)):
-                if cb[i]:
-                    red -= cb[i] * tab.rows[i][col]
-            y = Fraction(1) - red
+            y = Fraction(tab.scale - tab.cost[art + r], tab.scale)
             if flipped[r]:
                 y = -y
             duals.append(y)
@@ -164,30 +192,21 @@ def solve_lp(
 
     # drive remaining artificial variables out of the basis where possible
     for i in range(m):
-        if tab.basis[i] >= nx + n_ub:
-            pivot_col = -1
-            for j in range(nx + n_ub):
-                if tab.rows[i][j] != 0:
-                    pivot_col = j
-                    break
+        if tab.basis[i] >= art:
+            row = tab.rows[i]
+            pivot_col = next((j for j in range(art) if row[j]), -1)
             if pivot_col >= 0:
                 tab.pivot(i, pivot_col)
 
-    for j in range(nx + n_ub, ncols):
-        allowed[j] = False
-
-    costs2 = [Fraction(0)] * ncols
-    for j in range(nvars):
-        costs2[j] = obj[j]
-        costs2[nvars + j] = -obj[j]
-    value = _run_simplex(tab, costs2, allowed)
+    tab.set_costs(obj + [-v for v in obj] + [0] * (ncols - nx))
+    value = _run_simplex(tab, art)
     if value is None:
         return LPResult(status="unbounded")
 
     x = [Fraction(0)] * nx
-    for i, b in enumerate(tab.basis):
+    for row, b in zip(tab.rows, tab.basis):
         if b < nx:
-            x[b] = tab.rows[i][-1]
+            x[b] = Fraction(row[-1], row[b])
     point = tuple(x[j] - x[nvars + j] for j in range(nvars))
     objective_value = sum(o * v for o, v in zip(obj, point))
     if maximize:
@@ -220,15 +239,11 @@ def in_convex_hull(point, generators) -> bool:
     gens = list(generators)
     if not gens:
         return False
-    dim = len(point)
     k = len(gens)
-    a_eq = []
-    b_eq = []
-    for i in range(dim):
-        a_eq.append([Fraction(g[i]) for g in gens])
-        b_eq.append(Fraction(point[i]))
-    a_eq.append([Fraction(1)] * k)
-    b_eq.append(Fraction(1))
-    a_ub = [[Fraction(-1) if j == i else Fraction(0) for j in range(k)] for i in range(k)]
-    b_ub = [Fraction(0)] * k
+    a_eq = [[g[i] for g in gens] for i in range(len(point))]
+    b_eq = list(point)
+    a_eq.append([1] * k)
+    b_eq.append(1)
+    a_ub = [[-1 if j == i else 0 for j in range(k)] for i in range(k)]
+    b_ub = [0] * k
     return feasible_point(k, a_ub, b_ub, a_eq, b_eq) is not None

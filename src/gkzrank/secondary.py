@@ -18,6 +18,7 @@ from .lattice import primitive_relation, LatticeError
 from .linprog import solve_lp, feasible_point
 from .polytope import (
     ASet,
+    IntVector,
     MarkedPolytope,
     barycentric,
     lower_hull_cells,
@@ -96,10 +97,16 @@ class EdgeData:
     endpoints: tuple[Triangulation, Triangulation]
     circuit: Circuit
     separating_sets: tuple[tuple[int, ...], ...]
-    subdivision: tuple[MarkedPolytope, ...]
+    cells: tuple[tuple[int, ...], ...]  # of the subdivision, sorted
     common_simplices: tuple[tuple[int, ...], ...]
     psi: tuple[Fraction, ...]
     vertex_pair: tuple[int, int]
+    points: tuple[IntVector, ...]
+
+    @property
+    def subdivision(self) -> tuple[MarkedPolytope, ...]:
+        """The marked cells, built when read: one hull LP per mark."""
+        return tuple(marked_polytope(self.points, cell) for cell in self.cells)
 
 
 @dataclass(frozen=True)
@@ -156,22 +163,22 @@ def _proper_intersection(aset: ASet, sa, sb) -> bool:
     a_eq = []
     b_eq = []
     for r in range(d):
-        row = [Fraction(aset.points[i][r]) for i in sa]
-        row += [-Fraction(aset.points[i][r]) for i in sb]
+        row = [aset.points[i][r] for i in sa]
+        row += [-aset.points[i][r] for i in sb]
         a_eq.append(row)
-        b_eq.append(Fraction(0))
-    a_eq.append([Fraction(1)] * ka + [Fraction(0)] * kb)
-    b_eq.append(Fraction(1))
-    a_eq.append([Fraction(0)] * ka + [Fraction(1)] * kb)
-    b_eq.append(Fraction(1))
-    a_ub = [[Fraction(-1) if j == i else Fraction(0) for j in range(nvars)] for i in range(nvars)]
-    b_ub = [Fraction(0)] * nvars
-    objective = [Fraction(0)] * nvars
+        b_eq.append(0)
+    a_eq.append([1] * ka + [0] * kb)
+    b_eq.append(1)
+    a_eq.append([0] * ka + [1] * kb)
+    b_eq.append(1)
+    a_ub = [[-1 if j == i else 0 for j in range(nvars)] for i in range(nvars)]
+    b_ub = [0] * nvars
+    objective = [0] * nvars
     for pos, (side, i) in enumerate(
         [("a", i) for i in sa] + [("b", i) for i in sb]
     ):
         if i not in shared:
-            objective[pos] = Fraction(1)
+            objective[pos] = 1
     res = solve_lp(nvars, objective, a_ub, b_ub, a_eq, b_eq, maximize=True)
     if res.status != "optimal":
         return True  # disjoint simplices
@@ -233,7 +240,7 @@ def is_regular(aset: ASet, triangulation) -> RegularityResult:
     if not folds:
         return RegularityResult(regular=True, lifting=(Fraction(0),) * aset.n)
     a_ub = [[-x for x in c] for c in folds]
-    b_ub = [Fraction(-1)] * len(folds)
+    b_ub = [-1] * len(folds)
     res = solve_lp(aset.n, None, a_ub, b_ub)
     if res.status == "optimal":
         lift = res.x
@@ -256,9 +263,9 @@ def _facets_of_secondary_cone(aset: ASet, folds):
     facets = []
     for k, c in enumerate(folds):
         a_ub = [[-x for x in other] for i, other in enumerate(folds) if i != k]
-        b_ub = [Fraction(0)] * (len(folds) - 1)
-        a_ub.append(list(map(Fraction, c)))
-        b_ub.append(Fraction(-1))
+        b_ub = [0] * (len(folds) - 1)
+        a_ub.append(list(c))
+        b_ub.append(-1)
         if feasible_point(aset.n, a_ub, b_ub) is not None:
             facets.append(k)
     return facets
@@ -273,15 +280,15 @@ def triangulation_flips(aset: ASet, tri: Triangulation):
     neighbors = []
     for k in facet_idx:
         c0 = folds[k]
-        a_eq = [list(map(Fraction, c0))]
-        b_eq = [Fraction(0)]
+        a_eq = [list(c0)]
+        b_eq = [0]
         a_ub = []
         b_ub = []
         for i in facet_idx:
             if i == k:
                 continue
             a_ub.append([-x for x in folds[i]])
-            b_ub.append(Fraction(-1))
+            b_ub.append(-1)
         wall = feasible_point(aset.n, a_ub, b_ub, a_eq, b_eq)
         if wall is None:
             raise RuntimeError("facet of a secondary cone has empty relative interior")
@@ -342,20 +349,20 @@ def normal_cone_sample(sp: SecondaryPolytope, i: int, j: int) -> tuple[Fraction,
     n = sp.aset.n
     phis = sp.phis
     diff = [phis[i][k] - phis[j][k] for k in range(n)]
-    a_eq = [list(map(Fraction, diff)) + [Fraction(0)]]
-    b_eq = [Fraction(0)]
+    a_eq = [diff + [0]]
+    b_eq = [0]
     a_ub = []
     b_ub = []
     for t in range(len(phis)):
         if t in (i, j):
             continue
-        row = [Fraction(phis[t][k] - phis[i][k]) for k in range(n)]
-        row.append(Fraction(1))  # slack
+        row = [phis[t][k] - phis[i][k] for k in range(n)]
+        row.append(1)  # slack
         a_ub.append(row)
-        b_ub.append(Fraction(0))
-    a_ub.append([Fraction(0)] * n + [Fraction(1)])
-    b_ub.append(Fraction(1))
-    objective = [Fraction(0)] * n + [Fraction(1)]
+        b_ub.append(0)
+    a_ub.append([0] * n + [1])
+    b_ub.append(1)
+    objective = [0] * n + [1]
     res = solve_lp(n + 1, objective, a_ub, b_ub, a_eq, b_eq, maximize=True)
     if res.status != "optimal":
         raise NotAnEdge("not an edge")
@@ -410,9 +417,6 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
         )
     _check_separating_sides(ta, tb, circuit, cell_seps)
 
-    subdivision = tuple(
-        marked_polytope(aset.points, cell) for cell in sorted(cells)
-    )
     # symmetric canonical endpoint order by characteristic function
     pa, pb = sp.phis[i], sp.phis[j]
     endpoints = (ta, tb) if pa <= pb else (tb, ta)
@@ -420,10 +424,11 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
         endpoints=endpoints,
         circuit=circuit,
         separating_sets=cell_seps,
-        subdivision=subdivision,
+        cells=tuple(sorted(cells)),
         common_simplices=expected_common,
         psi=psi,
         vertex_pair=(i, j),
+        points=aset.points,
     )
 
 

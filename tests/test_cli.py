@@ -99,6 +99,14 @@ def test_exit_code_bad_budget_flags(flags, capsys):
     assert "error: argument %s" % flags[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "-5", "abc"])
+def test_exit_code_bad_env_budget(value, monkeypatch):
+    monkeypatch.setenv("GKZ_BUDGET_SECS", value)
+    code, out, err = run_cli(["edet", "a3"])
+    assert code == 2 and out == ""
+    assert err == "error: GKZ_BUDGET_SECS: expected seconds >= 0, got %r\n" % value
+
+
 def test_secondary_output():
     code, out, _ = run_cli(["secondary", "a3"])
     assert code == 0
@@ -146,6 +154,14 @@ def test_determinism_byte_identical():
 def test_golden_outputs(name, command):
     expected = (GOLDEN / ("%s_%s.json" % (name, command))).read_text()
     code, out, _ = run_cli([command, name, "--json"])
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("name, pair", [("f2", ["2", "3"]), ("kp2", ["0", "1"])])
+def test_golden_edge_outputs(name, pair):
+    expected = (GOLDEN / ("%s_edge.json" % name)).read_text()
+    code, out, _ = run_cli(["edge", name, "--pair", *pair, "--json"])
     assert code == 0
     assert out == expected
 
