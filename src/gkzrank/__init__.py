@@ -10,7 +10,6 @@ from .secondary import (
     SecondaryPolytope,
     Triangulation,
     edge_data,
-    enumerate_regular_triangulations,
     is_regular,
     normal_cone_sample,
     placing_triangulation,
@@ -21,7 +20,6 @@ from .discriminant import (
     circuit_discriminant,
     edge_restriction_check,
     face_discriminant,
-    leading_form,
     multiplicity,
     newton_polytope_check,
     principal_a_determinant,
@@ -55,13 +53,11 @@ __all__ = [
     "circuit_discriminant",
     "edge_data",
     "edge_restriction_check",
-    "enumerate_regular_triangulations",
     "face_discriminant",
     "face_index_i",
     "face_volume_u",
     "faces",
     "is_regular",
-    "leading_form",
     "multiplicity",
     "newton_polytope_check",
     "normal_cone_sample",

@@ -61,12 +61,15 @@ def _load_document(path: str) -> dict:
 
 def _load_aset(path: str):
     doc = _load_document(path)
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise CliError(EXIT_INVALID_INPUT, 'malformed document: "name" must be a string')
     try:
         aset = validate_aset(doc["dim"], doc["points"])
     except (InvalidConfiguration, TypeError, ValueError) as exc:
         code = getattr(exc, "code", str(exc))
         raise CliError(EXIT_INVALID_INPUT, "invalid A-set: %s" % code)
-    return aset, doc.get("name")
+    return aset, name
 
 
 def _budget(args) -> Budget:

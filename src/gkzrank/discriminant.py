@@ -210,11 +210,6 @@ def principal_a_determinant(aset: ASet, budget: Budget | None = None) -> EDetRes
     return EDetResult(factors=tuple(rows), e_a=e_a)
 
 
-def leading_form(poly: IntPolynomial, weights) -> IntPolynomial:
-    """Terms of the polynomial maximizing the weight functional."""
-    return poly.leading_form(weights)
-
-
 def multiplicity(
     aset: ASet,
     face: Face,

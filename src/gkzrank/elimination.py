@@ -115,7 +115,7 @@ class _Packing:
         self.n_elim = n_elim
         self.nvars = nvars
         self.nfields = nvars + 1
-        # field significance, высоко to low: xdeg, x_0..x_{ne-1}, a_0..a_{na-1};
+        # field significance, high to low: xdeg, x_0..x_{ne-1}, a_0..a_{na-1};
         # little-endian field index = nfields-1-significance
         shifts = []
         for i in range(nvars):  # variable i -> its field shift

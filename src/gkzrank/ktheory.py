@@ -15,7 +15,6 @@ from itertools import combinations
 
 from .elimination import Budget
 from .lattice import (
-    det_int,
     kernel_basis,
     quotient_group,
     smith_normal_form,
@@ -25,8 +24,6 @@ from .polytope import (
     ASet,
     Face,
     faces,
-    placing_lifts,
-    lower_hull_triangulation,
     project_mod_face,
     subset_volume,
 )
@@ -164,16 +161,10 @@ def _fan_volume(aset: ASet, face: Face, staircase: Staircase) -> int:
     if q == 0:
         return 1
     image_of = dict(proj.images)
-    total = 0
-    for facet in staircase.bounded_facets:
-        ws = [image_of[i] for i in reversed(facet)]
-        if q == 1:
-            total += abs(ws[0][0])
-            continue
-        tri = lower_hull_triangulation(ws, placing_lifts(len(ws)), q)
-        for sigma in tri:
-            total += abs(det_int([ws[k] for k in sigma]))
-    return total
+    return sum(
+        subset_volume([image_of[i] for i in reversed(facet)], range(len(facet)), q)
+        for facet in staircase.bounded_facets
+    )
 
 
 def rank_k0_face(aset: ASet, face: Face) -> FaceInvariants:

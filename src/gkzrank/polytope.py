@@ -2,8 +2,10 @@
 
 Validation of A-sets, the face lattice of Q = conv(A) with supporting
 certificates, normalized volumes, projections to saturated quotient
-lattices, and the lower-hull machinery (symbolic placing lifts included)
-that triangulations and subdivisions are built on.
+lattices, and the lower hulls of lifted point sets (symbolic placing lifts
+included) that triangulations and subdivisions are built on.  Every fold
+sign of a lower hull, and every fold functional of a secondary cone, is read
+from one integer affine relation, fold_relation.
 
 Convex hulls are enumerated by exact candidate-hyperplane search; there are
 no floating-point predicates anywhere.
@@ -12,9 +14,8 @@ no floating-point predicates anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .lattice import (
     det_int,
@@ -77,6 +78,12 @@ def validate_aset(dim: int, points) -> ASet:
     """Validate and build an A-set; raises InvalidConfiguration."""
     if not _is_int(dim):
         raise InvalidConfiguration("non-integer dim")
+    if dim < 1:
+        raise InvalidConfiguration("non-positive dim", "dim must be at least 1")
+    if not isinstance(points, (list, tuple)) or not all(
+        isinstance(p, (list, tuple)) for p in points
+    ):
+        raise InvalidConfiguration("malformed points", "points must be a list of coordinate lists")
     pts = [tuple(p) for p in points]
     if not all(_is_int(x) for p in pts for x in p):
         raise InvalidConfiguration("non-integer coordinate")
@@ -256,102 +263,71 @@ def project_mod_face(aset: ASet, face: Face) -> ProjectedFace:
 
 # -- lower-hull machinery ---------------------------------------------------
 #
-# Lift values are tuples of Fractions compared lexicographically; this gives
-# exact symbolic-perturbation arithmetic (entries are coefficients of
-# successive infinitesimals).
+# Every fold sign is read from fold_relation: the primitive integer affine
+# relation on a full simplex sigma plus one more point j, with j's entry
+# positive.  A lift w puts j strictly above the plane through the lifted
+# sigma exactly when the relation dotted with w is positive.  Lift values
+# may be tuples compared lexicographically (entries are coefficients of
+# successive infinitesimals: exact symbolic perturbation); each column is
+# scaled to integers by the positive lcm of its denominators, which keeps
+# every sign.
 
 
-def barycentric(points, sigma, j):
-    """Affine coordinates of point j in the full simplex sigma (Cramer)."""
+def fold_relation(points, sigma, j) -> IntVector:
+    """Primitive integer relation c on sigma + (j,), i.e. sum_k c_k p_k = 0,
+    from Cramer cofactors, with c[-1] > 0; sigma must be a full simplex."""
     mat = [points[i] for i in sigma]
     den = det_int(mat)
-    coords = []
-    target = points[j]
-    for r in range(len(sigma)):
-        rows = [target if k == r else mat[k] for k in range(len(sigma))]
-        coords.append(Fraction(det_int(rows), den))
-    return coords
-
-
-def candidate_simplices(points, dim) -> list[tuple[int, ...]]:
-    return [
-        sigma
-        for sigma in combinations(range(len(points)), dim)
-        if det_int([points[i] for i in sigma]) != 0
+    if den == 0:
+        raise InvalidConfiguration("flat simplex", "sigma spans no full-dimensional cell")
+    rel = [
+        -det_int([points[j] if k == r else row for k, row in enumerate(mat)])
+        for r in range(len(mat))
     ]
-
-
-def _fold(points, lifts, sigma, j, width):
-    """Lift of j minus the affine extension of the sigma lift at point j."""
-    lam = barycentric(points, sigma, j)
-    out = list(lifts[j])
-    for coef, i in zip(lam, sigma):
-        li = lifts[i]
-        for k in range(width):
-            out[k] -= coef * li[k]
-    return tuple(out)
-
-
-def _norm_lifts(lifts):
-    vals = []
-    width = None
-    for v in lifts:
-        if isinstance(v, tuple):
-            vals.append(tuple(Fraction(x) for x in v))
-        else:
-            vals.append((Fraction(v),))
-    width = max(len(v) for v in vals)
-    return [v + (Fraction(0),) * (width - len(v)) for v in vals], width
-
-
-def lower_hull_triangulation(points, lifts, dim) -> tuple[tuple[int, ...], ...]:
-    """Simplices of the triangulation induced by a generic lower lift."""
-    lifts, width = _norm_lifts(lifts)
-    zero = (Fraction(0),) * width
-    out = []
-    for sigma in candidate_simplices(points, dim):
-        ok = True
-        for j in range(len(points)):
-            if j in sigma:
-                continue
-            if _fold(points, lifts, sigma, j, width) <= zero:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(sigma))
-    return tuple(sorted(out))
+    rel.append(den)
+    g = gcd(*rel) if den > 0 else -gcd(*rel)
+    return tuple(x // g for x in rel)
 
 
 def lower_hull_cells(points, lifts, dim) -> tuple[tuple[int, ...], ...]:
     """Marked cells (supports) of the polyhedral subdivision induced by a lift."""
-    lifts, width = _norm_lifts(lifts)
-    zero = (Fraction(0),) * width
+    rows = [v if isinstance(v, tuple) else (v,) for v in lifts]
+    cols = []
+    for k in range(max(map(len, rows))):
+        col = [v[k] if k < len(v) else 0 for v in rows]
+        scale = lcm(*(x.denominator for x in col))
+        cols.append([x.numerator * (scale // x.denominator) for x in col])
     cells = set()
-    for sigma in candidate_simplices(points, dim):
+    for sigma in combinations(range(len(points)), dim):
+        if det_int([points[i] for i in sigma]) == 0:
+            continue
         support = set(sigma)
-        ok = True
         for j in range(len(points)):
             if j in sigma:
                 continue
-            f = _fold(points, lifts, sigma, j, width)
-            if f < zero:
-                ok = False
+            rel = fold_relation(points, sigma, j)
+            for col in cols:  # the first nonzero column gives the sign
+                fold = sum(c * col[i] for c, i in zip(rel, sigma + (j,)))
+                if fold:
+                    break
+            if fold < 0:
                 break
-            if f == zero:
+            if fold == 0:
                 support.add(j)
-        if ok:
+        else:
             cells.add(tuple(sorted(support)))
     return tuple(sorted(cells))
 
 
+def lower_hull_triangulation(points, lifts, dim) -> tuple[tuple[int, ...], ...]:
+    """Simplices of the triangulation induced by a generic lower lift: the
+    cells with exactly dim points."""
+    return tuple(c for c in lower_hull_cells(points, lifts, dim) if len(c) == dim)
+
+
 def placing_lifts(n: int):
     """Symbolic lifts realizing the placing order: point i at epsilon^(n-i)."""
-    out = []
-    for i in range(n):
-        v = [Fraction(0)] * (n + 1)
-        v[n - i] = Fraction(1)
-        out.append(tuple(v))
-    return out
+    return [tuple(int(k == n - i) for k in range(n + 1)) for i in range(n)]
 
 
 def subset_volume(points, indices, dim) -> int:

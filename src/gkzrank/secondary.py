@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 from .lattice import primitive_relation, LatticeError
 from .linprog import solve_lp, feasible_point
@@ -20,7 +19,7 @@ from .polytope import (
     ASet,
     IntVector,
     MarkedPolytope,
-    barycentric,
+    fold_relation,
     lower_hull_cells,
     lower_hull_triangulation,
     marked_polytope,
@@ -187,32 +186,15 @@ def _proper_intersection(aset: ASet, sa, sb) -> bool:
 
 def _fold_functionals(aset: ASet, simplices) -> list[tuple[int, ...]]:
     """Primitive integer functionals c with C(T) = {w : c.w >= 0}."""
-    n = aset.n
-    seen = set()
-    out = []
+    out = set()
     for sigma in simplices:
-        inside = set(sigma)
-        for j in range(n):
-            if j in inside:
-                continue
-            lam = barycentric(aset.points, sigma, j)
-            c = [Fraction(0)] * n
-            c[j] = Fraction(1)
-            for coef, i in zip(lam, sigma):
-                c[i] -= coef
-            den = 1
-            for x in c:
-                den = den * x.denominator // gcd(den, x.denominator)
-            ints = [int(x * den) for x in c]
-            g = 0
-            for x in ints:
-                g = gcd(g, x)
-            prim = tuple(x // g for x in ints)
-            if prim not in seen:
-                seen.add(prim)
-                out.append(prim)
-    out.sort()
-    return out
+        for j in range(aset.n):
+            if j not in sigma:
+                c = [0] * aset.n
+                for i, x in zip((*sigma, j), fold_relation(aset.points, sigma, j)):
+                    c[i] = x
+                out.add(tuple(c))
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -292,15 +274,10 @@ def triangulation_flips(aset: ASet, tri: Triangulation):
         wall = feasible_point(aset.n, a_ub, b_ub, a_eq, b_eq)
         if wall is None:
             raise RuntimeError("facet of a secondary cone has empty relative interior")
-        lifts = [(wall[i], Fraction(-c0[i])) for i in range(aset.n)]
+        lifts = [(wall[i], -c0[i]) for i in range(aset.n)]
         sims = lower_hull_triangulation(aset.points, lifts, aset.dim)
         neighbors.append((sims, c0))
     return neighbors
-
-
-def enumerate_regular_triangulations(aset: ASet) -> tuple[Triangulation, ...]:
-    """All regular triangulations, ordered by characteristic function."""
-    return secondary_polytope(aset).triangulations
 
 
 def secondary_polytope(aset: ASet) -> SecondaryPolytope:

@@ -67,6 +67,10 @@ def test_exit_code_invalid_inputs(tmp_path):
         ({"dim": 2, "points": [[1, 0], [1, True]]}, "non-integer coordinate"),
         ({"dim": 2, "points": [[1, 0], [1, "1"]]}, "non-integer coordinate"),
         ({"dim": 2.7, "points": [[1, 0], [1, 1]]}, "non-integer dim"),
+        ({"dim": 0, "points": [[1]]}, "non-positive dim"),
+        ({"dim": 2, "points": 5}, "malformed points"),
+        ({"dim": 2, "points": [5, 6]}, "malformed points"),
+        ({"name": [1], "dim": 2, "points": [[1, 0], [1, 1]]}, '"name" must be a string'),
     ]:
         path = tmp_path / "coerced.json"
         path.write_text(json.dumps(doc))

@@ -7,7 +7,6 @@ from gkzrank.discriminant import (
     circuit_discriminant,
     edge_restriction_check,
     face_discriminant,
-    leading_form,
     multiplicity,
     newton_polytope_check,
     principal_a_determinant,
@@ -143,9 +142,9 @@ def test_principal_a_determinant_f2(f2):
     assert exps[(1, 2, 3)] == 1 and exps[(0, 1, 2, 3, 4)] == 1
 
 
-def test_leading_form_delegates():
+def test_leading_form_binomial():
     p = IntPolynomial(2, {(2, 0): 1, (0, 2): -1})
-    assert leading_form(p, [1, 0]) == IntPolynomial(2, {(2, 0): 1})
+    assert p.leading_form([1, 0]) == IntPolynomial(2, {(2, 0): 1})
 
 
 def test_multiplicity_a3(a3, a3_secondary):

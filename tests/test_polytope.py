@@ -1,9 +1,17 @@
-import pytest
+from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gkzrank.lattice import det_int
 from gkzrank.polytope import (
     InvalidConfiguration,
     affine_rank,
     faces,
+    fold_relation,
     hull_vertex_indices,
     lower_hull_cells,
     lower_hull_triangulation,
@@ -14,6 +22,7 @@ from gkzrank.polytope import (
     total_volume,
     validate_aset,
 )
+from gkzrank.secondary import _fold_functionals
 
 
 def face_by_indices(aset, indices):
@@ -40,6 +49,12 @@ def test_validate_examples(a3, kp2, f2):
         (2, [(1, 0), (1, True)], "non-integer coordinate"),
         (2, [(1, 0), (1, "1")], "non-integer coordinate"),
         (2.7, [(1, 0), (1, 1)], "non-integer dim"),
+        (0, [(1,)], "non-positive dim"),
+        (-1, [(1,)], "non-positive dim"),
+        (2, 5, "malformed points"),
+        (2, [5, 6], "malformed points"),
+        (2, "ab", "malformed points"),
+        (2, [(1, 0), "ab"], "malformed points"),
     ],
 )
 def test_validate_errors(dim, pts, code):
@@ -143,3 +158,126 @@ def test_subset_volume_and_hull_vertices(f2):
     assert subset_volume(f2.points, (0, 1, 2, 3), 3) == 2
     assert hull_vertex_indices(f2.points, (0, 1, 2, 3)) == (0, 1, 3)
     assert affine_rank([f2.points[i] for i in (1, 2, 3)]) == 1
+
+
+# -- integer fold relations against the Fraction barycentric reference ------
+
+
+def _barycentric(points, sigma, j):
+    """Affine coordinates of point j in the full simplex sigma (Cramer)."""
+    mat = [points[i] for i in sigma]
+    den = det_int(mat)
+    return [
+        Fraction(det_int([points[j] if k == r else row for k, row in enumerate(mat)]), den)
+        for r in range(len(mat))
+    ]
+
+
+def _reference_fold(points, lifts, sigma, j):
+    """Lift of j minus the affine extension of the sigma lift at point j."""
+    vals = [tuple(map(Fraction, v)) if isinstance(v, tuple) else (Fraction(v),) for v in lifts]
+    width = max(map(len, vals))
+    vals = [v + (Fraction(0),) * (width - len(v)) for v in vals]
+    out = list(vals[j])
+    for coef, i in zip(_barycentric(points, sigma, j), sigma):
+        for k in range(width):
+            out[k] -= coef * vals[i][k]
+    return tuple(out)
+
+
+def _reference_cells(points, lifts, dim):
+    """(cells, strict simplices) of the lower hull, by the reference fold."""
+    cells, simplices = set(), set()
+    for sigma in combinations(range(len(points)), dim):
+        if det_int([points[i] for i in sigma]) == 0:
+            continue
+        folds = {
+            j: _reference_fold(points, lifts, sigma, j)
+            for j in range(len(points))
+            if j not in sigma
+        }
+        if any(f < (0,) * len(f) for f in folds.values()):
+            continue
+        flat = {j for j, f in folds.items() if not any(f)}
+        cells.add(tuple(sorted(set(sigma) | flat)))
+        if not flat:
+            simplices.add(sigma)
+    return tuple(sorted(cells)), tuple(sorted(simplices))
+
+
+_lift_values = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=6),
+    st.lists(
+        st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=4)),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+)
+
+
+@st.composite
+def lifted_asets(draw):
+    """Height-one points of dim 2 or 3, full affine rank, with mixed lifts."""
+    dim = draw(st.sampled_from([2, 3]))
+    if dim == 2:
+        ks = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=5, unique=True))
+        points = [(1, k) for k in ks]
+    else:
+        box = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+        xys = draw(st.lists(st.sampled_from(box), min_size=3, max_size=6, unique=True))
+        points = [(x, y, 1) for x, y in xys]
+    assume(affine_rank(points) == dim - 1)
+    lifts = draw(st.lists(_lift_values, min_size=len(points), max_size=len(points)))
+    return points, lifts, dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifted_asets(), st.integers(0, 2), st.fractions(Fraction(1, 5), 5))
+def test_lower_hull_matches_fraction_reference(case, column, factor):
+    points, lifts, dim = case
+    cells, simplices = _reference_cells(points, lifts, dim)
+    assert lower_hull_cells(points, lifts, dim) == cells
+    assert lower_hull_triangulation(points, lifts, dim) == simplices
+
+    def scale(v):
+        v = v if isinstance(v, tuple) else (v,)
+        return tuple(x * factor if k == column else x for k, x in enumerate(v))
+
+    assert lower_hull_cells(points, [scale(v) for v in lifts], dim) == cells
+
+    for sigma in combinations(range(len(points)), dim):
+        if det_int([points[i] for i in sigma]) == 0:
+            continue
+        for j in set(range(len(points))) - set(sigma):
+            rel = fold_relation(points, sigma, j)
+            idx = sigma + (j,)
+            for k in range(dim):
+                assert sum(c * points[i][k] for c, i in zip(rel, idx)) == 0
+            assert gcd(*rel) == 1 and rel[-1] > 0
+
+
+def _reference_fold_functionals(aset, simplices):
+    """Fold functionals normalised from Fraction barycentric coordinates."""
+    out = set()
+    for sigma in simplices:
+        for j in set(range(aset.n)) - set(sigma):
+            c = [Fraction(0)] * aset.n
+            c[j] = Fraction(1)
+            for coef, i in zip(_barycentric(aset.points, sigma, j), sigma):
+                c[i] -= coef
+            den = lcm(*(x.denominator for x in c))
+            ints = [int(x * den) for x in c]
+            g = gcd(*ints)
+            out.add(tuple(x // g for x in ints))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", ["a3", "kp2", "f2"])
+def test_fold_functionals_match_reference(name, request):
+    aset = request.getfixturevalue(name)
+    sp = request.getfixturevalue(name + "_secondary")
+    for tri in sp.triangulations:
+        assert _fold_functionals(aset, tri.simplices) == _reference_fold_functionals(
+            aset, tri.simplices
+        )
