@@ -1,12 +1,17 @@
 """Discriminants and the principal A-determinant.
 
 Circuit discriminants come from the explicit binomial formula attached to a
-primitive relation.  Face discriminants are produced by the elimination
-oracle: the singular-locus system of the face's coefficient family, written
-in saturated face-local coordinates, is saturated against the torus and the
-coefficient-variable eliminant is extracted, made primitive, and stripped to
-its underlying irreducible power root.  The principal A-determinant is the
-product of face discriminants raised to their K-theory rank exponents.
+primitive relation.  Face discriminants are eliminants of the face's
+coefficient family, written in saturated face-local coordinates.  A
+one-dimensional face f = sum_j a_j x^(e_j) takes the resultant Res(f, f'),
+the determinant of a sparse Sylvester matrix, with its monomial factor
+stripped.  A face of dimension two or more goes to the Buchberger oracle:
+the singular-locus system is saturated against the torus and the
+coefficient-variable eliminant is extracted.  Either eliminant is made
+primitive and stripped to its underlying irreducible power root.  Both
+oracles share the elimination budget and its exponent limit.  The principal
+A-determinant is the product of face discriminants raised to their K-theory
+rank exponents.
 """
 
 from __future__ import annotations
@@ -14,7 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .elimination import Budget, BudgetExceeded, eliminate
+from .elimination import (
+    _EXP_MAX,
+    Budget,
+    BudgetExceeded,
+    ExponentOverflow,
+    _Clock,
+    eliminate,
+)
 from .lattice import span_coordinates
 from .polynomial import IntPolynomial, match_power, polynomial_gcd
 from .polytope import ASet, Face, affine_rank, faces
@@ -86,7 +98,8 @@ def face_discriminant(
 
     Vertices give their own coordinate variable; simplex faces (and any face
     whose dual variety has codimension above one) give the constant 1.
-    Raises BudgetExceeded when the oracle runs out of budget.
+    One-dimensional faces are eliminated by a resultant, higher faces by
+    Buchberger.  Raises BudgetExceeded when the oracle runs out of budget.
     """
     n = aset.n
     idx = face.indices
@@ -97,7 +110,17 @@ def face_discriminant(
         return IntPolynomial.constant(n, 1)
 
     exps = face_local_exponents(aset, face)
-    k = len(idx)
+    if len(exps[0]) == 1:
+        h = _resultant_eliminant(exps, budget)
+    else:
+        h = _groebner_eliminant(exps, budget)
+    return _irreducible_core(h).embed(n, list(idx))
+
+
+def _groebner_eliminant(exps, budget: Budget | None) -> IntPolynomial:
+    """The gcd of the generators of the coefficient eliminant of the
+    saturated singular-locus system, in the face-local a-variables."""
+    k = len(exps)
     nx = len(exps[0])
     ne = nx + 1  # torus variables plus the saturation variable
     nv = ne + k
@@ -125,11 +148,75 @@ def face_discriminant(
         h = polynomial_gcd(h, p)
         if h.is_constant():
             break
+    return h
+
+
+def _resultant_eliminant(exps, budget: Budget | None) -> IntPolynomial:
+    """Res(f, f') for f = sum_j a_j x^(e_j), its monomial factor stripped.
+
+    For a one-dimensional configuration this is the classical discriminant
+    restricted to the sparse family, times powers of the coefficients of the
+    two end monomials (GKZ 1994, ch. 12).  The Sylvester matrix is held as
+    sparse rows, column -> entry, with column c the coefficient of
+    x^(2N-2-c), and its determinant is taken by fraction-free (Bareiss)
+    elimination, every division exact.
+    """
+    degrees = [e for (e,) in exps]
+    for e in degrees:
+        if e > _EXP_MAX:
+            raise ExponentOverflow(e)
+    clock = _Clock(budget or Budget())
+    k = len(degrees)
+    top = max(degrees)
+    last = 2 * top - 2
+    coeffs = [IntPolynomial.variable(k, j) for j in range(k)]
+    rows = [
+        {last - s - e: a for e, a in zip(degrees, coeffs)} for s in range(top - 1)
+    ] + [
+        {last + 1 - s - e: a * e for e, a in zip(degrees, coeffs) if e}
+        for s in range(top)
+    ]
+    prev = IntPolynomial.constant(k, 1)
+    for col in range(last + 1):
+        r = next((r for r, row in enumerate(rows) if col in row), None)
+        if r is None:
+            raise OracleError("Sylvester matrix of f and f' is singular")
+        pivot_row = rows.pop(r)
+        pivot = pivot_row.pop(col)
+        for row in rows:
+            m = row.pop(col, None)
+            if m is None:
+                for c, x in row.items():
+                    row[c] = _exact(pivot * x, prev, clock)
+                continue
+            for c in row.keys() | pivot_row.keys():
+                q = pivot * row[c] if c in row else IntPolynomial.zero(k)
+                if c in pivot_row:
+                    q = q - m * pivot_row[c]
+                q = _exact(q, prev, clock)
+                if q:
+                    row[c] = q
+                else:
+                    row.pop(c, None)
+        prev = pivot
+    return prev.strip_monomial()
+
+
+def _exact(p: IntPolynomial, d: IntPolynomial, clock: _Clock) -> IntPolynomial:
+    q = p.exact_div(d)
+    if q is None:
+        raise OracleError("inexact Bareiss division")
+    clock.check(len(q.terms), "resultant")
+    return q
+
+
+def _irreducible_core(h: IntPolynomial) -> IntPolynomial:
+    """The primitive, sign-normalized irreducible whose power h is; the
+    constant 1 when h is a constant."""
     h = h.primitive_part()
     if h.is_constant():
-        return IntPolynomial.constant(n, 1)
-    h = _power_root(h)
-    return h.sign_normalized().embed(n, list(idx))
+        return IntPolynomial.constant(h.nvars, 1)
+    return _power_root(h).sign_normalized()
 
 
 def _power_root(h: IntPolynomial) -> IntPolynomial:

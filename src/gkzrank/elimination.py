@@ -15,7 +15,9 @@ raises ExponentOverflow.
 
 The oracle is budgeted: a wall-clock limit and an optional cap on the number
 of terms of any intermediate polynomial.  Exceeding either raises
-BudgetExceeded with the budget echoed in the message.
+BudgetExceeded with the budget echoed in the message.  The resultant oracle
+for one-dimensional faces (discriminant.py) runs under the same budget clock
+and exponent limit.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ class BudgetExceeded(RuntimeError):
 class ExponentOverflow(ValueError):
     """An exponent does not fit in its 16-bit packed monomial field."""
 
+    def __init__(self, exponent: int):
+        super().__init__(
+            "exponent %d exceeds the elimination limit %d" % (exponent, _EXP_MAX)
+        )
+
 
 class _Clock:
     __slots__ = ("budget", "deadline", "max_terms", "_tick")
@@ -101,10 +108,12 @@ class _Clock:
     def check(self, nterms: int = 0, stage: str = "reduction"):
         if self.max_terms is not None and nterms > self.max_terms:
             raise BudgetExceeded(self.budget, stage)
-        self._tick += 1
-        if self._tick & 0x3F:
+        # the clock is read on the first check and on every 64th after it
+        tick = self._tick
+        self._tick = tick + 1
+        if tick & 0x3F:
             return
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             raise BudgetExceeded(self.budget, stage)
 
 
@@ -135,9 +144,7 @@ class _Packing:
         for i, e in enumerate(exps):
             if e:
                 if e > _EXP_MAX:
-                    raise ExponentOverflow(
-                        "exponent %d exceeds the elimination limit %d" % (e, _EXP_MAX)
-                    )
+                    raise ExponentOverflow(e)
                 word += e << self.var_shift[i]
                 if i < self.n_elim:
                     xdeg += e

@@ -170,6 +170,16 @@ def test_golden_edge_outputs(name, pair):
     assert out == expected
 
 
+def test_golden_line6_edet(tmp_path):
+    # six consecutive points on a line: the dense quintic discriminant
+    doc = {"dim": 2, "points": [[1, e] for e in range(6)], "name": "line6"}
+    path = tmp_path / "line6.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["edet", str(path), "--json"])
+    assert code == 0
+    assert out == (GOLDEN / "line6_edet.json").read_text()
+
+
 def test_report_round_trip(kp2):
     d = report_to_dict(build_report(verify_theorem(kp2), "kp2"))
     assert json.loads(json.dumps(d)) == d

@@ -1,21 +1,30 @@
+import time
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from gkzrank.discriminant import (
     MultiplicityError,
+    _groebner_eliminant,
+    _irreducible_core,
+    _resultant_eliminant,
     circuit_discriminant,
     edge_restriction_check,
     face_discriminant,
+    face_local_exponents,
     multiplicity,
     newton_polytope_check,
     principal_a_determinant,
 )
 from gkzrank.elimination import Budget, BudgetExceeded
 from gkzrank.polynomial import IntPolynomial
-from gkzrank.polytope import faces
+from gkzrank.polytope import faces, validate_aset
 from gkzrank.secondary import Circuit, edge_data
 
+from conftest import singular_point_vector
 from test_elimination import QUARTIC_DISCRIMINANT
 
 
@@ -100,6 +109,86 @@ def test_face_discriminant_budget(a3):
     q = face_by_indices(a3, (0, 1, 2, 3, 4))
     with pytest.raises(BudgetExceeded):
         face_discriminant(a3, q, Budget(seconds=0.0))
+
+
+def line(exponents):
+    """The A-set of the given points on a line, and its top face."""
+    aset = validate_aset(2, [(1, e) for e in exponents])
+    return aset, face_by_indices(aset, range(len(exponents)))
+
+
+def saturated_patterns(top):
+    """Exponent sets {0 < ... < top} with at least three points and gcd 1."""
+    for r in range(1, top):
+        for inner in combinations(range(1, top), r):
+            pattern = (0,) + inner + (top,)
+            g = 0
+            for e in pattern:
+                g = gcd(g, e)
+            if g == 1:
+                yield pattern
+
+
+# the 24 saturated patterns with N <= 5 but the dense quintic, which alone
+# takes seconds under Buchberger (tests/golden/line6_edet.json holds its
+# Buchberger answer)
+RESULTANT_VS_BUCHBERGER = [
+    p for top in range(2, 6) for p in saturated_patterns(top) if p != (0, 1, 2, 3, 4, 5)
+]
+
+
+@pytest.mark.parametrize("pattern", RESULTANT_VS_BUCHBERGER)
+def test_resultant_matches_buchberger(pattern):
+    exps = [(e,) for e in pattern]
+    by_resultant = _irreducible_core(_resultant_eliminant(exps, None))
+    by_buchberger = _irreducible_core(_groebner_eliminant(exps, None))
+    assert by_resultant == by_buchberger
+    aset, top = line(pattern)
+    assert face_discriminant(aset, top) == by_resultant
+
+
+@pytest.mark.parametrize("top", range(2, 13))
+def test_resultant_three_point_circuits(top):
+    for p in range(1, top):
+        if gcd(p, top) != 1:
+            continue
+        aset, face = line((0, p, top))
+        expected = circuit_discriminant(Circuit.from_points(aset, (0, 1, 2)), 3)
+        assert face_discriminant(aset, face) == expected, (p, top)
+
+
+@pytest.mark.parametrize("pattern", [(0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 7)])
+def test_resultant_vanishes_on_dual_variety(pattern):
+    aset, top = line(pattern)
+    disc = face_discriminant(aset, top)
+    exps = face_local_exponents(aset, top)
+    for y0 in (2, Fraction(-1, 3), Fraction(5, 2)):
+        assert disc.evaluate(singular_point_vector(exps, (y0,))) == 0
+    assert disc.evaluate([3, -1, 4, 1, -5, 9, 2]) != 0
+
+
+@pytest.mark.parametrize("budget", [Budget(seconds=0.0), Budget(max_terms=1)])
+def test_resultant_budget_three_points(budget):
+    # fewer than 64 cell updates: the clock must be read on the first check
+    aset, top = line((0, 1, 2))
+    with pytest.raises(BudgetExceeded):
+        face_discriminant(aset, top, budget)
+
+
+def test_resultant_budget_wide_face():
+    # a dense Sylvester matrix of order 2N-1 = 5999 would hold 36 million
+    # entries; the sparse rows stay small and the clock stops the work
+    aset, top = line((0, 1, 2, 3000))
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(BudgetExceeded):
+            face_discriminant(aset, top, Budget(seconds=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 5.0
+    assert peak < 64 * 2**20
 
 
 def test_principal_a_determinant_a3(a3):
