@@ -2,22 +2,26 @@
 
 Circuit discriminants come from the explicit binomial formula attached to a
 primitive relation.  Face discriminants are eliminants of the face's
-coefficient family, written in saturated face-local coordinates.  A
-one-dimensional face f = sum_j a_j x^(e_j) takes the resultant Res(f, f'),
-the determinant of a sparse Sylvester matrix, with its monomial factor
-stripped.  A face of dimension two or more goes to the Buchberger oracle:
-the singular-locus system is saturated against the torus and the
-coefficient-variable eliminant is extracted.  Either eliminant is made
-primitive and stripped to its underlying irreducible power root.  Both
-oracles share the elimination budget and its exponent limit.  The principal
-A-determinant is the product of face discriminants raised to their K-theory
-rank exponents.
+coefficient family, routed by the face alone: a vertex gives its own
+variable, a simplex the constant 1, a one-dimensional face the resultant
+Res(f, f') of f = sum_j a_j x^(e_j) (the determinant of a sparse Sylvester
+matrix, its monomial factor stripped), and a face of dimension two or more
+the interpolation oracle: the face's multidegree is read off the K-theory
+bookkeeping of its own principal determinant, and the discriminant is the
+kernel of the matrix that evaluates the monomials of that multidegree at
+points of the dual variety, lifted from word-size primes and certified
+exactly.  Either eliminant is made primitive and stripped to its underlying
+irreducible power root.  Both oracles share the elimination budget and its
+exponent limit.  The principal A-determinant is the product of face
+discriminants raised to their K-theory rank exponents.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations
+from math import gcd, isqrt, lcm, prod
 
 from .elimination import (
     _EXP_MAX,
@@ -27,9 +31,17 @@ from .elimination import (
     _Clock,
     eliminate,
 )
-from .lattice import span_coordinates
+from .lattice import det_int, kernel_basis, lattice_coordinates, span_coordinates
 from .polynomial import IntPolynomial, match_power, polynomial_gcd
-from .polytope import ASet, Face, affine_rank, faces
+from .polytope import (
+    ASet,
+    Face,
+    affine_rank,
+    faces,
+    lower_hull_triangulation,
+    placing_lifts,
+    validate_aset,
+)
 from .secondary import Circuit, EdgeData, SecondaryPolytope
 
 
@@ -99,7 +111,9 @@ def face_discriminant(
     Vertices give their own coordinate variable; simplex faces (and any face
     whose dual variety has codimension above one) give the constant 1.
     One-dimensional faces are eliminated by a resultant, higher faces by
-    Buchberger.  Raises BudgetExceeded when the oracle runs out of budget.
+    interpolation.  Raises BudgetExceeded when the oracle runs out of budget
+    and ExponentOverflow when a local exponent exceeds the elimination
+    limit.
     """
     n = aset.n
     idx = face.indices
@@ -110,10 +124,14 @@ def face_discriminant(
         return IntPolynomial.constant(n, 1)
 
     exps = face_local_exponents(aset, face)
+    for e in exps:
+        for x in e:
+            if x > _EXP_MAX:
+                raise ExponentOverflow(x)
     if len(exps[0]) == 1:
         h = _resultant_eliminant(exps, budget)
     else:
-        h = _groebner_eliminant(exps, budget)
+        h = _interpolation_eliminant(aset, face, budget)
     return _irreducible_core(h).embed(n, list(idx))
 
 
@@ -162,9 +180,6 @@ def _resultant_eliminant(exps, budget: Budget | None) -> IntPolynomial:
     elimination, every division exact.
     """
     degrees = [e for (e,) in exps]
-    for e in degrees:
-        if e > _EXP_MAX:
-            raise ExponentOverflow(e)
     clock = _Clock(budget or Budget())
     k = len(degrees)
     top = max(degrees)
@@ -208,6 +223,266 @@ def _exact(p: IntPolynomial, d: IntPolynomial, clock: _Clock) -> IntPolynomial:
         raise OracleError("inexact Bareiss division")
     clock.check(len(q.terms), "resultant")
     return q
+
+
+# samples beyond the first nullity-one matrix, checked against its kernel
+_SPARE_SAMPLES = 2
+# kernel-basis multipliers of the sample points lie in [-R, R]
+_SAMPLE_RANGE = 64
+
+
+def _interpolation_eliminant(aset: ASet, face: Face, budget: Budget | None) -> IntPolynomial:
+    """The discriminant of a face of dimension two or more, by interpolation
+    on points of its dual variety, in the face-local a-variables.
+
+    The face is its own configuration B, in a basis of the lattice its
+    points generate.  Every u in ker B is a point of the dual variety
+    (Kapranov 1991), and so is its torus orbit, on which a B-homogeneous
+    polynomial only picks up a common factor.  The B-multidegree of Delta_B
+    is that of E_B (B phi_T for any triangulation T) minus those of the
+    proper faces' factors (GKZ 1994, ch. 10), so Delta_B lies in the span of
+    the monomials of that multidegree, and it spans the polynomials there
+    that vanish on ker B.  The evaluation matrix [u^beta] at sample points
+    u in ker B therefore has a kernel containing Delta_B.  Its nullity
+    modulo a prime p is brought to one by adding samples; the rank over QQ
+    is at least the rank mod p, so the kernel over QQ is the line through
+    Delta_B.  The kernel vector is lifted by CRT over further primes with
+    rational reconstruction (Wang 1981) until it vanishes exactly at every
+    sample.
+    """
+    clock = _Clock(budget or Budget())
+    conf = _configuration([aset.points[i] for i in face.indices])
+    target = _multidegree(conf, conf.points)
+    if not any(target):
+        return IntPolynomial.constant(conf.n, 1)
+    cands = _fiber(conf, target, clock)
+    if not cands:
+        raise OracleError("no monomial has the discriminant's multidegree")
+    ncols = len(cands)
+    kernel = kernel_basis([[p[r] for p in conf.points] for r in range(conf.dim)])
+    samples = _kernel_samples(kernel)
+    primes = _primes()
+    p = next(primes)
+
+    # sample until the nullity mod p is one, then check a few more samples
+    # against it
+    echelon = _Echelon(p, ncols)
+    points = []
+    pivots = []
+    spare = 0
+    while spare < _SPARE_SAMPLES:
+        if len(points) > 2 * ncols + 16:
+            raise OracleError("evaluation matrix keeps a kernel of dimension above one")
+        u = next(samples)
+        points.append(u)
+        clock.check(ncols, "interpolation")
+        if echelon.add(_evaluation_row(u, cands, p)):
+            if len(pivots) == ncols - 1:
+                raise OracleError("no candidate polynomial vanishes on the dual variety")
+            pivots.append(u)
+        elif len(pivots) == ncols - 1:
+            spare += 1
+    free = echelon.free_column()
+    residues = echelon.kernel_vector(free)
+    modulus = p
+    while True:
+        v = _reconstruct(residues, modulus)
+        if v is not None:
+            h = IntPolynomial(conf.n, dict(zip(cands, v)))
+            if all(h.evaluate(u) == 0 for u in points):
+                return h
+        q = next(primes)
+        echelon = _Echelon(q, ncols)
+        for u in pivots:
+            clock.check(ncols, "interpolation")
+            echelon.add(_evaluation_row(u, cands, q))
+        if len(echelon.rows) != ncols - 1 or echelon.free_column() != free:
+            continue  # q divides a pivot minor
+        w = echelon.kernel_vector(free)
+        inv = pow(modulus, -1, q)
+        residues = [a + modulus * ((b - a) * inv % q) for a, b in zip(residues, w)]
+        modulus *= q
+
+
+def _configuration(points) -> ASet:
+    """The points as their own configuration, in a basis of the lattice
+    they generate."""
+    coords, rank = lattice_coordinates(points, len(points[0]))
+    return validate_aset(rank, coords)
+
+
+def _multidegree(conf: ASet, pts) -> list[int]:
+    """sum_j beta_j pts[j] for any exponent beta of Delta_conf, where conf
+    is the configuration of pts.
+
+    E_conf has this multidegree for beta = phi_T, T the placing
+    triangulation, and is the product of the face discriminants Delta_F to
+    the powers u * i, computed in conf (GKZ 1994, ch. 10); Delta_F is 1 for
+    a simplex and a_v for a vertex v.
+    """
+    from .ktheory import face_index_i, face_volume_u
+
+    total = [0] * len(pts[0])
+    for simplex in lower_hull_triangulation(conf.points, placing_lifts(conf.n), conf.dim):
+        vol = abs(det_int([conf.points[i] for i in simplex]))
+        for i in simplex:
+            total = [t + vol * x for t, x in zip(total, pts[i])]
+    for f in faces(conf)[:-1]:
+        sub = [pts[i] for i in f.indices]
+        if len(sub) == 1:
+            degree = sub[0]
+        elif len(sub) == f.dim + 1:
+            continue
+        else:
+            degree = _multidegree(_configuration(sub), sub)
+        m = face_volume_u(conf, f).u * face_index_i(conf, f)
+        total = [t - m * x for t, x in zip(total, degree)]
+    return total
+
+
+def _fiber(conf: ASet, target, clock: _Clock):
+    """All beta >= 0 with B beta = target.
+
+    The coordinates off one full simplex sigma run over the compositions of
+    at most the total degree; the coordinates on sigma then follow by
+    Cramer's rule, and must be non-negative integers.
+    """
+    pts = conf.points
+    degree = sum(h * t for h, t in zip(conf.height, target))
+    sigma = next(
+        s for s in combinations(range(conf.n), conf.dim) if det_int([pts[i] for i in s])
+    )
+    rows = [pts[i] for i in sigma]
+    det = det_int(rows)
+
+    def cramer(v):  # det * (coordinates of v in the basis sigma)
+        return [det_int(rows[:k] + [v] + rows[k + 1:]) for k in range(len(rows))]
+
+    free = [j for j in range(conf.n) if j not in sigma]
+    steps = [cramer(pts[j]) for j in free]
+    out = []
+    beta = [0] * conf.n
+
+    def walk(pos, left, acc):
+        clock.check(len(out), "interpolation")
+        if pos < len(free):
+            step = steps[pos]
+            for b in range(left + 1):
+                beta[free[pos]] = b
+                walk(pos + 1, left - b, acc)
+                acc = [a - s for a, s in zip(acc, step)]
+            beta[free[pos]] = 0
+            return
+        for i, a in zip(sigma, acc):
+            y, r = divmod(a, det)
+            if r or y < 0:
+                return
+            beta[i] = y
+        out.append(tuple(beta))
+
+    if degree >= 0:
+        walk(0, degree, cramer(target))
+    return out
+
+
+def _kernel_samples(kernel):
+    """Small integer combinations of the kernel basis, from a fixed seed."""
+    rng = random.Random(0)
+    while True:
+        lam = [rng.randint(-_SAMPLE_RANGE, _SAMPLE_RANGE) for _ in kernel]
+        yield tuple(sum(c * v[j] for c, v in zip(lam, kernel)) for j in range(len(kernel[0])))
+
+
+def _evaluation_row(u, cands, p: int) -> list[int]:
+    """[u^beta mod p for beta in cands]."""
+    return [prod(pow(x, b, p) for x, b in zip(u, beta)) % p for beta in cands]
+
+
+class _Echelon:
+    """The row space of a matrix mod p, in reduced echelon form, grown one
+    row at a time."""
+
+    def __init__(self, p: int, ncols: int):
+        self.p = p
+        self.ncols = ncols
+        self.rows: dict[int, list[int]] = {}  # pivot column -> row
+
+    def add(self, row) -> bool:
+        """Reduce the row into the space; True when it was independent."""
+        p = self.p
+        for c, prow in self.rows.items():
+            f = row[c]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        inv = pow(row[col], -1, p)
+        row = [x * inv % p for x in row]
+        for c, prow in self.rows.items():
+            f = prow[col]
+            if f:
+                self.rows[c] = [(a - f * b) % p for a, b in zip(prow, row)]
+        self.rows[col] = row
+        return True
+
+    def free_column(self) -> int:
+        return next(c for c in range(self.ncols) if c not in self.rows)
+
+    def kernel_vector(self, free: int) -> list[int]:
+        """The kernel vector with entry 1 at the free column, when the
+        nullity is one."""
+        v = [0] * self.ncols
+        v[free] = 1
+        for c, row in self.rows.items():
+            v[c] = -row[free] % self.p
+        return v
+
+
+def _primes():
+    """Primes below 2^61, descending from the Mersenne prime 2^61 - 1."""
+    n = (1 << 61) - 1
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _reconstruct(residues, modulus: int) -> list[int] | None:
+    """The integer vector whose ratios reduce to the residues mod modulus,
+    by rational reconstruction of each entry (Wang 1981), or None."""
+    bound = isqrt(modulus // 2)
+    fracs = []
+    for a in residues:
+        r0, r1, s0, s1 = modulus, a, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+        if abs(s1) > bound or gcd(r1, s1) != 1:
+            return None
+        fracs.append((r1, s1) if s1 > 0 else (-r1, -s1))
+    den = lcm(*(s for _, s in fracs))
+    return [r * (den // s) for r, s in fracs]
 
 
 def _irreducible_core(h: IntPolynomial) -> IntPolynomial:

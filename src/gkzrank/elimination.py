@@ -15,9 +15,11 @@ raises ExponentOverflow.
 
 The oracle is budgeted: a wall-clock limit and an optional cap on the number
 of terms of any intermediate polynomial.  Exceeding either raises
-BudgetExceeded with the budget echoed in the message.  The resultant oracle
-for one-dimensional faces (discriminant.py) runs under the same budget clock
-and exponent limit.
+BudgetExceeded with the budget echoed in the message.  The face oracles in
+discriminant.py (the resultant for one-dimensional faces, interpolation for
+higher ones) run under the same budget clock and exponent limit; Buchberger
+itself no longer serves any face and stays as the tests' reference
+eliminant.
 """
 
 from __future__ import annotations

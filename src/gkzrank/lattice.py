@@ -295,6 +295,22 @@ def span_coordinates(vectors, ambient_rank: int):
     Returns (coords, rank): coords[i] is an integer rank-vector expressing
     vectors[i] in a fixed basis of (real span) intersect ZZ^d.
     """
+    coords, rank, _ = _smith_coordinates(vectors, ambient_rank)
+    return coords, rank
+
+
+def lattice_coordinates(vectors, ambient_rank: int):
+    """Coordinates of the vectors in a basis of the lattice they generate.
+
+    Returns (coords, rank).  Unlike span_coordinates, the basis spans
+    ZZ-span(vectors) itself, which may have finite index in its saturation:
+    saturated coordinate i is divisible by the i-th invariant factor.
+    """
+    coords, rank, diag = _smith_coordinates(vectors, ambient_rank)
+    return [tuple(x // s for x, s in zip(c, diag)) for c in coords], rank
+
+
+def _smith_coordinates(vectors, ambient_rank: int):
     d = ambient_rank
     vecs = _vectors_matrix(vectors, d)
     cols = [[v[i] for v in vecs] for i in range(d)]
@@ -306,7 +322,7 @@ def span_coordinates(vectors, ambient_rank: int):
         if any(image[rank:]):
             raise LatticeError("vector outside the span during coordinate change")
         coords.append(tuple(image[:rank]))
-    return coords, rank
+    return coords, rank, dec.diag
 
 
 def integer_solve(matrix, rhs) -> IntVector | None:

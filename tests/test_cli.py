@@ -79,11 +79,18 @@ def test_exit_code_invalid_inputs(tmp_path):
 
 
 def test_exit_code_exponent_overflow(tmp_path):
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"dim": 2, "points": [[1, 0], [1, 1], [1, 70000]]}))
-    code, out, err = run_cli(["edet", str(path)])
-    assert code == 2 and out == ""
-    assert err.startswith("error: exponent 70000 exceeds") and err.count("\n") == 1
+    documents = [
+        {"dim": 2, "points": [[1, 0], [1, 1], [1, 70000]]},
+        # a quadrilateral whose edges are all simplices: only its top face
+        # has the wide exponent
+        {"dim": 3, "points": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 70000, 1]]},
+    ]
+    for doc in documents:
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["edet", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: exponent 70000 exceeds") and err.count("\n") == 1
 
 
 def test_exit_code_budget():

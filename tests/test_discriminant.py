@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -24,7 +25,7 @@ from gkzrank.polynomial import IntPolynomial
 from gkzrank.polytope import faces, validate_aset
 from gkzrank.secondary import Circuit, edge_data
 
-from conftest import singular_point_vector
+from conftest import make_random_aset, singular_point_vector
 from test_elimination import QUARTIC_DISCRIMINANT
 
 
@@ -179,6 +180,137 @@ def test_resultant_budget_wide_face():
     # a dense Sylvester matrix of order 2N-1 = 5999 would hold 36 million
     # entries; the sparse rows stay small and the clock stops the work
     aset, top = line((0, 1, 2, 3000))
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(BudgetExceeded):
+            face_discriminant(aset, top, Budget(seconds=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 5.0
+    assert peak < 64 * 2**20
+
+
+def buchberger_face_discriminant(aset, face):
+    exps = face_local_exponents(aset, face)
+    return _irreducible_core(_groebner_eliminant(exps, None)).embed(aset.n, face.indices)
+
+
+def assert_interpolation_matches_buchberger(aset):
+    higher = [f for f in faces(aset) if f.dim >= 2]
+    assert higher
+    for face in higher:
+        assert face_discriminant(aset, face) == buchberger_face_discriminant(aset, face)
+
+
+def test_interpolation_matches_buchberger_builtins(kp2, f2):
+    for aset in (kp2, f2):
+        assert_interpolation_matches_buchberger(aset)
+
+
+FOUR_DIMENSIONAL = {
+    # every kernel vector vanishes at the apex: the top face is defective
+    "square pyramid": [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0), (1, 0, 0, 1)],
+    "prism": [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 1)],
+    # the square face generates an index-2 sublattice of its saturation, so
+    # its multidegree must be read in a basis of that sublattice
+    "index-2 square": [
+        (1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 1, 0), (1, 2, 1, 0), (1, 0, 0, 1), (1, 1, 0, 1)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_DIMENSIONAL))
+def test_interpolation_matches_buchberger_four_dimensional(name):
+    assert_interpolation_matches_buchberger(validate_aset(4, FOUR_DIMENSIONAL[name]))
+
+
+def test_interpolation_index_two_square():
+    aset = validate_aset(4, FOUR_DIMENSIONAL["index-2 square"])
+    square = face_by_indices(aset, (0, 1, 2, 3))
+    assert face_discriminant(aset, square) == IntPolynomial(
+        6, {(1, 0, 0, 1, 0, 0): 1, (0, 1, 1, 0, 0, 0): -1}
+    )
+
+
+def corpus_instances(numbers):
+    rng = random.Random(271828)  # the acceptance corpus
+    corpus = [make_random_aset(rng) for _ in range(max(numbers) + 1)]
+    return [corpus[k] for k in numbers]
+
+
+# acceptance-corpus instances whose top face is two-dimensional, not a
+# simplex, and takes Buchberger under 0.5 s
+CORPUS_BUCHBERGER_FAST = [
+    2, 11, 12, 14, 15, 16, 18, 20, 23, 26, 29, 30, 32, 33, 35, 36, 37, 40, 42,
+    48, 55, 57, 60, 63, 64, 67, 68, 70, 73, 74, 76, 77, 84, 85, 87, 89, 91, 98,
+]
+
+
+def test_interpolation_matches_buchberger_corpus():
+    for aset in corpus_instances(CORPUS_BUCHBERGER_FAST):
+        top = faces(aset)[-1]
+        assert top.dim == 2
+        assert face_discriminant(aset, top) == buchberger_face_discriminant(aset, top)
+
+
+# top faces that Buchberger does not finish in seconds
+CORPUS_BUCHBERGER_HOPELESS = [10, 17, 44, 61, 66, 83]
+
+
+@pytest.mark.parametrize("number", CORPUS_BUCHBERGER_HOPELESS)
+def test_interpolation_vanishes_on_dual_variety(number):
+    (aset,) = corpus_instances([number])
+    top = faces(aset)[-1]
+    disc = face_discriminant(aset, top)
+    assert disc.total_degree() > 1
+    exps = face_local_exponents(aset, top)
+    for y0 in ((2, 3), (Fraction(-1, 3), 5), (Fraction(5, 2), Fraction(-2, 7))):
+        assert disc.evaluate(singular_point_vector(exps, y0)) == 0
+    assert disc.evaluate([3, -1, 4, 1, -5, 9]) != 0
+
+
+# pyramids: every vector in the kernel vanishes at the apex
+CORPUS_PYRAMIDS = [18, 42, 55, 70, 73, 74]
+
+
+def test_interpolation_pyramids_are_defective():
+    for aset in corpus_instances(CORPUS_PYRAMIDS):
+        top = faces(aset)[-1]
+        assert len(top.indices) > top.dim + 1
+        assert face_discriminant(aset, top).is_one()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 0), (5, 0), (0, 7), (1, 1)],
+        [(0, 0), (11, 0), (0, 13), (3, 5)],
+        [(0, 0), (1, 0), (0, 1), (9, 11)],
+        [(0, 0), (1, 0), (0, 1), (20, 21)],
+    ],
+)
+def test_interpolation_circuits_with_large_coefficients(points):
+    # coefficients of 81 to 690 bits: the kernel is lifted over several
+    # primes before it reconstructs
+    aset = validate_aset(3, [(x, y, 1) for x, y in points])
+    expected = circuit_discriminant(Circuit.from_points(aset, range(4)), 4)
+    assert face_discriminant(aset, faces(aset)[-1]) == expected.primitive_part()
+
+
+@pytest.mark.parametrize("budget", [Budget(seconds=0.0), Budget(max_terms=1)])
+def test_interpolation_budget(f2, budget):
+    with pytest.raises(BudgetExceeded):
+        face_discriminant(f2, faces(f2)[-1], budget)
+
+
+def test_interpolation_budget_wide_face():
+    # exponents up to 3000: the multidegree has total degree in the
+    # thousands and the walk over its fiber is stopped by the clock
+    aset = validate_aset(3, [(x, y, 1) for x, y in [(0, 0), (1, 0), (0, 1), (1, 1), (3000, 1)]])
+    top = faces(aset)[-1]
+    assert max(max(e) for e in face_local_exponents(aset, top)) == 3000
     tracemalloc.start()
     start = time.monotonic()
     try:
