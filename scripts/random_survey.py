@@ -14,7 +14,7 @@ sys.path.insert(0, __file__.rsplit("/", 2)[0] + "/tests")
 from conftest import make_random_aset  # noqa: E402
 
 from gkzrank.discriminant import newton_polytope_check  # noqa: E402
-from gkzrank.elimination import Budget  # noqa: E402
+from gkzrank.elimination import Budget, parse_seconds  # noqa: E402
 from gkzrank.ktheory import verify_theorem  # noqa: E402
 from gkzrank.secondary import hull_edges, secondary_polytope  # noqa: E402
 
@@ -23,7 +23,7 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, default=25)
-    parser.add_argument("--budget", type=float, default=8.0)
+    parser.add_argument("--budget", type=parse_seconds, default=8.0)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)

@@ -9,7 +9,7 @@ import time
 
 from gkzrank.builtin import BUILTIN_DOCUMENTS
 from gkzrank.discriminant import newton_polytope_check
-from gkzrank.elimination import Budget
+from gkzrank.elimination import Budget, parse_seconds
 from gkzrank.ktheory import verify_theorem
 from gkzrank.polytope import validate_aset
 from gkzrank.secondary import hull_edges, secondary_polytope
@@ -17,7 +17,7 @@ from gkzrank.secondary import hull_edges, secondary_polytope
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--budget", type=float, default=None)
+    parser.add_argument("--budget", type=parse_seconds, default=None)
     args = parser.parse_args()
     budget = Budget(seconds=args.budget)
 

@@ -212,7 +212,7 @@ def cmd_edet(args) -> int:
             desc = f.discriminant.to_str()
         lines.append(
             "  face %s  u %d  i %d  exponent %d  discriminant %s"
-            % (list(f.face.indices), f.u, f.index, f.exponent, desc)
+            % (list(f.face.indices), f.invariants.u, f.invariants.i, f.exponent, desc)
         )
     if result.e_a is not None:
         lines.append("E_A = %s" % result.e_a.to_str())

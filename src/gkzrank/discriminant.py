@@ -31,6 +31,7 @@ from .elimination import (
     _Clock,
     eliminate,
 )
+from .ktheory import FaceInvariants, rank_k0_face
 from .lattice import det_int, kernel_basis, lattice_coordinates, span_coordinates
 from .polynomial import IntPolynomial, match_power, polynomial_gcd
 from .polytope import (
@@ -320,8 +321,6 @@ def _multidegree(conf: ASet, pts) -> list[int]:
     the powers u * i, computed in conf (GKZ 1994, ch. 10); Delta_F is 1 for
     a simplex and a_v for a vertex v.
     """
-    from .ktheory import face_index_i, face_volume_u
-
     total = [0] * len(pts[0])
     for simplex in lower_hull_triangulation(conf.points, placing_lifts(conf.n), conf.dim):
         vol = abs(det_int([conf.points[i] for i in simplex]))
@@ -335,7 +334,7 @@ def _multidegree(conf: ASet, pts) -> list[int]:
             continue
         else:
             degree = _multidegree(_configuration(sub), sub)
-        m = face_volume_u(conf, f).u * face_index_i(conf, f)
+        m = rank_k0_face(conf, f).k0_rank
         total = [t - m * x for t, x in zip(total, degree)]
     return total
 
@@ -514,12 +513,19 @@ def _power_root(h: IntPolynomial) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class FaceFactor:
-    face: Face
-    u: int
-    index: int
-    exponent: int
+    """A face's discriminant, raised in E_A to the face's rank u * i."""
+
+    invariants: FaceInvariants
     discriminant: IntPolynomial | None
     error: str | None = None
+
+    @property
+    def face(self) -> Face:
+        return self.invariants.face
+
+    @property
+    def exponent(self) -> int:
+        return self.invariants.k0_rank
 
 
 @dataclass(frozen=True)
@@ -539,16 +545,12 @@ def principal_a_determinant(aset: ASet, budget: Budget | None = None) -> EDetRes
     Budget failures are captured per face; the product is assembled only when
     every factor is available.
     """
-    from .ktheory import face_index_i, face_volume_u
-
     n = aset.n
     rows = []
     product = IntPolynomial.constant(n, 1)
     complete = True
     for face in faces(aset):
-        u = face_volume_u(aset, face).u
-        idx = face_index_i(aset, face)
-        exponent = u * idx
+        row = rank_k0_face(aset, face)
         try:
             delta = face_discriminant(aset, face, budget)
             err = None
@@ -556,18 +558,9 @@ def principal_a_determinant(aset: ASet, budget: Budget | None = None) -> EDetRes
             delta = None
             err = str(exc)
             complete = False
-        rows.append(
-            FaceFactor(
-                face=face,
-                u=u,
-                index=idx,
-                exponent=exponent,
-                discriminant=delta,
-                error=err,
-            )
-        )
-        if complete and delta is not None and exponent:
-            product = product * delta**exponent
+        rows.append(FaceFactor(invariants=row, discriminant=delta, error=err))
+        if complete and delta is not None and row.k0_rank:
+            product = product * delta**row.k0_rank
     e_a = product.sign_normalized() if complete else None
     return EDetResult(factors=tuple(rows), e_a=e_a)
 

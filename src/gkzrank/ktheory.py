@@ -2,28 +2,30 @@
 
 For a face the rank is u * i: the normalized volume of the bounded staircase
 region of the projected point semigroup, times the index of the face
-sublattice in its saturation.  For a secondary-polytope edge it is the sum
-over separating sets J of the index of the circuit-plus-J sublattice.  The
-main verification routine checks, on every edge, that the edge rank equals
-the multiplicity-weighted sum of face ranks.
+sublattice in its saturation.  The staircase's bounded facets are the
+lower-hull cells of the projected points under a constant lift, and u is
+cross-checked against a second fan on them times the torsion of
+ZZ^d / ZZ(face), which the face's one projection reports.  Each face's rank
+row is computed once, by rank_k0_face; the principal A-determinant raises
+the face discriminant to it and the verifier reads it from there.  For a
+secondary-polytope edge the rank is the sum over separating sets J of the
+index of the circuit-plus-J sublattice.  The main verification routine
+checks, on every edge, that the edge rank equals the multiplicity-weighted
+sum of face ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import prod
 
 from .elimination import Budget
-from .lattice import (
-    kernel_basis,
-    quotient_group,
-    smith_normal_form,
-    sublattice_index,
-)
+from .lattice import quotient_group, sublattice_index
 from .polytope import (
     ASet,
     Face,
-    faces,
+    ProjectedFace,
+    lower_hull_cells,
     project_mod_face,
     subset_volume,
 )
@@ -71,92 +73,45 @@ def face_volume_u(aset: ASet, face: Face) -> Staircase:
     Computed as the sum of apex-zero pyramid volumes over the bounded facets
     of conv(projected points) + cone(projected points).
     """
-    proj = project_mod_face(aset, face)
+    return _staircase(project_mod_face(aset, face))
+
+
+def _staircase(proj: ProjectedFace) -> Staircase:
+    """The bounded facets are the lower-hull cells of the projected points
+    under the constant lift -1: the fold of sigma + (j,) is then minus the
+    sum of the relation, positive exactly when image j lies beyond the
+    hyperplane through sigma and zero when it lies on it."""
     q = proj.quotient_rank
     if q == 0:
         return Staircase(u=1, ray_indices=(), bounded_facets=())
-    images = proj.images
+    ids = [i for i, _ in proj.images]
+    ws = [w for _, w in proj.images]
     if q == 1:
-        vals = [w[0] for _, w in images]
+        vals = [w[0] for w in ws]
         if not (all(v > 0 for v in vals) or all(v < 0 for v in vals)):
             raise RankInconsistency("projected semigroup cone is not pointed")
         m = min(abs(v) for v in vals)
-        rays = tuple(i for i, w in images if abs(w[0]) == m)
+        rays = tuple(i for i, v in zip(ids, vals) if abs(v) == m)
         return Staircase(u=m, ray_indices=rays, bounded_facets=(rays,))
-    bounded = _bounded_facets(images, q)
-    u = 0
-    on_boundary: set[int] = set()
-    facet_indices = []
-    for pts_idx in bounded:
-        ws = [w for _, w in images]
-        local = [k for k, (i, _) in enumerate(images) if i in pts_idx]
-        u += subset_volume(ws, local, q)
-        on_boundary.update(pts_idx)
-        facet_indices.append(tuple(sorted(pts_idx)))
+    cells = lower_hull_cells(ws, [-1] * len(ws), q)
+    u = sum(subset_volume(ws, cell, q) for cell in cells)
     if u < 1:
         raise RankInconsistency("staircase volume vanished")
+    facets = tuple(sorted(tuple(ids[k] for k in cell) for cell in cells))
     return Staircase(
         u=u,
-        ray_indices=tuple(sorted(on_boundary)),
-        bounded_facets=tuple(sorted(facet_indices)),
+        ray_indices=tuple(sorted({i for facet in facets for i in facet})),
+        bounded_facets=facets,
     )
 
 
-def _bounded_facets(images, q: int):
-    """Bounded facets of conv(ws)+cone(ws), as sets of A-point indices.
-
-    Facets are found on the homogenization cone in dimension q+1; a facet is
-    bounded exactly when no ray generator lies on it.
-    """
-    gens = []  # (vector, a_index or None for ray generators)
-    for i, w in images:
-        gens.append((w + (1,), i))
-    for w in sorted(set(w for _, w in images)):
-        gens.append((w + (0,), None))
-
-    seen: dict[frozenset, tuple] = {}
-    for subset in combinations(range(len(gens)), q):
-        rows = [list(gens[k][0]) for k in subset]
-        if smith_normal_form(rows).rank != q:
-            continue
-        kern = kernel_basis(rows)
-        if len(kern) != 1:
-            continue
-        normal = kern[0]
-        vals = [sum(a * b for a, b in zip(normal, g[0])) for g in gens]
-        pos = any(v > 0 for v in vals)
-        neg = any(v < 0 for v in vals)
-        if pos and neg:
-            continue
-        if neg:
-            vals = [-v for v in vals]
-        support = frozenset(k for k, v in enumerate(vals) if v == 0)
-        seen.setdefault(support, vals)
-
-    bounded = []
-    for support in seen:
-        idxs = set()
-        unbounded = False
-        for k in support:
-            if gens[k][1] is None:
-                unbounded = True
-                break
-            idxs.add(gens[k][1])
-        if not unbounded and idxs:
-            bounded.append(frozenset(idxs))
-    # drop non-maximal supports (sub-faces picked up by degenerate subsets)
-    out = [s for s in bounded if not any(s < t for t in bounded)]
-    return sorted(tuple(sorted(s)) for s in out)
-
-
-def _fan_volume(aset: ASet, face: Face, staircase: Staircase) -> int:
+def _fan_volume(proj: ProjectedFace, staircase: Staircase) -> int:
     """Total cone volume of a simplicial fan on the staircase rays.
 
     The fan is the placing triangulation of each bounded facet taken in
     reversed point order, so its simplices generally differ from the ones
     behind face_volume_u; the totals must still agree.
     """
-    proj = project_mod_face(aset, face)
     q = proj.quotient_rank
     if q == 0:
         return 1
@@ -168,18 +123,16 @@ def _fan_volume(aset: ASet, face: Face, staircase: Staircase) -> int:
 
 
 def rank_k0_face(aset: ASet, face: Face) -> FaceInvariants:
-    """u * i, cross-checked against fan volume times full-quotient torsion."""
+    """u * i, cross-checked against fan volume times the torsion of
+    ZZ^d / ZZ(face), which the one projection of the face reports."""
+    proj = project_mod_face(aset, face)
     idx = face_index_i(aset, face)
-    stair = face_volume_u(aset, face)
+    stair = _staircase(proj)
     k0 = stair.u * idx
-    fan_vol = _fan_volume(aset, face, stair)
-    torsion = quotient_group(
-        [aset.points[i] for i in face.indices], aset.dim
-    ).torsion_order
-    if fan_vol * torsion != k0:
+    check = _fan_volume(proj, stair) * prod(proj.torsion)
+    if check != k0:
         raise RankInconsistency(
-            "face rank mismatch: u*i = %d but fan volume * torsion = %d"
-            % (k0, fan_vol * torsion)
+            "face rank mismatch: u*i = %d but fan volume * torsion = %d" % (k0, check)
         )
     return FaceInvariants(
         face=face, i=idx, u=stair.u, ray_indices=stair.ray_indices, k0_rank=k0
@@ -253,11 +206,8 @@ def verify_theorem(
 
     if sp is None:
         sp = secondary_polytope(aset)
-    face_list = faces(aset)
-    face_ranks = tuple(rank_k0_face(aset, f) for f in face_list)
     edet = principal_a_determinant(aset, budget)
-    disc_of = {row.face.indices: row.discriminant for row in edet.factors}
-    missing = [f.indices for f in face_list if disc_of[f.indices] is None]
+    missing = [row.face.indices for row in edet.factors if row.discriminant is None]
 
     checks = []
     for (i, j) in sp.edges:
@@ -275,11 +225,10 @@ def verify_theorem(
         else:
             delta_i = circuit_discriminant(ed.circuit, aset.n)
             try:
-                for f in face_list:
-                    mults.append(
-                        (f.indices, multiplicity(aset, f, ed, disc_of[f.indices], delta_i))
-                    )
-                rhs = sum(n * fr.k0_rank for (_, n), fr in zip(mults, face_ranks))
+                for row in edet.factors:
+                    n = multiplicity(aset, row.face, ed, row.discriminant, delta_i)
+                    mults.append((row.face.indices, n))
+                rhs = sum(n * row.exponent for (_, n), row in zip(mults, edet.factors))
                 status, detail = "ok", ""
                 if rhs != ranks.zf_rank:
                     status = "fail"
@@ -308,7 +257,7 @@ def verify_theorem(
     return TheoremReport(
         aset=aset,
         triangulation_count=len(sp.triangulations),
-        face_ranks=face_ranks,
+        face_ranks=tuple(row.invariants for row in edet.factors),
         edges=tuple(checks),
         edet=edet,
         status=status,

@@ -61,10 +61,6 @@ class Face:
     offset: int
     dim: int
 
-    @property
-    def is_vertex(self) -> bool:
-        return self.dim == 0
-
 
 @dataclass(frozen=True)
 class MarkedPolytope:
@@ -230,8 +226,7 @@ class ProjectedFace:
 
     quotient_rank: int
     images: tuple[tuple[int, IntVector], ...]  # (point index, projected point)
-    torsion: tuple[int, ...]
-    pi: tuple[IntVector, ...]
+    torsion: tuple[int, ...]  # invariant factors >= 2 of ZZ^d / ZZ(face)
 
 
 def project_mod_face(aset: ASet, face: Face) -> ProjectedFace:
@@ -257,7 +252,6 @@ def project_mod_face(aset: ASet, face: Face) -> ProjectedFace:
         quotient_rank=aset.dim - rank,
         images=tuple(images),
         torsion=torsion,
-        pi=pi,
     )
 
 

@@ -1,8 +1,10 @@
 """The JSON layout of verification reports.
 
 This module is the one place that fixes the layout.  It serializes the
-verifier's own frozen rows (FaceInvariants, EdgeCheck, FaceFactor) and takes
-polynomials as IntPolynomial.to_records() lists.
+verifier's own frozen rows: a FaceInvariants per face (u, i, the rank u * i
+and the staircase rays), an EdgeCheck per edge, and a FaceFactor per face,
+which holds that face's FaceInvariants with its discriminant.  Polynomials
+are written as IntPolynomial.to_records() lists.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ def edet_to_dict(edet: EDetResult) -> dict:
         "factors": [
             {
                 "face": list(f.face.indices),
-                "u": f.u,
-                "i": f.index,
+                "u": f.invariants.u,
+                "i": f.invariants.i,
                 "exponent": f.exponent,
                 "discriminant": None
                 if f.discriminant is None

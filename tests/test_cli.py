@@ -12,6 +12,7 @@ from gkzrank.ktheory import verify_theorem
 from gkzrank.report import build_report, report_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 
 
 def run_cli(args):
@@ -212,6 +213,23 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "dim: 2" in proc.stdout
+
+
+@pytest.mark.parametrize("value", ["-3", "nan"])
+@pytest.mark.parametrize(
+    "script", [["random_survey.py", "--count", "1"], ["run_examples.py"]]
+)
+def test_script_bad_budget_flag(script, value):
+    # the scripts parse --budget like the CLI: not a number >= 0 exits 2
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script[0]), *script[1:], "--budget", value],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "--budget" in proc.stderr and not proc.stdout
 
 
 def test_verification_failure_exit_code_mapping():

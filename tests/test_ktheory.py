@@ -1,4 +1,7 @@
-import pytest
+from itertools import combinations, product
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gkzrank.ktheory import (
     face_index_i,
@@ -7,8 +10,14 @@ from gkzrank.ktheory import (
     rank_k0_face,
     verify_theorem,
 )
-from gkzrank.lattice import quotient_group
-from gkzrank.polytope import faces, validate_aset
+from gkzrank.lattice import kernel_basis, quotient_group, smith_normal_form
+from gkzrank.polytope import (
+    InvalidConfiguration,
+    faces,
+    project_mod_face,
+    subset_volume,
+    validate_aset,
+)
 from gkzrank.secondary import edge_data, secondary_polytope
 
 
@@ -164,3 +173,66 @@ def test_verify_theorem_budget_skip(a3):
     assert rep.status == "budget"
     assert all(e.status == "skipped" for e in rep.edges)
     assert all("budget" in e.detail for e in rep.edges)
+
+
+def _reference_bounded_facets(images, q):
+    """Bounded facets of conv(ws) + cone(ws) by exhaustive search: every
+    q-subset of the points (w, 1) and rays (w, 0) that spans a hyperplane
+    supporting the homogenization cone gives a facet, bounded exactly when
+    no ray lies on it."""
+    gens = [(w + (1,), i) for i, w in images]
+    gens += [(w + (0,), None) for w in sorted({w for _, w in images})]
+    supports = set()
+    for subset in combinations(range(len(gens)), q):
+        rows = [list(gens[k][0]) for k in subset]
+        if smith_normal_form(rows).rank != q:
+            continue
+        (normal,) = kernel_basis(rows)
+        vals = [sum(a * b for a, b in zip(normal, g)) for g, _ in gens]
+        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+            continue
+        support = [gens[k][1] for k, v in enumerate(vals) if v == 0]
+        if None not in support:
+            supports.add(frozenset(support))
+    maximal = [s for s in supports if not any(s < t for t in supports)]
+    return sorted(tuple(sorted(s)) for s in maximal)
+
+
+def _reference_staircase(aset, face):
+    """(u, ray_indices, bounded_facets) from the exhaustive facet search."""
+    proj = project_mod_face(aset, face)
+    q = proj.quotient_rank
+    if q == 0:
+        return 1, (), ()
+    if q == 1:
+        m = min(abs(w[0]) for _, w in proj.images)
+        rays = tuple(i for i, w in proj.images if abs(w[0]) == m)
+        return m, rays, (rays,)
+    ids = [i for i, _ in proj.images]
+    ws = [w for _, w in proj.images]
+    facets = _reference_bounded_facets(proj.images, q)
+    u = sum(subset_volume(ws, [ids.index(i) for i in f], q) for f in facets)
+    return u, tuple(sorted({i for f in facets for i in f})), tuple(facets)
+
+
+@st.composite
+def height_one_asets(draw):
+    """Height-one configurations with d = 3 or 4; d = 4 reaches q = 3."""
+    d = draw(st.sampled_from([3, 4]))
+    r = 2 if d == 3 else 1
+    box = list(product(range(-r, r + 1), repeat=d - 1))
+    pts = draw(st.lists(st.sampled_from(box), min_size=d + 1, max_size=d + 3, unique=True))
+    try:
+        return validate_aset(d, [p + (1,) for p in pts])
+    except InvalidConfiguration:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(height_one_asets())
+def test_staircase_matches_facet_search(aset):
+    for f in faces(aset):
+        stair = face_volume_u(aset, f)
+        ref = _reference_staircase(aset, f)
+        assert (stair.u, stair.ray_indices, stair.bounded_facets) == ref
+        rank_k0_face(aset, f)
