@@ -29,11 +29,10 @@ from .elimination import (
     BudgetExceeded,
     ExponentOverflow,
     _Clock,
-    eliminate,
 )
 from .ktheory import FaceInvariants, rank_k0_face
 from .lattice import det_int, kernel_basis, lattice_coordinates, span_coordinates
-from .polynomial import IntPolynomial, match_power, polynomial_gcd
+from .polynomial import IntPolynomial, match_power
 from .polytope import (
     ASet,
     Face,
@@ -134,40 +133,6 @@ def face_discriminant(
     else:
         h = _interpolation_eliminant(aset, face, budget)
     return _irreducible_core(h).embed(n, list(idx))
-
-
-def _groebner_eliminant(exps, budget: Budget | None) -> IntPolynomial:
-    """The gcd of the generators of the coefficient eliminant of the
-    saturated singular-locus system, in the face-local a-variables."""
-    k = len(exps)
-    nx = len(exps[0])
-    ne = nx + 1  # torus variables plus the saturation variable
-    nv = ne + k
-
-    def mono(t, ys, j):
-        a = [0] * k
-        a[j] = 1
-        return (t,) + tuple(ys) + tuple(a)
-
-    system = [{mono(0, e, j): 1 for j, e in enumerate(exps)}]
-    for axis in range(nx):
-        deriv = {mono(0, e, j): e[axis] for j, e in enumerate(exps) if e[axis]}
-        if deriv:
-            system.append(deriv)
-    system.append({(1,) + (1,) * nx + (0,) * k: 1, (0,) * nv: -1})
-
-    elim = eliminate(system, ne, nv, budget)
-    if not elim:
-        raise OracleError("elimination ideal is zero; dual variety filled the space")
-    polys = [
-        IntPolynomial(k, {e[ne:]: c for e, c in p.items()}) for p in elim
-    ]
-    h = polys[0]
-    for p in polys[1:]:
-        h = polynomial_gcd(h, p)
-        if h.is_constant():
-            break
-    return h
 
 
 def _resultant_eliminant(exps, budget: Budget | None) -> IntPolynomial:
@@ -398,13 +363,14 @@ def _evaluation_row(u, cands, p: int) -> list[int]:
 
 
 class _Echelon:
-    """The row space of a matrix mod p, in reduced echelon form, grown one
-    row at a time."""
+    """The row space of a matrix mod p, in echelon form, grown one row at a
+    time.  Each stored row is reduced against the rows stored before it, so
+    it is zero at their pivots and one at its own."""
 
     def __init__(self, p: int, ncols: int):
         self.p = p
         self.ncols = ncols
-        self.rows: dict[int, list[int]] = {}  # pivot column -> row
+        self.rows: dict[int, list[int]] = {}  # pivot column -> row, in insertion order
 
     def add(self, row) -> bool:
         """Reduce the row into the space; True when it was independent."""
@@ -417,12 +383,7 @@ class _Echelon:
         if col is None:
             return False
         inv = pow(row[col], -1, p)
-        row = [x * inv % p for x in row]
-        for c, prow in self.rows.items():
-            f = prow[col]
-            if f:
-                self.rows[c] = [(a - f * b) % p for a, b in zip(prow, row)]
-        self.rows[col] = row
+        self.rows[col] = [x * inv % p for x in row]
         return True
 
     def free_column(self) -> int:
@@ -430,11 +391,14 @@ class _Echelon:
 
     def kernel_vector(self, free: int) -> list[int]:
         """The kernel vector with entry 1 at the free column, when the
-        nullity is one."""
+        nullity is one, by back-substitution over the rows in reverse
+        insertion order: a row's entries off its own pivot lie at the free
+        column and at the pivots of later rows, already solved."""
+        p = self.p
         v = [0] * self.ncols
         v[free] = 1
-        for c, row in self.rows.items():
-            v[c] = -row[free] % self.p
+        for c, row in reversed(self.rows.items()):
+            v[c] = -sum(a * b for a, b in zip(row, v)) % p
         return v
 
 

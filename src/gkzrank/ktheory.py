@@ -2,16 +2,16 @@
 
 For a face the rank is u * i: the normalized volume of the bounded staircase
 region of the projected point semigroup, times the index of the face
-sublattice in its saturation.  The staircase's bounded facets are the
-lower-hull cells of the projected points under a constant lift, and u is
-cross-checked against a second fan on them times the torsion of
-ZZ^d / ZZ(face), which the face's one projection reports.  Each face's rank
-row is computed once, by rank_k0_face; the principal A-determinant raises
-the face discriminant to it and the verifier reads it from there.  For a
-secondary-polytope edge the rank is the sum over separating sets J of the
-index of the circuit-plus-J sublattice.  The main verification routine
-checks, on every edge, that the edge rank equals the multiplicity-weighted
-sum of face ranks.
+sublattice in its saturation, which is the order of the torsion of
+ZZ^d / ZZ(face) that the face's one projection reports.  The staircase's
+bounded facets are the lower-hull cells of the projected points under a
+constant lift, and u is cross-checked against a second fan on them.  Each
+face's rank row is computed once, by rank_k0_face; the principal
+A-determinant raises the face discriminant to it and the verifier reads it
+from there.  For a secondary-polytope edge the rank is the sum over
+separating sets J of the index of the circuit-plus-J sublattice.  The main
+verification routine checks, on every edge, that the edge rank equals the
+multiplicity-weighted sum of face ranks.
 """
 
 from __future__ import annotations
@@ -123,19 +123,19 @@ def _fan_volume(proj: ProjectedFace, staircase: Staircase) -> int:
 
 
 def rank_k0_face(aset: ASet, face: Face) -> FaceInvariants:
-    """u * i, cross-checked against fan volume times the torsion of
-    ZZ^d / ZZ(face), which the one projection of the face reports."""
+    """u * i from the one projection of the face: i is the order of the
+    torsion of ZZ^d / ZZ(face), and u is cross-checked against the fan
+    volume on the staircase's bounded facets."""
     proj = project_mod_face(aset, face)
-    idx = face_index_i(aset, face)
+    idx = prod(proj.torsion)
     stair = _staircase(proj)
-    k0 = stair.u * idx
-    check = _fan_volume(proj, stair) * prod(proj.torsion)
-    if check != k0:
+    fan = _fan_volume(proj, stair)
+    if fan != stair.u:
         raise RankInconsistency(
-            "face rank mismatch: u*i = %d but fan volume * torsion = %d" % (k0, check)
+            "face rank mismatch: staircase u = %d but fan volume = %d" % (stair.u, fan)
         )
     return FaceInvariants(
-        face=face, i=idx, u=stair.u, ray_indices=stair.ray_indices, k0_rank=k0
+        face=face, i=idx, u=stair.u, ray_indices=stair.ray_indices, k0_rank=stair.u * idx
     )
 
 

@@ -209,11 +209,6 @@ class IntPolynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return 0
-        return max(e[var] for e in self.terms)
-
     def leading_form(self, weights) -> "IntPolynomial":
         """Sum of the terms maximizing <weights, exponent>."""
         if not self.terms:
@@ -406,107 +401,3 @@ def match_power(value: IntPolynomial, base: IntPolynomial) -> int | None:
     if probe == core or probe == -core:
         return k
     return None
-
-
-def polynomial_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """GCD over ZZ[a_1..a_n] by primitive pseudo-remainder sequences.
-
-    The result is primitive with positive leading coefficient, up to the
-    integer content gcd of the inputs.
-    """
-    if f.is_zero():
-        return g.primitive_part() * _content_sign(g)
-    if g.is_zero():
-        return f.primitive_part() * _content_sign(f)
-    int_content = gcd(f.content(), g.content())
-    result = _gcd_primitive(f.primitive_part(), g.primitive_part())
-    return (result * int_content).sign_normalized()
-
-
-def _content_sign(p: IntPolynomial) -> int:
-    return gcd(0, p.content())
-
-
-def _gcd_primitive(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    nv = f.nvars
-    var = next((i for i in range(nv) if f.degree_in(i) or g.degree_in(i)), None)
-    if var is None:
-        return IntPolynomial.constant(nv, 1)
-    fu = _to_univariate(f, var)
-    gu = _to_univariate(g, var)
-    fc = _coeff_content(fu)
-    gc = _coeff_content(gu)
-    fp = [c.exact_div(fc) for c in fu]
-    gp = [c.exact_div(gc) for c in gu]
-    cont = _gcd_primitive(fc, gc)
-    a, b = (fp, gp) if len(fp) >= len(gp) else (gp, fp)
-    while True:
-        if not b:
-            prim = _from_univariate(a, var, nv)
-            prim_cont = _coeff_content(a)
-            prim = prim.exact_div(prim_cont)
-            if len(a) == 1:
-                prim = IntPolynomial.constant(nv, 1)
-            return (cont * prim).primitive_part()
-        r = _pseudo_rem(a, b, nv)
-        r = _trim(r)
-        if r:
-            rc = _coeff_content(r)
-            r = [c.exact_div(rc) for c in r]
-        a, b = b, r
-
-
-def _trim(coeffs):
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
-def _to_univariate(p: IntPolynomial, var: int) -> list[IntPolynomial]:
-    deg = p.degree_in(var)
-    coeffs = [dict() for _ in range(deg + 1)]
-    for e, c in p.terms.items():
-        rest = list(e)
-        k = rest[var]
-        rest[var] = 0
-        coeffs[k][tuple(rest)] = c
-    return [IntPolynomial(p.nvars, d) for d in coeffs]
-
-
-def _from_univariate(coeffs, var: int, nvars: int) -> IntPolynomial:
-    out = IntPolynomial.zero(nvars)
-    for k, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        shift = {tuple(x + (k if i == var else 0) for i, x in enumerate(e)): cc
-                 for e, cc in c.terms.items()}
-        out = out + IntPolynomial(nvars, shift)
-    return out
-
-
-def _coeff_content(coeffs) -> IntPolynomial:
-    acc = IntPolynomial.zero(coeffs[0].nvars)
-    for c in coeffs:
-        acc = polynomial_gcd(acc, c)
-        if acc.is_one():
-            break
-    return acc
-
-
-def _pseudo_rem(a, b, nvars):
-    """Pseudo remainder of univariate polynomials with IntPolynomial coefficients."""
-    da, db = len(a) - 1, len(b) - 1
-    lc_b = b[-1]
-    r = list(a)
-    for _ in range(da - db + 1):
-        dr = len(r) - 1
-        if dr < db:
-            break
-        lc_r = r[-1]
-        r = [c * lc_b for c in r]
-        for i in range(db + 1):
-            r[dr - db + i] = r[dr - db + i] - lc_r * b[i]
-        r = _trim(r)
-        if not r:
-            break
-    return r

@@ -63,8 +63,8 @@ def singular_point_vector(exps, y0):
     For exponents w_j and a rational point y0 this solves the linear system
     g(y0) = 0, y_i dg/dy_i (y0) = 0 exactly and returns one rational
     coefficient vector in its kernel; the family discriminant must vanish
-    there.  This is the independent oracle used against the elimination
-    pipeline.
+    there.  This is the independent check used against the face oracles
+    and the Buchberger reference in buchberger.py.
     """
     k = len(exps)
     nx = len(exps[0])

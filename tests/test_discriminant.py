@@ -9,7 +9,7 @@ import pytest
 
 from gkzrank.discriminant import (
     MultiplicityError,
-    _groebner_eliminant,
+    _Echelon,
     _irreducible_core,
     _resultant_eliminant,
     circuit_discriminant,
@@ -25,6 +25,7 @@ from gkzrank.polynomial import IntPolynomial
 from gkzrank.polytope import faces, validate_aset
 from gkzrank.secondary import Circuit, edge_data
 
+from buchberger import _groebner_eliminant
 from conftest import make_random_aset, singular_point_vector
 from test_elimination import QUARTIC_DISCRIMINANT
 
@@ -172,8 +173,11 @@ def test_resultant_vanishes_on_dual_variety(pattern):
 def test_resultant_budget_three_points(budget):
     # fewer than 64 cell updates: the clock must be read on the first check
     aset, top = line((0, 1, 2))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as err:
         face_discriminant(aset, top, budget)
+    assert str(err.value) == (
+        "elimination budget exceeded (%s) during resultant" % budget.describe()
+    )
 
 
 def test_resultant_budget_wide_face():
@@ -301,8 +305,31 @@ def test_interpolation_circuits_with_large_coefficients(points):
 
 @pytest.mark.parametrize("budget", [Budget(seconds=0.0), Budget(max_terms=1)])
 def test_interpolation_budget(f2, budget):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as err:
         face_discriminant(f2, faces(f2)[-1], budget)
+    assert str(err.value) == (
+        "elimination budget exceeded (%s) during interpolation" % budget.describe()
+    )
+
+
+def test_echelon_kernel_vector():
+    # random rows mod a small prime, many of them dependent, added until the
+    # nullity is one: the kernel vector annihilates every row added
+    rng = random.Random(3)
+    p = 7
+    for ncols in range(2, 14):
+        for _ in range(8):
+            echelon = _Echelon(p, ncols)
+            added = []
+            while len(echelon.rows) < ncols - 1:
+                row = [rng.randrange(p) for _ in range(ncols)]
+                added.append(row)
+                echelon.add(row)
+            free = echelon.free_column()
+            v = echelon.kernel_vector(free)
+            assert v[free] == 1
+            for row in added:
+                assert sum(a * b for a, b in zip(row, v)) % p == 0, (row, v)
 
 
 def test_interpolation_budget_wide_face():

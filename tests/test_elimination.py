@@ -1,8 +1,9 @@
 import pytest
 
-from gkzrank.elimination import Budget, BudgetExceeded, eliminate, groebner_basis
+from gkzrank.elimination import Budget, BudgetExceeded
 from gkzrank.polynomial import IntPolynomial
 
+from buchberger import eliminate, groebner_basis
 from conftest import singular_point_vector
 from fractions import Fraction
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 from hypothesis import assume, given, settings
@@ -19,6 +20,8 @@ from gkzrank.polytope import (
     validate_aset,
 )
 from gkzrank.secondary import edge_data, secondary_polytope
+
+from conftest import make_random_aset
 
 
 def face_by_indices(aset, indices):
@@ -42,6 +45,20 @@ def test_face_index_examples(a3, kp2, f2):
         assert top.dim == aset.dim - 1
         assert face_index_i(aset, top) == 1
     assert face_index_i(a3, face_by_indices(a3, (0,))) == 1
+
+
+def test_face_index_matches_projection_torsion(a3, kp2, f2):
+    # rank_k0_face reads i from the torsion of its projection (a Smith normal
+    # form of the face's columns); face_index_i from the face's rows
+    rng = random.Random(271828)  # the acceptance corpus
+    corpus = [make_random_aset(rng) for _ in range(100)]
+    nontrivial = 0
+    for aset in [a3, kp2, f2] + corpus:
+        for f in faces(aset):
+            i = face_index_i(aset, f)
+            assert rank_k0_face(aset, f).i == i, (aset.points, f.indices)
+            nontrivial += i > 1
+    assert nontrivial > 0
 
 
 def test_face_volume_u_top(a3):

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkzrank.polynomial import (
-    IntPolynomial,
-    PolynomialError,
-    match_power,
-    polynomial_gcd,
-)
+from gkzrank.polynomial import IntPolynomial, PolynomialError, match_power
+
+from buchberger import polynomial_gcd
 
 
 def poly(nvars, terms):
