@@ -27,7 +27,7 @@ from .elimination import (
 from .ktheory import verify_theorem
 from .polytope import InvalidConfiguration, faces, validate_aset
 from .report import build_report, edet_to_dict, report_to_dict
-from .secondary import NotAnEdge, edge_data, secondary_polytope
+from .secondary import NotAnEdge, edge_data, normal_cone_sample, secondary_polytope
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -163,6 +163,7 @@ def cmd_edge(args) -> int:
     except NotAnEdge:
         raise CliError(EXIT_INVALID_INPUT, "not an edge: %d %d" % (i, j))
     subdivision = ed.subdivision
+    psi = [str(x) for x in normal_cone_sample(sp, *ed.vertex_pair)]
     lines = [
         "edge %d-%d of %s" % (ed.vertex_pair[0], ed.vertex_pair[1], name or args.input),
         "endpoints: %s | %s"
@@ -176,7 +177,7 @@ def cmd_edge(args) -> int:
         "common simplices: %s" % ([list(s) for s in ed.common_simplices],),
         "subdivision cells: %s"
         % ([[list(m.vertices_hull), list(m.marks)] for m in subdivision],),
-        "psi: %s" % ([str(x) for x in ed.psi],),
+        "psi: %s" % (psi,),
     ]
     payload = {
         "name": name,
@@ -195,7 +196,7 @@ def cmd_edge(args) -> int:
             {"vertices_hull": list(m.vertices_hull), "marks": list(m.marks)}
             for m in subdivision
         ],
-        "psi": [str(x) for x in ed.psi],
+        "psi": psi,
     }
     _emit(args, lines, payload)
     return EXIT_OK

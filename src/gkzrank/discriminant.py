@@ -594,34 +594,18 @@ class NewtonReport:
 
 def newton_polytope_check(e_a: IntPolynomial, sp: SecondaryPolytope) -> NewtonReport:
     """Vertices of the Newton polytope of E_A must be exactly the
-    characteristic functions of the regular triangulations."""
-    from .linprog import feasible_point, in_convex_hull
-
+    characteristic functions of the regular triangulations, read from the
+    facets of their convex hull (sp.hull): each phi must be a vertex (its
+    facet normals have rank dim) and every other exponent must satisfy the
+    hull equations and every facet inequality."""
     exps = set(e_a.terms)
-    phis = list(sp.phis)
-    phi_set = set(phis)
-    missing = tuple(sorted(p for p in phis if p not in exps))
-
-    non_vertex = []
-    n = e_a.nvars
-    for p in phis:
-        others = [q for q in phis if q != p]
-        if not others:
-            continue
-        a_ub = []
-        b_ub = []
-        for q in others:
-            a_ub.append([q[k] - p[k] for k in range(n)])
-            b_ub.append(-1)
-        if feasible_point(n, a_ub, b_ub) is None:
-            non_vertex.append(p)
-
-    outside = []
-    for e in sorted(exps):
-        if e in phi_set:
-            continue
-        if not in_convex_hull(e, phis):
-            outside.append(e)
+    hull = sp.hull
+    phi_set = set(sp.phis)
+    missing = tuple(sorted(p for p in sp.phis if p not in exps))
+    non_vertex = [
+        p for p in sp.phis if not (hull.contains(p) and hull.face_normals(p)[0] == 0)
+    ]
+    outside = [e for e in sorted(exps) if e not in phi_set and not hull.contains(e)]
 
     ok = not missing and not non_vertex and not outside
     return NewtonReport(

@@ -48,10 +48,6 @@ class IntPolynomial:
         return cls(nvars, {(0,) * nvars: int(c)})
 
     @classmethod
-    def monomial(cls, nvars: int, exps, coeff: int = 1) -> "IntPolynomial":
-        return cls(nvars, {tuple(exps): int(coeff)})
-
-    @classmethod
     def variable(cls, nvars: int, index: int) -> "IntPolynomial":
         e = [0] * nvars
         e[index] = 1

@@ -7,14 +7,15 @@ included) that triangulations and subdivisions are built on.  Every fold
 sign of a lower hull, and every fold functional of a secondary cone, is read
 from one integer affine relation, fold_relation.
 
-Convex hulls are enumerated by exact candidate-hyperplane search; there are
-no floating-point predicates anywhere.
+The facets of Q come from exact candidate-hyperplane search, those of any
+other point set (the secondary polytope) from integer double description;
+there are no floating-point predicates anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 from .lattice import (
@@ -123,6 +124,83 @@ def _rank_of(rows) -> int:
     if not rows or not rows[0]:
         return 0
     return smith_normal_form(rows).rank
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+@dataclass(frozen=True)
+class HRepresentation:
+    """conv of finitely many integer points as {x : c.x == e for every
+    equation (c, e), a.x <= b for every facet (a, b)}.  The equations are a
+    basis of the integer normals of the affine hull; each facet normal a is
+    primitive, outward, and zero off the hull coordinates it was found in."""
+
+    equations: tuple[tuple[IntVector, int], ...]
+    facets: tuple[tuple[IntVector, int], ...]
+
+    def contains(self, x) -> bool:
+        return all(_dot(c, x) == e for c, e in self.equations) and all(
+            _dot(a, x) <= b for a, b in self.facets
+        )
+
+    def face_normals(self, *xs) -> tuple[int, list[IntVector]]:
+        """For points of the polytope: the dimension of the smallest face
+        containing them all, and the outward normals of the facets containing
+        that face (their sum lies in the relative interior of its normal cone)."""
+        normals = [a for a, b in self.facets if all(_dot(a, x) == b for x in xs)]
+        return len(xs[0]) - len(self.equations) - _rank_of(normals), normals
+
+
+def h_representation(points) -> HRepresentation:
+    """Equations and facets of conv(points) by integer double description
+    (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).
+
+    The points are read in coordinates on their affine hull: a set of
+    coordinates onto which that hull projects one to one.  A facet a.x <= b
+    there is the extreme ray (b, a) of the cone {h : h.(1, -x) >= 0 for
+    every point x}, whose rows are added one at a time to the simplicial cone
+    of an affinely independent subset.  A new ray combines a ray on each side
+    of the added row whose common tight rows lie in no third ray's (the
+    combinatorial adjacency test); every step is integer and primitive.
+    """
+    pts = [tuple(p) for p in points]
+    n = len(pts[0])
+    diffs = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]] or [[0] * n]
+    equations = tuple((c, _dot(c, pts[0])) for c in kernel_basis(diffs))
+    dim = n - len(equations)
+    if dim == 0:
+        return HRepresentation(equations=equations, facets=())
+    coords = []
+    for k in range(n):
+        if affine_rank([[p[c] for c in coords + [k]] for p in pts]) > len(coords):
+            coords.append(k)
+    rows = [(1,) + tuple(-p[c] for c in coords) for p in pts]
+    basis = []
+    for t in range(len(pts)):
+        if len(basis) <= dim and affine_rank([rows[s] for s in basis + [t]]) == len(basis):
+            basis.append(t)
+    rays = []
+    for k in basis:
+        (h,) = kernel_basis([rows[s] for s in basis if s != k])
+        rays.append((h if _dot(rows[k], h) > 0 else tuple(-x for x in h), set(basis) - {k}))
+    for t in (t for t in range(len(pts)) if t not in basis):
+        vals = [_dot(rows[t], h) for h, _ in rays]
+        new = [(h, tight | {t} if v == 0 else tight) for (h, tight), v in zip(rays, vals) if v >= 0]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        for p, q in product(pos, [k for k, v in enumerate(vals) if v < 0]):
+            common = rays[p][1] & rays[q][1]
+            if len(common) >= dim - 1 and not any(
+                common <= tight for k, (_, tight) in enumerate(rays) if k not in (p, q)
+            ):
+                h = [vals[p] * y - vals[q] * x for x, y in zip(rays[p][0], rays[q][0])]
+                g = gcd(*h)
+                new.append((tuple(x // g for x in h), common | {t}))
+        rays = new
+    place = dict(zip(coords, range(1, dim + 1)))
+    facets = ((tuple(h[place[k]] if k in place else 0 for k in range(n)), h[0]) for h, _ in rays)
+    return HRepresentation(equations=equations, facets=tuple(sorted(facets)))
 
 
 def faces(aset: ASet) -> tuple[Face, ...]:

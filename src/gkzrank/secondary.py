@@ -5,6 +5,11 @@ triangulation.  Each vertex of the secondary fan is a full-dimensional cone
 of liftings; its facets are found by exact LP, and crossing a facet with a
 symbolic-perturbation lift lands in the neighboring regular triangulation.
 Regularity is certified per node by exact strict-feasibility LP.
+
+The characteristic functions of the triangulations found are then described
+once by their facets (polytope.h_representation).  The hull skeleton that
+cross-checks the flip walk, the Newton-polytope check and the normal
+direction of every edge are read from that description, with no LP.
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ from .lattice import primitive_relation, LatticeError
 from .linprog import solve_lp, feasible_point
 from .polytope import (
     ASet,
+    HRepresentation,
     IntVector,
     MarkedPolytope,
     fold_relation,
+    h_representation,
     lower_hull_cells,
     lower_hull_triangulation,
     marked_polytope,
@@ -98,7 +105,7 @@ class EdgeData:
     separating_sets: tuple[tuple[int, ...], ...]
     cells: tuple[tuple[int, ...], ...]  # of the subdivision, sorted
     common_simplices: tuple[tuple[int, ...], ...]
-    psi: tuple[Fraction, ...]
+    psi: tuple[int, ...]  # sum of the outward facet normals at the edge
     vertex_pair: tuple[int, int]
     points: tuple[IntVector, ...]
 
@@ -115,6 +122,7 @@ class SecondaryPolytope:
     phis: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
     dim: int
+    hull: HRepresentation  # of conv(phis), built from the phis alone
 
 
 def check_triangulation(aset: ASet, simplices) -> tuple[tuple[int, ...], ...]:
@@ -306,23 +314,20 @@ def secondary_polytope(aset: ASet) -> SecondaryPolytope:
     )
     phis = tuple(t.characteristic_function(aset) for t in tris)
     expected = aset.n - aset.dim
-    from .polytope import affine_rank
-
-    if len(phis) > 1:
-        got = affine_rank(phis)
-    else:
-        got = 0
+    hull = h_representation(phis)
+    got = aset.n - len(hull.equations)
     if got != expected:
         raise RuntimeError(
             "secondary polytope dimension %d differs from n - d = %d" % (got, expected)
         )
     return SecondaryPolytope(
-        aset=aset, triangulations=tuple(tris), phis=phis, edges=edges, dim=expected
+        aset=aset, triangulations=tuple(tris), phis=phis, edges=edges, dim=expected, hull=hull
     )
 
 
 def normal_cone_sample(sp: SecondaryPolytope, i: int, j: int) -> tuple[Fraction, ...]:
-    """A functional exposing exactly the edge [phi_i, phi_j], by slack LP."""
+    """A functional exposing exactly the edge [phi_i, phi_j], by slack LP
+    (the psi that `gkzrank edge` prints)."""
     n = sp.aset.n
     phis = sp.phis
     diff = [phis[i][k] - phis[j][k] for k in range(n)]
@@ -350,12 +355,21 @@ def normal_cone_sample(sp: SecondaryPolytope, i: int, j: int) -> tuple[Fraction,
 
 
 def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
-    """Circuit, separating sets and subdivision of a secondary-polytope edge."""
+    """Circuit, separating sets and subdivision of a secondary-polytope edge.
+
+    psi, the sum of the outward normals of the facets of sp.hull containing
+    the edge, exposes exactly the edge.  Every face discriminant's Newton
+    polytope is a Minkowski summand of the secondary polytope, so psi also
+    picks out the edge's face of each of them.
+    """
     aset = sp.aset
     if i == j or not (0 <= i < len(sp.phis)) or not (0 <= j < len(sp.phis)):
         raise NotAnEdge("not an edge")
     i, j = min(i, j), max(i, j)
-    psi = normal_cone_sample(sp, i, j)
+    face_dim, normals = sp.hull.face_normals(sp.phis[i], sp.phis[j])
+    if face_dim != 1:
+        raise NotAnEdge("not an edge")
+    psi = tuple(sum(a[k] for a in normals) for k in range(aset.n))
     ta, tb = sp.triangulations[i], sp.triangulations[j]
     cells = lower_hull_cells(aset.points, [(-v,) for v in psi], aset.dim)
 
@@ -456,14 +470,11 @@ def _check_separating_sides(ta, tb, circuit: Circuit, seps):
 
 
 def hull_edges(sp: SecondaryPolytope) -> tuple[tuple[int, int], ...]:
-    """Edges of conv{phi_T} computed directly by LP, for cross-checking."""
-    out = []
-    m = len(sp.phis)
-    for i in range(m):
-        for j in range(i + 1, m):
-            try:
-                normal_cone_sample(sp, i, j)
-            except NotAnEdge:
-                continue
-            out.append((i, j))
-    return tuple(sorted(out))
+    """Edges of conv{phi_T} read from its facets, for cross-checking the flip
+    walk: phi_i and phi_j span an edge when the facets containing both have
+    normals of rank dim - 1.  Only sp.phis and sp.hull are read."""
+    return tuple(
+        (i, j)
+        for i, j in combinations(range(len(sp.phis)), 2)
+        if sp.hull.face_normals(sp.phis[i], sp.phis[j])[0] == 1
+    )

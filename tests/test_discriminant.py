@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -477,3 +478,25 @@ def test_newton_polytope_check(a3, kp2, f2, a3_secondary, kp2_secondary, f2_seco
     bad = e_a + IntPolynomial(4, {(9, 0, 0, 0): 1})
     rep = newton_polytope_check(bad, kp2_secondary)
     assert not rep.ok
+
+
+def test_newton_polytope_check_reports_each_violation(f2, f2_secondary):
+    sp = f2_secondary
+    e_a = principal_a_determinant(f2).e_a
+    assert newton_polytope_check(e_a, sp).ok
+    phi, (i, j) = sp.phis[0], sp.edges[0]
+    # off the affine hull of the secondary polytope: phi + e_k moves the sum
+    # of k's point, which is constant on that hull, whatever k is
+    for k in range(f2.n):
+        off = tuple(x + (c == k) for c, x in enumerate(phi))
+        rep = newton_polytope_check(e_a + IntPolynomial(f2.n, {off: 1}), sp)
+        assert not rep.ok and rep.outside_exponents == (off,), k
+    # on the affine hull but past the vertex phi_i along the edge to phi_j
+    beyond = tuple(2 * a - b for a, b in zip(sp.phis[i], sp.phis[j]))
+    assert all(sum(a * b for a, b in zip(c, beyond)) == e for c, e in sp.hull.equations)
+    rep = newton_polytope_check(e_a + IntPolynomial(f2.n, {beyond: 1}), sp)
+    assert not rep.ok and rep.outside_exponents == (beyond,)
+    # a phi list with the edge's midpoint added: a point that is no vertex
+    mid = tuple(Fraction(a + b, 2) for a, b in zip(sp.phis[i], sp.phis[j]))
+    rep = newton_polytope_check(e_a, replace(sp, phis=sp.phis + (mid,)))
+    assert not rep.ok and rep.non_vertex_phis == (mid,) and rep.outside_exponents == ()

@@ -1,8 +1,17 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gkzrank.polytope import total_volume, validate_aset
+from gkzrank.polytope import (
+    InvalidConfiguration,
+    lower_hull_cells,
+    total_volume,
+    validate_aset,
+)
 from gkzrank.secondary import (
     Circuit,
     NotAnEdge,
@@ -14,6 +23,8 @@ from gkzrank.secondary import (
     placing_triangulation,
     secondary_polytope,
 )
+
+from hull_reference import facet_vertex_sets, hull_edges_by_lp
 
 
 def tri_index(sp, simplices):
@@ -89,6 +100,49 @@ def test_is_regular_rejects_non_triangulations(a3):
 def test_flip_skeleton_equals_hull_skeleton(a3_secondary, kp2_secondary, f2_secondary):
     for sp in (a3_secondary, kp2_secondary, f2_secondary):
         assert hull_edges(sp) == sp.edges
+        assert hull_edges_by_lp(sp) == sp.edges
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@st.composite
+def small_asets(draw):
+    """Height-one configurations with d = 2 or 3 and at most d + 3 points."""
+    d = draw(st.sampled_from([2, 3]))
+    box = [(x,) for x in range(-2, 4)] if d == 2 else list(product(range(-1, 3), repeat=2))
+    pts = draw(st.lists(st.sampled_from(box), min_size=d + 1, max_size=d + 3, unique=True))
+    try:
+        return validate_aset(d, [p + (1,) for p in pts])
+    except InvalidConfiguration:
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_asets())
+def test_hull_description_matches_lp_and_brute_force(aset):
+    sp = secondary_polytope(aset)
+    # the skeleton from the facets equals the LP skeleton and the flip graph,
+    # and reads nothing the flip walk produced
+    assert hull_edges(sp) == hull_edges_by_lp(sp) == sp.edges
+    assert hull_edges(replace(sp, edges=(), triangulations=())) == sp.edges
+    # double description finds exactly the facets a brute-force search finds
+    assert all(sp.hull.contains(phi) for phi in sp.phis)
+    tight = [
+        frozenset(k for k, phi in enumerate(sp.phis) if _dot(a, phi) == b)
+        for a, b in sp.hull.facets
+    ]
+    assert len(set(tight)) == len(tight)
+    assert set(tight) == facet_vertex_sets(sp.phis, sp.dim)
+    # each edge's psi exposes exactly the edge, with the LP psi's subdivision
+    for i, j in sp.edges:
+        ed = edge_data(sp, i, j)
+        vals = [_dot(ed.psi, phi) for phi in sp.phis]
+        assert vals[i] == vals[j]
+        assert all(v < vals[i] for k, v in enumerate(vals) if k not in (i, j))
+        lp_psi = normal_cone_sample(sp, i, j)
+        assert ed.cells == lower_hull_cells(aset.points, [(-v,) for v in lp_psi], aset.dim)
 
 
 def test_edge_data_a3_f1(a3_secondary):
