@@ -9,7 +9,8 @@ bit-exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 Exponent = tuple[int, ...]
 
@@ -212,16 +213,12 @@ class IntPolynomial:
         w = [Fraction(x) for x in weights]
         if len(w) != self.nvars:
             raise PolynomialError("weight vector length mismatch")
-        best = None
-        keep = {}
-        for e, c in self.terms.items():
-            val = sum(wi * ei for wi, ei in zip(w, e))
-            if best is None or val > best:
-                best = val
-                keep = {e: c}
-            elif val == best:
-                keep[e] = c
-        return IntPolynomial(self.nvars, keep)
+        # a positive integer multiple of the weights has the same maximizers
+        scale = lcm(*(x.denominator for x in w))
+        w = [x.numerator * (scale // x.denominator) for x in w]
+        vals = {e: sum(map(mul, w, e)) for e in self.terms}
+        best = max(vals.values())
+        return IntPolynomial(self.nvars, {e: c for e, c in self.terms.items() if vals[e] == best})
 
     def exact_div(self, other) -> "IntPolynomial | None":
         """Exact quotient self / other over ZZ, or None when not divisible."""

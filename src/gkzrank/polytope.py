@@ -7,9 +7,10 @@ included) that triangulations and subdivisions are built on.  Every fold
 sign of a lower hull, and every fold functional of a secondary cone, is read
 from one integer affine relation, fold_relation.
 
-The facets of Q come from exact candidate-hyperplane search, those of any
-other point set (the secondary polytope) from integer double description;
-there are no floating-point predicates anywhere.
+The facets of Q come from exact candidate-hyperplane search; those of any
+other point set (the secondary polytope), and the extreme rays of a cone
+(a secondary cone), from integer double description.  There are no
+floating-point predicates anywhere.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ def affine_rank(points) -> int:
         return 0
     base = pts[0]
     rows = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-    diag = _rank_of(rows)
-    return diag
+    return _rank_of(rows)
 
 
 def _rank_of(rows) -> int:
@@ -153,18 +153,45 @@ class HRepresentation:
         return len(xs[0]) - len(self.equations) - _rank_of(normals), normals
 
 
-def h_representation(points) -> HRepresentation:
-    """Equations and facets of conv(points) by integer double description
-    (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).
+def extreme_rays(rows) -> list[tuple[IntVector, set[int]]]:
+    """The extreme rays of the cone {h : r.h >= 0 for every row r}, whose
+    rows must have full rank, each primitive and with the indices of the rows
+    it is tight on, by integer double description (Motzkin, Raiffa, Thompson
+    and Thrall 1953; Fukuda and Prodon 1996).
 
-    The points are read in coordinates on their affine hull: a set of
-    coordinates onto which that hull projects one to one.  A facet a.x <= b
-    there is the extreme ray (b, a) of the cone {h : h.(1, -x) >= 0 for
-    every point x}, whose rows are added one at a time to the simplicial cone
-    of an affinely independent subset.  A new ray combines a ray on each side
-    of the added row whose common tight rows lie in no third ray's (the
-    combinatorial adjacency test); every step is integer and primitive.
-    """
+    The rows are added one at a time to the simplicial cone of an independent
+    subset.  A new ray combines a ray on each side of the added row whose
+    common tight rows lie in no third ray's (the combinatorial adjacency
+    test); every step is integer and primitive."""
+    m = len(rows[0])
+    basis = []
+    for t in range(len(rows)):
+        if len(basis) < m and _rank_of([rows[s] for s in basis + [t]]) > len(basis):
+            basis.append(t)
+    rays = []
+    for k in basis:
+        (h,) = kernel_basis([rows[s] for s in basis if s != k] or [[0] * m])
+        rays.append((h if _dot(rows[k], h) > 0 else tuple(-x for x in h), set(basis) - {k}))
+    for t in (t for t in range(len(rows)) if t not in basis):
+        vals = [_dot(rows[t], h) for h, _ in rays]
+        new = [(h, tight | {t} if v == 0 else tight) for (h, tight), v in zip(rays, vals) if v >= 0]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        for p, q in product(pos, [k for k, v in enumerate(vals) if v < 0]):
+            common = rays[p][1] & rays[q][1]
+            if len(common) >= m - 2 and not any(
+                common <= tight for k, (_, tight) in enumerate(rays) if k not in (p, q)
+            ):
+                h = [vals[p] * y - vals[q] * x for x, y in zip(rays[p][0], rays[q][0])]
+                g = gcd(*h)
+                new.append((tuple(x // g for x in h), common | {t}))
+        rays = new
+    return rays
+
+
+def h_representation(points) -> HRepresentation:
+    """Equations and facets of conv(points).  The points are read on a set of
+    coordinates onto which their affine hull projects one to one; a facet
+    a.x <= b there is an extreme ray (b, a) of {h : h.(1, -x) >= 0 for all x}."""
     pts = [tuple(p) for p in points]
     n = len(pts[0])
     diffs = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]] or [[0] * n]
@@ -176,28 +203,7 @@ def h_representation(points) -> HRepresentation:
     for k in range(n):
         if affine_rank([[p[c] for c in coords + [k]] for p in pts]) > len(coords):
             coords.append(k)
-    rows = [(1,) + tuple(-p[c] for c in coords) for p in pts]
-    basis = []
-    for t in range(len(pts)):
-        if len(basis) <= dim and affine_rank([rows[s] for s in basis + [t]]) == len(basis):
-            basis.append(t)
-    rays = []
-    for k in basis:
-        (h,) = kernel_basis([rows[s] for s in basis if s != k])
-        rays.append((h if _dot(rows[k], h) > 0 else tuple(-x for x in h), set(basis) - {k}))
-    for t in (t for t in range(len(pts)) if t not in basis):
-        vals = [_dot(rows[t], h) for h, _ in rays]
-        new = [(h, tight | {t} if v == 0 else tight) for (h, tight), v in zip(rays, vals) if v >= 0]
-        pos = [k for k, v in enumerate(vals) if v > 0]
-        for p, q in product(pos, [k for k, v in enumerate(vals) if v < 0]):
-            common = rays[p][1] & rays[q][1]
-            if len(common) >= dim - 1 and not any(
-                common <= tight for k, (_, tight) in enumerate(rays) if k not in (p, q)
-            ):
-                h = [vals[p] * y - vals[q] * x for x, y in zip(rays[p][0], rays[q][0])]
-                g = gcd(*h)
-                new.append((tuple(x // g for x in h), common | {t}))
-        rays = new
+    rays = extreme_rays([(1,) + tuple(-p[c] for c in coords) for p in pts])
     place = dict(zip(coords, range(1, dim + 1)))
     facets = ((tuple(h[place[k]] if k in place else 0 for k in range(n)), h[0]) for h, _ in rays)
     return HRepresentation(equations=equations, facets=tuple(sorted(facets)))

@@ -2,9 +2,11 @@
 
 Enumeration is a breadth-first walk on the flip graph, seeded by the placing
 triangulation.  Each vertex of the secondary fan is a full-dimensional cone
-of liftings; its facets are found by exact LP, and crossing a facet with a
-symbolic-perturbation lift lands in the neighboring regular triangulation.
-Regularity is certified per node by exact strict-feasibility LP.
+of liftings; its extreme rays, by integer double description, give a point
+inside each facet, which a symbolic-perturbation lift crosses into the
+neighboring triangulation, and an interior point, which certifies the
+triangulation.  The walk solves no LP; is_regular, for triangulations
+given from outside, keeps its exact strict-feasibility LP.
 
 The characteristic functions of the triangulations found are then described
 once by their facets (polytope.h_representation).  The hull skeleton that
@@ -19,12 +21,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lattice import primitive_relation, LatticeError
-from .linprog import solve_lp, feasible_point
+from .linprog import solve_lp
 from .polytope import (
     ASet,
     HRepresentation,
     IntVector,
     MarkedPolytope,
+    extreme_rays,
     fold_relation,
     h_representation,
     lower_hull_cells,
@@ -32,6 +35,7 @@ from .polytope import (
     marked_polytope,
     placing_lifts,
     total_volume,
+    _rank_of,
 )
 
 
@@ -45,10 +49,11 @@ class NotAnEdge(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Triangulation:
-    """Maximal simplices (index sets) with a rational regularity certificate."""
+    """Maximal simplices (index sets) with a regularity certificate: an
+    integer lifting whose lower hull is exactly these simplices."""
 
     simplices: tuple[tuple[int, ...], ...]
-    lifting: tuple[Fraction, ...] | None = None
+    lifting: tuple[int, ...] | None = None
 
     def __eq__(self, other):
         return isinstance(other, Triangulation) and self.simplices == other.simplices
@@ -241,68 +246,60 @@ def is_regular(aset: ASet, triangulation) -> RegularityResult:
     return RegularityResult(regular=False, refutation=res.farkas[0])
 
 
+def _secondary_cone(aset: ASet, sims):
+    """The folds c of T, a lifting inside its cone C(T) = {w : c.w >= 0},
+    and a point inside each facet, keyed by its fold's index.  They are sums
+    of extreme rays of the cone read on the coordinates outside the first
+    simplex, which determine the folds, so it is pointed and full-dimensional
+    there; a fold is a facet when the rays tight on it have rank one less
+    than the cone's dimension."""
+    folds = _fold_functionals(aset, sims)
+    off = [i for i in range(aset.n) if i not in sims[0]]
+    rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
+
+    def lift(hs):  # the sum of the rays, zero on the first simplex
+        total = dict(zip(off, map(sum, zip(*(h for h, _ in hs)))))
+        return tuple(total.get(i, 0) for i in range(aset.n))
+
+    walls = {}
+    for k in range(len(folds)):
+        tight = [ray for ray in rays if k in ray[1]]
+        if len(tight) >= len(off) - 1 and _rank_of([h for h, _ in tight]) == len(off) - 1:
+            walls[k] = lift(tight)
+    return folds, lift(rays), walls
+
+
+def _flip_node(aset: ASet, sims):
+    """The triangulation sims, certified by the lifting inside its cone, and
+    its neighbors, each reached by a symbolic-perturbation lift across a wall."""
+    folds, lifting, walls = _secondary_cone(aset, sims)
+    if lower_hull_cells(aset.points, lifting, aset.dim) != sims:
+        raise RuntimeError("the secondary cone's interior point fails to induce the triangulation")
+    neighbors = [
+        lower_hull_triangulation(aset.points, list(zip(w, (-x for x in folds[k]))), aset.dim)
+        for k, w in walls.items()
+    ]
+    return Triangulation(simplices=sims, lifting=lifting), neighbors
+
+
 def placing_triangulation(aset: ASet) -> Triangulation:
-    """The regular triangulation obtained by placing points in input order."""
+    """The placing triangulation (points in input order), certified by its cone."""
     sims = lower_hull_triangulation(aset.points, placing_lifts(aset.n), aset.dim)
-    cert = is_regular(aset, sims)
-    return Triangulation(simplices=sims, lifting=cert.lifting)
-
-
-def _facets_of_secondary_cone(aset: ASet, folds):
-    """Indices of irredundant (facet) fold functionals of C(T)."""
-    facets = []
-    for k, c in enumerate(folds):
-        a_ub = [[-x for x in other] for i, other in enumerate(folds) if i != k]
-        b_ub = [0] * (len(folds) - 1)
-        a_ub.append(list(c))
-        b_ub.append(-1)
-        if feasible_point(aset.n, a_ub, b_ub) is not None:
-            facets.append(k)
-    return facets
-
-
-def triangulation_flips(aset: ASet, tri: Triangulation):
-    """Neighbors of a regular triangulation across the facets of its cone."""
-    folds = _fold_functionals(aset, tri.simplices)
-    if not folds:
-        return []
-    facet_idx = _facets_of_secondary_cone(aset, folds)
-    neighbors = []
-    for k in facet_idx:
-        c0 = folds[k]
-        a_eq = [list(c0)]
-        b_eq = [0]
-        a_ub = []
-        b_ub = []
-        for i in facet_idx:
-            if i == k:
-                continue
-            a_ub.append([-x for x in folds[i]])
-            b_ub.append(-1)
-        wall = feasible_point(aset.n, a_ub, b_ub, a_eq, b_eq)
-        if wall is None:
-            raise RuntimeError("facet of a secondary cone has empty relative interior")
-        lifts = [(wall[i], -c0[i]) for i in range(aset.n)]
-        sims = lower_hull_triangulation(aset.points, lifts, aset.dim)
-        neighbors.append((sims, c0))
-    return neighbors
+    return _flip_node(aset, sims)[0]
 
 
 def secondary_polytope(aset: ASet) -> SecondaryPolytope:
     """The secondary polytope: vertices, flip edges and dimension."""
-    seed = placing_triangulation(aset)
-    by_key = {seed.simplices: seed}
-    queue = [seed.simplices]
+    seed = lower_hull_triangulation(aset.points, placing_lifts(aset.n), aset.dim)
+    by_key = {seed: None}
+    queue = [seed]
     edge_keys = set()
     while queue:
         key = queue.pop(0)
-        tri = by_key[key]
-        for sims, _wall in triangulation_flips(aset, tri):
+        by_key[key], neighbors = _flip_node(aset, key)
+        for sims in neighbors:
             if sims not in by_key:
-                cert = is_regular(aset, sims)
-                if not cert.regular:
-                    raise RuntimeError("flip crossed into an irregular triangulation")
-                by_key[sims] = Triangulation(simplices=sims, lifting=cert.lifting)
+                by_key[sims] = None
                 queue.append(sims)
             edge_keys.add(tuple(sorted((key, sims))))
 

@@ -153,6 +153,21 @@ def test_leading_form_is_multiplicative(p, q, w):
 
 
 @settings(max_examples=120, deadline=None)
+@given(polys3, weights3, st.integers(min_value=1, max_value=60))
+def test_leading_form_of_fraction_weights_and_their_integer_multiples(p, w, k):
+    if p.is_zero():
+        return
+    # the terms maximizing the rational weighted degree, found directly
+    vals = {e: sum(wi * ei for wi, ei in zip(w, e)) for e in p.terms}
+    expected = IntPolynomial(3, {e: c for e, c in p.terms.items() if vals[e] == max(vals.values())})
+    scale = k
+    for x in w:
+        scale *= x.denominator
+    integer_w = [int(x * scale) for x in w]
+    assert p.leading_form(w) == p.leading_form(integer_w) == expected
+
+
+@settings(max_examples=120, deadline=None)
 @given(polys3)
 def test_serialization_round_trip(p):
     rec = json.loads(json.dumps(p.to_records()))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gkzrank import linprog, secondary
 from gkzrank.polytope import (
     InvalidConfiguration,
     lower_hull_cells,
@@ -16,6 +17,7 @@ from gkzrank.secondary import (
     Circuit,
     NotAnEdge,
     TriangulationError,
+    _secondary_cone,
     edge_data,
     hull_edges,
     is_regular,
@@ -25,6 +27,7 @@ from gkzrank.secondary import (
 )
 
 from hull_reference import facet_vertex_sets, hull_edges_by_lp
+from secondary_lp_reference import facets_of_secondary_cone, flip_walk_by_lp
 
 
 def tri_index(sp, simplices):
@@ -277,3 +280,72 @@ def test_enumeration_skips_non_regular():
     keys = [t.simplices for t in sp.triangulations]
     assert tuple(sorted(SPIRAL)) not in keys
     assert hull_edges(sp) == sp.edges
+
+
+def _check_cones_against_lp(aset):
+    """Every secondary cone of the walk, and the walk itself, against LP."""
+    sp = secondary_polytope(aset)
+    for tri in sp.triangulations:
+        folds, lifting, walls = _secondary_cone(aset, tri.simplices)
+        # the double description keeps exactly the folds the LP finds irredundant
+        assert sorted(walls) == facets_of_secondary_cone(aset, folds)
+        for k, w in walls.items():
+            assert _dot(folds[k], w) == 0
+            assert all(_dot(folds[i], w) > 0 for i in walls if i != k)
+        assert all(_dot(c, lifting) > 0 for c in folds)
+        assert tri.lifting == lifting
+        assert lower_hull_cells(aset.points, lifting, aset.dim) == tri.simplices
+    tris, edges = flip_walk_by_lp(aset)
+    keys = [t.simplices for t in sp.triangulations]
+    assert set(keys) == tris
+    assert {tuple(sorted((keys[i], keys[j]))) for i, j in sp.edges} == edges
+    return sp
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_asets())
+def test_secondary_cones_match_the_lp_walk(aset):
+    _check_cones_against_lp(aset)
+
+
+def test_secondary_cones_edge_cases(kp2):
+    # the segment has no fold: the cone is everything, lifted by zero
+    seg = validate_aset(2, [(1, 0), (1, 1)])
+    sp = _check_cones_against_lp(seg)
+    assert _secondary_cone(seg, sp.triangulations[0].simplices) == ([], (0, 0), {})
+    # kp2: modulo affine functions each cone is a half-line, one fold, one wall
+    sp = _check_cones_against_lp(kp2)
+    for tri in sp.triangulations:
+        folds, _, walls = _secondary_cone(kp2, tri.simplices)
+        assert len(folds) == 1 and walls == {0: (0,) * kp2.n}
+    # nested triangles: the walk never reaches the two spirals
+    sp = _check_cones_against_lp(validate_aset(3, NESTED_TRIANGLES))
+    assert len(sp.triangulations) == 16
+    assert tuple(sorted(SPIRAL)) not in [t.simplices for t in sp.triangulations]
+
+
+def test_flip_walk_and_edge_data_solve_no_lp(monkeypatch, a3, kp2, f2):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    for name in ("solve_lp", "feasible_point"):
+        if hasattr(secondary, name):
+            monkeypatch.setattr(secondary, name, no_lp)
+    monkeypatch.setattr(linprog, "solve_lp", no_lp)
+    for aset in (a3, kp2, f2, validate_aset(3, NESTED_TRIANGLES)):
+        sp = secondary_polytope(aset)
+        assert sp.edges
+        for i, j in sp.edges:
+            edge_data(sp, i, j)
+
+
+def test_fold_tight_on_enough_rays_need_not_be_a_facet():
+    # modulo affine functions this cone has dimension 5; the fold below is
+    # tight on four of its seven extreme rays, which span only a
+    # three-dimensional face, so only the rank test keeps it off the facets
+    points = [(0, 2, 1), (1, 0, 1), (-1, 0, 1), (0, 0, 1), (-1, -1, 1), (1, 2, 1), (1, 1, 1), (1, -1, 1)]
+    aset = validate_aset(3, points)
+    sims = ((0, 2, 3), (0, 3, 5), (2, 3, 4), (3, 4, 7), (3, 5, 6), (3, 6, 7))
+    folds, _, walls = _secondary_cone(aset, sims)
+    assert folds.index((0, 1, 0, 0, 0, 1, -2, 0)) not in walls
+    assert sorted(walls) == facets_of_secondary_cone(aset, folds)
