@@ -9,8 +9,8 @@ cross-multiplication, so the pivots are the ones Bland's rule takes on the
 rational tableau (Bareiss 1968; Azulay and Pique 1998).
 
 Coefficients may be ints or Fractions.  All variables are free; callers
-encode non-negativity explicitly.  Strict feasibility questions are posed by
-the callers as slack maximization.
+encode non-negativity explicitly.  The one caller in the package,
+secondary.normal_cone_sample, poses strict feasibility as slack maximization.
 """
 
 from __future__ import annotations
@@ -227,23 +227,3 @@ def _verify_farkas(nvars, a_ub, b_ub, a_eq, b_eq, y_ub, y_eq):
     if rhs >= 0:
         raise RuntimeError("farkas certificate extraction failed (rhs)")
 
-
-def feasible_point(nvars, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    """A feasible point of the system, or None."""
-    res = solve_lp(nvars, None, a_ub, b_ub, a_eq, b_eq)
-    return res.x if res.status == "optimal" else None
-
-
-def in_convex_hull(point, generators) -> bool:
-    """Exact membership of point in the convex hull of the generators."""
-    gens = list(generators)
-    if not gens:
-        return False
-    k = len(gens)
-    a_eq = [[g[i] for g in gens] for i in range(len(point))]
-    b_eq = list(point)
-    a_eq.append([1] * k)
-    b_eq.append(1)
-    a_ub = [[-1 if j == i else 0 for j in range(k)] for i in range(k)]
-    b_ub = [0] * k
-    return feasible_point(k, a_ub, b_ub, a_eq, b_eq) is not None

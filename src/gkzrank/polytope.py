@@ -8,9 +8,9 @@ sign of a lower hull, and every fold functional of a secondary cone, is read
 from one integer affine relation, fold_relation.
 
 The facets of Q come from exact candidate-hyperplane search; those of any
-other point set (the secondary polytope), and the extreme rays of a cone
-(a secondary cone), from integer double description.  There are no
-floating-point predicates anywhere.
+other point set (the secondary polytope, a marked cell), and the extreme
+rays of a cone (a secondary cone), from integer double description, with
+no LP and no floating-point predicate.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .lattice import (
     quotient_group,
     saturation_projection,
 )
-from .linprog import in_convex_hull
 
 IntVector = tuple[int, ...]
 
@@ -427,14 +426,13 @@ def total_volume(aset: ASet) -> int:
 
 
 def hull_vertex_indices(points, indices) -> tuple[int, ...]:
-    """The subset of indices whose points are vertices of their convex hull."""
-    idx = list(indices)
-    out = []
-    for i in idx:
-        others = [points[j] for j in idx if j != i]
-        if not others or not in_convex_hull(points[i], others):
-            out.append(i)
-    return tuple(sorted(out))
+    """The subset of indices whose points are vertices of their convex hull:
+    those whose smallest face of the hull is the point itself."""
+    idx = sorted(indices)
+    if not idx:
+        return ()
+    hull = h_representation([points[i] for i in idx])
+    return tuple(i for i in idx if hull.face_normals(points[i])[0] == 0)
 
 
 def marked_polytope(points, marks) -> MarkedPolytope:

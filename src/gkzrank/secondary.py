@@ -5,13 +5,14 @@ triangulation.  Each vertex of the secondary fan is a full-dimensional cone
 of liftings; its extreme rays, by integer double description, give a point
 inside each facet, which a symbolic-perturbation lift crosses into the
 neighboring triangulation, and an interior point, which certifies the
-triangulation.  The walk solves no LP; is_regular, for triangulations
-given from outside, keeps its exact strict-feasibility LP.
+triangulation.  is_regular reads the same cone for a triangulation given
+from outside; check_triangulation needs only determinants.
 
 The characteristic functions of the triangulations found are then described
 once by their facets (polytope.h_representation).  The hull skeleton that
 cross-checks the flip walk, the Newton-polytope check and the normal
-direction of every edge are read from that description, with no LP.
+direction of every edge are read from that description.  The one LP left is
+normal_cone_sample, the edge normal that `gkzrank edge` prints.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .lattice import primitive_relation, LatticeError
+from .lattice import det_int, kernel_basis, primitive_relation
 from .linprog import solve_lp
 from .polytope import (
     ASet,
@@ -35,6 +36,8 @@ from .polytope import (
     marked_polytope,
     placing_lifts,
     total_volume,
+    _dot,
+    _is_int,
     _rank_of,
 )
 
@@ -62,8 +65,6 @@ class Triangulation:
         return hash(self.simplices)
 
     def characteristic_function(self, aset: ASet) -> tuple[int, ...]:
-        from .lattice import det_int
-
         phi = [0] * aset.n
         for sigma in self.simplices:
             vol = abs(det_int([aset.points[i] for i in sigma]))
@@ -116,7 +117,7 @@ class EdgeData:
 
     @property
     def subdivision(self) -> tuple[MarkedPolytope, ...]:
-        """The marked cells, built when read: one hull LP per mark."""
+        """The marked cells, built when read."""
         return tuple(marked_polytope(self.points, cell) for cell in self.cells)
 
 
@@ -133,16 +134,20 @@ class SecondaryPolytope:
 def check_triangulation(aset: ASet, simplices) -> tuple[tuple[int, ...], ...]:
     """Validate a set of index simplices as a triangulation of (Q, A).
 
-    Checks full-dimensionality, exact volume additivity and pairwise proper
-    intersection (the intersection of two simplices is a common face spanned
-    by their shared vertices).
+    Checks the indices, full-dimensionality, exact volume additivity and the
+    ridges (a simplex with one vertex left out): a ridge whose hyperplane has
+    points of A strictly on both sides lies in exactly two simplices, with
+    their opposite vertices on opposite sides, and every other ridge in
+    exactly one.  Together these characterize triangulations (De Loera,
+    Rambau and Santos 2010, section 4.5).
     """
-    sims = tuple(sorted(tuple(sorted(map(int, s))) for s in simplices))
+    sims = [tuple(s) for s in simplices]
+    if not all(_is_int(i) and 0 <= i < aset.n for s in sims for i in s):
+        raise TriangulationError("simplex indices must be integers in range(%d)" % aset.n)
+    sims = tuple(sorted(tuple(sorted(s)) for s in sims))
     if len(set(sims)) != len(sims):
         raise TriangulationError("repeated simplex")
     d = aset.dim
-    from .lattice import det_int
-
     vol = 0
     for sigma in sims:
         if len(sigma) != d:
@@ -153,48 +158,16 @@ def check_triangulation(aset: ASet, simplices) -> tuple[tuple[int, ...], ...]:
         vol += v
     if vol != total_volume(aset):
         raise TriangulationError("simplices do not tile Q (volume mismatch)")
-    for sa, sb in combinations(sims, 2):
-        if not _proper_intersection(aset, sa, sb):
-            raise TriangulationError(
-                "simplices %r and %r do not meet in a common face" % (sa, sb)
-            )
+    ridges = {}
+    for sigma in sims:
+        for k, apex in enumerate(sigma):
+            ridges.setdefault(sigma[:k] + sigma[k + 1:], []).append(apex)
+    for ridge, apexes in ridges.items():
+        side = [det_int([aset.points[i] for i in ridge] + [p]) for p in aset.points]
+        interior = min(side) < 0 < max(side)
+        if len(apexes) != 1 + interior or (interior and side[apexes[0]] * side[apexes[1]] > 0):
+            raise TriangulationError("ridge %r lies in simplices with apexes %r" % (ridge, apexes))
     return sims
-
-
-def _proper_intersection(aset: ASet, sa, sb) -> bool:
-    """conv(sa) and conv(sb) intersect exactly in conv(sa & sb)."""
-    shared = set(sa) & set(sb)
-    outside = [("a", i) for i in sa if i not in shared] + [
-        ("b", i) for i in sb if i not in shared
-    ]
-    if not outside:
-        return True
-    ka, kb = len(sa), len(sb)
-    nvars = ka + kb
-    d = aset.dim
-    a_eq = []
-    b_eq = []
-    for r in range(d):
-        row = [aset.points[i][r] for i in sa]
-        row += [-aset.points[i][r] for i in sb]
-        a_eq.append(row)
-        b_eq.append(0)
-    a_eq.append([1] * ka + [0] * kb)
-    b_eq.append(1)
-    a_eq.append([0] * ka + [1] * kb)
-    b_eq.append(1)
-    a_ub = [[-1 if j == i else 0 for j in range(nvars)] for i in range(nvars)]
-    b_ub = [0] * nvars
-    objective = [0] * nvars
-    for pos, (side, i) in enumerate(
-        [("a", i) for i in sa] + [("b", i) for i in sb]
-    ):
-        if i not in shared:
-            objective[pos] = 1
-    res = solve_lp(nvars, objective, a_ub, b_ub, a_eq, b_eq, maximize=True)
-    if res.status != "optimal":
-        return True  # disjoint simplices
-    return res.objective == 0
 
 
 def _fold_functionals(aset: ASet, simplices) -> list[tuple[int, ...]]:
@@ -213,17 +186,20 @@ def _fold_functionals(aset: ASet, simplices) -> list[tuple[int, ...]]:
 @dataclass(frozen=True)
 class RegularityResult:
     regular: bool
-    lifting: tuple[Fraction, ...] | None = None
-    # Farkas multipliers on the fold constraints when irregular
-    refutation: tuple[Fraction, ...] | None = None
+    lifting: tuple[int, ...] | None = None
+    # non-negative multipliers on the fold functionals, summing them to zero,
+    # when irregular
+    refutation: tuple[int, ...] | None = None
 
 
 def is_regular(aset: ASet, triangulation) -> RegularityResult:
-    """Certify regularity of a triangulation by exact strict feasibility.
+    """Certify regularity of a triangulation from its secondary cone.
 
-    The strict system "every non-simplex point lifts strictly above every
-    simplex plane" is homogeneous, so strict feasibility is equivalent to
-    feasibility with slack one.
+    T is regular exactly when every fold is positive on the cone's interior
+    point, which then induces T.  Otherwise the folds zero there are the
+    cone's implicit equalities, and a non-negative dependence among them,
+    the sum of the extreme rays of the cone of such dependences, refutes it
+    (Farkas).
     """
     simplices = (
         triangulation.simplices
@@ -231,19 +207,21 @@ def is_regular(aset: ASet, triangulation) -> RegularityResult:
         else triangulation
     )
     sims = check_triangulation(aset, simplices)
-    folds = _fold_functionals(aset, sims)
-    if not folds:
-        return RegularityResult(regular=True, lifting=(Fraction(0),) * aset.n)
-    a_ub = [[-x for x in c] for c in folds]
-    b_ub = [-1] * len(folds)
-    res = solve_lp(aset.n, None, a_ub, b_ub)
-    if res.status == "optimal":
-        lift = res.x
-        induced = lower_hull_triangulation(aset.points, lift, aset.dim)
-        if induced != sims:
+    folds, lifting, _ = _secondary_cone(aset, sims)
+    if all(_dot(c, lifting) > 0 for c in folds):
+        if lower_hull_cells(aset.points, lifting, aset.dim) != sims:
             raise RuntimeError("certificate lifting fails to induce the triangulation")
-        return RegularityResult(regular=True, lifting=lift)
-    return RegularityResult(regular=False, refutation=res.farkas[0])
+        return RegularityResult(regular=True, lifting=lifting)
+    tight = [k for k, c in enumerate(folds) if _dot(c, lifting) == 0]
+    basis = kernel_basis([[folds[k][i] for k in tight] for i in range(aset.n)])
+    rows = list(zip(*basis))  # the dependences are y = K.lambda; y >= 0 is a cone in lambda
+    total = [sum(x) for x in zip(*(h for h, _ in extreme_rays(rows)))]
+    y = [0] * len(folds)
+    for k, row in zip(tight, rows):
+        y[k] = _dot(row, total)
+    if min(y) < 0 or not any(y) or any(_dot(y, col) for col in zip(*folds)):
+        raise RuntimeError("Farkas refutation of an irregular triangulation fails its check")
+    return RegularityResult(regular=False, refutation=tuple(y))
 
 
 def _secondary_cone(aset: ASet, sims):
@@ -385,11 +363,11 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
         raise NotAnEdge("not an edge")
 
     circuits = set()
-    for cell in big:
+    for cell in big:  # d + 1 points of rank d: one relation, its support the circuit
         if len(cell) != d + 1:
             raise NotAnEdge("not an edge")
-        found = _unique_circuit(aset, cell)
-        circuits.add(found)
+        (rel,) = kernel_basis([[aset.points[k][r] for k in cell] for r in range(d)])
+        circuits.add(tuple(k for k, x in zip(cell, rel) if x))
     if len(circuits) != 1:
         raise NotAnEdge("not an edge")
     circuit = Circuit.from_points(aset, circuits.pop())
@@ -418,22 +396,6 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
         vertex_pair=(i, j),
         points=aset.points,
     )
-
-
-def _unique_circuit(aset: ASet, cell):
-    found = None
-    for size in range(3, len(cell) + 1):
-        for subset in combinations(cell, size):
-            try:
-                primitive_relation([aset.points[k] for k in subset])
-            except LatticeError:
-                continue
-            if found is not None and found != subset:
-                raise RuntimeError("cell contains more than one circuit")
-            found = subset
-    if found is None:
-        raise RuntimeError("cell of an edge subdivision contains no circuit")
-    return found
 
 
 def _separating_sets_by_scan(ta: Triangulation, tb: Triangulation, circuit: Circuit):

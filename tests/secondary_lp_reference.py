@@ -1,14 +1,101 @@
-"""The flip walk by exact LP, with no double description: one LP per fold
-functional to drop the redundant ones, one LP per facet for a point inside
-it, and `is_regular` (strict-feasibility LP) on every triangulation reached.
-The walk of `secondary_polytope` and the cones it reads from
-`_secondary_cone` are checked against it."""
+"""The polyhedral questions of `secondary` and `polytope` by exact LP, with
+no double description, as references for the package's answers:
+
+- the flip walk: one LP per fold functional to drop the redundant ones, one
+  LP per facet for a point inside it, and `is_regular_by_lp` on every
+  triangulation reached (checked against `secondary_polytope` and the cones
+  of `_secondary_cone`);
+- `is_regular_by_lp`: the triangulation test by pairwise proper
+  intersection LPs, then regularity by strict feasibility with slack one
+  (checked against `check_triangulation` and `is_regular`);
+- `in_convex_hull`: hull membership (checked against `hull_vertex_indices`).
+
+`feasible_point` is the feasibility question they share, and the LP tests'.
+"""
 
 from __future__ import annotations
 
-from gkzrank.linprog import feasible_point
-from gkzrank.polytope import lower_hull_triangulation, placing_lifts
-from gkzrank.secondary import _fold_functionals, is_regular
+from itertools import combinations
+
+from gkzrank.lattice import det_int
+from gkzrank.linprog import solve_lp
+from gkzrank.polytope import lower_hull_triangulation, placing_lifts, total_volume
+from gkzrank.secondary import TriangulationError, _fold_functionals
+
+
+def feasible_point(nvars, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """A feasible point of the system, or None."""
+    res = solve_lp(nvars, None, a_ub, b_ub, a_eq, b_eq)
+    return res.x if res.status == "optimal" else None
+
+
+def in_convex_hull(point, generators) -> bool:
+    """Exact membership of point in the convex hull of the generators."""
+    gens = list(generators)
+    if not gens:
+        return False
+    k = len(gens)
+    a_eq = [[g[i] for g in gens] for i in range(len(point))]
+    b_eq = list(point)
+    a_eq.append([1] * k)
+    b_eq.append(1)
+    a_ub = [[-1 if j == i else 0 for j in range(k)] for i in range(k)]
+    b_ub = [0] * k
+    return feasible_point(k, a_ub, b_ub, a_eq, b_eq) is not None
+
+
+def proper_intersection_by_lp(aset, sa, sb) -> bool:
+    """conv(sa) and conv(sb) intersect exactly in conv(sa & sb)."""
+    shared = set(sa) & set(sb)
+    if set(sa) == set(sb):
+        return True
+    ka, kb = len(sa), len(sb)
+    nvars = ka + kb
+    a_eq = []
+    b_eq = []
+    for r in range(aset.dim):
+        row = [aset.points[i][r] for i in sa]
+        row += [-aset.points[i][r] for i in sb]
+        a_eq.append(row)
+        b_eq.append(0)
+    a_eq.append([1] * ka + [0] * kb)
+    b_eq.append(1)
+    a_eq.append([0] * ka + [1] * kb)
+    b_eq.append(1)
+    a_ub = [[-1 if j == i else 0 for j in range(nvars)] for i in range(nvars)]
+    b_ub = [0] * nvars
+    objective = [0 if i in shared else 1 for i in (*sa, *sb)]
+    res = solve_lp(nvars, objective, a_ub, b_ub, a_eq, b_eq, maximize=True)
+    if res.status != "optimal":
+        return True  # disjoint simplices
+    return res.objective == 0
+
+
+def is_triangulation_by_lp(aset, sims) -> bool:
+    """Full simplices of total volume vol(Q) meeting pairwise in common faces."""
+    vols = [abs(det_int([aset.points[i] for i in s])) for s in sims]
+    return (
+        all(len(s) == aset.dim for s in sims)
+        and all(vols)
+        and sum(vols) == total_volume(aset)
+        and all(proper_intersection_by_lp(aset, a, b) for a, b in combinations(sims, 2))
+    )
+
+
+def is_regular_by_lp(aset, sims):
+    """(lifting, None) for a regular triangulation, (None, Farkas multipliers
+    on the folds) for an irregular one: every fold is at least one on some
+    lifting exactly when the strict system is feasible."""
+    sims = tuple(sorted(tuple(sorted(s)) for s in sims))
+    if not is_triangulation_by_lp(aset, sims):
+        raise TriangulationError("not a triangulation by the pairwise LP test")
+    folds = _fold_functionals(aset, sims)
+    if not folds:
+        return (0,) * aset.n, None
+    res = solve_lp(aset.n, None, [[-x for x in c] for c in folds], [-1] * len(folds))
+    if res.status == "optimal":
+        return res.x, None
+    return None, res.farkas[0]
 
 
 def facets_of_secondary_cone(aset, folds):
@@ -56,7 +143,7 @@ def flip_walk_by_lp(aset):
     """The regular triangulations (simplex tuples) reached from the placing
     triangulation, and the flip edges as sorted pairs of them."""
     seed = lower_hull_triangulation(aset.points, placing_lifts(aset.n), aset.dim)
-    if not is_regular(aset, seed).regular:
+    if is_regular_by_lp(aset, seed)[0] is None:
         raise RuntimeError("placing triangulation failed its regularity LP")
     seen = {seed}
     queue = [seed]
@@ -65,7 +152,7 @@ def flip_walk_by_lp(aset):
         key = queue.pop(0)
         for sims, _wall in triangulation_flips(aset, key):
             if sims not in seen:
-                if not is_regular(aset, sims).regular:
+                if is_regular_by_lp(aset, sims)[0] is None:
                     raise RuntimeError("flip crossed into an irregular triangulation")
                 seen.add(sims)
                 queue.append(sims)

@@ -24,6 +24,8 @@ from gkzrank.polytope import (
 )
 from gkzrank.secondary import _fold_functionals
 
+from secondary_lp_reference import in_convex_hull
+
 
 def face_by_indices(aset, indices):
     for f in faces(aset):
@@ -158,6 +160,27 @@ def test_subset_volume_and_hull_vertices(f2):
     assert subset_volume(f2.points, (0, 1, 2, 3), 3) == 2
     assert hull_vertex_indices(f2.points, (0, 1, 2, 3)) == (0, 1, 3)
     assert affine_rank([f2.points[i] for i in (1, 2, 3)]) == 1
+
+
+def test_in_convex_hull():
+    tri = [(1, 0), (0, 1), (-1, -1)]
+    assert in_convex_hull((0, 0), tri)
+    assert in_convex_hull((1, 0), tri)
+    assert not in_convex_hull((1, 1), tri)
+    assert in_convex_hull(
+        (Fraction(1, 2), Fraction(1, 2)), [(1, 0), (0, 1)]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=7, unique=True))
+def test_hull_vertices_match_the_lp_membership_test(xy):
+    # height-one points in the plane: empty, one point, collinear or not
+    points = [p + (1,) for p in xy]
+    expected = tuple(
+        i for i, p in enumerate(points) if not in_convex_hull(p, points[:i] + points[i + 1:])
+    )
+    assert hull_vertex_indices(points, reversed(range(len(points)))) == expected
 
 
 # -- integer fold relations against the Fraction barycentric reference ------

@@ -1,12 +1,13 @@
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkzrank import linprog, secondary
+from gkzrank.lattice import det_int
 from gkzrank.polytope import (
     InvalidConfiguration,
     lower_hull_cells,
@@ -17,7 +18,9 @@ from gkzrank.secondary import (
     Circuit,
     NotAnEdge,
     TriangulationError,
+    _fold_functionals,
     _secondary_cone,
+    check_triangulation,
     edge_data,
     hull_edges,
     is_regular,
@@ -27,7 +30,12 @@ from gkzrank.secondary import (
 )
 
 from hull_reference import facet_vertex_sets, hull_edges_by_lp
-from secondary_lp_reference import facets_of_secondary_cone, flip_walk_by_lp
+from secondary_lp_reference import (
+    facets_of_secondary_cone,
+    flip_walk_by_lp,
+    is_regular_by_lp,
+    proper_intersection_by_lp,
+)
 
 
 def tri_index(sp, simplices):
@@ -98,6 +106,19 @@ def test_is_regular_rejects_non_triangulations(a3):
         is_regular(a3, [(0, 1), (1, 2)])  # volume deficient
     with pytest.raises(TriangulationError):
         is_regular(a3, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])  # overcomplete
+    with pytest.raises(TriangulationError):
+        is_regular(a3, [(1, 2), (1, 3), (2, 3)])  # right volume and ridge counts, folded
+
+
+def test_bad_simplex_indices_are_rejected(a3):
+    # negative indices wrapped, floats were truncated, booleans and strings
+    # were read as ints, and indices past the end raised IndexError
+    for bad in ([(0, -1)], [(0.9, 4.2)], [(0, 7)], [(False, 4)], [(0, "4")]):
+        with pytest.raises(TriangulationError):
+            check_triangulation(a3, bad)
+        with pytest.raises(TriangulationError):
+            is_regular(a3, bad)
+    assert check_triangulation(a3, [(4, 0)]) == ((0, 4),)
 
 
 def test_flip_skeleton_equals_hull_skeleton(a3_secondary, kp2_secondary, f2_secondary):
@@ -272,6 +293,65 @@ def test_spiral_triangulation_is_refuted():
     assert not is_regular(aset, mirror).regular
 
 
+def _check_refutation(aset, sims, refutation):
+    """y >= 0, y != 0 and sum_k y_k c_k = 0 over the folds c_k of T."""
+    folds = _fold_functionals(aset, sims)
+    assert len(refutation) == len(folds)
+    assert all(isinstance(y, int) and y >= 0 for y in refutation) and any(refutation)
+    assert all(sum(y * c[i] for y, c in zip(refutation, folds)) == 0 for i in range(aset.n))
+
+
+def _full_simplex_sets(aset):
+    """Every set of full simplices whose normalized volumes sum to vol(Q)."""
+    full = [(s, abs(det_int([aset.points[i] for i in s]))) for s in combinations(range(aset.n), aset.dim)]
+    full = [(s, v) for s, v in full if v]
+    out = []
+
+    def extend(start, chosen, left):
+        if left == 0:
+            out.append(tuple(chosen))
+        for t in range(start, len(full)):
+            if full[t][1] <= left:
+                extend(t + 1, chosen + [full[t][0]], left - full[t][1])
+
+    extend(0, [], total_volume(aset))
+    return out
+
+
+def test_triangulation_and_regularity_checks_match_the_lp_references():
+    aset = validate_aset(3, NESTED_TRIANGLES)
+    sets = _full_simplex_sets(aset)
+    assert len(sets) == 4797
+    spirals = [
+        tuple(sorted(tuple(sorted(perm[i] for i in s)) for s in SPIRAL))
+        for perm in ({i: i for i in range(6)}, {0: 0, 1: 2, 2: 1, 3: 3, 4: 5, 5: 4})
+    ]
+    tris = [t.simplices for t in secondary_polytope(aset).triangulations] + spirals
+    assert set(tris) <= set(sets) and len(set(tris)) == 18
+    # the ridge test accepts exactly what the pairwise LP accepts
+    for sims in tris + sets[::10]:
+        try:
+            accepted = check_triangulation(aset, sims) == sims
+        except TriangulationError:
+            accepted = False
+        assert accepted == all(proper_intersection_by_lp(aset, a, b) for a, b in combinations(sims, 2))
+        assert accepted == (sims in tris)
+    # the same verdicts as the strict-feasibility LP, and on both spirals a
+    # refutation that is exact and a positive multiple of the LP's
+    for sims in tris:
+        res = is_regular(aset, sims)
+        lp_lifting, lp_refutation = is_regular_by_lp(aset, sims)
+        assert res.regular == (lp_lifting is not None) == (sims not in spirals)
+        if res.regular:
+            assert all(isinstance(x, int) for x in res.lifting)
+            assert lower_hull_cells(aset.points, res.lifting, aset.dim) == sims
+        else:
+            assert res.lifting is None
+            _check_refutation(aset, sims, res.refutation)
+            scale = max(res.refutation) / max(lp_refutation)
+            assert res.refutation == tuple(scale * y for y in lp_refutation)
+
+
 def test_enumeration_skips_non_regular():
     # 18 triangulations exist, exactly the two spirals are non-regular
     aset = validate_aset(3, NESTED_TRIANGLES)
@@ -328,15 +408,20 @@ def test_flip_walk_and_edge_data_solve_no_lp(monkeypatch, a3, kp2, f2):
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
-    for name in ("solve_lp", "feasible_point"):
-        if hasattr(secondary, name):
-            monkeypatch.setattr(secondary, name, no_lp)
+    monkeypatch.setattr(secondary, "solve_lp", no_lp)
     monkeypatch.setattr(linprog, "solve_lp", no_lp)
-    for aset in (a3, kp2, f2, validate_aset(3, NESTED_TRIANGLES)):
+    nested = validate_aset(3, NESTED_TRIANGLES)
+    for aset in (a3, kp2, f2, nested):
         sp = secondary_polytope(aset)
         assert sp.edges
         for i, j in sp.edges:
-            edge_data(sp, i, j)
+            assert edge_data(sp, i, j).subdivision
+        for tri in sp.triangulations:
+            assert check_triangulation(aset, tri.simplices) == tri.simplices
+            assert is_regular(aset, tri).regular
+    refuted = is_regular(nested, SPIRAL)
+    assert not refuted.regular
+    _check_refutation(nested, check_triangulation(nested, SPIRAL), refuted.refutation)
 
 
 def test_fold_tight_on_enough_rays_need_not_be_a_facet():
