@@ -31,7 +31,7 @@ from .elimination import (
     _Clock,
 )
 from .ktheory import FaceInvariants, rank_k0_face
-from .lattice import det_int, kernel_basis, lattice_coordinates, span_coordinates
+from .lattice import det_int, kernel_basis, lattice_coordinates, mat_vec, span_coordinates
 from .polynomial import IntPolynomial, match_power
 from .polytope import (
     ASet,
@@ -41,6 +41,7 @@ from .polytope import (
     lower_hull_triangulation,
     placing_lifts,
     validate_aset,
+    _simplex_adjugate,
 )
 from .secondary import Circuit, EdgeData, SecondaryPolytope
 
@@ -313,17 +314,12 @@ def _fiber(conf: ASet, target, clock: _Clock):
     """
     pts = conf.points
     degree = sum(h * t for h, t in zip(conf.height, target))
-    sigma = next(
-        s for s in combinations(range(conf.n), conf.dim) if det_int([pts[i] for i in s])
-    )
-    rows = [pts[i] for i in sigma]
-    det = det_int(rows)
-
-    def cramer(v):  # det * (coordinates of v in the basis sigma)
-        return [det_int(rows[:k] + [v] + rows[k + 1:]) for k in range(len(rows))]
-
+    for sigma in combinations(range(conf.n), conf.dim):
+        det, adj = _simplex_adjugate(pts, sigma)  # adj.v: det * (coordinates of v)
+        if det:
+            break
     free = [j for j in range(conf.n) if j not in sigma]
-    steps = [cramer(pts[j]) for j in free]
+    steps = [mat_vec(adj, pts[j]) for j in free]
     out = []
     beta = [0] * conf.n
 
@@ -345,7 +341,7 @@ def _fiber(conf: ASet, target, clock: _Clock):
         out.append(tuple(beta))
 
     if degree >= 0:
-        walk(0, degree, cramer(target))
+        walk(0, degree, mat_vec(adj, target))
     return out
 
 

@@ -66,6 +66,32 @@ def det_int(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def adjugate(rows) -> tuple[int, IntMatrix | None]:
+    """(det M, adj M) of a square integer matrix M, so that
+    M adj = adj M = det I, by one fraction-free Gauss-Jordan pass on [M | I]
+    (Bareiss 1968); (0, None) when M is singular."""
+    n = len(rows)
+    a = [list(map(int, r)) + [int(i == k) for k in range(n)] for i, r in enumerate(rows)]
+    if any(len(r) != 2 * n for r in a):
+        raise LatticeError("adjugate of a non-square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        ak = a[k]
+        for i, ai in enumerate(a):
+            if i != k:  # every entry is a minor of [M | I], so each division is exact
+                f = ai[k]
+                a[i] = [(ak[k] * x - f * y) // prev for x, y in zip(ai, ak)]
+        prev = ak[k]
+    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in a)
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """left @ matrix @ right is diagonal, with both transforms unimodular."""

@@ -5,7 +5,8 @@ certificates, normalized volumes, projections to saturated quotient
 lattices, and the lower hulls of lifted point sets (symbolic placing lifts
 included) that triangulations and subdivisions are built on.  Every fold
 sign of a lower hull, and every fold functional of a secondary cone, is read
-from one integer affine relation, fold_relation.
+from one integer affine relation, by Cramer's rule from the adjugate of a
+simplex (lattice.adjugate: one fraction-free elimination per simplex).
 
 The facets of Q come from exact candidate-hyperplane search; those of any
 other point set (the secondary polytope, a marked cell), and the extreme
@@ -20,6 +21,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from .lattice import (
+    adjugate,
     det_int,
     integer_solve,
     kernel_basis,
@@ -340,30 +342,39 @@ def project_mod_face(aset: ASet, face: Face) -> ProjectedFace:
 
 # -- lower-hull machinery ---------------------------------------------------
 #
-# Every fold sign is read from fold_relation: the primitive integer affine
+# Every fold sign is read from _relation: the primitive integer affine
 # relation on a full simplex sigma plus one more point j, with j's entry
-# positive.  A lift w puts j strictly above the plane through the lifted
-# sigma exactly when the relation dotted with w is positive.  Lift values
-# may be tuples compared lexicographically (entries are coefficients of
-# successive infinitesimals: exact symbolic perturbation); each column is
+# positive, from the determinant and adjugate of sigma, one elimination per
+# simplex for every j.  A lift w puts j strictly above the plane through the
+# lifted sigma exactly when the relation dotted with w is positive.  Lift
+# values may be tuples compared lexicographically (entries are coefficients
+# of successive infinitesimals: exact symbolic perturbation); each column is
 # scaled to integers by the positive lcm of its denominators, which keeps
 # every sign.
 
 
+def _simplex_adjugate(points, sigma):
+    """(det B, adj B) for B the matrix with columns points[i], i in sigma:
+    adj B . p is det B times the coordinates of p in the basis sigma."""
+    return adjugate(list(zip(*(points[i] for i in sigma))))
+
+
+def _relation(det, adj, p) -> IntVector:
+    """The relation on sigma + (j,) from _simplex_adjugate(points, sigma) and
+    p = points[j]: (-adj.p, det), primitive, with last entry positive."""
+    rel = [-_dot(row, p) for row in adj]
+    rel.append(det)
+    g = gcd(*rel) if det > 0 else -gcd(*rel)
+    return tuple(x // g for x in rel)
+
+
 def fold_relation(points, sigma, j) -> IntVector:
     """Primitive integer relation c on sigma + (j,), i.e. sum_k c_k p_k = 0,
-    from Cramer cofactors, with c[-1] > 0; sigma must be a full simplex."""
-    mat = [points[i] for i in sigma]
-    den = det_int(mat)
-    if den == 0:
+    with c[-1] > 0; sigma must be a full simplex."""
+    det, adj = _simplex_adjugate(points, sigma)
+    if det == 0:
         raise InvalidConfiguration("flat simplex", "sigma spans no full-dimensional cell")
-    rel = [
-        -det_int([points[j] if k == r else row for k, row in enumerate(mat)])
-        for r in range(len(mat))
-    ]
-    rel.append(den)
-    g = gcd(*rel) if den > 0 else -gcd(*rel)
-    return tuple(x // g for x in rel)
+    return _relation(det, adj, points[j])
 
 
 def lower_hull_cells(points, lifts, dim) -> tuple[tuple[int, ...], ...]:
@@ -376,13 +387,14 @@ def lower_hull_cells(points, lifts, dim) -> tuple[tuple[int, ...], ...]:
         cols.append([x.numerator * (scale // x.denominator) for x in col])
     cells = set()
     for sigma in combinations(range(len(points)), dim):
-        if det_int([points[i] for i in sigma]) == 0:
+        det, adj = _simplex_adjugate(points, sigma)
+        if det == 0:
             continue
         support = set(sigma)
         for j in range(len(points)):
             if j in sigma:
                 continue
-            rel = fold_relation(points, sigma, j)
+            rel = _relation(det, adj, points[j])
             for col in cols:  # the first nonzero column gives the sign
                 fold = sum(c * col[i] for c, i in zip(rel, sigma + (j,)))
                 if fold:

@@ -2,11 +2,12 @@
 
 Enumeration is a breadth-first walk on the flip graph, seeded by the placing
 triangulation.  Each vertex of the secondary fan is a full-dimensional cone
-of liftings; its extreme rays, by integer double description, give a point
-inside each facet, which a symbolic-perturbation lift crosses into the
-neighboring triangulation, and an interior point, which certifies the
-triangulation.  is_regular reads the same cone for a triangulation given
-from outside; check_triangulation needs only determinants.
+of liftings; its extreme rays, by integer double description, say which
+folds are facets and give an interior point, which certifies the
+triangulation when the walk reaches it.  The neighbor across a facet is the
+bistellar flip on the circuit of its fold, read from the simplices alone.
+is_regular reads the same cone for a triangulation given from outside;
+check_triangulation needs only determinants.
 
 The characteristic functions of the triangulations found are then described
 once by their facets (polytope.h_representation).  The hull skeleton that
@@ -29,7 +30,6 @@ from .polytope import (
     IntVector,
     MarkedPolytope,
     extreme_rays,
-    fold_relation,
     h_representation,
     lower_hull_cells,
     lower_hull_triangulation,
@@ -39,6 +39,8 @@ from .polytope import (
     _dot,
     _is_int,
     _rank_of,
+    _relation,
+    _simplex_adjugate,
 )
 
 
@@ -174,10 +176,11 @@ def _fold_functionals(aset: ASet, simplices) -> list[tuple[int, ...]]:
     """Primitive integer functionals c with C(T) = {w : c.w >= 0}."""
     out = set()
     for sigma in simplices:
+        det, adj = _simplex_adjugate(aset.points, sigma)
         for j in range(aset.n):
             if j not in sigma:
                 c = [0] * aset.n
-                for i, x in zip((*sigma, j), fold_relation(aset.points, sigma, j)):
+                for i, x in zip((*sigma, j), _relation(det, adj, aset.points[j])):
                     c[i] = x
                 out.add(tuple(c))
     return sorted(out)
@@ -226,38 +229,47 @@ def is_regular(aset: ASet, triangulation) -> RegularityResult:
 
 def _secondary_cone(aset: ASet, sims):
     """The folds c of T, a lifting inside its cone C(T) = {w : c.w >= 0},
-    and a point inside each facet, keyed by its fold's index.  They are sums
-    of extreme rays of the cone read on the coordinates outside the first
+    and the indices of the folds that are facets.  The lifting is the sum of
+    the extreme rays of the cone read on the coordinates outside the first
     simplex, which determine the folds, so it is pointed and full-dimensional
     there; a fold is a facet when the rays tight on it have rank one less
     than the cone's dimension."""
     folds = _fold_functionals(aset, sims)
     off = [i for i in range(aset.n) if i not in sims[0]]
     rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
+    total = dict(zip(off, map(sum, zip(*(h for h, _ in rays)))))
+    tight = [[h for h, on in rays if k in on] for k in range(len(folds))]
+    rank = len(off) - 1
+    facets = [k for k, hs in enumerate(tight) if len(hs) >= rank and _rank_of(hs) == rank]
+    return folds, tuple(total.get(i, 0) for i in range(aset.n)), facets
 
-    def lift(hs):  # the sum of the rays, zero on the first simplex
-        total = dict(zip(off, map(sum, zip(*(h for h, _ in hs)))))
-        return tuple(total.get(i, 0) for i in range(aset.n))
 
-    walls = {}
-    for k in range(len(folds)):
-        tight = [ray for ray in rays if k in ray[1]]
-        if len(tight) >= len(off) - 1 and _rank_of([h for h, _ in tight]) == len(off) - 1:
-            walls[k] = lift(tight)
-    return folds, lift(rays), walls
+def _flip(sims, fold):
+    """The bistellar flip of T on the circuit Z of a fold c that is a facet
+    of C(T).  T holds the simplices Z - i + L for every i in Z+ (where
+    c > 0) and every link set L, the rest of a simplex of T that holds all
+    of Z but one point; the neighbor holds Z - i + L for i in Z- instead
+    (De Loera, Rambau and Santos 2010, chapters 2 and 5).  A simplex of
+    T cannot hold Z - i for i in Z-, which would overlap Z - j for the j in
+    Z+ of the fold's own simplex."""
+    plus = {i for i, x in enumerate(fold) if x > 0}
+    minus = {i for i, x in enumerate(fold) if x < 0}
+    circuit = plus | minus
+    links = {frozenset(s) - circuit for s in sims if len(circuit.difference(s)) == 1}
+
+    def join(side):
+        return {tuple(sorted((circuit - {i}) | link)) for link in links for i in side}
+
+    return tuple(sorted(set(sims) - join(plus) | join(minus)))
 
 
 def _flip_node(aset: ASet, sims):
     """The triangulation sims, certified by the lifting inside its cone, and
-    its neighbors, each reached by a symbolic-perturbation lift across a wall."""
-    folds, lifting, walls = _secondary_cone(aset, sims)
+    its neighbors, one bistellar flip across each facet."""
+    folds, lifting, facets = _secondary_cone(aset, sims)
     if lower_hull_cells(aset.points, lifting, aset.dim) != sims:
         raise RuntimeError("the secondary cone's interior point fails to induce the triangulation")
-    neighbors = [
-        lower_hull_triangulation(aset.points, list(zip(w, (-x for x in folds[k]))), aset.dim)
-        for k, w in walls.items()
-    ]
-    return Triangulation(simplices=sims, lifting=lifting), neighbors
+    return Triangulation(simplices=sims, lifting=lifting), [_flip(sims, folds[k]) for k in facets]
 
 
 def placing_triangulation(aset: ASet) -> Triangulation:

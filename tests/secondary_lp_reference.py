@@ -11,6 +11,11 @@ no double description, as references for the package's answers:
 - `in_convex_hull`: hull membership (checked against `hull_vertex_indices`).
 
 `feasible_point` is the feasibility question they share, and the LP tests'.
+
+`flip_by_lift` is the other reference here, with no LP: the neighbor across
+a facet of a secondary cone as the lower hull of a symbolic lift from a
+point inside the facet, which `wall_points` reads off the cone's extreme
+rays (checked against the bistellar flip `secondary._flip`).
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from itertools import combinations
 
 from gkzrank.lattice import det_int
 from gkzrank.linprog import solve_lp
-from gkzrank.polytope import lower_hull_triangulation, placing_lifts, total_volume
-from gkzrank.secondary import TriangulationError, _fold_functionals
+from gkzrank.polytope import extreme_rays, lower_hull_triangulation, placing_lifts, total_volume
+from gkzrank.secondary import TriangulationError, _fold_functionals, _secondary_cone
 
 
 def feasible_point(nvars, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
@@ -158,3 +163,23 @@ def flip_walk_by_lp(aset):
                 queue.append(sims)
             edges.add(tuple(sorted((key, sims))))
     return seen, edges
+
+
+def wall_points(aset, sims):
+    """A point inside each facet of C(T), keyed by the index of its fold in
+    `_fold_functionals`: the sum of the extreme rays of the cone tight on
+    it, read on the coordinates outside T's first simplex (zero on it)."""
+    folds, _, facets = _secondary_cone(aset, sims)
+    off = [i for i in range(aset.n) if i not in sims[0]]
+    rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
+    walls = {}
+    for k in facets:
+        total = dict(zip(off, map(sum, zip(*(h for h, on in rays if k in on)))))
+        walls[k] = tuple(total.get(i, 0) for i in range(aset.n))
+    return walls
+
+
+def flip_by_lift(aset, wall, fold):
+    """The neighbor of T across the facet of C(T) with this fold and wall
+    point w: the triangulation induced by the symbolic lift (w, -fold)."""
+    return lower_hull_triangulation(aset.points, list(zip(wall, (-x for x in fold))), aset.dim)

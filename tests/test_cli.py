@@ -1,8 +1,10 @@
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -230,6 +232,27 @@ def test_script_bad_budget_flag(script, value):
     )
     assert proc.returncode == 2
     assert "--budget" in proc.stderr and not proc.stdout
+
+
+@pytest.mark.parametrize("fault", [None, "status", "skeleton", "newton"])
+def test_run_examples_exit_code(fault, monkeypatch, capsys):
+    # run_examples exits 1 when a built-in's report fails, its flip skeleton
+    # differs from the hull skeleton, or its Newton check fails
+    path = ROOT / "scripts" / "run_examples.py"
+    spec = importlib.util.spec_from_file_location("run_examples", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["run_examples.py"])
+    verify, newton = script.verify_theorem, script.newton_polytope_check
+    fakes = {
+        "status": ("verify_theorem", lambda *a, **k: replace(verify(*a, **k), status="fail")),
+        "skeleton": ("hull_edges", lambda sp: sp.edges[1:]),
+        "newton": ("newton_polytope_check", lambda *a: replace(newton(*a), ok=False)),
+    }
+    if fault:
+        monkeypatch.setattr(script, *fakes[fault])
+    assert script.main() == (0 if fault is None else 1)
+    assert "== f2:" in capsys.readouterr().out  # every built-in ran
 
 
 def test_verification_failure_exit_code_mapping():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gkzrank.lattice import (
     LatticeError,
+    adjugate,
     det_int,
     integer_solve,
     kernel_basis,
@@ -154,3 +155,41 @@ def test_span_coordinates():
 
 def test_mat_mul_shapes():
     assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer n x n matrices, n = 1..5, with many zero entries; some made
+    singular by a row that combines the others, some with a zero first pivot
+    that forces a row swap."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-5, 5))
+    mat = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(["any", "singular", "swap"]))
+    if kind == "singular":
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        mat[-1] = [sum(c * row[k] for c, row in zip(coefs, mat)) for k in range(n)]
+    elif kind == "swap" and n > 1:
+        mat[0][0] = 0
+        mat[-1][0] = draw(st.integers(1, 5))
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_adjugate_is_det_times_inverse(mat):
+    det, adj = adjugate(mat)
+    assert det == det_int(mat)
+    if det == 0:
+        assert adj is None
+    else:
+        scalar = [[det if i == k else 0 for k in range(len(mat))] for i in range(len(mat))]
+        assert mat_mul(mat, adj) == mat_mul(adj, mat) == scalar
+
+
+def test_adjugate_examples():
+    assert adjugate([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))  # one row swap
+    assert adjugate([[2, 3], [4, 6]]) == (0, None)
+    assert adjugate([[0, 0, 1], [0, 1, 0], [1, 0, 0]])[0] == -1
+    with pytest.raises(LatticeError):
+        adjugate([[1, 2]])

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -18,6 +19,7 @@ from gkzrank.secondary import (
     Circuit,
     NotAnEdge,
     TriangulationError,
+    _flip,
     _fold_functionals,
     _secondary_cone,
     check_triangulation,
@@ -29,12 +31,15 @@ from gkzrank.secondary import (
     secondary_polytope,
 )
 
+from conftest import make_random_aset
 from hull_reference import facet_vertex_sets, hull_edges_by_lp
 from secondary_lp_reference import (
     facets_of_secondary_cone,
+    flip_by_lift,
     flip_walk_by_lp,
     is_regular_by_lp,
     proper_intersection_by_lp,
+    wall_points,
 )
 
 
@@ -366,9 +371,10 @@ def _check_cones_against_lp(aset):
     """Every secondary cone of the walk, and the walk itself, against LP."""
     sp = secondary_polytope(aset)
     for tri in sp.triangulations:
-        folds, lifting, walls = _secondary_cone(aset, tri.simplices)
+        folds, lifting, facets = _secondary_cone(aset, tri.simplices)
         # the double description keeps exactly the folds the LP finds irredundant
-        assert sorted(walls) == facets_of_secondary_cone(aset, folds)
+        assert facets == facets_of_secondary_cone(aset, folds)
+        walls = wall_points(aset, tri.simplices)
         for k, w in walls.items():
             assert _dot(folds[k], w) == 0
             assert all(_dot(folds[i], w) > 0 for i in walls if i != k)
@@ -392,12 +398,13 @@ def test_secondary_cones_edge_cases(kp2):
     # the segment has no fold: the cone is everything, lifted by zero
     seg = validate_aset(2, [(1, 0), (1, 1)])
     sp = _check_cones_against_lp(seg)
-    assert _secondary_cone(seg, sp.triangulations[0].simplices) == ([], (0, 0), {})
+    assert _secondary_cone(seg, sp.triangulations[0].simplices) == ([], (0, 0), [])
     # kp2: modulo affine functions each cone is a half-line, one fold, one wall
     sp = _check_cones_against_lp(kp2)
     for tri in sp.triangulations:
-        folds, _, walls = _secondary_cone(kp2, tri.simplices)
-        assert len(folds) == 1 and walls == {0: (0,) * kp2.n}
+        folds, _, facets = _secondary_cone(kp2, tri.simplices)
+        assert len(folds) == 1 and facets == [0]
+        assert wall_points(kp2, tri.simplices) == {0: (0,) * kp2.n}
     # nested triangles: the walk never reaches the two spirals
     sp = _check_cones_against_lp(validate_aset(3, NESTED_TRIANGLES))
     assert len(sp.triangulations) == 16
@@ -431,6 +438,24 @@ def test_fold_tight_on_enough_rays_need_not_be_a_facet():
     points = [(0, 2, 1), (1, 0, 1), (-1, 0, 1), (0, 0, 1), (-1, -1, 1), (1, 2, 1), (1, 1, 1), (1, -1, 1)]
     aset = validate_aset(3, points)
     sims = ((0, 2, 3), (0, 3, 5), (2, 3, 4), (3, 4, 7), (3, 5, 6), (3, 6, 7))
-    folds, _, walls = _secondary_cone(aset, sims)
-    assert folds.index((0, 1, 0, 0, 0, 1, -2, 0)) not in walls
-    assert sorted(walls) == facets_of_secondary_cone(aset, folds)
+    folds, _, facets = _secondary_cone(aset, sims)
+    assert folds.index((0, 1, 0, 0, 0, 1, -2, 0)) not in facets
+    assert facets == facets_of_secondary_cone(aset, folds)
+
+
+def test_bistellar_flip_matches_the_lifted_lower_hull(a3, kp2, f2):
+    # every wall of every walk: the flip on the wall's circuit is the
+    # triangulation of the symbolic lift across the wall
+    rng = random.Random(271828)  # the acceptance corpus
+    corpus = [make_random_aset(rng) for _ in range(100)]
+    collinear = validate_aset(2, [(1, k) for k in range(9)])
+    grid = validate_aset(3, [(x, y, 1) for x in range(4) for y in range(2)])
+    nested = validate_aset(3, NESTED_TRIANGLES)
+    walls = 0
+    for aset in [a3, kp2, f2, *corpus, collinear, grid, nested]:
+        for tri in secondary_polytope(aset).triangulations:
+            folds = _secondary_cone(aset, tri.simplices)[0]
+            for k, w in wall_points(aset, tri.simplices).items():
+                assert _flip(tri.simplices, folds[k]) == flip_by_lift(aset, w, folds[k])
+                walls += 1
+    assert walls == 3644
