@@ -31,13 +31,14 @@ from .elimination import (
     _Clock,
 )
 from .ktheory import FaceInvariants, rank_k0_face
-from .lattice import det_int, kernel_basis, lattice_coordinates, mat_vec, span_coordinates
+from .lattice import kernel_basis, lattice_coordinates, mat_vec, span_coordinates
 from .polynomial import IntPolynomial, match_power
 from .polytope import (
     ASet,
     Face,
     affine_rank,
     faces,
+    fold_table,
     lower_hull_triangulation,
     placing_lifts,
     validate_aset,
@@ -288,8 +289,9 @@ def _multidegree(conf: ASet, pts) -> list[int]:
     a simplex and a_v for a vertex v.
     """
     total = [0] * len(pts[0])
-    for simplex in lower_hull_triangulation(conf.points, placing_lifts(conf.n), conf.dim):
-        vol = abs(det_int([conf.points[i] for i in simplex]))
+    table = fold_table(conf.points, conf.dim)
+    for simplex in lower_hull_triangulation(table, placing_lifts(conf.n)):
+        vol = abs(table[simplex][0])
         for i in simplex:
             total = [t + vol * x for t, x in zip(total, pts[i])]
     for f in faces(conf)[:-1]:

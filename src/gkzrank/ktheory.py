@@ -25,6 +25,7 @@ from .polytope import (
     ASet,
     Face,
     ProjectedFace,
+    fold_table,
     lower_hull_cells,
     project_mod_face,
     subset_volume,
@@ -93,7 +94,7 @@ def _staircase(proj: ProjectedFace) -> Staircase:
         m = min(abs(v) for v in vals)
         rays = tuple(i for i, v in zip(ids, vals) if abs(v) == m)
         return Staircase(u=m, ray_indices=rays, bounded_facets=(rays,))
-    cells = lower_hull_cells(ws, [-1] * len(ws), q)
+    cells = lower_hull_cells(fold_table(ws, q), [-1] * len(ws))
     u = sum(subset_volume(ws, cell, q) for cell in cells)
     if u < 1:
         raise RankInconsistency("staircase volume vanished")

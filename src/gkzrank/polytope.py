@@ -5,8 +5,9 @@ certificates, normalized volumes, projections to saturated quotient
 lattices, and the lower hulls of lifted point sets (symbolic placing lifts
 included) that triangulations and subdivisions are built on.  Every fold
 sign of a lower hull, and every fold functional of a secondary cone, is read
-from one integer affine relation, by Cramer's rule from the adjugate of a
-simplex (lattice.adjugate: one fraction-free elimination per simplex).
+from the fold table of the configuration: the integer affine relation on
+each full simplex plus each further point, by Cramer's rule from the
+simplex's adjugate (lattice.adjugate), once per configuration.
 
 The facets of Q come from exact candidate-hyperplane search; those of any
 other point set (the secondary polytope, a marked cell), and the extreme
@@ -120,11 +121,15 @@ def affine_rank(points) -> int:
 
 
 def _rank_of(rows) -> int:
-    from .lattice import smith_normal_form
-
-    if not rows or not rows[0]:
-        return 0
-    return smith_normal_form(rows).rank
+    """Rank by fraction-free row elimination, each row divided by its gcd."""
+    rows, rank = [r for r in rows if any(r)], 0
+    while rows:  # each pass clears the pivot's column and drops the zero rows
+        pivot = rows.pop()
+        k = next(k for k, x in enumerate(pivot) if x)
+        rows = [[pivot[k] * x - r[k] * y for x, y in zip(r, pivot)] for r in rows]
+        rows = [[x // g for x in r] for r in rows if (g := gcd(*r))]
+        rank += 1
+    return rank
 
 
 def _dot(u, v) -> int:
@@ -342,15 +347,18 @@ def project_mod_face(aset: ASet, face: Face) -> ProjectedFace:
 
 # -- lower-hull machinery ---------------------------------------------------
 #
-# Every fold sign is read from _relation: the primitive integer affine
-# relation on a full simplex sigma plus one more point j, with j's entry
-# positive, from the determinant and adjugate of sigma, one elimination per
-# simplex for every j.  A lift w puts j strictly above the plane through the
-# lifted sigma exactly when the relation dotted with w is positive.  Lift
-# values may be tuples compared lexicographically (entries are coefficients
-# of successive infinitesimals: exact symbolic perturbation); each column is
-# scaled to integers by the positive lcm of its denominators, which keeps
-# every sign.
+# Every fold sign is read from the fold table: for each full simplex sigma,
+# det sigma and the primitive integer affine relation on sigma plus each
+# further point j, with j's entry positive, from the adjugate of sigma.  The
+# relations depend on the points alone, so a configuration's table is built
+# once and every lower hull, secondary cone and edge of it reads the same
+# one.  A lift w puts j strictly above the plane through the lifted sigma
+# exactly when the relation dotted with w is positive.  Lift values may be
+# tuples compared lexicographically (entries are coefficients of successive
+# infinitesimals: exact symbolic perturbation); each column is scaled to
+# integers by the positive lcm of its denominators, which keeps every sign.
+
+FoldTable = dict[tuple[int, ...], tuple[int, dict[int, IntVector]]]
 
 
 def _simplex_adjugate(points, sigma):
@@ -377,8 +385,21 @@ def fold_relation(points, sigma, j) -> IntVector:
     return _relation(det, adj, points[j])
 
 
-def lower_hull_cells(points, lifts, dim) -> tuple[tuple[int, ...], ...]:
-    """Marked cells (supports) of the polyhedral subdivision induced by a lift."""
+def fold_table(points, dim) -> FoldTable:
+    """sigma -> (det sigma, {j: relation on sigma + (j,)} for j outside
+    sigma), over the full simplices sigma (sorted dim-subsets of the point
+    indices with det != 0) in combinations order."""
+    table = {}
+    for sigma in combinations(range(len(points)), dim):
+        det, adj = _simplex_adjugate(points, sigma)
+        if det:
+            others = (j for j in range(len(points)) if j not in sigma)
+            table[sigma] = det, {j: _relation(det, adj, points[j]) for j in others}
+    return table
+
+
+def lower_hull_cells(table: FoldTable, lifts) -> tuple[tuple[int, ...], ...]:
+    """Marked cells (supports) of the subdivision a lift of the table's points induces."""
     rows = [v if isinstance(v, tuple) else (v,) for v in lifts]
     cols = []
     for k in range(max(map(len, rows))):
@@ -386,17 +407,11 @@ def lower_hull_cells(points, lifts, dim) -> tuple[tuple[int, ...], ...]:
         scale = lcm(*(x.denominator for x in col))
         cols.append([x.numerator * (scale // x.denominator) for x in col])
     cells = set()
-    for sigma in combinations(range(len(points)), dim):
-        det, adj = _simplex_adjugate(points, sigma)
-        if det == 0:
-            continue
+    for sigma, (_, rels) in table.items():
         support = set(sigma)
-        for j in range(len(points)):
-            if j in sigma:
-                continue
-            rel = _relation(det, adj, points[j])
+        for j, rel in rels.items():
             for col in cols:  # the first nonzero column gives the sign
-                fold = sum(c * col[i] for c, i in zip(rel, sigma + (j,)))
+                fold = rel[-1] * col[j] + sum(c * col[i] for c, i in zip(rel, sigma))
                 if fold:
                     break
             if fold < 0:
@@ -408,10 +423,10 @@ def lower_hull_cells(points, lifts, dim) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(cells))
 
 
-def lower_hull_triangulation(points, lifts, dim) -> tuple[tuple[int, ...], ...]:
+def lower_hull_triangulation(table: FoldTable, lifts) -> tuple[tuple[int, ...], ...]:
     """Simplices of the triangulation induced by a generic lower lift: the
-    cells with exactly dim points."""
-    return tuple(c for c in lower_hull_cells(points, lifts, dim) if len(c) == dim)
+    cells that are full simplices."""
+    return tuple(c for c in lower_hull_cells(table, lifts) if c in table)
 
 
 def placing_lifts(n: int):
@@ -419,14 +434,15 @@ def placing_lifts(n: int):
     return [tuple(int(k == n - i) for k in range(n + 1)) for i in range(n)]
 
 
+def placing_volume(table: FoldTable, n: int) -> int:
+    """Normalized volume of conv of the n points of a fold table (0 if flat)."""
+    return sum(abs(table[s][0]) for s in lower_hull_triangulation(table, placing_lifts(n)))
+
+
 def subset_volume(points, indices, dim) -> int:
     """Normalized volume of conv of the chosen (full-dimensional) subset."""
-    idx = list(indices)
-    sub = [points[i] for i in idx]
-    tri = lower_hull_triangulation(sub, placing_lifts(len(sub)), dim)
-    total = 0
-    for sigma in tri:
-        total += abs(det_int([sub[i] for i in sigma]))
+    sub = [points[i] for i in indices]
+    total = placing_volume(fold_table(sub, dim), len(sub))
     if total == 0:
         raise InvalidConfiguration("flat subset", "subset spans no full-dimensional cell")
     return total

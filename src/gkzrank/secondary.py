@@ -7,7 +7,9 @@ folds are facets and give an interior point, which certifies the
 triangulation when the walk reaches it.  The neighbor across a facet is the
 bistellar flip on the circuit of its fold, read from the simplices alone.
 is_regular reads the same cone for a triangulation given from outside;
-check_triangulation needs only determinants.
+check_triangulation needs only determinants.  Folds, volumes and lower hulls
+come from one fold table per configuration (polytope.fold_table), which the
+secondary polytope keeps for its edges.
 
 The characteristic functions of the triangulations found are then described
 once by their facets (polytope.h_representation).  The hull skeleton that
@@ -18,7 +20,7 @@ normal_cone_sample, the edge normal that `gkzrank edge` prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,21 +28,21 @@ from .lattice import det_int, kernel_basis, primitive_relation
 from .linprog import solve_lp
 from .polytope import (
     ASet,
+    FoldTable,
     HRepresentation,
     IntVector,
     MarkedPolytope,
     extreme_rays,
+    fold_table,
     h_representation,
     lower_hull_cells,
     lower_hull_triangulation,
     marked_polytope,
     placing_lifts,
-    total_volume,
+    placing_volume,
     _dot,
     _is_int,
     _rank_of,
-    _relation,
-    _simplex_adjugate,
 )
 
 
@@ -131,17 +133,19 @@ class SecondaryPolytope:
     edges: tuple[tuple[int, int], ...]
     dim: int
     hull: HRepresentation  # of conv(phis), built from the phis alone
+    table: FoldTable = field(repr=False, compare=False)  # fold_table of aset
 
 
-def check_triangulation(aset: ASet, simplices) -> tuple[tuple[int, ...], ...]:
+def check_triangulation(aset: ASet, table: FoldTable, simplices) -> tuple[tuple[int, ...], ...]:
     """Validate a set of index simplices as a triangulation of (Q, A).
 
-    Checks the indices, full-dimensionality, exact volume additivity and the
-    ridges (a simplex with one vertex left out): a ridge whose hyperplane has
-    points of A strictly on both sides lies in exactly two simplices, with
-    their opposite vertices on opposite sides, and every other ridge in
-    exactly one.  Together these characterize triangulations (De Loera,
-    Rambau and Santos 2010, section 4.5).
+    Checks the indices, full-dimensionality, exact volume additivity (volumes
+    and vol(Q) read from A's fold table) and the ridges (a simplex with one
+    vertex left out): a ridge whose hyperplane has points of A strictly on
+    both sides lies in exactly two simplices, with their opposite vertices on
+    opposite sides, and every other ridge in exactly one.  Together these
+    characterize triangulations (De Loera, Rambau and Santos 2010, section
+    4.5).
     """
     sims = [tuple(s) for s in simplices]
     if not all(_is_int(i) and 0 <= i < aset.n for s in sims for i in s):
@@ -154,11 +158,10 @@ def check_triangulation(aset: ASet, simplices) -> tuple[tuple[int, ...], ...]:
     for sigma in sims:
         if len(sigma) != d:
             raise TriangulationError("simplex with wrong vertex count: %r" % (sigma,))
-        v = abs(det_int([aset.points[i] for i in sigma]))
-        if v == 0:
+        if sigma not in table:
             raise TriangulationError("flat simplex: %r" % (sigma,))
-        vol += v
-    if vol != total_volume(aset):
+        vol += abs(table[sigma][0])
+    if vol != placing_volume(table, aset.n):
         raise TriangulationError("simplices do not tile Q (volume mismatch)")
     ridges = {}
     for sigma in sims:
@@ -172,17 +175,15 @@ def check_triangulation(aset: ASet, simplices) -> tuple[tuple[int, ...], ...]:
     return sims
 
 
-def _fold_functionals(aset: ASet, simplices) -> list[tuple[int, ...]]:
+def _fold_functionals(aset: ASet, table: FoldTable, simplices) -> list[tuple[int, ...]]:
     """Primitive integer functionals c with C(T) = {w : c.w >= 0}."""
     out = set()
     for sigma in simplices:
-        det, adj = _simplex_adjugate(aset.points, sigma)
-        for j in range(aset.n):
-            if j not in sigma:
-                c = [0] * aset.n
-                for i, x in zip((*sigma, j), _relation(det, adj, aset.points[j])):
-                    c[i] = x
-                out.add(tuple(c))
+        for j, rel in table[sigma][1].items():
+            c = [0] * aset.n
+            for i, x in zip((*sigma, j), rel):
+                c[i] = x
+            out.add(tuple(c))
     return sorted(out)
 
 
@@ -209,10 +210,11 @@ def is_regular(aset: ASet, triangulation) -> RegularityResult:
         if isinstance(triangulation, Triangulation)
         else triangulation
     )
-    sims = check_triangulation(aset, simplices)
-    folds, lifting, _ = _secondary_cone(aset, sims)
+    table = fold_table(aset.points, aset.dim)
+    sims = check_triangulation(aset, table, simplices)
+    folds, lifting, _ = _secondary_cone(aset, table, sims)
     if all(_dot(c, lifting) > 0 for c in folds):
-        if lower_hull_cells(aset.points, lifting, aset.dim) != sims:
+        if lower_hull_cells(table, lifting) != sims:
             raise RuntimeError("certificate lifting fails to induce the triangulation")
         return RegularityResult(regular=True, lifting=lifting)
     tight = [k for k, c in enumerate(folds) if _dot(c, lifting) == 0]
@@ -227,14 +229,14 @@ def is_regular(aset: ASet, triangulation) -> RegularityResult:
     return RegularityResult(regular=False, refutation=tuple(y))
 
 
-def _secondary_cone(aset: ASet, sims):
+def _secondary_cone(aset: ASet, table: FoldTable, sims):
     """The folds c of T, a lifting inside its cone C(T) = {w : c.w >= 0},
     and the indices of the folds that are facets.  The lifting is the sum of
     the extreme rays of the cone read on the coordinates outside the first
     simplex, which determine the folds, so it is pointed and full-dimensional
     there; a fold is a facet when the rays tight on it have rank one less
     than the cone's dimension."""
-    folds = _fold_functionals(aset, sims)
+    folds = _fold_functionals(aset, table, sims)
     off = [i for i in range(aset.n) if i not in sims[0]]
     rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
     total = dict(zip(off, map(sum, zip(*(h for h, _ in rays)))))
@@ -263,43 +265,47 @@ def _flip(sims, fold):
     return tuple(sorted(set(sims) - join(plus) | join(minus)))
 
 
-def _flip_node(aset: ASet, sims):
+def _flip_node(aset: ASet, table: FoldTable, sims):
     """The triangulation sims, certified by the lifting inside its cone, and
     its neighbors, one bistellar flip across each facet."""
-    folds, lifting, facets = _secondary_cone(aset, sims)
-    if lower_hull_cells(aset.points, lifting, aset.dim) != sims:
+    folds, lifting, facets = _secondary_cone(aset, table, sims)
+    if lower_hull_cells(table, lifting) != sims:
         raise RuntimeError("the secondary cone's interior point fails to induce the triangulation")
     return Triangulation(simplices=sims, lifting=lifting), [_flip(sims, folds[k]) for k in facets]
 
 
 def placing_triangulation(aset: ASet) -> Triangulation:
     """The placing triangulation (points in input order), certified by its cone."""
-    sims = lower_hull_triangulation(aset.points, placing_lifts(aset.n), aset.dim)
-    return _flip_node(aset, sims)[0]
+    table = fold_table(aset.points, aset.dim)
+    sims = lower_hull_triangulation(table, placing_lifts(aset.n))
+    return _flip_node(aset, table, sims)[0]
 
 
 def secondary_polytope(aset: ASet) -> SecondaryPolytope:
     """The secondary polytope: vertices, flip edges and dimension."""
-    seed = lower_hull_triangulation(aset.points, placing_lifts(aset.n), aset.dim)
+    table = fold_table(aset.points, aset.dim)
+    seed = lower_hull_triangulation(table, placing_lifts(aset.n))
     by_key = {seed: None}
     queue = [seed]
     edge_keys = set()
     while queue:
         key = queue.pop(0)
-        by_key[key], neighbors = _flip_node(aset, key)
+        by_key[key], neighbors = _flip_node(aset, table, key)
         for sims in neighbors:
             if sims not in by_key:
                 by_key[sims] = None
                 queue.append(sims)
             edge_keys.add(tuple(sorted((key, sims))))
 
-    tris = list(by_key.values())
-    tris.sort(key=lambda t: t.characteristic_function(aset))
+    phi = {  # the characteristic function of each triangulation
+        k: tuple(sum(abs(table[s][0]) for s in k if i in s) for i in range(aset.n)) for k in by_key
+    }
+    tris = sorted(by_key.values(), key=lambda t: phi[t.simplices])
     index = {t.simplices: i for i, t in enumerate(tris)}
     edges = tuple(
         sorted(tuple(sorted((index[a], index[b]))) for a, b in edge_keys)
     )
-    phis = tuple(t.characteristic_function(aset) for t in tris)
+    phis = tuple(phi[t.simplices] for t in tris)
     expected = aset.n - aset.dim
     hull = h_representation(phis)
     got = aset.n - len(hull.equations)
@@ -308,7 +314,8 @@ def secondary_polytope(aset: ASet) -> SecondaryPolytope:
             "secondary polytope dimension %d differs from n - d = %d" % (got, expected)
         )
     return SecondaryPolytope(
-        aset=aset, triangulations=tuple(tris), phis=phis, edges=edges, dim=expected, hull=hull
+        aset=aset, triangulations=tuple(tris), phis=phis, edges=edges, dim=expected, hull=hull,
+        table=table,
     )
 
 
@@ -358,7 +365,7 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
         raise NotAnEdge("not an edge")
     psi = tuple(sum(a[k] for a in normals) for k in range(aset.n))
     ta, tb = sp.triangulations[i], sp.triangulations[j]
-    cells = lower_hull_cells(aset.points, [(-v,) for v in psi], aset.dim)
+    cells = lower_hull_cells(sp.table, [(-v,) for v in psi])
 
     d = aset.dim
     common = []
@@ -378,11 +385,15 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
     for cell in big:  # d + 1 points of rank d: one relation, its support the circuit
         if len(cell) != d + 1:
             raise NotAnEdge("not an edge")
-        (rel,) = kernel_basis([[aset.points[k][r] for k in cell] for r in range(d)])
-        circuits.add(tuple(k for k, x in zip(cell, rel) if x))
+        sigma = next(s for s in combinations(cell, d) if s in sp.table)
+        apex = next(k for k in cell if k not in sigma)
+        coef = dict(zip((*sigma, apex), sp.table[sigma][1][apex]))
+        idx = tuple(k for k in cell if coef[k])
+        sign = 1 if coef[idx[0]] > 0 else -1  # first entry positive, as in Circuit.from_points
+        circuits.add(Circuit(indices=idx, relation=tuple(sign * coef[k] for k in idx)))
     if len(circuits) != 1:
         raise NotAnEdge("not an edge")
-    circuit = Circuit.from_points(aset, circuits.pop())
+    (circuit,) = circuits
 
     cell_seps = tuple(
         sorted(tuple(sorted(set(cell) - set(circuit.indices))) for cell in big)

@@ -24,7 +24,7 @@ from itertools import combinations
 
 from gkzrank.lattice import det_int
 from gkzrank.linprog import solve_lp
-from gkzrank.polytope import extreme_rays, lower_hull_triangulation, placing_lifts, total_volume
+from gkzrank.polytope import extreme_rays, fold_table, lower_hull_triangulation, placing_lifts, total_volume
 from gkzrank.secondary import TriangulationError, _fold_functionals, _secondary_cone
 
 
@@ -94,7 +94,7 @@ def is_regular_by_lp(aset, sims):
     sims = tuple(sorted(tuple(sorted(s)) for s in sims))
     if not is_triangulation_by_lp(aset, sims):
         raise TriangulationError("not a triangulation by the pairwise LP test")
-    folds = _fold_functionals(aset, sims)
+    folds = _fold_functionals(aset, fold_table(aset.points, aset.dim), sims)
     if not folds:
         return (0,) * aset.n, None
     res = solve_lp(aset.n, None, [[-x for x in c] for c in folds], [-1] * len(folds))
@@ -116,10 +116,10 @@ def facets_of_secondary_cone(aset, folds):
     return facets
 
 
-def triangulation_flips(aset, simplices):
+def triangulation_flips(aset, table, simplices):
     """Neighbors of a regular triangulation across the facets of its cone,
     each with the fold functional of the facet crossed."""
-    folds = _fold_functionals(aset, simplices)
+    folds = _fold_functionals(aset, table, simplices)
     if not folds:
         return []
     facet_idx = facets_of_secondary_cone(aset, folds)
@@ -139,7 +139,7 @@ def triangulation_flips(aset, simplices):
         if wall is None:
             raise RuntimeError("facet of a secondary cone has empty relative interior")
         lifts = [(wall[i], -c0[i]) for i in range(aset.n)]
-        sims = lower_hull_triangulation(aset.points, lifts, aset.dim)
+        sims = lower_hull_triangulation(table, lifts)
         neighbors.append((sims, c0))
     return neighbors
 
@@ -147,7 +147,8 @@ def triangulation_flips(aset, simplices):
 def flip_walk_by_lp(aset):
     """The regular triangulations (simplex tuples) reached from the placing
     triangulation, and the flip edges as sorted pairs of them."""
-    seed = lower_hull_triangulation(aset.points, placing_lifts(aset.n), aset.dim)
+    table = fold_table(aset.points, aset.dim)
+    seed = lower_hull_triangulation(table, placing_lifts(aset.n))
     if is_regular_by_lp(aset, seed)[0] is None:
         raise RuntimeError("placing triangulation failed its regularity LP")
     seen = {seed}
@@ -155,7 +156,7 @@ def flip_walk_by_lp(aset):
     edges = set()
     while queue:
         key = queue.pop(0)
-        for sims, _wall in triangulation_flips(aset, key):
+        for sims, _wall in triangulation_flips(aset, table, key):
             if sims not in seen:
                 if is_regular_by_lp(aset, sims)[0] is None:
                     raise RuntimeError("flip crossed into an irregular triangulation")
@@ -165,11 +166,11 @@ def flip_walk_by_lp(aset):
     return seen, edges
 
 
-def wall_points(aset, sims):
+def wall_points(aset, table, sims):
     """A point inside each facet of C(T), keyed by the index of its fold in
     `_fold_functionals`: the sum of the extreme rays of the cone tight on
     it, read on the coordinates outside T's first simplex (zero on it)."""
-    folds, _, facets = _secondary_cone(aset, sims)
+    folds, _, facets = _secondary_cone(aset, table, sims)
     off = [i for i in range(aset.n) if i not in sims[0]]
     rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
     walls = {}
@@ -179,7 +180,7 @@ def wall_points(aset, sims):
     return walls
 
 
-def flip_by_lift(aset, wall, fold):
+def flip_by_lift(table, wall, fold):
     """The neighbor of T across the facet of C(T) with this fold and wall
     point w: the triangulation induced by the symbolic lift (w, -fold)."""
-    return lower_hull_triangulation(aset.points, list(zip(wall, (-x for x in fold))), aset.dim)
+    return lower_hull_triangulation(table, list(zip(wall, (-x for x in fold))))

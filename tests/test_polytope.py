@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkzrank.lattice import det_int
+from gkzrank.lattice import det_int, smith_normal_form
 from gkzrank.polytope import (
     InvalidConfiguration,
     affine_rank,
     faces,
     fold_relation,
+    fold_table,
     hull_vertex_indices,
     lower_hull_cells,
     lower_hull_triangulation,
@@ -21,6 +22,7 @@ from gkzrank.polytope import (
     subset_volume,
     total_volume,
     validate_aset,
+    _rank_of,
 )
 from gkzrank.secondary import _fold_functionals
 
@@ -117,7 +119,9 @@ def test_volume_additivity(a3, kp2, f2):
 
     for aset in (a3, kp2, f2):
         vol = total_volume(aset)
-        for tri in secondary_polytope(aset).triangulations:
+        sp = secondary_polytope(aset)
+        assert sp.phis == tuple(tri.characteristic_function(aset) for tri in sp.triangulations)
+        for tri in sp.triangulations:
             assert sum(normalized_volume(s, aset) for s in tri.simplices) == vol
 
 
@@ -144,7 +148,7 @@ def test_project_mod_face_kp2_vertex(kp2):
 
 
 def test_placing_lower_hull(a3):
-    tri = lower_hull_triangulation(a3.points, placing_lifts(a3.n), 2)
+    tri = lower_hull_triangulation(fold_table(a3.points, 2), placing_lifts(a3.n))
     assert tri == ((0, 1), (1, 2), (2, 3), (3, 4))
 
 
@@ -152,7 +156,7 @@ def test_lower_hull_cells_weak():
     pts = [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4)]
     # lift with the middle point exactly on the segment between its
     # neighbours: one coarse cell {0,2,4} plus nothing else
-    cells = lower_hull_cells(pts, [0, 1, 0, 1, 0], 2)
+    cells = lower_hull_cells(fold_table(pts, 2), [0, 1, 0, 1, 0])
     assert cells == ((0, 2, 4),)
 
 
@@ -260,20 +264,22 @@ def lifted_asets(draw):
 def test_lower_hull_matches_fraction_reference(case, column, factor):
     points, lifts, dim = case
     cells, simplices = _reference_cells(points, lifts, dim)
-    assert lower_hull_cells(points, lifts, dim) == cells
-    assert lower_hull_triangulation(points, lifts, dim) == simplices
+    table = fold_table(points, dim)
+    assert lower_hull_cells(table, lifts) == cells
+    assert lower_hull_triangulation(table, lifts) == simplices
 
     def scale(v):
         v = v if isinstance(v, tuple) else (v,)
         return tuple(x * factor if k == column else x for k, x in enumerate(v))
 
-    assert lower_hull_cells(points, [scale(v) for v in lifts], dim) == cells
+    assert lower_hull_cells(table, [scale(v) for v in lifts]) == cells
 
-    for sigma in combinations(range(len(points)), dim):
-        if det_int([points[i] for i in sigma]) == 0:
-            continue
+    full = [s for s in combinations(range(len(points)), dim) if det_int([points[i] for i in s])]
+    assert list(table) == full
+    for sigma in full:
         for j in set(range(len(points))) - set(sigma):
             rel = fold_relation(points, sigma, j)
+            assert table[sigma][1][j] == rel
             idx = sigma + (j,)
             for k in range(dim):
                 assert sum(c * points[i][k] for c, i in zip(rel, idx)) == 0
@@ -301,6 +307,37 @@ def test_fold_functionals_match_reference(name, request):
     aset = request.getfixturevalue(name)
     sp = request.getfixturevalue(name + "_secondary")
     for tri in sp.triangulations:
-        assert _fold_functionals(aset, tri.simplices) == _reference_fold_functionals(
+        assert _fold_functionals(aset, sp.table, tri.simplices) == _reference_fold_functionals(
             aset, tri.simplices
         )
+
+
+_small_ints = st.integers(-4, 4)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of 1 to 5 rows and 1 to 5 columns, some with zero
+    rows and some with rows that combine earlier ones (rank deficient)."""
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_small_ints, min_size=cols, max_size=cols), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_rank_by_elimination_matches_smith_normal_form(rows):
+    assert _rank_of(rows) == smith_normal_form(rows).rank
+    assert _rank_of([]) == 0
+
+
+def test_rank_by_elimination_examples():
+    assert _rank_of([[0, 0], [0, 0]]) == 0
+    assert _rank_of([[2], [4], [0]]) == 1
+    assert _rank_of([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+    assert _rank_of([[6, 4], [9, 6]]) == 1

@@ -11,6 +11,8 @@ from gkzrank import linprog, secondary
 from gkzrank.lattice import det_int
 from gkzrank.polytope import (
     InvalidConfiguration,
+    fold_relation,
+    fold_table,
     lower_hull_cells,
     total_volume,
     validate_aset,
@@ -118,12 +120,13 @@ def test_is_regular_rejects_non_triangulations(a3):
 def test_bad_simplex_indices_are_rejected(a3):
     # negative indices wrapped, floats were truncated, booleans and strings
     # were read as ints, and indices past the end raised IndexError
+    table = fold_table(a3.points, a3.dim)
     for bad in ([(0, -1)], [(0.9, 4.2)], [(0, 7)], [(False, 4)], [(0, "4")]):
         with pytest.raises(TriangulationError):
-            check_triangulation(a3, bad)
+            check_triangulation(a3, table, bad)
         with pytest.raises(TriangulationError):
             is_regular(a3, bad)
-    assert check_triangulation(a3, [(4, 0)]) == ((0, 4),)
+    assert check_triangulation(a3, table, [(4, 0)]) == ((0, 4),)
 
 
 def test_flip_skeleton_equals_hull_skeleton(a3_secondary, kp2_secondary, f2_secondary):
@@ -171,7 +174,9 @@ def test_hull_description_matches_lp_and_brute_force(aset):
         assert vals[i] == vals[j]
         assert all(v < vals[i] for k, v in enumerate(vals) if k not in (i, j))
         lp_psi = normal_cone_sample(sp, i, j)
-        assert ed.cells == lower_hull_cells(aset.points, [(-v,) for v in lp_psi], aset.dim)
+        assert ed.cells == lower_hull_cells(sp.table, [(-v,) for v in lp_psi])
+        # the circuit read from the fold table is the kernel's primitive relation
+        assert ed.circuit == Circuit.from_points(aset, ed.circuit.indices)
 
 
 def test_edge_data_a3_f1(a3_secondary):
@@ -300,7 +305,7 @@ def test_spiral_triangulation_is_refuted():
 
 def _check_refutation(aset, sims, refutation):
     """y >= 0, y != 0 and sum_k y_k c_k = 0 over the folds c_k of T."""
-    folds = _fold_functionals(aset, sims)
+    folds = _fold_functionals(aset, fold_table(aset.points, aset.dim), sims)
     assert len(refutation) == len(folds)
     assert all(isinstance(y, int) and y >= 0 for y in refutation) and any(refutation)
     assert all(sum(y * c[i] for y, c in zip(refutation, folds)) == 0 for i in range(aset.n))
@@ -325,6 +330,7 @@ def _full_simplex_sets(aset):
 
 def test_triangulation_and_regularity_checks_match_the_lp_references():
     aset = validate_aset(3, NESTED_TRIANGLES)
+    table = fold_table(aset.points, aset.dim)
     sets = _full_simplex_sets(aset)
     assert len(sets) == 4797
     spirals = [
@@ -336,7 +342,7 @@ def test_triangulation_and_regularity_checks_match_the_lp_references():
     # the ridge test accepts exactly what the pairwise LP accepts
     for sims in tris + sets[::10]:
         try:
-            accepted = check_triangulation(aset, sims) == sims
+            accepted = check_triangulation(aset, table, sims) == sims
         except TriangulationError:
             accepted = False
         assert accepted == all(proper_intersection_by_lp(aset, a, b) for a, b in combinations(sims, 2))
@@ -349,7 +355,7 @@ def test_triangulation_and_regularity_checks_match_the_lp_references():
         assert res.regular == (lp_lifting is not None) == (sims not in spirals)
         if res.regular:
             assert all(isinstance(x, int) for x in res.lifting)
-            assert lower_hull_cells(aset.points, res.lifting, aset.dim) == sims
+            assert lower_hull_cells(table, res.lifting) == sims
         else:
             assert res.lifting is None
             _check_refutation(aset, sims, res.refutation)
@@ -371,16 +377,16 @@ def _check_cones_against_lp(aset):
     """Every secondary cone of the walk, and the walk itself, against LP."""
     sp = secondary_polytope(aset)
     for tri in sp.triangulations:
-        folds, lifting, facets = _secondary_cone(aset, tri.simplices)
+        folds, lifting, facets = _secondary_cone(aset, sp.table, tri.simplices)
         # the double description keeps exactly the folds the LP finds irredundant
         assert facets == facets_of_secondary_cone(aset, folds)
-        walls = wall_points(aset, tri.simplices)
+        walls = wall_points(aset, sp.table, tri.simplices)
         for k, w in walls.items():
             assert _dot(folds[k], w) == 0
             assert all(_dot(folds[i], w) > 0 for i in walls if i != k)
         assert all(_dot(c, lifting) > 0 for c in folds)
         assert tri.lifting == lifting
-        assert lower_hull_cells(aset.points, lifting, aset.dim) == tri.simplices
+        assert lower_hull_cells(sp.table, lifting) == tri.simplices
     tris, edges = flip_walk_by_lp(aset)
     keys = [t.simplices for t in sp.triangulations]
     assert set(keys) == tris
@@ -398,13 +404,13 @@ def test_secondary_cones_edge_cases(kp2):
     # the segment has no fold: the cone is everything, lifted by zero
     seg = validate_aset(2, [(1, 0), (1, 1)])
     sp = _check_cones_against_lp(seg)
-    assert _secondary_cone(seg, sp.triangulations[0].simplices) == ([], (0, 0), [])
+    assert _secondary_cone(seg, sp.table, sp.triangulations[0].simplices) == ([], (0, 0), [])
     # kp2: modulo affine functions each cone is a half-line, one fold, one wall
     sp = _check_cones_against_lp(kp2)
     for tri in sp.triangulations:
-        folds, _, facets = _secondary_cone(kp2, tri.simplices)
+        folds, _, facets = _secondary_cone(kp2, sp.table, tri.simplices)
         assert len(folds) == 1 and facets == [0]
-        assert wall_points(kp2, tri.simplices) == {0: (0,) * kp2.n}
+        assert wall_points(kp2, sp.table, tri.simplices) == {0: (0,) * kp2.n}
     # nested triangles: the walk never reaches the two spirals
     sp = _check_cones_against_lp(validate_aset(3, NESTED_TRIANGLES))
     assert len(sp.triangulations) == 16
@@ -424,11 +430,12 @@ def test_flip_walk_and_edge_data_solve_no_lp(monkeypatch, a3, kp2, f2):
         for i, j in sp.edges:
             assert edge_data(sp, i, j).subdivision
         for tri in sp.triangulations:
-            assert check_triangulation(aset, tri.simplices) == tri.simplices
+            assert check_triangulation(aset, sp.table, tri.simplices) == tri.simplices
             assert is_regular(aset, tri).regular
     refuted = is_regular(nested, SPIRAL)
     assert not refuted.regular
-    _check_refutation(nested, check_triangulation(nested, SPIRAL), refuted.refutation)
+    sims = check_triangulation(nested, fold_table(nested.points, nested.dim), SPIRAL)
+    _check_refutation(nested, sims, refuted.refutation)
 
 
 def test_fold_tight_on_enough_rays_need_not_be_a_facet():
@@ -438,24 +445,43 @@ def test_fold_tight_on_enough_rays_need_not_be_a_facet():
     points = [(0, 2, 1), (1, 0, 1), (-1, 0, 1), (0, 0, 1), (-1, -1, 1), (1, 2, 1), (1, 1, 1), (1, -1, 1)]
     aset = validate_aset(3, points)
     sims = ((0, 2, 3), (0, 3, 5), (2, 3, 4), (3, 4, 7), (3, 5, 6), (3, 6, 7))
-    folds, _, facets = _secondary_cone(aset, sims)
+    folds, _, facets = _secondary_cone(aset, fold_table(aset.points, aset.dim), sims)
     assert folds.index((0, 1, 0, 0, 0, 1, -2, 0)) not in facets
     assert facets == facets_of_secondary_cone(aset, folds)
+
+
+def _walk_configurations(a3, kp2, f2):
+    """The built-ins, the 100-instance acceptance corpus, 9 collinear points,
+    the 2 x 4 grid and the nested triangles."""
+    rng = random.Random(271828)  # the acceptance corpus
+    corpus = [make_random_aset(rng) for _ in range(100)]
+    collinear = validate_aset(2, [(1, k) for k in range(9)])
+    grid = validate_aset(3, [(x, y, 1) for x in range(4) for y in range(2)])
+    return [a3, kp2, f2, *corpus, collinear, grid, validate_aset(3, NESTED_TRIANGLES)]
 
 
 def test_bistellar_flip_matches_the_lifted_lower_hull(a3, kp2, f2):
     # every wall of every walk: the flip on the wall's circuit is the
     # triangulation of the symbolic lift across the wall
-    rng = random.Random(271828)  # the acceptance corpus
-    corpus = [make_random_aset(rng) for _ in range(100)]
-    collinear = validate_aset(2, [(1, k) for k in range(9)])
-    grid = validate_aset(3, [(x, y, 1) for x in range(4) for y in range(2)])
-    nested = validate_aset(3, NESTED_TRIANGLES)
     walls = 0
-    for aset in [a3, kp2, f2, *corpus, collinear, grid, nested]:
-        for tri in secondary_polytope(aset).triangulations:
-            folds = _secondary_cone(aset, tri.simplices)[0]
-            for k, w in wall_points(aset, tri.simplices).items():
-                assert _flip(tri.simplices, folds[k]) == flip_by_lift(aset, w, folds[k])
+    for aset in _walk_configurations(a3, kp2, f2):
+        sp = secondary_polytope(aset)
+        for tri in sp.triangulations:
+            folds = _secondary_cone(aset, sp.table, tri.simplices)[0]
+            for k, w in wall_points(aset, sp.table, tri.simplices).items():
+                assert _flip(tri.simplices, folds[k]) == flip_by_lift(sp.table, w, folds[k])
                 walls += 1
     assert walls == 3644
+
+
+def test_fold_table_matches_fold_relation(a3, kp2, f2):
+    # the table holds exactly the full simplices, each with its volume and
+    # the relation fold_relation gives for every point outside it
+    for aset in _walk_configurations(a3, kp2, f2):
+        table = fold_table(aset.points, aset.dim)
+        full = [s for s in combinations(range(aset.n), aset.dim) if det_int([aset.points[i] for i in s])]
+        assert list(table) == full
+        for sigma, (det, rels) in table.items():
+            assert det == det_int([aset.points[i] for i in sigma])
+            assert list(rels) == [j for j in range(aset.n) if j not in sigma]
+            assert all(rel == fold_relation(aset.points, sigma, j) for j, rel in rels.items())
