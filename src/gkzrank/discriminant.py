@@ -32,7 +32,7 @@ from .elimination import (
 )
 from .ktheory import FaceInvariants, rank_k0_face
 from .lattice import kernel_basis, lattice_coordinates, mat_vec, span_coordinates
-from .polynomial import IntPolynomial, match_power
+from .polynomial import IntPolynomial, _value, match_power
 from .polytope import (
     ASet,
     Face,
@@ -66,10 +66,7 @@ def circuit_discriminant(circuit: Circuit, nvars: int) -> IntPolynomial:
     rel = circuit.relation
     if any(l == 0 for l in rel):
         raise ValueError("relation with zero coefficient is not primitive")
-    g = 0
-    for l in rel:
-        g = gcd(g, l)
-    if g != 1:
+    if gcd(*rel) != 1:
         raise ValueError("relation is not primitive")
     coeff_plus = 1
     coeff_minus = 1
@@ -189,7 +186,7 @@ def _exact(p: IntPolynomial, d: IntPolynomial, clock: _Clock) -> IntPolynomial:
     q = p.exact_div(d)
     if q is None:
         raise OracleError("inexact Bareiss division")
-    clock.check(len(q.terms), "resultant")
+    clock.check(len(q), "resultant")
     return q
 
 
@@ -255,10 +252,8 @@ def _interpolation_eliminant(aset: ASet, face: Face, budget: Budget | None) -> I
     modulus = p
     while True:
         v = _reconstruct(residues, modulus)
-        if v is not None:
-            h = IntPolynomial(conf.n, dict(zip(cands, v)))
-            if all(h.evaluate(u) == 0 for u in points):
-                return h
+        if v is not None and not any(_value(u, cands, v) for u in points):
+            return IntPolynomial(conf.n, dict(zip(cands, v)))
         q = next(primes)
         echelon = _Echelon(q, ncols)
         for u in pivots:
@@ -458,12 +453,7 @@ def _irreducible_core(h: IntPolynomial) -> IntPolynomial:
 def _power_root(h: IntPolynomial) -> IntPolynomial:
     """Strip h = c * p^m down to p; the eliminant of an irreducible dual
     variety is always a power of a single irreducible."""
-    lead = h.lead_exponent()
-    trail = h.trail_exponent()
-    g = 0
-    for e in (lead, trail):
-        for x in e:
-            g = gcd(g, x)
+    g = gcd(*h.lead_exponent(), *h.trail_exponent())
     for m in range(g, 1, -1):
         if g % m:
             continue

@@ -9,7 +9,7 @@ point anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -232,13 +232,8 @@ def sublattice_index(generators, ambient_rank: int) -> SublatticeIndex:
         raise LatticeError("empty sublattice")
     rows = _vectors_matrix(generators, ambient_rank)
     diag = smith_normal_form(rows).diag
-    index = 1
-    rank = 0
-    for d in diag:
-        if d != 0:
-            index *= d
-            rank += 1
-    return SublatticeIndex(index=index, rank=rank)
+    nonzero = [d for d in diag if d != 0]
+    return SublatticeIndex(index=prod(nonzero), rank=len(nonzero))
 
 
 def quotient_group(generators, ambient_rank: int) -> QuotientGroup:
@@ -257,11 +252,7 @@ def kernel_basis(matrix) -> list[IntVector]:
     mat = _check_matrix(matrix)
     n = len(mat[0])
     dec = smith_normal_form(mat)
-    rank = dec.rank
-    cols = []
-    for j in range(rank, n):
-        cols.append(tuple(dec.right[i][j] for i in range(n)))
-    return cols
+    return [tuple(dec.right[i][j] for i in range(n)) for j in range(dec.rank, n)]
 
 
 def primitive_relation(vectors) -> IntVector:
@@ -281,9 +272,7 @@ def primitive_relation(vectors) -> IntVector:
     rel = kern[0]
     if any(c == 0 for c in rel):
         raise LatticeError("not a circuit")
-    g = 0
-    for c in rel:
-        g = gcd(g, c)
+    g = gcd(*rel)
     if g != 1:  # unimodular transform columns are primitive; guard anyway
         rel = tuple(c // g for c in rel)
     first = next(c for c in rel if c != 0)

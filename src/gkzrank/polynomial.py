@@ -1,42 +1,82 @@
 """Sparse multivariate polynomials over arbitrary-precision integers.
 
-Terms are stored as a map from exponent tuple (length = number of variables)
-to a nonzero integer coefficient.  The canonical serialization orders terms
-by exponent vector, lexicographically descending, and must round-trip
-bit-exactly.
+A term is a packed monomial, one 32-bit field per variable with variable 0
+most significant (integer order is lexicographic order), mapped to a nonzero
+integer coefficient.  Each field's top bit is a guard bit, clear in stored
+monomials: a monomial product is one addition, and a set guard bit raises
+PolynomialError instead of carrying; a monomial quotient a / b is
+(a | G) - b, exact when every guard bit survives (Monagan and Pearce 2007).
+Only the public constructors validate: exponents and coefficients must be
+of type int, so bools and floats are refused.  Exponent tuples are decoded
+only where they leave the class.  The serialization orders terms
+lexicographically descending and round-trips.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from functools import lru_cache, reduce
+from math import gcd, lcm, prod
+from operator import mul, or_
 
 Exponent = tuple[int, ...]
+
+_FIELD = 32
+_GUARD = 1 << (_FIELD - 1)
+_EXP_LIMIT = _GUARD - 1
 
 
 class PolynomialError(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
+def _layout(nvars: int):
+    """The guard bits of all nvars fields, and the struct of the fields."""
+    return sum(_GUARD << (_FIELD * i) for i in range(nvars)), struct.Struct(">%dI" % nvars)
+
+
 class IntPolynomial:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_packed")
 
     def __init__(self, nvars: int, terms=None):
-        self.nvars = int(nvars)
-        clean: dict[Exponent, int] = {}
-        if terms:
-            for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = int(c)
-                if c == 0:
-                    continue
-                e = tuple(int(x) for x in e)
-                if len(e) != self.nvars or any(x < 0 for x in e):
-                    raise PolynomialError("bad exponent vector %r" % (e,))
-                clean[e] = clean.get(e, 0) + c
-                if clean[e] == 0:
-                    del clean[e]
-        self.terms = clean
+        if type(nvars) is not int or nvars < 0:
+            raise PolynomialError("bad variable count %r" % (nvars,))
+        self.nvars = nvars
+        packed: dict[int, int] = {}
+        for e, c in (terms.items() if isinstance(terms, dict) else terms or ()):
+            e = tuple(e)
+            if len(e) != nvars or not all(type(x) is int and 0 <= x <= _EXP_LIMIT for x in e):
+                raise PolynomialError("bad exponent vector %r" % (e,))
+            if type(c) is not int:
+                raise PolynomialError("non-integer coefficient %r" % (c,))
+            k = self._key(e)
+            packed[k] = packed.get(k, 0) + c
+        self._packed = {k: c for k, c in packed.items() if c}
+
+    def _new(self, packed: dict[int, int]) -> "IntPolynomial":
+        """The polynomial in self's variables with these packed terms, unchecked."""
+        p = object.__new__(IntPolynomial)
+        p.nvars = self.nvars
+        p._packed = packed
+        return p
+
+    def _key(self, e) -> int:
+        return int.from_bytes(_layout(self.nvars)[1].pack(*e), "big")
+
+    def _exponents(self, keys) -> list[Exponent]:
+        fields = _layout(self.nvars)[1]
+        unpack, size = fields.unpack, fields.size
+        return [unpack(k.to_bytes(size, "big")) for k in keys]
+
+    @property
+    def terms(self) -> dict[Exponent, int]:
+        """{exponent tuple: coefficient}, decoded afresh on every read."""
+        return dict(zip(self._exponents(self._packed), self._packed.values()))
+
+    def __len__(self):
+        return len(self._packed)
 
     # -- constructors ------------------------------------------------------
 
@@ -46,40 +86,37 @@ class IntPolynomial:
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "IntPolynomial":
-        return cls(nvars, {(0,) * nvars: int(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "IntPolynomial":
-        e = [0] * nvars
-        e[index] = 1
-        return cls(nvars, {tuple(e): 1})
+        if type(index) is not int or not 0 <= index < nvars:
+            raise PolynomialError("bad variable index %r" % (index,))
+        return cls(nvars, {tuple(int(i == index) for i in range(nvars)): 1})
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
+        return not any(self._packed)
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
+        return self._packed == {0: 1}
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._packed) == 1
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IntPolynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        return isinstance(other, IntPolynomial) and (self.nvars, self._packed) == (
+            other.nvars, other._packed)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._packed.items())))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -89,54 +126,51 @@ class IntPolynomial:
         if other.nvars != self.nvars:
             raise PolynomialError("variable count mismatch")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         self._like(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        out = dict(self._packed)
+        for k, c in other._packed.items():
+            s = out.get(k, 0) + sign * c
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-        return IntPolynomial(self.nvars, out)
+                del out[k]
+        return self._new(out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._like(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return IntPolynomial(self.nvars, out)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return IntPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self._new({k: -c for k, c in self._packed.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return IntPolynomial.zero(self.nvars)
-            return IntPolynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return self._new({k: c * other for k, c in self._packed.items()} if other else {})
         self._like(other)
-        out: dict[Exponent, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return IntPolynomial(self.nvars, out)
+        out: dict[int, int] = {}
+        get = out.get
+        right = other._packed.items()
+        for k1, c1 in self._packed.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        # each field sum is below 2^32, so a set guard bit is an exponent
+        # above the limit, never a carry
+        if reduce(or_, out, 0) & _layout(self.nvars)[0]:
+            raise PolynomialError("product exponent above %d" % _EXP_LIMIT)
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        return self._new(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise PolynomialError("negative power")
-        result = IntPolynomial.constant(self.nvars, 1)
+        result = self._new({0: 1})
         base = self
         while k:
             if k & 1:
@@ -148,67 +182,50 @@ class IntPolynomial:
     # -- structure ---------------------------------------------------------
 
     def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
+        return gcd(*self._packed.values())
 
     def lead_exponent(self) -> Exponent:
         """Lexicographically largest exponent vector."""
-        if not self.terms:
+        if not self._packed:
             raise PolynomialError("zero polynomial has no leading term")
-        return max(self.terms)
+        return self._exponents([max(self._packed)])[0]
 
     def trail_exponent(self) -> Exponent:
-        if not self.terms:
+        if not self._packed:
             raise PolynomialError("zero polynomial has no trailing term")
-        return min(self.terms)
+        return self._exponents([min(self._packed)])[0]
 
     def primitive_part(self) -> "IntPolynomial":
         """Content-free copy with positive lex-leading coefficient."""
-        if not self.terms:
+        if not self._packed:
             return self
-        g = self.content()
-        if self.terms[self.lead_exponent()] < 0:
-            g = -g
+        g = self.content() if self._packed[max(self._packed)] > 0 else -self.content()
         if g == 1:
             return self
-        return IntPolynomial(self.nvars, {e: c // g for e, c in self.terms.items()})
+        return self._new({k: c // g for k, c in self._packed.items()})
 
     def sign_normalized(self) -> "IntPolynomial":
         """Same polynomial up to sign, lex-largest monomial positive."""
-        if self.terms and self.terms[self.lead_exponent()] < 0:
+        if self._packed and self._packed[max(self._packed)] < 0:
             return -self
         return self
 
-    def exponent_gcd(self) -> Exponent:
-        """Coordinate-wise minimum exponent (the largest dividing monomial)."""
-        if not self.terms:
-            raise PolynomialError("zero polynomial")
-        it = iter(self.terms)
-        low = list(next(it))
-        for e in it:
-            for i, x in enumerate(e):
-                if x < low[i]:
-                    low[i] = x
-        return tuple(low)
-
     def strip_monomial(self) -> "IntPolynomial":
-        low = self.exponent_gcd()
-        if not any(low):
+        """self over its largest monomial factor (the coordinate-wise
+        minimum exponent)."""
+        if not self._packed:
+            raise PolynomialError("zero polynomial")
+        low = self._key(map(min, zip(*self._exponents(self._packed))))
+        if not low:
             return self
-        return IntPolynomial(
-            self.nvars, {tuple(a - b for a, b in zip(e, low)): c for e, c in self.terms.items()}
-        )
+        return self._new({k - low: c for k, c in self._packed.items()})
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._exponents(self._packed)), default=0)
 
     def leading_form(self, weights) -> "IntPolynomial":
         """Sum of the terms maximizing <weights, exponent>."""
-        if not self.terms:
+        if not self._packed:
             raise PolynomialError("leading form of the zero polynomial")
         w = [Fraction(x) for x in weights]
         if len(w) != self.nvars:
@@ -216,73 +233,76 @@ class IntPolynomial:
         # a positive integer multiple of the weights has the same maximizers
         scale = lcm(*(x.denominator for x in w))
         w = [x.numerator * (scale // x.denominator) for x in w]
-        vals = {e: sum(map(mul, w, e)) for e in self.terms}
-        best = max(vals.values())
-        return IntPolynomial(self.nvars, {e: c for e, c in self.terms.items() if vals[e] == best})
+        vals = [sum(map(mul, w, e)) for e in self._exponents(self._packed)]
+        best = max(vals)
+        return self._new({k: c for (k, c), v in zip(self._packed.items(), vals) if v == best})
 
     def exact_div(self, other) -> "IntPolynomial | None":
         """Exact quotient self / other over ZZ, or None when not divisible."""
         self._like(other)
         if other.is_zero():
             raise PolynomialError("division by zero polynomial")
-        rem = dict(self.terms)
-        quot: dict[Exponent, int] = {}
-        lead_g = max(other.terms)
-        lc_g = other.terms[lead_g]
+        guard = _layout(self.nvars)[0]
+        rem = dict(self._packed)
+        quot: dict[int, int] = {}
+        lead_g = max(other._packed)
+        lc_g = other._packed[lead_g]
         while rem:
             lead_r = max(rem)
-            q_exp = tuple(a - b for a, b in zip(lead_r, lead_g))
-            if any(x < 0 for x in q_exp):
+            # a field of lead_r below lead_g's borrows its own guard bit; a
+            # guard bit set in lead_r is an exponent no exact quotient reaches
+            q = (lead_r | guard) - lead_g
+            if lead_r & guard or q & guard != guard:
                 return None
+            q ^= guard
             c, r = divmod(rem[lead_r], lc_g)
             if r != 0:
                 return None
-            quot[q_exp] = c
-            for e, cg in other.terms.items():
-                te = tuple(a + b for a, b in zip(q_exp, e))
-                s = rem.get(te, 0) - c * cg
+            quot[q] = c
+            for e, cg in other._packed.items():
+                k = q + e
+                s = rem.get(k, 0) - c * cg
                 if s:
-                    rem[te] = s
+                    rem[k] = s
                 else:
-                    rem.pop(te, None)
-        return IntPolynomial(self.nvars, quot)
+                    del rem[k]
+        return self._new(quot)
 
     def nth_root(self, m: int) -> "IntPolynomial | None":
         """The exact m-th root, or None when self is not an m-th power."""
         if m <= 0:
             raise PolynomialError("root order must be positive")
-        if m == 1:
+        if m == 1 or self.is_zero():
             return self
-        if self.is_zero():
-            return self
-        lead = self.lead_exponent()
-        lc = self.terms[lead]
-        if any(x % m for x in lead):
+        lead = max(self._packed)
+        if any(x % m for x in self._exponents([lead])[0]):
             return None
-        if lc < 0 and m % 2 == 0:
-            return None
-        root_c = _int_nth_root(abs(lc), m)
+        root_c = _int_nth_root(self._packed[lead], m)
         if root_c is None:
             return None
-        if lc < 0:
-            root_c = -root_c
-        root = IntPolynomial(self.nvars, {tuple(x // m for x in lead): root_c})
+        # every field of lead is a multiple of m, so lead // m is the packed
+        # root monomial, and (m - 1) times it stays within its fields
+        lead_r = lead // m
+        denom = lead_r * (m - 1)
+        guard = _layout(self.nvars)[0]
+        root = self._new({lead_r: root_c})
         # peel terms in lex order: the next-highest term of self - root^m
         # determines the next term of the root
-        lead_r = root.lead_exponent()
-        for _ in range(len(self.terms) * m + 2):
-            diff = self - root**m
+        for _ in range(len(self._packed) * m + 2):
+            try:
+                diff = self - root**m
+            except PolynomialError:  # root^m outgrew self's exponents
+                return None
             if diff.is_zero():
                 return root
-            t = diff.lead_exponent()
-            denom_exp = tuple(x * (m - 1) for x in lead_r)
-            t_exp = tuple(a - b for a, b in zip(t, denom_exp))
-            if any(x < 0 for x in t_exp) or t_exp >= lead_r:
+            t = max(diff._packed)
+            q = (t | guard) - denom
+            if q & guard != guard or q ^ guard >= lead_r:
                 return None
-            c, r = divmod(diff.terms[t], m * root_c ** (m - 1))
+            c, r = divmod(diff._packed[t], m * root_c ** (m - 1))
             if r != 0:
                 return None
-            root = root + IntPolynomial(self.nvars, {t_exp: c})
+            root = root + self._new({q ^ guard: c})
         return None
 
     def embed(self, nvars: int, positions) -> "IntPolynomial":
@@ -290,12 +310,12 @@ class IntPolynomial:
         positions = list(positions)
         if len(positions) != self.nvars:
             raise PolynomialError("positions length mismatch")
-        out = {}
-        for e, c in self.terms.items():
+        out = []
+        for e, c in zip(self._exponents(self._packed), self._packed.values()):
             big = [0] * nvars
             for i, x in enumerate(e):
                 big[positions[i]] += x
-            out[tuple(big)] = c
+            out.append((big, c))
         return IntPolynomial(nvars, out)
 
     def evaluate(self, values):
@@ -303,38 +323,31 @@ class IntPolynomial:
         vals = list(values)
         if len(vals) != self.nvars:
             raise PolynomialError("value vector length mismatch")
-        total = 0
-        for e, c in self.terms.items():
-            term = c
-            for v, x in zip(vals, e):
-                if x:
-                    term *= v**x
-            total += term
-        return total
+        return _value(vals, self._exponents(self._packed), self._packed.values())
 
     # -- serialization -----------------------------------------------------
 
+    def _sorted_terms(self):
+        """(exponent tuple, coefficient), lexicographically descending."""
+        keys = sorted(self._packed, reverse=True)
+        return zip(self._exponents(keys), (self._packed[k] for k in keys))
+
     def to_records(self) -> list[dict]:
-        return [
-            {"coeff": str(self.terms[e]), "exps": list(e)}
-            for e in sorted(self.terms, reverse=True)
-        ]
+        return [{"coeff": str(c), "exps": list(e)} for e, c in self._sorted_terms()]
 
     @classmethod
     def from_records(cls, nvars: int, records) -> "IntPolynomial":
+        if not all(isinstance(r["coeff"], str) for r in records):
+            raise PolynomialError("coefficients must be decimal strings")
         return cls(nvars, {tuple(r["exps"]): int(r["coeff"]) for r in records})
 
     def to_str(self, names=None) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
         if names is None:
-            if self.nvars <= 10:
-                names = ["a%d" % i for i in range(self.nvars)]
-            else:
-                names = ["a_%d" % i for i in range(self.nvars)]
+            names = [("a%d" if self.nvars <= 10 else "a_%d") % i for i in range(self.nvars)]
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e, c in self._sorted_terms():
             mono = "*".join(
                 names[i] if x == 1 else "%s^%d" % (names[i], x)
                 for i, x in enumerate(e)
@@ -356,9 +369,16 @@ class IntPolynomial:
         return "IntPolynomial(%d, %s)" % (self.nvars, self.to_str())
 
 
+def _value(values, exponents, coeffs):
+    """sum_e c_e values^e over matching exponent tuples and coefficients."""
+    return sum(c * prod(map(pow, values, e)) for e, c in zip(exponents, coeffs))
+
+
 def _int_nth_root(value: int, m: int) -> int | None:
+    """The integer r with r^m = value, or None."""
     if value < 0:
-        return None
+        r = _int_nth_root(-value, m) if m % 2 else None
+        return None if r is None else -r
     if value in (0, 1):
         return value
     lo, hi = 1, 1
@@ -382,7 +402,7 @@ def match_power(value: IntPolynomial, base: IntPolynomial) -> int | None:
     core = value.strip_monomial().primitive_part().sign_normalized()
     b = base.strip_monomial().primitive_part().sign_normalized()
     if core.is_constant():
-        return 0 if abs(core.terms.get((0,) * core.nvars, 0)) == 1 else None
+        return 0 if abs(core._packed.get(0, 0)) == 1 else None
     if b.is_constant():
         return None
     deg_b = b.total_degree()

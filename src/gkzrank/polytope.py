@@ -260,9 +260,7 @@ def faces(aset: ASet) -> tuple[Face, ...]:
         support = frozenset(i for i, v in enumerate(values) if v == c0)
         if support in facets:
             continue
-        g = 0
-        for x in normal:
-            g = gcd(g, x)
+        g = gcd(*normal)
         normal = tuple(x // g for x in normal)
         facets[support] = (normal, c0 // g)
 
@@ -374,15 +372,6 @@ def _relation(det, adj, p) -> IntVector:
     rel.append(det)
     g = gcd(*rel) if det > 0 else -gcd(*rel)
     return tuple(x // g for x in rel)
-
-
-def fold_relation(points, sigma, j) -> IntVector:
-    """Primitive integer relation c on sigma + (j,), i.e. sum_k c_k p_k = 0,
-    with c[-1] > 0; sigma must be a full simplex."""
-    det, adj = _simplex_adjugate(points, sigma)
-    if det == 0:
-        raise InvalidConfiguration("flat simplex", "sigma spans no full-dimensional cell")
-    return _relation(det, adj, points[j])
 
 
 def fold_table(points, dim) -> FoldTable:

@@ -7,9 +7,9 @@ folds are facets and give an interior point, which certifies the
 triangulation when the walk reaches it.  The neighbor across a facet is the
 bistellar flip on the circuit of its fold, read from the simplices alone.
 is_regular reads the same cone for a triangulation given from outside;
-check_triangulation needs only determinants.  Folds, volumes and lower hulls
-come from one fold table per configuration (polytope.fold_table), which the
-secondary polytope keeps for its edges.
+check_triangulation reads ridge sides off the fold table.  Folds, volumes,
+ridge sides and lower hulls come from one fold table per configuration
+(polytope.fold_table), which the secondary polytope keeps for its edges.
 
 The characteristic functions of the triangulations found are then described
 once by their facets (polytope.h_representation).  The hull skeleton that
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .lattice import det_int, kernel_basis, primitive_relation
+from .lattice import kernel_basis, primitive_relation
 from .linprog import solve_lp
 from .polytope import (
     ASet,
@@ -67,14 +67,6 @@ class Triangulation:
 
     def __hash__(self):
         return hash(self.simplices)
-
-    def characteristic_function(self, aset: ASet) -> tuple[int, ...]:
-        phi = [0] * aset.n
-        for sigma in self.simplices:
-            vol = abs(det_int([aset.points[i] for i in sigma]))
-            for i in sigma:
-                phi[i] += vol
-        return tuple(phi)
 
     def uses(self) -> tuple[int, ...]:
         used = set()
@@ -165,14 +157,26 @@ def check_triangulation(aset: ASet, table: FoldTable, simplices) -> tuple[tuple[
         raise TriangulationError("simplices do not tile Q (volume mismatch)")
     ridges = {}
     for sigma in sims:
-        for k, apex in enumerate(sigma):
-            ridges.setdefault(sigma[:k] + sigma[k + 1:], []).append(apex)
-    for ridge, apexes in ridges.items():
-        side = [det_int([aset.points[i] for i in ridge] + [p]) for p in aset.points]
+        for k in range(d):
+            ridges.setdefault(sigma[:k] + sigma[k + 1:], []).append((sigma, k))
+    for ridge, owners in ridges.items():
+        side = _ridge_sides(table, *owners[0], aset.n)
+        apexes = [sigma[k] for sigma, k in owners]
         interior = min(side) < 0 < max(side)
         if len(apexes) != 1 + interior or (interior and side[apexes[0]] * side[apexes[1]] > 0):
             raise TriangulationError("ridge %r lies in simplices with apexes %r" % (ridge, apexes))
     return sims
+
+
+def _ridge_sides(table: FoldTable, sigma, k: int, n: int) -> list[int]:
+    """Each point's side of the ridge sigma minus sigma[k], up to one sign:
+    det(ridge, p_j) = -(c_k / c_j) det(ridge, p_sigma[k]) for the relation c
+    on sigma + (j,)."""
+    side = [0] * n
+    side[sigma[k]] = 1
+    for j, rel in table[sigma][1].items():
+        side[j] = -rel[k]
+    return side
 
 
 def _fold_functionals(aset: ASet, table: FoldTable, simplices) -> list[tuple[int, ...]]:

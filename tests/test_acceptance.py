@@ -29,6 +29,7 @@ from gkzrank.polytope import faces, normalized_volume, total_volume, validate_as
 from gkzrank.secondary import edge_data, hull_edges, secondary_polytope
 
 from conftest import make_random_aset
+from fold_reference import characteristic_function
 from test_elimination import QUARTIC_DISCRIMINANT
 
 
@@ -247,7 +248,7 @@ def test_criterion_6_structural_properties_at_scale(corpus):
             assert item.hull_ok, "hull skeleton differs from flip skeleton"
             vol = total_volume(aset)
             for tri in sp.triangulations:
-                phi = tri.characteristic_function(aset)
+                phi = characteristic_function(aset, tri)
                 assert sum(phi) == aset.dim * vol
                 assert sum(normalized_volume(s, aset) for s in tri.simplices) == vol
             assert item.report.status in ("pass", "budget")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gkzrank.polynomial import IntPolynomial, PolynomialError, match_power
 
 from buchberger import polynomial_gcd
+import polynomial_reference as ref
 
 
 def poly(nvars, terms):
@@ -172,3 +173,115 @@ def test_leading_form_of_fraction_weights_and_their_integer_multiples(p, w, k):
 def test_serialization_round_trip(p):
     rec = json.loads(json.dumps(p.to_records()))
     assert IntPolynomial.from_records(3, rec) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys3, polys3, st.integers(min_value=0, max_value=3), weights3)
+def test_packed_arithmetic_matches_the_tuple_reference(p, q, k, w):
+    a, b = p.terms, q.terms
+    assert (p * q).terms == ref.mul(a, b)
+    assert (p + q).terms == ref.add(a, b)
+    assert (p - q).terms == ref.add(a, b, -1)
+    assert (p**k).terms == ref.power(a, k, 3)
+    assert len(p * q) == len(ref.mul(a, b))
+    assert p.to_records() == ref.records(a)
+    if q:
+        quot = p.exact_div(q)
+        expected = ref.exact_div(a, b)
+        assert (quot is None) == (expected is None)
+        assert quot is None or quot.terms == expected
+        assert (p * q).exact_div(q) == p
+        assert q.strip_monomial().terms == ref.strip_monomial(b)
+        assert q.leading_form(w).terms == ref.leading_form(b, w)
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys3, st.integers(min_value=2, max_value=4))
+def test_packed_nth_root_matches_the_tuple_reference(p, m):
+    if p.is_zero():
+        return
+    root = IntPolynomial(3, ref.power(p.terms, m, 3)).nth_root(m)
+    assert root is not None and root.terms in (p.terms, (-p).terms)
+    guess = p.nth_root(m)
+    assert guess is None or ref.power(guess.terms, m, 3) == p.terms
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1.9, 0): 2.7},
+        {(1, 0): 2.7},
+        {(1.0, 0): 2},
+        {(True, 0): 1},
+        {(1, 0): True},
+        {(1, 0): Fraction(2)},
+        {(1, "0"): 1},
+        {(-1, 0): 1},
+        {(1,): 1},
+        {(0, 2**31): 1},
+    ],
+)
+def test_constructor_rejects_terms_that_are_not_ints_in_range(terms):
+    with pytest.raises(PolynomialError):
+        IntPolynomial(2, terms)
+
+
+def test_public_constructors_reject_coercible_values():
+    for bad in (
+        lambda: IntPolynomial.constant(2, 1.5),
+        lambda: IntPolynomial.constant(2, False),
+        lambda: IntPolynomial.variable(2, True),
+        lambda: IntPolynomial.variable(2, 2),
+        lambda: IntPolynomial(2.0, {}),
+        lambda: IntPolynomial.from_records(1, [{"coeff": 2.5, "exps": [1]}]),
+        lambda: IntPolynomial.from_records(1, [{"coeff": "2", "exps": [1.0]}]),
+    ):
+        with pytest.raises(PolynomialError):
+            bad()
+    assert IntPolynomial.from_records(1, [{"coeff": "-27", "exps": [3]}]).terms == {(3,): -27}
+
+
+def test_product_at_the_field_limit_raises_instead_of_carrying():
+    limit = 2**31 - 1
+    top = IntPolynomial(2, {(0, limit): 1})
+    assert top.terms == {(0, limit): 1}
+    with pytest.raises(PolynomialError):
+        top * IntPolynomial.variable(2, 1)
+    half = IntPolynomial(2, {(1, 2**30): 1})
+    with pytest.raises(PolynomialError):
+        half * half
+    with pytest.raises(PolynomialError):
+        half**2
+    below = IntPolynomial(2, {(0, 2**30 - 1): 3})
+    assert (below * below).terms == {(0, limit - 1): 9}
+    assert (top * IntPolynomial.variable(2, 0)).terms == {(1, limit): 1}
+
+
+def test_monomial_division_never_borrows_from_the_next_field():
+    a0 = IntPolynomial.variable(2, 0)
+    a1 = IntPolynomial.variable(2, 1)
+    assert a0.exact_div(a1) is None
+    assert a1.exact_div(a0) is None
+    assert (a0 * a1).exact_div(a1) == a0
+    p = IntPolynomial(3, {(1, 0, 5): 1})
+    assert p.exact_div(IntPolynomial(3, {(0, 1, 0): 1})) is None
+    assert p.exact_div(IntPolynomial(3, {(1, 0, 2): 1})) == IntPolynomial(3, {(0, 0, 3): 1})
+
+
+def test_division_refuses_a_remainder_exponent_beyond_the_limit():
+    # x^2 y^2 z over x y + y z^L leaves x y^2 z^(L + 1) after one step: its z
+    # exponent is past the limit, so no exact quotient can cancel it
+    limit = 2**31 - 1
+    p = IntPolynomial(3, {(2, 2, 1): 1})
+    g = IntPolynomial(3, {(1, 1, 0): 1, (0, 1, limit): 1})
+    assert p.exact_div(g) is None
+
+
+def test_terms_is_a_read_only_decoded_copy():
+    p = poly(2, {(2, 1): 3, (0, 4): -1})
+    terms = p.terms
+    terms[(7, 7)] = 1
+    assert p.terms == {(2, 1): 3, (0, 4): -1}
+    assert len(p) == 2
+    with pytest.raises(AttributeError):
+        p.terms = {}

@@ -11,7 +11,6 @@ from gkzrank import linprog, secondary
 from gkzrank.lattice import det_int
 from gkzrank.polytope import (
     InvalidConfiguration,
-    fold_relation,
     fold_table,
     lower_hull_cells,
     total_volume,
@@ -23,6 +22,7 @@ from gkzrank.secondary import (
     TriangulationError,
     _flip,
     _fold_functionals,
+    _ridge_sides,
     _secondary_cone,
     check_triangulation,
     edge_data,
@@ -34,6 +34,7 @@ from gkzrank.secondary import (
 )
 
 from conftest import make_random_aset
+from fold_reference import fold_relation, ridge_sides_by_det
 from hull_reference import facet_vertex_sets, hull_edges_by_lp
 from secondary_lp_reference import (
     facets_of_secondary_cone,
@@ -485,3 +486,25 @@ def test_fold_table_matches_fold_relation(a3, kp2, f2):
             assert det == det_int([aset.points[i] for i in sigma])
             assert list(rels) == [j for j in range(aset.n) if j not in sigma]
             assert all(rel == fold_relation(aset.points, sigma, j) for j, rel in rels.items())
+
+
+def test_ridge_sides_from_the_table_match_determinants(a3_secondary, kp2_secondary, f2_secondary):
+    # for every ridge of every triangulation, the sides read off the table
+    # row of a simplex containing it are the det_int sides times one sign
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    ridges = 0
+    for sp in (a3_secondary, kp2_secondary, f2_secondary):
+        aset = sp.aset
+        for tri in sp.triangulations:
+            for sigma in tri.simplices:
+                for k in range(aset.dim):
+                    by_det = [sign(x) for x in ridge_sides_by_det(aset, sigma[:k] + sigma[k + 1:])]
+                    common = by_det[sigma[k]]
+                    assert common in (1, -1)
+                    assert [sign(x) for x in _ridge_sides(sp.table, sigma, k, aset.n)] == [
+                        common * x for x in by_det
+                    ]
+                    ridges += 1
+    assert ridges == 82
