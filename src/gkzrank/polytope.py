@@ -9,10 +9,10 @@ from the fold table of the configuration: the integer affine relation on
 each full simplex plus each further point, by Cramer's rule from the
 simplex's adjugate (lattice.adjugate), once per configuration.
 
-The facets of Q come from exact candidate-hyperplane search; those of any
-other point set (the secondary polytope, a marked cell), and the extreme
-rays of a cone (a secondary cone), from integer double description, with
-no LP and no floating-point predicate.
+The facets of every point set (Q, the secondary polytope, a marked cell)
+and the extreme rays of every cone (a secondary cone) come from one integer
+double description, with no LP and no floating-point predicate; the face
+lattice of Q is the closure of its facets under intersection.
 """
 
 from __future__ import annotations
@@ -174,10 +174,14 @@ def extreme_rays(rows) -> list[tuple[IntVector, set[int]]]:
     for t in range(len(rows)):
         if len(basis) < m and _rank_of([rows[s] for s in basis + [t]]) > len(basis):
             basis.append(t)
+    # the basis rows times their adjugate is det I: column k, signed by
+    # det, is the ray tight on every basis row but the k-th
+    det, adj = adjugate([rows[s] for s in basis])
     rays = []
-    for k in basis:
-        (h,) = kernel_basis([rows[s] for s in basis if s != k] or [[0] * m])
-        rays.append((h if _dot(rows[k], h) > 0 else tuple(-x for x in h), set(basis) - {k}))
+    for k, s in enumerate(basis):
+        h = [x[k] if det > 0 else -x[k] for x in adj]
+        g = gcd(*h)
+        rays.append((tuple(x // g for x in h), set(basis) - {s}))
     for t in (t for t in range(len(rows)) if t not in basis):
         vals = [_dot(rows[t], h) for h, _ in rays]
         new = [(h, tight | {t} if v == 0 else tight) for (h, tight), v in zip(rays, vals) if v >= 0]
@@ -218,51 +222,18 @@ def h_representation(points) -> HRepresentation:
 def faces(aset: ASet) -> tuple[Face, ...]:
     """All non-empty faces of Q, vertices through Q itself, with certificates.
 
-    Ordered by (dim, lexicographic indices).
+    The facets are those of h_representation(aset.points), each the set of
+    points on its hyperplane; every other proper face is an intersection of
+    facets, certified by the sum of the facets containing it (a point of the
+    relative interior of its normal cone).  Ordered by (dim, lexicographic
+    indices).
     """
-    n = aset.n
     d = aset.dim
-    m = d - 1  # dim Q
-    everything = tuple(range(n))
-    top = Face(indices=everything, support=(0,) * d, offset=0, dim=m)
-    if m == 0:
-        return (top,)
-
     pts = aset.points
-    facets: dict[frozenset, tuple[IntVector, int]] = {}
-    for subset in combinations(range(n), m):
-        sub_pts = [pts[i] for i in subset]
-        if affine_rank(sub_pts) != m - 1:
-            continue
-        base = sub_pts[0]
-        diff_rows = [[x - b for x, b in zip(p, base)] for p in sub_pts[1:]]
-        if not diff_rows:
-            diff_rows = [[0] * d]
-        kern = kernel_basis(diff_rows)
-        normal = None
-        for cand in kern:
-            vals = [sum(c * x for c, x in zip(cand, p)) for p in pts]
-            if len(set(vals)) > 1:
-                normal = cand
-                values = vals
-                break
-        if normal is None:
-            continue
-        c0 = sum(cc * x for cc, x in zip(normal, base))
-        above = any(v > c0 for v in values)
-        below = any(v < c0 for v in values)
-        if above and below:
-            continue
-        if above:
-            normal = tuple(-x for x in normal)
-            values = [-v for v in values]
-            c0 = -c0
-        support = frozenset(i for i, v in enumerate(values) if v == c0)
-        if support in facets:
-            continue
-        g = gcd(*normal)
-        normal = tuple(x // g for x in normal)
-        facets[support] = (normal, c0 // g)
+    facets = {
+        frozenset(i for i, p in enumerate(pts) if _dot(a, p) == b): (a, b)
+        for a, b in h_representation(pts).facets
+    }
 
     face_sets: set[frozenset] = set(facets)
     frontier = set(facets)
@@ -276,12 +247,12 @@ def faces(aset: ASet) -> tuple[Face, ...]:
         face_sets |= new
         frontier = new
 
-    out = [top]
+    out = [Face(indices=tuple(range(aset.n)), support=(0,) * d, offset=0, dim=d - 1)]
     for fs in face_sets:
         containing = [facets[s] for s in facets if fs <= s]
         support = tuple(sum(u[i] for u, _ in containing) for i in range(d))
         offset = sum(c for _, c in containing)
-        vals = [sum(u * x for u, x in zip(support, p)) for p in pts]
+        vals = [_dot(support, p) for p in pts]
         exact = tuple(sorted(i for i, v in enumerate(vals) if v == offset))
         if set(exact) != fs:
             raise RuntimeError("face certificate failed to isolate the face")

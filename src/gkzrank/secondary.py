@@ -68,12 +68,6 @@ class Triangulation:
     def __hash__(self):
         return hash(self.simplices)
 
-    def uses(self) -> tuple[int, ...]:
-        used = set()
-        for sigma in self.simplices:
-            used.update(sigma)
-        return tuple(sorted(used))
-
 
 @dataclass(frozen=True)
 class Circuit:

@@ -1,8 +1,9 @@
 """Reference hull questions answered without the package's double
 description: the skeleton of the secondary polytope by one exact LP per pair
 of vertices, and the facets of a polytope by trying every hyperplane through
-affinely independent points.  The facet-based `hull_edges` and
-`h_representation` are checked against them."""
+affinely independent points.  The facet-based `hull_edges`,
+`h_representation` and the facets of `polytope.faces` are checked against
+them."""
 
 from __future__ import annotations
 

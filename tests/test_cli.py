@@ -164,7 +164,7 @@ def test_determinism_byte_identical():
 
 
 @pytest.mark.parametrize("name", ["a3", "kp2", "f2"])
-@pytest.mark.parametrize("command", ["verify", "edet", "secondary"])
+@pytest.mark.parametrize("command", ["verify", "edet", "secondary", "faces"])
 def test_golden_outputs(name, command):
     expected = (GOLDEN / ("%s_%s.json" % (name, command))).read_text()
     code, out, _ = run_cli([command, name, "--json"])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -25,7 +26,9 @@ from gkzrank.polytope import (
 )
 from gkzrank.secondary import _fold_functionals
 
+from conftest import make_random_aset
 from fold_reference import characteristic_function, fold_relation
+from hull_reference import facet_vertex_sets
 from secondary_lp_reference import in_convex_hull
 
 
@@ -90,14 +93,43 @@ def test_faces_f2_contains_gamma(f2):
     assert not any(f.indices == (2,) for f in fs)
 
 
+def assert_certified(aset, face):
+    vals = [sum(u * x for u, x in zip(face.support, p)) for p in aset.points]
+    assert max(vals) == face.offset
+    assert tuple(i for i, v in enumerate(vals) if v == face.offset) == face.indices
+
+
 def test_face_certificates(a3, kp2, f2):
     for aset in (a3, kp2, f2):
         for f in faces(aset):
-            vals = [
-                sum(u * x for u, x in zip(f.support, p)) for p in aset.points
-            ]
-            assert max(vals) == f.offset
-            assert tuple(i for i, v in enumerate(vals) if v == f.offset) == f.indices
+            assert_certified(aset, f)
+
+
+def _unimodular_image(aset):
+    """The configuration under a fixed unimodular map of ZZ^dim whose height
+    functional is no longer a coordinate vector."""
+    d = aset.dim  # u = (upper ones) (lower ones)
+    u = [[d - max(i, j) for j in range(d)] for i in range(d)]
+    assert det_int(u) == 1
+    return validate_aset(d, [tuple(sum(a * x for a, x in zip(row, p)) for row in u) for p in aset.points])
+
+
+def test_faces_match_the_reference_facets(a3, kp2, f2):
+    # the facets read from the double description are the point sets the
+    # candidate-hyperplane search finds, and every face is certified
+    rng = random.Random(271828)  # the acceptance corpus
+    corpus = [make_random_aset(rng) for _ in range(100)]
+    collinear = validate_aset(2, [(1, k) for k in range(9)])
+    grid = validate_aset(3, [(x, y, 1) for x in range(4) for y in range(2)])
+    cube = validate_aset(4, [(x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    images = [_unimodular_image(aset) for aset in (a3, kp2, f2, cube, *corpus[:10])]
+    point = validate_aset(1, [(1,)])
+    for aset in (a3, kp2, f2, *corpus, point, collinear, grid, cube, *images):
+        fs = faces(aset)
+        facets = {frozenset(f.indices) for f in fs if f.dim == aset.dim - 2}
+        assert facets == facet_vertex_sets(aset.points, aset.dim - 1)
+        for f in fs:
+            assert_certified(aset, f)
 
 
 def test_faces_ordering(f2):
