@@ -494,13 +494,11 @@ def principal_a_determinant(aset: ASet, budget: Budget | None = None) -> EDetRes
     """E_A as the product over non-empty faces of face discriminants raised
     to their K-theory rank exponents, with a per-face report.
 
-    Budget failures are captured per face; the product is assembled only when
-    every factor is available.
+    Budget failures are captured per face; the product is multiplied only
+    once every face has its discriminant, so a face over budget leaves E_A
+    unmultiplied.
     """
-    n = aset.n
     rows = []
-    product = IntPolynomial.constant(n, 1)
-    complete = True
     for face in faces(aset):
         row = rank_k0_face(aset, face)
         try:
@@ -509,12 +507,14 @@ def principal_a_determinant(aset: ASet, budget: Budget | None = None) -> EDetRes
         except BudgetExceeded as exc:
             delta = None
             err = str(exc)
-            complete = False
         rows.append(FaceFactor(invariants=row, discriminant=delta, error=err))
-        if complete and delta is not None and row.k0_rank:
-            product = product * delta**row.k0_rank
-    e_a = product.sign_normalized() if complete else None
-    return EDetResult(factors=tuple(rows), e_a=e_a)
+    if any(row.discriminant is None for row in rows):
+        return EDetResult(factors=tuple(rows), e_a=None)
+    product = IntPolynomial.constant(aset.n, 1)
+    for row in rows:
+        if row.exponent:
+            product = product * row.discriminant**row.exponent
+    return EDetResult(factors=tuple(rows), e_a=product.sign_normalized())
 
 
 def multiplicity(

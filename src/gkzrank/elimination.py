@@ -3,10 +3,12 @@
 A Budget is a wall-clock limit and an optional cap on the size of the
 oracle's intermediate work (the terms of a polynomial in a resultant, the
 candidate monomials of an interpolation).  The oracle polls a _Clock built
-from it; exceeding either limit raises BudgetExceeded with the budget and
-the stage echoed in the message.  The time limit defaults to 60 s, or to
-GKZ_BUDGET_SECS when that is set.  A face-local exponent above _EXP_MAX
-raises ExponentOverflow.
+from it, and the clock is read at every check: each check guards a whole
+unit of work (a Bareiss cell update, a fiber node, an evaluation row), so a
+face runs at most one such unit past its time limit.  Exceeding either limit
+raises BudgetExceeded with the budget and the stage echoed in the message.
+The time limit defaults to 60 s, or to GKZ_BUDGET_SECS when that is set.  A
+face-local exponent above _EXP_MAX raises ExponentOverflow.
 """
 
 from __future__ import annotations
@@ -50,12 +52,11 @@ class Budget:
     seconds: float | None = None
     max_terms: int | None = None
 
-    def effective_seconds(self) -> float | None:
+    def effective_seconds(self) -> float:
         return default_budget_seconds() if self.seconds is None else self.seconds
 
     def describe(self) -> str:
-        secs = self.effective_seconds()
-        parts = ["%gs" % secs if secs is not None else "unlimited time"]
+        parts = ["%gs" % self.effective_seconds()]
         if self.max_terms is not None:
             parts.append("%d terms" % self.max_terms)
         return ", ".join(parts)
@@ -83,22 +84,14 @@ class ExponentOverflow(ValueError):
 
 
 class _Clock:
-    __slots__ = ("budget", "deadline", "max_terms", "_tick")
+    __slots__ = ("budget", "deadline", "max_terms")
 
     def __init__(self, budget: Budget):
         self.budget = budget
-        secs = budget.effective_seconds()
-        self.deadline = None if secs is None else time.monotonic() + secs
+        self.deadline = time.monotonic() + budget.effective_seconds()
         self.max_terms = budget.max_terms
-        self._tick = 0
 
     def check(self, nterms: int = 0, stage: str = "reduction"):
-        if self.max_terms is not None and nterms > self.max_terms:
-            raise BudgetExceeded(self.budget, stage)
-        # the clock is read on the first check and on every 64th after it
-        tick = self._tick
-        self._tick = tick + 1
-        if tick & 0x3F:
-            return
-        if self.deadline is not None and time.monotonic() >= self.deadline:
+        over_terms = self.max_terms is not None and nterms > self.max_terms
+        if over_terms or time.monotonic() >= self.deadline:
             raise BudgetExceeded(self.budget, stage)

@@ -117,19 +117,26 @@ def affine_rank(points) -> int:
         return 0
     base = pts[0]
     rows = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-    return _rank_of(rows)
+    return len(_independent_rows(rows))
 
 
-def _rank_of(rows) -> int:
-    """Rank by fraction-free row elimination, each row divided by its gcd."""
-    rows, rank = [r for r in rows if any(r)], 0
-    while rows:  # each pass clears the pivot's column and drops the zero rows
-        pivot = rows.pop()
-        k = next(k for k, x in enumerate(pivot) if x)
-        rows = [[pivot[k] * x - r[k] * y for x, y in zip(r, pivot)] for r in rows]
-        rows = [[x // g for x in r] for r in rows if (g := gcd(*r))]
-        rank += 1
-    return rank
+def _independent_rows(rows) -> list[int]:
+    """The indices of the rows that are independent of the rows before them
+    (as many as the rank), by one incremental fraction-free elimination:
+    each row is reduced against the stored ones, each zero at the pivots of
+    those stored before it, and kept, divided by its gcd, when it is not
+    zero."""
+    stored, out = [], []
+    for t, row in enumerate(rows):
+        if len(out) == len(row):
+            break
+        for k, pivot in stored:
+            if row[k]:
+                row = [pivot[k] * x - row[k] * y for x, y in zip(row, pivot)]
+        if g := gcd(*row):
+            stored.append((next(k for k, x in enumerate(row) if x), [x // g for x in row]))
+            out.append(t)
+    return out
 
 
 def _dot(u, v) -> int:
@@ -156,7 +163,7 @@ class HRepresentation:
         containing them all, and the outward normals of the facets containing
         that face (their sum lies in the relative interior of its normal cone)."""
         normals = [a for a, b in self.facets if all(_dot(a, x) == b for x in xs)]
-        return len(xs[0]) - len(self.equations) - _rank_of(normals), normals
+        return len(xs[0]) - len(self.equations) - len(_independent_rows(normals)), normals
 
 
 def extreme_rays(rows) -> list[tuple[IntVector, set[int]]]:
@@ -170,10 +177,7 @@ def extreme_rays(rows) -> list[tuple[IntVector, set[int]]]:
     common tight rows lie in no third ray's (the combinatorial adjacency
     test); every step is integer and primitive."""
     m = len(rows[0])
-    basis = []
-    for t in range(len(rows)):
-        if len(basis) < m and _rank_of([rows[s] for s in basis + [t]]) > len(basis):
-            basis.append(t)
+    basis = _independent_rows(rows)
     # the basis rows times their adjugate is det I: column k, signed by
     # det, is the ray tight on every basis row but the k-th
     det, adj = adjugate([rows[s] for s in basis])
@@ -209,10 +213,7 @@ def h_representation(points) -> HRepresentation:
     dim = n - len(equations)
     if dim == 0:
         return HRepresentation(equations=equations, facets=())
-    coords = []
-    for k in range(n):
-        if affine_rank([[p[c] for c in coords + [k]] for p in pts]) > len(coords):
-            coords.append(k)
+    coords = _independent_rows(list(zip(*diffs)))
     rays = extreme_rays([(1,) + tuple(-p[c] for c in coords) for p in pts])
     place = dict(zip(coords, range(1, dim + 1)))
     facets = ((tuple(h[place[k]] if k in place else 0 for k in range(n)), h[0]) for h, _ in rays)

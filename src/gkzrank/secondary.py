@@ -41,8 +41,8 @@ from .polytope import (
     placing_lifts,
     placing_volume,
     _dot,
+    _independent_rows,
     _is_int,
-    _rank_of,
 )
 
 
@@ -240,7 +240,9 @@ def _secondary_cone(aset: ASet, table: FoldTable, sims):
     total = dict(zip(off, map(sum, zip(*(h for h, _ in rays)))))
     tight = [[h for h, on in rays if k in on] for k in range(len(folds))]
     rank = len(off) - 1
-    facets = [k for k, hs in enumerate(tight) if len(hs) >= rank and _rank_of(hs) == rank]
+    facets = [
+        k for k, hs in enumerate(tight) if len(hs) >= rank and len(_independent_rows(hs)) == rank
+    ]
     return folds, tuple(total.get(i, 0) for i in range(aset.n)), facets
 
 

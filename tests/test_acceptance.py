@@ -16,6 +16,7 @@ import pytest
 
 from gkzrank.discriminant import (
     circuit_discriminant,
+    edge_restriction_check,
     face_discriminant,
     multiplicity,
     newton_polytope_check,
@@ -242,6 +243,7 @@ def test_criterion_6_structural_properties_at_scale(corpus):
         assert len(items) >= 100
         timeouts = []
         identity_checked = 0
+        restriction_checked = 0
         for k, item in enumerate(items):
             aset, sp = item.aset, item.sp
             assert sp.dim == aset.n - aset.dim
@@ -259,15 +261,25 @@ def test_criterion_6_structural_properties_at_scale(corpus):
                     assert e.status == "ok"
                     assert e.zf_rank == e.rhs
                     identity_checked += 1
+                    e_a = item.report.edet.e_a
+                    if e_a is not None:
+                        # the assembled E_A restricts along the edge to the
+                        # circuit discriminant to the power zf_rank
+                        ed = edge_data(sp, *e.vertex_pair)
+                        rep = edge_restriction_check(aset, ed, e_a, e.zf_rank)
+                        assert rep.ok, (k, e.vertex_pair, rep.exponent, e.zf_rank)
+                        restriction_checked += 1
         print(
             "criterion 6 corpus: %d instances, %d edge identities verified, "
-            "%d edges skipped on oracle budget, %.1fs total"
-            % (len(items), identity_checked, len(timeouts), elapsed)
+            "%d restrictions of E_A certified, %d edges skipped on oracle "
+            "budget, %.1fs total"
+            % (len(items), identity_checked, restriction_checked, len(timeouts), elapsed)
         )
         for k, pair, detail in timeouts:
             print("  timeout: instance %d edge %s (%s)" % (k, pair, detail))
         assert not timeouts
         assert identity_checked == 1068
+        assert restriction_checked == identity_checked
         assert elapsed < 1800.0
 
 

@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+import types
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from gkzrank import discriminant, elimination
 from gkzrank.discriminant import (
     MultiplicityError,
     _Echelon,
@@ -172,7 +174,7 @@ def test_resultant_vanishes_on_dual_variety(pattern):
 
 @pytest.mark.parametrize("budget", [Budget(seconds=0.0), Budget(max_terms=1)])
 def test_resultant_budget_three_points(budget):
-    # fewer than 64 cell updates: the clock must be read on the first check
+    # three cell updates: the clock is read on the first check
     aset, top = line((0, 1, 2))
     with pytest.raises(BudgetExceeded) as err:
         face_discriminant(aset, top, budget)
@@ -311,6 +313,56 @@ def test_interpolation_budget(f2, budget):
     assert str(err.value) == (
         "elimination budget exceeded (%s) during interpolation" % budget.describe()
     )
+
+
+def test_interpolation_clock_read_at_every_row(monkeypatch):
+    # the 3x3 grid's top face: 1,166 candidate monomials, each evaluation
+    # row a long step; once the clock passes the deadline, at most the row
+    # that was already under way is added
+    aset = validate_aset(3, [(1, i, j) for i in range(3) for j in range(3)])
+    passed = []
+    rows = []
+    fiber, evaluation_row = discriminant._fiber, discriminant._evaluation_row
+
+    def fiber_then_deadline(*args):
+        out = fiber(*args)
+        passed.append(len(out))
+        return out
+
+    def counted_row(*args):
+        rows.append(1)
+        return evaluation_row(*args)
+
+    monkeypatch.setattr(discriminant, "_fiber", fiber_then_deadline)
+    monkeypatch.setattr(discriminant, "_evaluation_row", counted_row)
+    fake_time = types.SimpleNamespace(monotonic=lambda: 1e9 if passed else 0.0)
+    monkeypatch.setattr(elimination, "time", fake_time)
+    with pytest.raises(BudgetExceeded, match="during interpolation"):
+        face_discriminant(aset, faces(aset)[-1], Budget(seconds=60))
+    assert passed == [1166]
+    assert len(rows) <= 1
+
+
+def test_e_a_not_multiplied_when_a_face_is_over_budget(monkeypatch):
+    # the top face runs over the term cap; the finished faces keep their
+    # rows, and no factor is raised to its exponent (50 for the edge)
+    h = 50
+    aset = validate_aset(3, [(1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0, h), (1, 1, h + 1)])
+    powers = []
+    power = IntPolynomial.__pow__
+
+    def counted_power(self, k):
+        powers.append(k)
+        return power(self, k)
+
+    monkeypatch.setattr(IntPolynomial, "__pow__", counted_power)
+    result = principal_a_determinant(aset, Budget(seconds=60, max_terms=10))
+    assert powers == []
+    assert result.e_a is None
+    assert [f.face.indices for f in result.factors if f.discriminant is None] == [(0, 1, 2, 3, 4)]
+    edge = next(f for f in result.factors if f.face.indices == (0, 1, 2))
+    assert edge.exponent == h
+    assert edge.discriminant == IntPolynomial(5, {(1, 0, 1, 0, 0): 4, (0, 2, 0, 0, 0): -1})
 
 
 def test_echelon_kernel_vector():

@@ -22,7 +22,7 @@ from gkzrank.polytope import (
     subset_volume,
     total_volume,
     validate_aset,
-    _rank_of,
+    _independent_rows,
 )
 from gkzrank.secondary import _fold_functionals
 
@@ -364,12 +364,16 @@ def integer_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
 def test_rank_by_elimination_matches_smith_normal_form(rows):
-    assert _rank_of(rows) == smith_normal_form(rows).rank
-    assert _rank_of([]) == 0
+    # a row is kept exactly when it raises the rank of the rows before it
+    ranks = [0] + [smith_normal_form(rows[: t + 1]).rank for t in range(len(rows))]
+    kept = [t for t in range(len(rows)) if ranks[t + 1] > ranks[t]]
+    assert _independent_rows(rows) == kept
+    assert _independent_rows([]) == []
 
 
 def test_rank_by_elimination_examples():
-    assert _rank_of([[0, 0], [0, 0]]) == 0
-    assert _rank_of([[2], [4], [0]]) == 1
-    assert _rank_of([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
-    assert _rank_of([[6, 4], [9, 6]]) == 1
+    assert _independent_rows([[0, 0], [0, 0]]) == []
+    assert _independent_rows([[2], [4], [0]]) == [0]
+    assert _independent_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == [0, 2]
+    assert _independent_rows([[6, 4], [9, 6]]) == [0]
+    assert _independent_rows([[0, 0], [0, 3], [1, 1], [2, 5]]) == [1, 2]
