@@ -9,19 +9,22 @@ matrix, its monomial factor stripped), and a face of dimension two or more
 the interpolation oracle: the face's multidegree is read off the K-theory
 bookkeeping of its own principal determinant, and the discriminant is the
 kernel of the matrix that evaluates the monomials of that multidegree at
-points of the dual variety, lifted from word-size primes and certified
-exactly.  Either eliminant is made primitive and stripped to its underlying
-irreducible power root.  Both oracles share the elimination budget and its
-exponent limit.  The principal A-determinant is the product of face
-discriminants raised to their K-theory rank exponents.
+points of the dual variety, eliminated modulo primes below 2^21 in rows
+packed into 64-bit slots, lifted by CRT and certified exactly.  Either
+eliminant is made primitive and stripped to its underlying irreducible
+power root.  Both oracles share the elimination budget and its exponent
+limit.  The principal A-determinant is the product of face discriminants
+raised to their K-theory rank exponents.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
+from operator import getitem, mul
 
 from .elimination import (
     _EXP_MAX,
@@ -209,11 +212,12 @@ def _interpolation_eliminant(aset: ASet, face: Face, budget: Budget | None) -> I
     the monomials of that multidegree, and it spans the polynomials there
     that vanish on ker B.  The evaluation matrix [u^beta] at sample points
     u in ker B therefore has a kernel containing Delta_B.  Its nullity
-    modulo a prime p is brought to one by adding samples; the rank over QQ
-    is at least the rank mod p, so the kernel over QQ is the line through
-    Delta_B.  The kernel vector is lifted by CRT over further primes with
-    rational reconstruction (Wang 1981) until it vanishes exactly at every
-    sample.
+    modulo a prime p below 2^21 is brought to one by adding samples, each
+    row reduced in packed 64-bit slots with one reduction mod p per row
+    (_Echelon); the rank over QQ is at least the rank mod p, so the kernel
+    over QQ is the line through Delta_B.  The kernel vector is lifted by CRT
+    over further primes with rational reconstruction (Wang 1981) until it
+    vanishes exactly at every sample.
     """
     clock = _Clock(budget or Budget())
     conf = _configuration([aset.points[i] for i in face.indices])
@@ -249,11 +253,17 @@ def _interpolation_eliminant(aset: ASet, face: Face, budget: Budget | None) -> I
             spare += 1
     free = echelon.free_column()
     residues = echelon.kernel_vector(free)
-    modulus = p
+    modulus, lifted, attempt = p, 1, 1
     while True:
-        v = _reconstruct(residues, modulus)
-        if v is not None and not any(_value(u, cands, v) for u in points):
-            return IntPolynomial(conf.n, dict(zip(cands, v)))
+        if lifted == attempt:
+            # after each of the first eight primes, then each time their
+            # number grows by an eighth: a failed attempt is a Euclid on the
+            # whole modulus, and at every prime of a lift over hundreds of
+            # primes the attempts would cost more than the lift
+            attempt += 1 + lifted // 8
+            v = _reconstruct(residues, modulus)
+            if v is not None and not any(_value(u, cands, v) for u in points):
+                return IntPolynomial(conf.n, dict(zip(cands, v)))
         q = next(primes)
         echelon = _Echelon(q, ncols)
         for u in pivots:
@@ -265,6 +275,7 @@ def _interpolation_eliminant(aset: ASet, face: Face, budget: Budget | None) -> I
         inv = pow(modulus, -1, q)
         residues = [a + modulus * ((b - a) * inv % q) for a, b in zip(residues, w)]
         modulus *= q
+        lifted += 1
 
 
 def _configuration(points) -> ASet:
@@ -351,33 +362,60 @@ def _kernel_samples(kernel):
 
 
 def _evaluation_row(u, cands, p: int) -> list[int]:
-    """[u^beta mod p for beta in cands]."""
-    return [prod(pow(x, b, p) for x, b in zip(u, beta)) % p for beta in cands]
+    """[u^beta mod p for beta in cands], read from one table of powers mod p
+    per coordinate of u, over the exponents the candidates give it."""
+    tables = [{b: pow(x, b, p) for b in set(col)} for x, col in zip(u, zip(*cands))]
+    return [prod(map(getitem, tables, beta)) % p for beta in cands]
+
+
+# primes lie below this bound, so a slot entry and a reduction factor are
+# below 2^21 and one row operation adds less than 2^42 to a 64-bit slot
+_PRIME_BOUND = 1 << 21
+_SLOT_MASK = (1 << 64) - 1
 
 
 class _Echelon:
     """The row space of a matrix mod p, in echelon form, grown one row at a
     time.  Each stored row is reduced against the rows stored before it, so
-    it is zero at their pivots and one at its own."""
+    it is zero at their pivots and one at its own.
+
+    A row is one int of 64-bit slots, column c in bits 64c to 64c + 63.  A
+    new row r is reduced against a stored row by one multiply-add,
+    r += (p - f) * prow, with f its entry at the stored pivot mod p; this
+    adds less than 2^42 to every slot.  With p < 2^21 and fewer than 2^22
+    columns, hence fewer than 2^22 stored rows, no slot reaches 2^64, so r
+    is reduced mod p once, after every stored row (delayed reduction:
+    Dumas, Giorgi and Pernet 2008)."""
 
     def __init__(self, p: int, ncols: int):
+        if p >= _PRIME_BOUND or ncols >= 1 << 22:
+            raise ValueError("64-bit slots need p < 2^21 and fewer than 2^22 columns")
         self.p = p
         self.ncols = ncols
-        self.rows: dict[int, list[int]] = {}  # pivot column -> row, in insertion order
+        self.slots = struct.Struct("<%dQ" % ncols)
+        self.rows: dict[int, int] = {}  # pivot column -> packed row, in insertion order
 
     def add(self, row) -> bool:
         """Reduce the row into the space; True when it was independent."""
         p = self.p
+        r = self._pack(row)
         for c, prow in self.rows.items():
-            f = row[c]
+            f = (r >> (c << 6) & _SLOT_MASK) % p
             if f:
-                row = [(a - f * b) % p for a, b in zip(row, prow)]
+                r += (p - f) * prow
+        row = [x % p for x in self._unpack(r)]
         col = next((c for c, x in enumerate(row) if x), None)
         if col is None:
             return False
         inv = pow(row[col], -1, p)
-        self.rows[col] = [x * inv % p for x in row]
+        self.rows[col] = self._pack([x * inv % p for x in row])
         return True
+
+    def _pack(self, row) -> int:
+        return int.from_bytes(self.slots.pack(*row), "little")
+
+    def _unpack(self, r: int):
+        return self.slots.unpack(r.to_bytes(self.slots.size, "little"))
 
     def free_column(self) -> int:
         return next(c for c in range(self.ncols) if c not in self.rows)
@@ -391,36 +429,22 @@ class _Echelon:
         v = [0] * self.ncols
         v[free] = 1
         for c, row in reversed(self.rows.items()):
-            v[c] = -sum(a * b for a, b in zip(row, v)) % p
+            v[c] = -sum(map(mul, self._unpack(row), v)) % p
         return v
 
 
+# the odd numbers from 3 to past sqrt(_PRIME_BOUND): an odd n between them and
+# _PRIME_BOUND is prime exactly when it is coprime to their product
+_ODD_FACTORS = prod(range(3, isqrt(_PRIME_BOUND) + 2, 2))
+
+
 def _primes():
-    """Primes below 2^61, descending from the Mersenne prime 2^61 - 1."""
-    n = (1 << 61) - 1
+    """Primes below 2^21 (_PRIME_BOUND), descending."""
+    n = _PRIME_BOUND - 1
     while True:
-        if _is_prime(n):
+        if gcd(n, _ODD_FACTORS) == 1:
             yield n
         n -= 2
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _reconstruct(residues, modulus: int) -> list[int] | None:

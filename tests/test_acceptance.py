@@ -325,3 +325,19 @@ def test_criterion_7_full_dimensional_circuits(a3, a3_secondary, corpus):
                     sweep += 1
         print("criterion 7 corpus: %d spanning-circuit edges checked" % sweep)
         assert sweep > 0
+
+
+# -- past the corpus ----------------------------------------------------------
+
+
+def test_seven_points_corank_four_top_face():
+    # 7 points of the corpus box, which `make_random_aset` never draws: 37
+    # triangulations, 74 edges and a top face of corank 4 whose
+    # interpolation has 240 candidate monomials, under the default budget
+    pts = [(-1, -1), (-1, 1), (-1, 2), (0, -1), (1, -1), (2, -1), (2, 1)]
+    aset = validate_aset(3, [(x, y, 1) for x, y in pts])
+    sp = secondary_polytope(aset)
+    assert (len(sp.phis), len(sp.edges)) == (37, 74)
+    report = verify_theorem(aset, sp=sp)
+    assert report.status == "pass"
+    assert newton_polytope_check(report.edet.e_a, sp).ok

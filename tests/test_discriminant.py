@@ -4,16 +4,19 @@ import tracemalloc
 import types
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, islice
+from math import gcd, isqrt, prod
 
 import pytest
 
 from gkzrank import discriminant, elimination
 from gkzrank.discriminant import (
+    _PRIME_BOUND,
     MultiplicityError,
     _Echelon,
+    _evaluation_row,
     _irreducible_core,
+    _primes,
     _resultant_eliminant,
     circuit_discriminant,
     edge_restriction_check,
@@ -30,6 +33,7 @@ from gkzrank.secondary import Circuit, edge_data
 
 from buchberger import _groebner_eliminant
 from conftest import make_random_aset, singular_point_vector
+from echelon_reference import ListEchelon
 from test_elimination import QUARTIC_DISCRIMINANT
 
 
@@ -306,6 +310,24 @@ def test_interpolation_circuits_with_large_coefficients(points):
     assert face_discriminant(aset, faces(aset)[-1]) == expected.primitive_part()
 
 
+def test_interpolation_reconstruction_attempts_are_spaced(monkeypatch):
+    # 3,069-bit coefficients take a lift over about 290 primes below 2^21;
+    # reconstruction is tried after each of the first eight and then each
+    # time their number grows by an eighth, about 35 attempts in all
+    aset = validate_aset(3, [(x, y, 1) for x, y in [(0, 0), (1, 0), (0, 1), (300, 301)]])
+    attempts = []
+    reconstruct = discriminant._reconstruct
+
+    def counted(*args):
+        attempts.append(1)
+        return reconstruct(*args)
+
+    monkeypatch.setattr(discriminant, "_reconstruct", counted)
+    expected = circuit_discriminant(Circuit.from_points(aset, range(4)), 4)
+    assert face_discriminant(aset, faces(aset)[-1]) == expected.primitive_part()
+    assert len(attempts) <= 40
+
+
 @pytest.mark.parametrize("budget", [Budget(seconds=0.0), Budget(max_terms=1)])
 def test_interpolation_budget(f2, budget):
     with pytest.raises(BudgetExceeded) as err:
@@ -383,6 +405,75 @@ def test_echelon_kernel_vector():
             assert v[free] == 1
             for row in added:
                 assert sum(a * b for a, b in zip(row, v)) % p == 0, (row, v)
+
+
+def _echelon_rows(rng, p, ncols):
+    """An endless stream of rows mod p: random rows, rows that are all
+    p - 1 or nearly so (the most slot headroom a row operation uses), and
+    sums of earlier rows, which are dependent."""
+    row = [p - 1] * ncols
+    added = []
+    while True:
+        added.append(row)
+        yield row
+        kind = rng.randrange(3)
+        if kind == 0:
+            row = [rng.randrange(p) for _ in range(ncols)]
+        elif kind == 1:
+            row = [p - 1 if rng.random() < 0.8 else rng.randrange(p) for _ in range(ncols)]
+        else:
+            a, b = rng.choice(added), rng.choice(added)
+            row = [(x + y) % p for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("p", [7, next(_primes())])
+def test_packed_echelon_matches_list_reference(p):
+    rng = random.Random(p)
+    for ncols in list(range(1, 13)) + [40, 97, 150]:
+        packed, listed = _Echelon(p, ncols), ListEchelon(p, ncols)
+        for row in _echelon_rows(rng, p, ncols):
+            assert packed.add(row) == listed.add(row)
+            assert list(packed.rows) == list(listed.rows)
+            if len(listed.rows) >= ncols - 1:
+                break
+        assert [list(packed._unpack(r)) for r in packed.rows.values()] == list(
+            listed.rows.values()
+        )
+        if ncols > 1:
+            free = listed.free_column()
+            assert packed.free_column() == free
+            assert packed.kernel_vector(free) == listed.kernel_vector(free)
+
+
+@pytest.mark.parametrize("p", [7, next(_primes())])
+def test_evaluation_row_reads_power_tables(p):
+    rng = random.Random(p + 1)
+    for nvars in (1, 3, 6):
+        cands = [tuple(rng.randrange(12) for _ in range(nvars)) for _ in range(40)]
+        for _ in range(5):
+            u = tuple(rng.choice([0, rng.randint(-200, 200)]) for _ in range(nvars))
+            assert _evaluation_row(u, cands, p) == [
+                prod(pow(x, b, p) for x, b in zip(u, beta)) % p for beta in cands
+            ]
+
+
+def test_primes_descend_through_the_primes_below_the_bound():
+    got = list(islice(_primes(), 300))
+    assert got == [
+        n
+        for n in range(_PRIME_BOUND - 1, got[-1] - 1, -2)
+        if all(n % d for d in range(3, isqrt(n) + 1, 2))
+    ]
+
+
+def test_echelon_refuses_slot_overflow():
+    p = next(_primes())
+    assert p < _PRIME_BOUND == 1 << 21
+    _Echelon(p, (1 << 22) - 1)
+    with pytest.raises(ValueError):
+        _Echelon(_PRIME_BOUND, 3)
+    with pytest.raises(ValueError):
+        _Echelon(p, 1 << 22)
 
 
 def test_interpolation_budget_wide_face():
