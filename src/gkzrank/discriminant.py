@@ -10,11 +10,12 @@ the interpolation oracle: the face's multidegree is read off the K-theory
 bookkeeping of its own principal determinant, and the discriminant is the
 kernel of the matrix that evaluates the monomials of that multidegree at
 points of the dual variety, eliminated modulo primes below 2^21 in rows
-packed into 64-bit slots, lifted by CRT and certified exactly.  Either
-eliminant is made primitive and stripped to its underlying irreducible
-power root.  Both oracles share the elimination budget and its exponent
-limit.  The principal A-determinant is the product of face discriminants
-raised to their K-theory rank exponents.
+packed into 64-bit slots, lifted by CRT and certified exactly.  Both
+oracles read the face in the lattice its points generate, so either
+eliminant is the irreducible discriminant up to its content and sign,
+which primitive_part removes.  Both oracles share the elimination budget
+and its exponent limit.  The principal A-determinant is the product of
+face discriminants raised to their K-theory rank exponents.
 """
 
 from __future__ import annotations
@@ -112,10 +113,11 @@ def face_discriminant(
 
     Vertices give their own coordinate variable; simplex faces (and any face
     whose dual variety has codimension above one) give the constant 1.
-    One-dimensional faces are eliminated by a resultant, higher faces by
-    interpolation.  Raises BudgetExceeded when the oracle runs out of budget
-    and ExponentOverflow when a local exponent exceeds the elimination
-    limit.
+    One-dimensional faces are eliminated by a resultant on their exponents
+    divided by their gcd, their coordinates in the lattice the face's
+    points generate; higher faces by interpolation.  Raises BudgetExceeded
+    when the oracle runs out of budget and ExponentOverflow when a local
+    exponent, read in saturated coordinates, exceeds the elimination limit.
     """
     n = aset.n
     idx = face.indices
@@ -131,21 +133,23 @@ def face_discriminant(
             if x > _EXP_MAX:
                 raise ExponentOverflow(x)
     if len(exps[0]) == 1:
-        h = _resultant_eliminant(exps, budget)
+        g = gcd(*(e for (e,) in exps))
+        h = _resultant_eliminant([(e // g,) for (e,) in exps], budget)
     else:
         h = _interpolation_eliminant(aset, face, budget)
-    return _irreducible_core(h).embed(n, list(idx))
+    return h.primitive_part().embed(n, list(idx))
 
 
 def _resultant_eliminant(exps, budget: Budget | None) -> IntPolynomial:
     """Res(f, f') for f = sum_j a_j x^(e_j), its monomial factor stripped.
 
-    For a one-dimensional configuration this is the classical discriminant
-    restricted to the sparse family, times powers of the coefficients of the
-    two end monomials (GKZ 1994, ch. 12).  The Sylvester matrix is held as
-    sparse rows, column -> entry, with column c the coefficient of
-    x^(2N-2-c), and its determinant is taken by fraction-free (Bareiss)
-    elimination, every division exact.
+    When the exponents have gcd 1, f has a single double root at a generic
+    point of the discriminant, and this is the discriminant of the
+    one-dimensional configuration up to a constant (GKZ 1994, ch. 12); with
+    gcd g the double roots come in groups of g and it is a g-th power.
+    The Sylvester matrix is held as sparse rows, column -> entry, with
+    column c the coefficient of x^(2N-2-c), and its determinant is taken by
+    fraction-free (Bareiss) elimination, every division exact.
     """
     degrees = [e for (e,) in exps]
     clock = _Clock(budget or Budget())
@@ -465,28 +469,6 @@ def _reconstruct(residues, modulus: int) -> list[int] | None:
     return [r * (den // s) for r, s in fracs]
 
 
-def _irreducible_core(h: IntPolynomial) -> IntPolynomial:
-    """The primitive, sign-normalized irreducible whose power h is; the
-    constant 1 when h is a constant."""
-    h = h.primitive_part()
-    if h.is_constant():
-        return IntPolynomial.constant(h.nvars, 1)
-    return _power_root(h).sign_normalized()
-
-
-def _power_root(h: IntPolynomial) -> IntPolynomial:
-    """Strip h = c * p^m down to p; the eliminant of an irreducible dual
-    variety is always a power of a single irreducible."""
-    g = gcd(*h.lead_exponent(), *h.trail_exponent())
-    for m in range(g, 1, -1):
-        if g % m:
-            continue
-        root = h.nth_root(m)
-        if root is not None:
-            return root
-    return h
-
-
 @dataclass(frozen=True)
 class FaceFactor:
     """A face's discriminant, raised in E_A to the face's rank u * i."""
@@ -538,7 +520,7 @@ def principal_a_determinant(aset: ASet, budget: Budget | None = None) -> EDetRes
     for row in rows:
         if row.exponent:
             product = product * row.discriminant**row.exponent
-    return EDetResult(factors=tuple(rows), e_a=product.sign_normalized())
+    return EDetResult(factors=tuple(rows), e_a=product)
 
 
 def multiplicity(

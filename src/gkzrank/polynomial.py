@@ -184,17 +184,6 @@ class IntPolynomial:
     def content(self) -> int:
         return gcd(*self._packed.values())
 
-    def lead_exponent(self) -> Exponent:
-        """Lexicographically largest exponent vector."""
-        if not self._packed:
-            raise PolynomialError("zero polynomial has no leading term")
-        return self._exponents([max(self._packed)])[0]
-
-    def trail_exponent(self) -> Exponent:
-        if not self._packed:
-            raise PolynomialError("zero polynomial has no trailing term")
-        return self._exponents([min(self._packed)])[0]
-
     def primitive_part(self) -> "IntPolynomial":
         """Content-free copy with positive lex-leading coefficient."""
         if not self._packed:
@@ -268,43 +257,6 @@ class IntPolynomial:
                     del rem[k]
         return self._new(quot)
 
-    def nth_root(self, m: int) -> "IntPolynomial | None":
-        """The exact m-th root, or None when self is not an m-th power."""
-        if m <= 0:
-            raise PolynomialError("root order must be positive")
-        if m == 1 or self.is_zero():
-            return self
-        lead = max(self._packed)
-        if any(x % m for x in self._exponents([lead])[0]):
-            return None
-        root_c = _int_nth_root(self._packed[lead], m)
-        if root_c is None:
-            return None
-        # every field of lead is a multiple of m, so lead // m is the packed
-        # root monomial, and (m - 1) times it stays within its fields
-        lead_r = lead // m
-        denom = lead_r * (m - 1)
-        guard = _layout(self.nvars)[0]
-        root = self._new({lead_r: root_c})
-        # peel terms in lex order: the next-highest term of self - root^m
-        # determines the next term of the root
-        for _ in range(len(self._packed) * m + 2):
-            try:
-                diff = self - root**m
-            except PolynomialError:  # root^m outgrew self's exponents
-                return None
-            if diff.is_zero():
-                return root
-            t = max(diff._packed)
-            q = (t | guard) - denom
-            if q & guard != guard or q ^ guard >= lead_r:
-                return None
-            c, r = divmod(diff._packed[t], m * root_c ** (m - 1))
-            if r != 0:
-                return None
-            root = root + self._new({q ^ guard: c})
-        return None
-
     def embed(self, nvars: int, positions) -> "IntPolynomial":
         """Place variable i of self at positions[i] in a wider variable set."""
         positions = list(positions)
@@ -374,33 +326,14 @@ def _value(values, exponents, coeffs):
     return sum(c * prod(map(pow, values, e)) for e, c in zip(exponents, coeffs))
 
 
-def _int_nth_root(value: int, m: int) -> int | None:
-    """The integer r with r^m = value, or None."""
-    if value < 0:
-        r = _int_nth_root(-value, m) if m % 2 else None
-        return None if r is None else -r
-    if value in (0, 1):
-        return value
-    lo, hi = 1, 1
-    while hi**m < value:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**m < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**m == value else None
-
-
 def match_power(value: IntPolynomial, base: IntPolynomial) -> int | None:
     """The k >= 0 with value = +-base^k after both are made primitive.
 
     Both inputs are reduced to their monomial-free, content-free, sign
     normalized cores before matching; None when no power fits.
     """
-    core = value.strip_monomial().primitive_part().sign_normalized()
-    b = base.strip_monomial().primitive_part().sign_normalized()
+    core = value.strip_monomial().primitive_part()
+    b = base.strip_monomial().primitive_part()
     if core.is_constant():
         return 0 if abs(core._packed.get(0, 0)) == 1 else None
     if b.is_constant():

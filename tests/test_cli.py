@@ -74,6 +74,7 @@ def test_exit_code_invalid_inputs(tmp_path):
         ({"dim": 2, "points": 5}, "malformed points"),
         ({"dim": 2, "points": [5, 6]}, "malformed points"),
         ({"name": [1], "dim": 2, "points": [[1, 0], [1, 1]]}, '"name" must be a string'),
+        ({"points": [[1, 0], [1, 1]]}, 'malformed document: need {"dim": .., "points": ..}'),
     ]:
         path = tmp_path / "coerced.json"
         path.write_text(json.dumps(doc))
@@ -101,6 +102,20 @@ def test_exit_code_budget():
     assert code == 3
     assert "BUDGET EXCEEDED" in out
     assert "incomplete" in out
+    code, out, _ = run_cli(["edet", "a3", "--terms", "1"])
+    assert code == 3
+    assert "BUDGET EXCEEDED" in out
+
+
+def test_verify_budget_skips_every_edge():
+    code, out, _ = run_cli(["verify", "a3", "--budget", "0"])
+    assert code == 3
+    lines = out.splitlines()
+    edges = [line for line in lines if line.startswith("  edge ")]
+    assert edges
+    for line in edges:
+        assert line.endswith(": SKIPPED (face discriminants over budget: (0, 1, 2, 3, 4))")
+    assert lines[-1] == "status: budget"
 
 
 @pytest.mark.parametrize(
@@ -180,14 +195,23 @@ def test_golden_edge_outputs(name, pair):
     assert out == expected
 
 
-def test_golden_line6_edet(tmp_path):
-    # six consecutive points on a line: the dense quintic discriminant
-    doc = {"dim": 2, "points": [[1, e] for e in range(6)], "name": "line6"}
-    path = tmp_path / "line6.json"
+def assert_golden_edet(tmp_path, doc):
+    path = tmp_path / ("%s.json" % doc["name"])
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli(["edet", str(path), "--json"])
     assert code == 0
-    assert out == (GOLDEN / "line6_edet.json").read_text()
+    assert out == (GOLDEN / ("%s_edet.json" % doc["name"])).read_text()
+
+
+def test_golden_line6_edet(tmp_path):
+    # six consecutive points on a line: the dense quintic discriminant
+    assert_golden_edet(tmp_path, {"dim": 2, "points": [[1, e] for e in range(6)], "name": "line6"})
+
+
+def test_golden_gap3_edet(tmp_path):
+    # an edge with exponents 0, 3, 6, 9: its discriminant is that of 0, 1, 2, 3
+    points = [[1, 0, 0], [1, 3, 0], [1, 6, 0], [1, 9, 0], [1, 0, 1], [1, 1, 1]]
+    assert_golden_edet(tmp_path, {"dim": 3, "points": points, "name": "gap3"})
 
 
 def test_report_round_trip(kp2):

@@ -15,7 +15,6 @@ from gkzrank.discriminant import (
     MultiplicityError,
     _Echelon,
     _evaluation_row,
-    _irreducible_core,
     _primes,
     _resultant_eliminant,
     circuit_discriminant,
@@ -149,8 +148,8 @@ RESULTANT_VS_BUCHBERGER = [
 @pytest.mark.parametrize("pattern", RESULTANT_VS_BUCHBERGER)
 def test_resultant_matches_buchberger(pattern):
     exps = [(e,) for e in pattern]
-    by_resultant = _irreducible_core(_resultant_eliminant(exps, None))
-    by_buchberger = _irreducible_core(_groebner_eliminant(exps, None))
+    by_resultant = _resultant_eliminant(exps, None).primitive_part()
+    by_buchberger = _groebner_eliminant(exps, None).primitive_part()
     assert by_resultant == by_buchberger
     aset, top = line(pattern)
     assert face_discriminant(aset, top) == by_resultant
@@ -203,9 +202,33 @@ def test_resultant_budget_wide_face():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("pattern", [(0, 1, 2), (0, 1, 3), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5)])
+@pytest.mark.parametrize("g", [2, 3])
+def test_gapped_edge_is_read_in_the_lattice_it_generates(g, pattern, monkeypatch):
+    # on the edge with exponents g * pattern, f(x) = h(x^g) and Res(f, f')
+    # is a g-th power: the resultant must run on the exponents divided by g,
+    # with the answer and the work of the gcd-1 pattern
+    checks = []
+    check = elimination._Clock.check
+
+    def counted(self, *args):
+        checks.append(args)
+        return check(self, *args)
+
+    monkeypatch.setattr(elimination._Clock, "check", counted)
+    aset = validate_aset(3, [(1, g * e, 0) for e in pattern] + [(1, 0, 1), (1, 1, 1)])
+    edge = face_by_indices(aset, range(len(pattern)))
+    disc = face_discriminant(aset, edge)
+    edge_checks = len(checks)
+    checks.clear()
+    reduced, top = line(pattern)
+    assert disc == face_discriminant(reduced, top).embed(aset.n, edge.indices)
+    assert edge_checks == len(checks)
+
+
 def buchberger_face_discriminant(aset, face):
     exps = face_local_exponents(aset, face)
-    return _irreducible_core(_groebner_eliminant(exps, None)).embed(aset.n, face.indices)
+    return _groebner_eliminant(exps, None).primitive_part().embed(aset.n, face.indices)
 
 
 def assert_interpolation_matches_buchberger(aset):

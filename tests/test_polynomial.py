@@ -74,16 +74,6 @@ def test_exact_division():
     assert (p + one).exact_div(x + 2 * y) is None
 
 
-def test_nth_root():
-    x = IntPolynomial.variable(3, 0)
-    y = IntPolynomial.variable(3, 1)
-    z = IntPolynomial.variable(3, 2)
-    base = 2 * x + 3 * y - z + IntPolynomial.constant(3, 5)
-    assert (base ** 4).nth_root(4) == base
-    assert (base ** 3).nth_root(3) == base
-    assert (base ** 3).nth_root(2) is None
-
-
 def test_match_power():
     delta = poly(5, {(0, 1, 0, 1, 0): 4, (0, 0, 2, 0, 0): -1})
     mono = poly(5, {(1, 0, 0, 0, 1): 3})
@@ -193,17 +183,6 @@ def test_packed_arithmetic_matches_the_tuple_reference(p, q, k, w):
         assert (p * q).exact_div(q) == p
         assert q.strip_monomial().terms == ref.strip_monomial(b)
         assert q.leading_form(w).terms == ref.leading_form(b, w)
-
-
-@settings(max_examples=120, deadline=None)
-@given(polys3, st.integers(min_value=2, max_value=4))
-def test_packed_nth_root_matches_the_tuple_reference(p, m):
-    if p.is_zero():
-        return
-    root = IntPolynomial(3, ref.power(p.terms, m, 3)).nth_root(m)
-    assert root is not None and root.terms in (p.terms, (-p).terms)
-    guess = p.nth_root(m)
-    assert guess is None or ref.power(guess.terms, m, 3) == p.terms
 
 
 @pytest.mark.parametrize(
