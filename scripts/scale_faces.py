@@ -7,9 +7,9 @@ Usage: python scripts/scale_faces.py
 Each configuration is drawn by random.Random(7) as sorted(rng.sample(box,
 rng.randint(7, 8))) over the box of `make_random_aset` (points (x, y, 1)
 with -1 <= x, y <= 2), redrawn while validate_aset refuses it.  Each top
-face gets the default Budget and one line: the number of candidate
-monomials, the seconds its discriminant took, `ok` or `over budget`, and
-the discriminant's term count.
+face gets its own clock on the default Budget, and one line: the number of
+candidate monomials, the seconds its discriminant took, `ok` or `over
+budget`, and the discriminant's term count.
 """
 
 import random
@@ -43,7 +43,7 @@ def main():
         ncands = len(_fiber(conf, _multidegree(conf, conf.points), _Clock(Budget())))
         start = time.monotonic()
         try:
-            terms = len(face_discriminant(aset, top, Budget()).terms)
+            terms = len(face_discriminant(aset, top).terms)
             status = "ok"
         except BudgetExceeded:
             terms = "-"

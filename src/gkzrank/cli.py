@@ -21,7 +21,6 @@ from .elimination import (
     BudgetExceeded,
     ExponentOverflow,
     InvalidBudget,
-    default_budget_seconds,
     parse_seconds,
 )
 from .ktheory import verify_theorem
@@ -73,8 +72,7 @@ def _load_aset(path: str):
 
 
 def _budget(args) -> Budget:
-    seconds = default_budget_seconds() if args.budget is None else args.budget
-    return Budget(seconds=seconds, max_terms=args.terms)
+    return Budget(seconds=args.budget)
 
 
 def _emit(args, text_lines, json_payload) -> None:
@@ -298,26 +296,14 @@ def _seconds(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
-    return value
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
         "--budget",
         type=_seconds,
         default=None,
-        help="oracle budget in seconds (default GKZ_BUDGET_SECS or 60)",
-    )
-    parser.add_argument(
-        "--terms",
-        type=_positive_int,
-        default=None,
-        help="cap on intermediate polynomial terms",
+        help="seconds for all face discriminants of the command together "
+        "(default GKZ_BUDGET_SECS or 60)",
     )
 
 

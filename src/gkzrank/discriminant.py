@@ -13,8 +13,8 @@ points of the dual variety, eliminated modulo primes below 2^21 in rows
 packed into 64-bit slots, lifted by CRT and certified exactly.  Both
 oracles read the face in the lattice its points generate, so either
 eliminant is the irreducible discriminant up to its content and sign,
-which primitive_part removes.  Both oracles share the elimination budget
-and its exponent limit.  The principal A-determinant is the product of
+which primitive_part removes.  Both oracles poll one budget clock and
+share its exponent limit.  The principal A-determinant is the product of
 face discriminants raised to their K-theory rank exponents.
 """
 
@@ -106,9 +106,7 @@ def face_local_exponents(aset: ASet, face: Face):
     return [tuple(x - lo for x, lo in zip(e, lows)) for e in exps]
 
 
-def face_discriminant(
-    aset: ASet, face: Face, budget: Budget | None = None
-) -> IntPolynomial:
+def face_discriminant(aset: ASet, face: Face, clock: _Clock | None = None) -> IntPolynomial:
     """The discriminant of the face configuration, in the global a-variables.
 
     Vertices give their own coordinate variable; simplex faces (and any face
@@ -116,8 +114,8 @@ def face_discriminant(
     One-dimensional faces are eliminated by a resultant on their exponents
     divided by their gcd, their coordinates in the lattice the face's
     points generate; higher faces by interpolation.  Raises BudgetExceeded
-    when the oracle runs out of budget and ExponentOverflow when a local
-    exponent, read in saturated coordinates, exceeds the elimination limit.
+    when the clock runs out and ExponentOverflow when a local exponent, read
+    in saturated coordinates, exceeds the elimination limit.
     """
     n = aset.n
     idx = face.indices
@@ -132,15 +130,16 @@ def face_discriminant(
         for x in e:
             if x > _EXP_MAX:
                 raise ExponentOverflow(x)
+    clock = clock or _Clock(Budget())
     if len(exps[0]) == 1:
         g = gcd(*(e for (e,) in exps))
-        h = _resultant_eliminant([(e // g,) for (e,) in exps], budget)
+        h = _resultant_eliminant([(e // g,) for (e,) in exps], clock)
     else:
-        h = _interpolation_eliminant(aset, face, budget)
+        h = _interpolation_eliminant(aset, face, clock)
     return h.primitive_part().embed(n, list(idx))
 
 
-def _resultant_eliminant(exps, budget: Budget | None) -> IntPolynomial:
+def _resultant_eliminant(exps, clock: _Clock) -> IntPolynomial:
     """Res(f, f') for f = sum_j a_j x^(e_j), its monomial factor stripped.
 
     When the exponents have gcd 1, f has a single double root at a generic
@@ -152,7 +151,6 @@ def _resultant_eliminant(exps, budget: Budget | None) -> IntPolynomial:
     fraction-free (Bareiss) elimination, every division exact.
     """
     degrees = [e for (e,) in exps]
-    clock = _Clock(budget or Budget())
     k = len(degrees)
     top = max(degrees)
     last = 2 * top - 2
@@ -193,7 +191,7 @@ def _exact(p: IntPolynomial, d: IntPolynomial, clock: _Clock) -> IntPolynomial:
     q = p.exact_div(d)
     if q is None:
         raise OracleError("inexact Bareiss division")
-    clock.check(len(q), "resultant")
+    clock.check("resultant")
     return q
 
 
@@ -203,7 +201,7 @@ _SPARE_SAMPLES = 2
 _SAMPLE_RANGE = 64
 
 
-def _interpolation_eliminant(aset: ASet, face: Face, budget: Budget | None) -> IntPolynomial:
+def _interpolation_eliminant(aset: ASet, face: Face, clock: _Clock) -> IntPolynomial:
     """The discriminant of a face of dimension two or more, by interpolation
     on points of its dual variety, in the face-local a-variables.
 
@@ -223,7 +221,7 @@ def _interpolation_eliminant(aset: ASet, face: Face, budget: Budget | None) -> I
     over further primes with rational reconstruction (Wang 1981) until it
     vanishes exactly at every sample.
     """
-    clock = _Clock(budget or Budget())
+    clock.check("interpolation")  # the multidegree below is a unit of work
     conf = _configuration([aset.points[i] for i in face.indices])
     target = _multidegree(conf, conf.points)
     if not any(target):
@@ -248,7 +246,7 @@ def _interpolation_eliminant(aset: ASet, face: Face, budget: Budget | None) -> I
             raise OracleError("evaluation matrix keeps a kernel of dimension above one")
         u = next(samples)
         points.append(u)
-        clock.check(ncols, "interpolation")
+        clock.check("interpolation")
         if echelon.add(_evaluation_row(u, cands, p)):
             if len(pivots) == ncols - 1:
                 raise OracleError("no candidate polynomial vanishes on the dual variety")
@@ -271,7 +269,7 @@ def _interpolation_eliminant(aset: ASet, face: Face, budget: Budget | None) -> I
         q = next(primes)
         echelon = _Echelon(q, ncols)
         for u in pivots:
-            clock.check(ncols, "interpolation")
+            clock.check("interpolation")
             echelon.add(_evaluation_row(u, cands, q))
         if len(echelon.rows) != ncols - 1 or echelon.free_column() != free:
             continue  # q divides a pivot minor
@@ -336,7 +334,7 @@ def _fiber(conf: ASet, target, clock: _Clock):
     beta = [0] * conf.n
 
     def walk(pos, left, acc):
-        clock.check(len(out), "interpolation")
+        clock.check("interpolation")
         if pos < len(free):
             step = steps[pos]
             for b in range(left + 1):
@@ -500,15 +498,16 @@ def principal_a_determinant(aset: ASet, budget: Budget | None = None) -> EDetRes
     """E_A as the product over non-empty faces of face discriminants raised
     to their K-theory rank exponents, with a per-face report.
 
-    Budget failures are captured per face; the product is multiplied only
-    once every face has its discriminant, so a face over budget leaves E_A
-    unmultiplied.
+    One clock, started here, bounds every face oracle.  A face over budget is
+    captured in its row and leaves E_A unmultiplied, since the product is
+    taken only once every face has its discriminant.
     """
+    clock = _Clock(budget or Budget())
     rows = []
     for face in faces(aset):
         row = rank_k0_face(aset, face)
         try:
-            delta = face_discriminant(aset, face, budget)
+            delta = face_discriminant(aset, face, clock)
             err = None
         except BudgetExceeded as exc:
             delta = None

@@ -1,14 +1,14 @@
 """The budget clock and exponent limit shared by the face oracles.
 
-A Budget is a wall-clock limit and an optional cap on the size of the
-oracle's intermediate work (the terms of a polynomial in a resultant, the
-candidate monomials of an interpolation).  The oracle polls a _Clock built
-from it, and the clock is read at every check: each check guards a whole
-unit of work (a Bareiss cell update, a fiber node, an evaluation row), so a
-face runs at most one such unit past its time limit.  Exceeding either limit
-raises BudgetExceeded with the budget and the stage echoed in the message.
-The time limit defaults to 60 s, or to GKZ_BUDGET_SECS when that is set.  A
-face-local exponent above _EXP_MAX raises ExponentOverflow.
+A Budget is a wall-clock limit on all the face oracles of a command:
+principal_a_determinant turns it into one _Clock that every face oracle
+polls, so a face reached after the deadline is over budget at its first
+check.  The clock is read at every check, each guarding a whole unit of
+work (a Bareiss cell update, a fiber node, an evaluation row), so the
+oracles run at most one such unit past the limit, then raise
+BudgetExceeded, which echoes the budget and the stage.  The limit defaults
+to 60 s, or to GKZ_BUDGET_SECS when set.  A face-local exponent above
+_EXP_MAX raises ExponentOverflow.
 """
 
 from __future__ import annotations
@@ -50,16 +50,12 @@ def default_budget_seconds() -> float:
 @dataclass(frozen=True)
 class Budget:
     seconds: float | None = None
-    max_terms: int | None = None
 
     def effective_seconds(self) -> float:
         return default_budget_seconds() if self.seconds is None else self.seconds
 
     def describe(self) -> str:
-        parts = ["%gs" % self.effective_seconds()]
-        if self.max_terms is not None:
-            parts.append("%d terms" % self.max_terms)
-        return ", ".join(parts)
+        return "%gs" % self.effective_seconds()
 
 
 class BudgetExceeded(RuntimeError):
@@ -84,14 +80,12 @@ class ExponentOverflow(ValueError):
 
 
 class _Clock:
-    __slots__ = ("budget", "deadline", "max_terms")
+    __slots__ = ("budget", "deadline")
 
     def __init__(self, budget: Budget):
         self.budget = budget
         self.deadline = time.monotonic() + budget.effective_seconds()
-        self.max_terms = budget.max_terms
 
-    def check(self, nterms: int = 0, stage: str = "reduction"):
-        over_terms = self.max_terms is not None and nterms > self.max_terms
-        if over_terms or time.monotonic() >= self.deadline:
+    def check(self, stage: str):
+        if time.monotonic() >= self.deadline:
             raise BudgetExceeded(self.budget, stage)

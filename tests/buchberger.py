@@ -102,7 +102,7 @@ def _normal_form(p: dict, basis, clock, guard_mask) -> dict:
     p = dict(p)
     scaled = 0
     while p:
-        clock.check(len(p))
+        clock.check("reduction")
         if scaled >= 8:
             g_all = 0
             for c in p.values():
@@ -176,7 +176,7 @@ def _spoly(fe, ge, lcm_word, clock) -> dict:
             s[key] = d
         else:
             s.pop(key, None)
-    clock.check(len(s), "s-polynomial")
+    clock.check("s-polynomial")
     return _primitive(s)
 
 
@@ -273,7 +273,7 @@ def groebner_basis_packed(polys, n_elim: int, nvars: int, budget: Budget | None 
             state.add(nf)
 
     while state.pairs:
-        clock.check(0, "pair selection")
+        clock.check("pair selection")
         _, lcm_word, i, j = heappop(state.pairs)
         if (i, j) not in state.alive:
             continue

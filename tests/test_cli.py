@@ -102,9 +102,13 @@ def test_exit_code_budget():
     assert code == 3
     assert "BUDGET EXCEEDED" in out
     assert "incomplete" in out
-    code, out, _ = run_cli(["edet", "a3", "--terms", "1"])
-    assert code == 3
-    assert "BUDGET EXCEEDED" in out
+
+
+def test_terms_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["edet", "a3", "--terms", "1"])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --terms 1" in capsys.readouterr().err
 
 
 def test_verify_budget_skips_every_edge():
@@ -119,7 +123,7 @@ def test_verify_budget_skips_every_edge():
 
 
 @pytest.mark.parametrize(
-    "flags", [["--budget", "nan"], ["--budget", "-1"], ["--terms", "0"]]
+    "flags", [["--budget", "nan"], ["--budget", "-1"]]
 )
 def test_exit_code_bad_budget_flags(flags, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -25,7 +25,7 @@ from gkzrank.discriminant import (
     newton_polytope_check,
     principal_a_determinant,
 )
-from gkzrank.elimination import Budget, BudgetExceeded
+from gkzrank.elimination import Budget, BudgetExceeded, _Clock
 from gkzrank.polynomial import IntPolynomial
 from gkzrank.polytope import faces, validate_aset
 from gkzrank.secondary import Circuit, edge_data
@@ -116,7 +116,7 @@ def test_face_discriminant_f2(f2):
 def test_face_discriminant_budget(a3):
     q = face_by_indices(a3, (0, 1, 2, 3, 4))
     with pytest.raises(BudgetExceeded):
-        face_discriminant(a3, q, Budget(seconds=0.0))
+        face_discriminant(a3, q, _Clock(Budget(seconds=0.0)))
 
 
 def line(exponents):
@@ -148,7 +148,7 @@ RESULTANT_VS_BUCHBERGER = [
 @pytest.mark.parametrize("pattern", RESULTANT_VS_BUCHBERGER)
 def test_resultant_matches_buchberger(pattern):
     exps = [(e,) for e in pattern]
-    by_resultant = _resultant_eliminant(exps, None).primitive_part()
+    by_resultant = _resultant_eliminant(exps, _Clock(Budget())).primitive_part()
     by_buchberger = _groebner_eliminant(exps, None).primitive_part()
     assert by_resultant == by_buchberger
     aset, top = line(pattern)
@@ -175,12 +175,12 @@ def test_resultant_vanishes_on_dual_variety(pattern):
     assert disc.evaluate([3, -1, 4, 1, -5, 9, 2]) != 0
 
 
-@pytest.mark.parametrize("budget", [Budget(seconds=0.0), Budget(max_terms=1)])
+@pytest.mark.parametrize("budget", [Budget(seconds=0.0)])
 def test_resultant_budget_three_points(budget):
     # three cell updates: the clock is read on the first check
     aset, top = line((0, 1, 2))
     with pytest.raises(BudgetExceeded) as err:
-        face_discriminant(aset, top, budget)
+        face_discriminant(aset, top, _Clock(budget))
     assert str(err.value) == (
         "elimination budget exceeded (%s) during resultant" % budget.describe()
     )
@@ -194,7 +194,7 @@ def test_resultant_budget_wide_face():
     start = time.monotonic()
     try:
         with pytest.raises(BudgetExceeded):
-            face_discriminant(aset, top, Budget(seconds=0.5))
+            face_discriminant(aset, top, _Clock(Budget(seconds=0.5)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,10 +351,10 @@ def test_interpolation_reconstruction_attempts_are_spaced(monkeypatch):
     assert len(attempts) <= 40
 
 
-@pytest.mark.parametrize("budget", [Budget(seconds=0.0), Budget(max_terms=1)])
+@pytest.mark.parametrize("budget", [Budget(seconds=0.0)])
 def test_interpolation_budget(f2, budget):
     with pytest.raises(BudgetExceeded) as err:
-        face_discriminant(f2, faces(f2)[-1], budget)
+        face_discriminant(f2, faces(f2)[-1], _Clock(budget))
     assert str(err.value) == (
         "elimination budget exceeded (%s) during interpolation" % budget.describe()
     )
@@ -383,25 +383,68 @@ def test_interpolation_clock_read_at_every_row(monkeypatch):
     fake_time = types.SimpleNamespace(monotonic=lambda: 1e9 if passed else 0.0)
     monkeypatch.setattr(elimination, "time", fake_time)
     with pytest.raises(BudgetExceeded, match="during interpolation"):
-        face_discriminant(aset, faces(aset)[-1], Budget(seconds=60))
+        face_discriminant(aset, faces(aset)[-1], _Clock(Budget(seconds=60)))
     assert passed == [1166]
     assert len(rows) <= 1
 
 
+def test_one_clock_bounds_every_face(f2, monkeypatch):
+    # the deadline passes as f2's first oracle face, the edge (1, 2, 3),
+    # starts: that face and every later one, the top face included, are
+    # over budget at their first check, and the top face's fiber is never
+    # walked
+    passed = []
+    fibers = []
+    resultant, fiber = discriminant._resultant_eliminant, discriminant._fiber
+
+    def resultant_then_deadline(*args):
+        passed.append(1)
+        return resultant(*args)
+
+    def counted_fiber(*args):
+        fibers.append(1)
+        return fiber(*args)
+
+    monkeypatch.setattr(discriminant, "_resultant_eliminant", resultant_then_deadline)
+    monkeypatch.setattr(discriminant, "_fiber", counted_fiber)
+    fake_time = types.SimpleNamespace(monotonic=lambda: 1e9 if passed else 0.0)
+    monkeypatch.setattr(elimination, "time", fake_time)
+    result = principal_a_determinant(f2, Budget(seconds=60))
+    assert result.e_a is None
+    over = {f.face.indices: f.error for f in result.factors if f.discriminant is None}
+    assert over == {
+        (1, 2, 3): "elimination budget exceeded (60s) during resultant",
+        (0, 1, 2, 3, 4): "elimination budget exceeded (60s) during interpolation",
+    }
+    assert passed == [1]
+    assert fibers == []
+
+
 def test_e_a_not_multiplied_when_a_face_is_over_budget(monkeypatch):
-    # the top face runs over the term cap; the finished faces keep their
-    # rows, and no factor is raised to its exponent (50 for the edge)
+    # the clock runs out once the top face's fiber has been enumerated; the
+    # finished faces keep their rows, and no factor is raised to its
+    # exponent (50 for the edge)
     h = 50
     aset = validate_aset(3, [(1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0, h), (1, 1, h + 1)])
     powers = []
     power = IntPolynomial.__pow__
+    passed = []
+    fiber = discriminant._fiber
 
     def counted_power(self, k):
         powers.append(k)
         return power(self, k)
 
+    def fiber_then_deadline(*args):
+        out = fiber(*args)
+        passed.append(len(out))
+        return out
+
     monkeypatch.setattr(IntPolynomial, "__pow__", counted_power)
-    result = principal_a_determinant(aset, Budget(seconds=60, max_terms=10))
+    monkeypatch.setattr(discriminant, "_fiber", fiber_then_deadline)
+    fake_time = types.SimpleNamespace(monotonic=lambda: 1e9 if passed else 0.0)
+    monkeypatch.setattr(elimination, "time", fake_time)
+    result = principal_a_determinant(aset, Budget(seconds=60))
     assert powers == []
     assert result.e_a is None
     assert [f.face.indices for f in result.factors if f.discriminant is None] == [(0, 1, 2, 3, 4)]
@@ -509,7 +552,7 @@ def test_interpolation_budget_wide_face():
     start = time.monotonic()
     try:
         with pytest.raises(BudgetExceeded):
-            face_discriminant(aset, top, Budget(seconds=0.5))
+            face_discriminant(aset, top, _Clock(Budget(seconds=0.5)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

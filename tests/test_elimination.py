@@ -105,13 +105,6 @@ def test_budget_time_exceeded():
     assert "0s" in str(err.value)
 
 
-def test_budget_term_cap():
-    gens, ne, nv = univariate_system((0, 1, 2, 3, 4))
-    with pytest.raises(BudgetExceeded) as err:
-        eliminate(gens, ne, nv, Budget(seconds=60, max_terms=3))
-    assert "3 terms" in str(err.value)
-
-
 def test_determinism():
     gens, ne, nv = univariate_system((0, 1, 2, 3))
     a = eliminate(gens, ne, nv, Budget(seconds=60))
