@@ -6,18 +6,19 @@ Usage: python scripts/scale_faces.py
 
 Each configuration is drawn by random.Random(7) as sorted(rng.sample(box,
 rng.randint(7, 8))) over the box of `make_random_aset` (points (x, y, 1)
-with -1 <= x, y <= 2), redrawn while validate_aset refuses it.  Each top
-face gets its own clock on the default Budget, and one line: the number of
-candidate monomials, the seconds its discriminant took, `ok` or `over
-budget`, and the discriminant's term count.
+with -1 <= x, y <= 2), redrawn while validate_aset refuses it.  Each
+configuration's face loop, the top face last, gets its own clock on the
+default Budget, and one line: the number of candidate monomials of the top
+face (`-` when a proper face ran over budget), the seconds the loop took,
+`ok` or `over budget`, and the top face's discriminant's term count.
 """
 
 import random
 import time
 
-from gkzrank.discriminant import _configuration, _fiber, _multidegree, face_discriminant
-from gkzrank.elimination import Budget, BudgetExceeded, _Clock
-from gkzrank.polytope import faces, validate_aset
+from gkzrank.discriminant import _factors, _fiber, _target
+from gkzrank.elimination import Budget, _Clock
+from gkzrank.polytope import validate_aset
 
 BOX = [(x, y) for x in range(-1, 3) for y in range(-1, 3)]
 
@@ -38,19 +39,19 @@ def configurations():
 
 def main():
     for name, aset in configurations():
-        top = faces(aset)[-1]
-        conf = _configuration([aset.points[i] for i in top.indices])
-        ncands = len(_fiber(conf, _multidegree(conf, conf.points), _Clock(Budget())))
         start = time.monotonic()
-        try:
-            terms = len(face_discriminant(aset, top).terms)
-            status = "ok"
-        except BudgetExceeded:
-            terms = "-"
-            status = "over budget"
+        *proper, top = _factors(aset, _Clock(Budget()))
+        seconds = time.monotonic() - start
+        ncands = "-"
+        if all(row.discriminant is not None for row in proper):
+            ncands = len(_fiber(aset, _target(aset, proper), _Clock(Budget())))
+        if top.discriminant is None:
+            status, terms = "over budget", "-"
+        else:
+            status, terms = "ok", len(top.discriminant.terms)
         print(
-            "%-9s n=%d candidates=%d seconds=%.1f %s terms=%s"
-            % (name, aset.n, ncands, time.monotonic() - start, status, terms),
+            "%-9s n=%d candidates=%s seconds=%.1f %s terms=%s"
+            % (name, aset.n, ncands, seconds, status, terms),
             flush=True,
         )
 

@@ -71,10 +71,6 @@ def _load_aset(path: str):
     return aset, name
 
 
-def _budget(args) -> Budget:
-    return Budget(seconds=args.budget)
-
-
 def _emit(args, text_lines, json_payload) -> None:
     if args.json:
         sys.stdout.write(json.dumps(json_payload, indent=2) + "\n")
@@ -202,7 +198,7 @@ def cmd_edge(args) -> int:
 
 def cmd_edet(args) -> int:
     aset, name = _load_aset(args.input)
-    result = principal_a_determinant(aset, _budget(args))
+    result = principal_a_determinant(aset, Budget(seconds=args.budget))
     lines = ["principal A-determinant of %s" % (name or args.input)]
     for f in result.factors:
         if f.discriminant is None:
@@ -224,7 +220,7 @@ def cmd_edet(args) -> int:
 
 def cmd_multiplicities(args) -> int:
     aset, name = _load_aset(args.input)
-    result = verify_theorem(aset, _budget(args))
+    result = verify_theorem(aset, Budget(seconds=args.budget))
     lines = ["multiplicities of %s (per edge, per face)" % (name or args.input)]
     rows = []
     for e in result.edges:
@@ -254,7 +250,7 @@ def cmd_multiplicities(args) -> int:
 
 def cmd_verify(args) -> int:
     aset, name = _load_aset(args.input)
-    result = verify_theorem(aset, _budget(args))
+    result = verify_theorem(aset, Budget(seconds=args.budget))
     k0_rank = {fr.face.indices: fr.k0_rank for fr in result.face_ranks}
     lines = ["verification of %s" % (name or args.input)]
     lines.append("triangulations: %d" % result.triangulation_count)

@@ -6,15 +6,17 @@ coefficient family, routed by the face alone: a vertex gives its own
 variable, a simplex the constant 1, a one-dimensional face the resultant
 Res(f, f') of f = sum_j a_j x^(e_j) (the determinant of a sparse Sylvester
 matrix, its monomial factor stripped), and a face of dimension two or more
-the interpolation oracle: the face's multidegree is read off the K-theory
-bookkeeping of its own principal determinant, and the discriminant is the
-kernel of the matrix that evaluates the monomials of that multidegree at
-points of the dual variety, eliminated modulo primes below 2^21 in rows
-packed into 64-bit slots, lifted by CRT and certified exactly.  Both
-oracles read the face in the lattice its points generate, so either
-eliminant is the irreducible discriminant up to its content and sign,
-which primitive_part removes.  Both oracles poll one budget clock and
-share its exponent limit.  The principal A-determinant is the product of
+the interpolation oracle.  One face loop per configuration (_factors)
+ranks and eliminates its faces in faces order, so the top face comes last
+and reads its multidegree off the factors already held; a higher face asked
+for on its own is the top face of its own configuration.  The discriminant
+is the kernel of the matrix that evaluates the monomials of that
+multidegree at points of the dual variety, eliminated modulo primes below
+2^21 in rows packed into 64-bit slots, lifted by CRT and certified exactly.
+Both oracles read the face in the lattice its points generate, so either
+eliminant is the irreducible discriminant up to its content and sign, which
+primitive_part removes.  Both oracles poll one budget clock and share its
+exponent limit.  The principal A-determinant is the product of the loop's
 face discriminants raised to their K-theory rank exponents.
 """
 
@@ -113,10 +115,17 @@ def face_discriminant(aset: ASet, face: Face, clock: _Clock | None = None) -> In
     whose dual variety has codimension above one) give the constant 1.
     One-dimensional faces are eliminated by a resultant on their exponents
     divided by their gcd, their coordinates in the lattice the face's
-    points generate; higher faces by interpolation.  Raises BudgetExceeded
-    when the clock runs out and ExponentOverflow when a local exponent, read
-    in saturated coordinates, exceeds the elimination limit.
+    points generate; higher faces by their own configuration's face loop.
+    Raises BudgetExceeded when the clock runs out and ExponentOverflow when
+    a local exponent, read in saturated coordinates, exceeds the limit.
     """
+    return _face_discriminant(aset, face, clock or _Clock(Budget()), None)
+
+
+def _face_discriminant(aset: ASet, face: Face, clock: _Clock, held) -> IntPolynomial:
+    """face_discriminant, where held is None for a face asked for on its own
+    and otherwise the rows _factors holds for the faces of aset before this
+    one: all the proper faces when this is the top face."""
     n = aset.n
     idx = face.indices
     if len(idx) == 1:
@@ -130,13 +139,32 @@ def face_discriminant(aset: ASet, face: Face, clock: _Clock | None = None) -> In
         for x in e:
             if x > _EXP_MAX:
                 raise ExponentOverflow(x)
-    clock = clock or _Clock(Budget())
     if len(exps[0]) == 1:
         g = gcd(*(e for (e,) in exps))
         h = _resultant_eliminant([(e // g,) for (e,) in exps], clock)
-    else:
-        h = _interpolation_eliminant(aset, face, clock)
+    elif held is not None and len(idx) == n:
+        h = _interpolation_eliminant(aset, held, clock)
+    else:  # the face as its own configuration, in the lattice it generates
+        coords, rank = lattice_coordinates(pts, aset.dim)
+        h = _factors(validate_aset(rank, coords), clock)[-1].discriminant
+        if h is None:  # its row holds the interpolation's BudgetExceeded
+            raise BudgetExceeded(clock.budget, "interpolation")
     return h.primitive_part().embed(n, list(idx))
+
+
+def _factors(conf: ASet, clock: _Clock) -> list[FaceFactor]:
+    """One row per face of conf, in faces order (by dimension, the top face
+    last): its rank_k0_face row and its discriminant, or the BudgetExceeded
+    that stopped it."""
+    rows = []
+    for face in faces(conf):
+        row = rank_k0_face(conf, face)
+        try:
+            delta, err = _face_discriminant(conf, face, clock, rows), None
+        except BudgetExceeded as exc:
+            delta, err = None, str(exc)
+        rows.append(FaceFactor(invariants=row, discriminant=delta, error=err))
+    return rows
 
 
 def _resultant_eliminant(exps, clock: _Clock) -> IntPolynomial:
@@ -201,18 +229,18 @@ _SPARE_SAMPLES = 2
 _SAMPLE_RANGE = 64
 
 
-def _interpolation_eliminant(aset: ASet, face: Face, clock: _Clock) -> IntPolynomial:
-    """The discriminant of a face of dimension two or more, by interpolation
-    on points of its dual variety, in the face-local a-variables.
+def _interpolation_eliminant(conf: ASet, rows, clock: _Clock) -> IntPolynomial:
+    """The discriminant of the top face of conf, a configuration of
+    dimension two or more in a basis of the lattice its points generate, by
+    interpolation on points of its dual variety; rows are _factors' rows of
+    the proper faces of conf.
 
-    The face is its own configuration B, in a basis of the lattice its
-    points generate.  Every u in ker B is a point of the dual variety
-    (Kapranov 1991), and so is its torus orbit, on which a B-homogeneous
-    polynomial only picks up a common factor.  The B-multidegree of Delta_B
-    is that of E_B (B phi_T for any triangulation T) minus those of the
-    proper faces' factors (GKZ 1994, ch. 10), so Delta_B lies in the span of
-    the monomials of that multidegree, and it spans the polynomials there
-    that vanish on ker B.  The evaluation matrix [u^beta] at sample points
+    Every u in ker B (B = conf) is a point of the dual variety (Kapranov
+    1991), and so is its torus orbit, on which a B-homogeneous polynomial
+    only picks up a common factor.  The multidegree of Delta_B is read off
+    the rows the face loop already holds (_target), so Delta_B lies in the
+    span of the monomials of that multidegree, and it spans the polynomials
+    there that vanish on ker B.  The evaluation matrix [u^beta] at sample points
     u in ker B therefore has a kernel containing Delta_B.  Its nullity
     modulo a prime p below 2^21 is brought to one by adding samples, each
     row reduced in packed 64-bit slots with one reduction mod p per row
@@ -221,9 +249,8 @@ def _interpolation_eliminant(aset: ASet, face: Face, clock: _Clock) -> IntPolyno
     over further primes with rational reconstruction (Wang 1981) until it
     vanishes exactly at every sample.
     """
-    clock.check("interpolation")  # the multidegree below is a unit of work
-    conf = _configuration([aset.points[i] for i in face.indices])
-    target = _multidegree(conf, conf.points)
+    clock.check("interpolation")  # a row over budget means the deadline has passed
+    target = _target(conf, rows)
     if not any(target):
         return IntPolynomial.constant(conf.n, 1)
     cands = _fiber(conf, target, clock)
@@ -280,39 +307,24 @@ def _interpolation_eliminant(aset: ASet, face: Face, clock: _Clock) -> IntPolyno
         lifted += 1
 
 
-def _configuration(points) -> ASet:
-    """The points as their own configuration, in a basis of the lattice
-    they generate."""
-    coords, rank = lattice_coordinates(points, len(points[0]))
-    return validate_aset(rank, coords)
+def _target(conf: ASet, rows) -> list[int]:
+    """B beta, the multidegree of Delta_B for B = conf, from the rows of
+    the proper faces of conf.
 
-
-def _multidegree(conf: ASet, pts) -> list[int]:
-    """sum_j beta_j pts[j] for any exponent beta of Delta_conf, where conf
-    is the configuration of pts.
-
-    E_conf has this multidegree for beta = phi_T, T the placing
-    triangulation, and is the product of the face discriminants Delta_F to
-    the powers u * i, computed in conf (GKZ 1994, ch. 10); Delta_F is 1 for
-    a simplex and a_v for a vertex v.
+    E_B = prod_F Delta_F^(u * i) over the faces F of B (GKZ 1994, ch. 10)
+    has the exponent phi_T of the placing triangulation T, so
+    beta = phi_T - sum_F (u * i)_F beta_F is an exponent of Delta_B for any
+    exponent beta_F of each Delta_F.
     """
-    total = [0] * len(pts[0])
     table = fold_table(conf.points, conf.dim)
+    beta = [0] * conf.n
     for simplex in lower_hull_triangulation(table, placing_lifts(conf.n)):
-        vol = abs(table[simplex][0])
         for i in simplex:
-            total = [t + vol * x for t, x in zip(total, pts[i])]
-    for f in faces(conf)[:-1]:
-        sub = [pts[i] for i in f.indices]
-        if len(sub) == 1:
-            degree = sub[0]
-        elif len(sub) == f.dim + 1:
-            continue
-        else:
-            degree = _multidegree(_configuration(sub), sub)
-        m = rank_k0_face(conf, f).k0_rank
-        total = [t - m * x for t, x in zip(total, degree)]
-    return total
+            beta[i] += abs(table[simplex][0])
+    for row in rows:
+        beta_f = next(iter(row.discriminant.terms))
+        beta = [b - row.exponent * x for b, x in zip(beta, beta_f)]
+    return mat_vec(list(zip(*conf.points)), beta)
 
 
 def _fiber(conf: ASet, target, clock: _Clock):
@@ -502,17 +514,7 @@ def principal_a_determinant(aset: ASet, budget: Budget | None = None) -> EDetRes
     captured in its row and leaves E_A unmultiplied, since the product is
     taken only once every face has its discriminant.
     """
-    clock = _Clock(budget or Budget())
-    rows = []
-    for face in faces(aset):
-        row = rank_k0_face(aset, face)
-        try:
-            delta = face_discriminant(aset, face, clock)
-            err = None
-        except BudgetExceeded as exc:
-            delta = None
-            err = str(exc)
-        rows.append(FaceFactor(invariants=row, discriminant=delta, error=err))
+    rows = _factors(aset, _Clock(budget or Budget()))
     if any(row.discriminant is None for row in rows):
         return EDetResult(factors=tuple(rows), e_a=None)
     product = IntPolynomial.constant(aset.n, 1)

@@ -27,7 +27,7 @@ from gkzrank.discriminant import (
 )
 from gkzrank.elimination import Budget, BudgetExceeded, _Clock
 from gkzrank.polynomial import IntPolynomial
-from gkzrank.polytope import faces, validate_aset
+from gkzrank.polytope import InvalidConfiguration, faces, validate_aset
 from gkzrank.secondary import Circuit, edge_data
 
 from buchberger import _groebner_eliminant
@@ -451,6 +451,89 @@ def test_e_a_not_multiplied_when_a_face_is_over_budget(monkeypatch):
     edge = next(f for f in result.factors if f.face.indices == (0, 1, 2))
     assert edge.exponent == h
     assert edge.discriminant == IntPolynomial(5, {(1, 0, 1, 0, 0): 4, (0, 2, 0, 0, 0): -1})
+
+
+@pytest.mark.parametrize("case", ["f2", "corpus 2"])
+def test_face_loop_ranks_each_face_once(case, f2, monkeypatch):
+    # the top face is interpolated from the rows the face loop already
+    # holds: one face lattice and one rank row per face, nothing rebuilt
+    aset = f2 if case == "f2" else corpus_instances([2])[0]
+    assert faces(aset)[-1].dim == 2 and len(faces(aset)[-1].indices) > 3
+    lattices = []
+    ranked = []
+    face_lattice, rank_k0_face = discriminant.faces, discriminant.rank_k0_face
+
+    def counted_faces(conf):
+        lattices.append(conf.points)
+        return face_lattice(conf)
+
+    def counted_rank(conf, face):
+        ranked.append(face.indices)
+        return rank_k0_face(conf, face)
+
+    monkeypatch.setattr(discriminant, "faces", counted_faces)
+    monkeypatch.setattr(discriminant, "rank_k0_face", counted_rank)
+    result = principal_a_determinant(aset)
+    assert result.e_a is not None
+    assert lattices == [aset.points]
+    assert ranked == [f.indices for f in faces(aset)]
+
+
+def random_four_dimensional(rng):
+    """A valid A-set of dimension 4 with 5 to 7 points (1, x, y, z), x and
+    y in {0, 1}, z in {0, 1, 2}."""
+    box = [(x, y, z) for x in range(2) for y in range(2) for z in range(3)]
+    while True:
+        pts = sorted(rng.sample(box, rng.randint(5, 7)))
+        try:
+            return validate_aset(4, [(1,) + p for p in pts])
+        except InvalidConfiguration:
+            continue
+
+
+def test_face_discriminant_routes_agree(a3, kp2, f2):
+    # a face asked for on its own runs the face loop of its own
+    # configuration; inside E_A's loop, only the top face reads the rows
+    # held, and the 2-faces of d = 4 take the standalone route
+    rng = random.Random(271828)
+    four = [random_four_dimensional(rng) for _ in range(3)]
+    assert all(
+        any(f.dim == 2 and len(f.indices) > 3 for f in faces(aset)) for aset in four
+    )
+    for aset in [a3, kp2, f2] + four:
+        result = principal_a_determinant(aset)
+        assert result.e_a is not None
+        for face, row in zip(faces(aset), result.factors):
+            assert row.face == face
+            assert face_discriminant(aset, face) == row.discriminant
+
+
+def test_standalone_face_budget(f2, monkeypatch):
+    # the deadline passes in the first edge resultant of f2's own face
+    # loop: the top face is over budget at its first check, before its
+    # multidegree reads the edge's missing discriminant, and its fiber is
+    # never walked
+    passed = []
+    fibers = []
+    resultant, fiber = discriminant._resultant_eliminant, discriminant._fiber
+
+    def resultant_then_deadline(*args):
+        passed.append(1)
+        return resultant(*args)
+
+    def counted_fiber(*args):
+        fibers.append(1)
+        return fiber(*args)
+
+    monkeypatch.setattr(discriminant, "_resultant_eliminant", resultant_then_deadline)
+    monkeypatch.setattr(discriminant, "_fiber", counted_fiber)
+    fake_time = types.SimpleNamespace(monotonic=lambda: 1e9 if passed else 0.0)
+    monkeypatch.setattr(elimination, "time", fake_time)
+    with pytest.raises(BudgetExceeded) as err:
+        face_discriminant(f2, faces(f2)[-1], _Clock(Budget(seconds=60)))
+    assert str(err.value) == "elimination budget exceeded (60s) during interpolation"
+    assert passed == [1]
+    assert fibers == []
 
 
 def test_echelon_kernel_vector():
