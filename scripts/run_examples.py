@@ -13,7 +13,7 @@ import time
 
 from gkzrank.builtin import BUILTIN_DOCUMENTS
 from gkzrank.discriminant import newton_polytope_check
-from gkzrank.elimination import Budget, parse_seconds
+from gkzrank.elimination import DEFAULT_BUDGET_SECONDS, Budget, parse_seconds
 from gkzrank.ktheory import verify_theorem
 from gkzrank.polytope import validate_aset
 from gkzrank.secondary import hull_edges, secondary_polytope
@@ -21,7 +21,7 @@ from gkzrank.secondary import hull_edges, secondary_polytope
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--budget", type=parse_seconds, default=None)
+    parser.add_argument("--budget", type=parse_seconds, default=DEFAULT_BUDGET_SECONDS)
     args = parser.parse_args()
     budget = Budget(seconds=args.budget)
     failures = 0

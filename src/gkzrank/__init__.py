@@ -27,8 +27,6 @@ from .discriminant import (
 from .ktheory import (
     FaceInvariants,
     TheoremReport,
-    face_index_i,
-    face_volume_u,
     rank_k0_edge,
     rank_k0_face,
     verify_theorem,
@@ -54,8 +52,6 @@ __all__ = [
     "edge_data",
     "edge_restriction_check",
     "face_discriminant",
-    "face_index_i",
-    "face_volume_u",
     "faces",
     "is_regular",
     "multiplicity",

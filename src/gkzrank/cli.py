@@ -17,6 +17,7 @@ import sys
 from .builtin import BUILTIN_DOCUMENTS
 from .discriminant import principal_a_determinant
 from .elimination import (
+    DEFAULT_BUDGET_SECONDS,
     Budget,
     BudgetExceeded,
     ExponentOverflow,
@@ -80,43 +81,34 @@ def _emit(args, text_lines, json_payload) -> None:
 
 def cmd_validate(args) -> int:
     aset, name = _load_aset(args.input)
-    fs = faces(aset)
-    lines = [
-        "name: %s" % (name or "-"),
-        "dim: %d" % aset.dim,
-        "n: %d" % aset.n,
-        "height: %s" % (list(aset.height),),
-        "faces: %d" % len(fs),
-    ]
     payload = {
         "name": name,
         "dim": aset.dim,
         "n": aset.n,
         "height": list(aset.height),
-        "faces": len(fs),
+        "faces": len(faces(aset)),
     }
+    lines = ["%s: %s" % item for item in {**payload, "name": name or "-"}.items()]
     _emit(args, lines, payload)
     return EXIT_OK
 
 
 def cmd_faces(args) -> int:
     aset, name = _load_aset(args.input)
-    fs = faces(aset)
+    rows = [
+        {
+            "dim": f.dim,
+            "indices": list(f.indices),
+            "support": list(f.support),
+            "offset": f.offset,
+        }
+        for f in faces(aset)
+    ]
     lines = ["faces of %s (dim, indices, support, offset):" % (name or args.input)]
-    rows = []
-    for f in fs:
-        lines.append(
-            "  dim %d  indices %s  support %s  offset %d"
-            % (f.dim, list(f.indices), list(f.support), f.offset)
-        )
-        rows.append(
-            {
-                "dim": f.dim,
-                "indices": list(f.indices),
-                "support": list(f.support),
-                "offset": f.offset,
-            }
-        )
+    lines += [
+        "  dim %(dim)d  indices %(indices)s  support %(support)s  offset %(offset)d" % row
+        for row in rows
+    ]
     _emit(args, lines, {"name": name, "faces": rows})
     return EXIT_OK
 
@@ -124,17 +116,6 @@ def cmd_faces(args) -> int:
 def cmd_secondary(args) -> int:
     aset, name = _load_aset(args.input)
     sp = secondary_polytope(aset)
-    lines = [
-        "secondary polytope of %s" % (name or args.input),
-        "dim: %d" % sp.dim,
-        "vertices: %d" % len(sp.phis),
-    ]
-    for k, (tri, phi) in enumerate(zip(sp.triangulations, sp.phis)):
-        lines.append(
-            "  [%d] phi %s  simplices %s"
-            % (k, list(phi), [list(s) for s in tri.simplices])
-        )
-    lines.append("edges: %s" % ([list(e) for e in sp.edges],))
     payload = {
         "name": name,
         "dim": sp.dim,
@@ -144,6 +125,16 @@ def cmd_secondary(args) -> int:
         ],
         "edges": [list(e) for e in sp.edges],
     }
+    lines = [
+        "secondary polytope of %s" % (name or args.input),
+        "dim: %d" % sp.dim,
+        "vertices: %d" % len(payload["vertices"]),
+    ]
+    lines += [
+        "  [%d] phi %s  simplices %s" % (k, v["phi"], v["simplices"])
+        for k, v in enumerate(payload["vertices"])
+    ]
+    lines.append("edges: %s" % (payload["edges"],))
     _emit(args, lines, payload)
     return EXIT_OK
 
@@ -156,30 +147,10 @@ def cmd_edge(args) -> int:
         ed = edge_data(sp, i, j)
     except NotAnEdge:
         raise CliError(EXIT_INVALID_INPUT, "not an edge: %d %d" % (i, j))
-    subdivision = ed.subdivision
-    psi = [str(x) for x in normal_cone_sample(sp, *ed.vertex_pair)]
-    lines = [
-        "edge %d-%d of %s" % (ed.vertex_pair[0], ed.vertex_pair[1], name or args.input),
-        "endpoints: %s | %s"
-        % (
-            [list(s) for s in ed.endpoints[0].simplices],
-            [list(s) for s in ed.endpoints[1].simplices],
-        ),
-        "circuit: indices %s relation %s"
-        % (list(ed.circuit.indices), list(ed.circuit.relation)),
-        "separating sets: %s" % ([list(j_) for j_ in ed.separating_sets],),
-        "common simplices: %s" % ([list(s) for s in ed.common_simplices],),
-        "subdivision cells: %s"
-        % ([[list(m.vertices_hull), list(m.marks)] for m in subdivision],),
-        "psi: %s" % (psi,),
-    ]
     payload = {
         "name": name,
         "vertex_pair": list(ed.vertex_pair),
-        "endpoints": [
-            [list(s) for s in ed.endpoints[0].simplices],
-            [list(s) for s in ed.endpoints[1].simplices],
-        ],
+        "endpoints": [[list(s) for s in t.simplices] for t in ed.endpoints],
         "circuit": {
             "indices": list(ed.circuit.indices),
             "relation": list(ed.circuit.relation),
@@ -188,10 +159,20 @@ def cmd_edge(args) -> int:
         "common_simplices": [list(s) for s in ed.common_simplices],
         "subdivision": [
             {"vertices_hull": list(m.vertices_hull), "marks": list(m.marks)}
-            for m in subdivision
+            for m in ed.subdivision
         ],
-        "psi": psi,
+        "psi": [str(x) for x in normal_cone_sample(sp, *ed.vertex_pair)],
     }
+    lines = [
+        "edge %d-%d of %s" % (*ed.vertex_pair, name or args.input),
+        "endpoints: %s | %s" % tuple(payload["endpoints"]),
+        "circuit: indices %(indices)s relation %(relation)s" % payload["circuit"],
+        "separating sets: %s" % (payload["separating_sets"],),
+        "common simplices: %s" % (payload["common_simplices"],),
+        "subdivision cells: %s"
+        % ([[m["vertices_hull"], m["marks"]] for m in payload["subdivision"]],),
+        "psi: %s" % (payload["psi"],),
+    ]
     _emit(args, lines, payload)
     return EXIT_OK
 
@@ -297,9 +278,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
         type=_seconds,
-        default=None,
+        default=DEFAULT_BUDGET_SECONDS,
         help="seconds for all face discriminants of the command together "
-        "(default GKZ_BUDGET_SECS or 60)",
+        "(default %(default)g)",
     )
 
 
@@ -348,7 +329,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CliError as exc:
         error, code = exc, exc.code
-    except (ExponentOverflow, InvalidBudget) as exc:
+    except ExponentOverflow as exc:
         error, code = exc, EXIT_INVALID_INPUT
     except BudgetExceeded as exc:
         error, code = exc, EXIT_BUDGET

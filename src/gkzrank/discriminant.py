@@ -117,7 +117,8 @@ def face_discriminant(aset: ASet, face: Face, clock: _Clock | None = None) -> In
     divided by their gcd, their coordinates in the lattice the face's
     points generate; higher faces by their own configuration's face loop.
     Raises BudgetExceeded when the clock runs out and ExponentOverflow when
-    a local exponent, read in saturated coordinates, exceeds the limit.
+    a local exponent exceeds the limit: an edge's once divided by their gcd,
+    a higher face's in saturated coordinates.
     """
     return _face_discriminant(aset, face, clock or _Clock(Budget()), None)
 
@@ -135,13 +136,15 @@ def _face_discriminant(aset: ASet, face: Face, clock: _Clock, held) -> IntPolyno
         return IntPolynomial.constant(n, 1)
 
     exps = face_local_exponents(aset, face)
+    if len(exps[0]) == 1:
+        g = gcd(*(e for (e,) in exps))
+        exps = [(e // g,) for (e,) in exps]
     for e in exps:
         for x in e:
             if x > _EXP_MAX:
                 raise ExponentOverflow(x)
     if len(exps[0]) == 1:
-        g = gcd(*(e for (e,) in exps))
-        h = _resultant_eliminant([(e // g,) for (e,) in exps], clock)
+        h = _resultant_eliminant(exps, clock)
     elif held is not None and len(idx) == n:
         h = _interpolation_eliminant(aset, held, clock)
     else:  # the face as its own configuration, in the lattice it generates
@@ -500,10 +503,6 @@ class FaceFactor:
 class EDetResult:
     factors: tuple[FaceFactor, ...]
     e_a: IntPolynomial | None
-
-    @property
-    def complete(self) -> bool:
-        return self.e_a is not None
 
 
 def principal_a_determinant(aset: ASet, budget: Budget | None = None) -> EDetResult:

@@ -7,13 +7,13 @@ check.  The clock is read at every check, each guarding a whole unit of
 work (a Bareiss cell update, a fiber node, an evaluation row), so the
 oracles run at most one such unit past the limit, then raise
 BudgetExceeded, which echoes the budget and the stage.  The limit defaults
-to 60 s, or to GKZ_BUDGET_SECS when set.  A face-local exponent above
-_EXP_MAX raises ExponentOverflow.
+to 60 s and is set only by Budget(seconds=...), which refuses a value that
+is not a number >= 0.  A face-local exponent above _EXP_MAX raises
+ExponentOverflow.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -27,35 +27,22 @@ class InvalidBudget(ValueError):
 
 
 def parse_seconds(text: str) -> float:
-    error = InvalidBudget("expected seconds >= 0, got %r" % text)
     try:
-        value = float(text)
-    except ValueError:
-        raise error from None
-    if not value >= 0:  # false for NaN too
-        raise error
-    return value
-
-
-def default_budget_seconds() -> float:
-    raw = os.environ.get("GKZ_BUDGET_SECS")
-    if raw is None:
-        return DEFAULT_BUDGET_SECONDS
-    try:
-        return parse_seconds(raw)
-    except InvalidBudget as exc:
-        raise InvalidBudget("GKZ_BUDGET_SECS: %s" % exc) from None
+        return Budget(float(text)).seconds
+    except ValueError:  # not a number, or InvalidBudget
+        raise InvalidBudget("expected seconds >= 0, got %r" % text) from None
 
 
 @dataclass(frozen=True)
 class Budget:
-    seconds: float | None = None
+    seconds: float = DEFAULT_BUDGET_SECONDS
 
-    def effective_seconds(self) -> float:
-        return default_budget_seconds() if self.seconds is None else self.seconds
+    def __post_init__(self):
+        if not self.seconds >= 0:  # false for NaN too
+            raise InvalidBudget("expected seconds >= 0, got %r" % (self.seconds,))
 
     def describe(self) -> str:
-        return "%gs" % self.effective_seconds()
+        return "%gs" % self.seconds
 
 
 class BudgetExceeded(RuntimeError):
@@ -84,7 +71,7 @@ class _Clock:
 
     def __init__(self, budget: Budget):
         self.budget = budget
-        self.deadline = time.monotonic() + budget.effective_seconds()
+        self.deadline = time.monotonic() + budget.seconds
 
     def check(self, stage: str):
         if time.monotonic() >= self.deadline:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .elimination import Budget
-from .lattice import quotient_group, sublattice_index
+from .lattice import quotient_group
 from .polytope import (
     ASet,
     Face,
@@ -63,25 +63,14 @@ class EdgeInvariants:
     zf_rank: int
 
 
-def face_index_i(aset: ASet, face: Face) -> int:
-    """Index of the face sublattice inside its saturation."""
-    return sublattice_index([aset.points[i] for i in face.indices], aset.dim).index
-
-
-def face_volume_u(aset: ASet, face: Face) -> Staircase:
-    """Normalized volume of the bounded staircase region in the quotient.
-
-    Computed as the sum of apex-zero pyramid volumes over the bounded facets
-    of conv(projected points) + cone(projected points).
-    """
-    return _staircase(project_mod_face(aset, face))
-
-
 def _staircase(proj: ProjectedFace) -> Staircase:
-    """The bounded facets are the lower-hull cells of the projected points
-    under the constant lift -1: the fold of sigma + (j,) is then minus the
-    sum of the relation, positive exactly when image j lies beyond the
-    hyperplane through sigma and zero when it lies on it."""
+    """Normalized volume of the bounded staircase region in the quotient:
+    the sum of apex-zero pyramid volumes over the bounded facets of
+    conv(projected points) + cone(projected points).  The bounded facets
+    are the lower-hull cells of the projected points under the constant
+    lift -1: the fold of sigma + (j,) is then minus the sum of the
+    relation, positive exactly when image j lies beyond the hyperplane
+    through sigma and zero when it lies on it."""
     q = proj.quotient_rank
     if q == 0:
         return Staircase(u=1, ray_indices=(), bounded_facets=())
@@ -111,7 +100,7 @@ def _fan_volume(proj: ProjectedFace, staircase: Staircase) -> int:
 
     The fan is the placing triangulation of each bounded facet taken in
     reversed point order, so its simplices generally differ from the ones
-    behind face_volume_u; the totals must still agree.
+    behind _staircase; the totals must still agree.
     """
     q = proj.quotient_rank
     if q == 0:

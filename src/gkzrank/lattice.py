@@ -1,15 +1,15 @@
 """Exact integer linear algebra over ZZ^d.
 
-Smith normal forms, sublattice indices, quotient groups and primitive
-relations of circuits.  All arithmetic is arbitrary-precision integer (or
-Fraction where a rational intermediate is unavoidable); there is no floating
-point anywhere in this module.
+Smith normal forms, adjugates, quotient groups (the torsion order of
+ZZ^d modulo a sublattice is the sublattice's index in its saturation),
+integer kernels and solutions, and coordinates in the saturation of a span
+or in the lattice it generates.  All arithmetic is arbitrary-precision
+integer; there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -33,37 +33,8 @@ def identity_matrix(k: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def mat_mul(a, b) -> list[list[int]]:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 def mat_vec(a, v) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def det_int(rows) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise LatticeError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def adjugate(rows) -> tuple[int, IntMatrix | None]:
@@ -103,9 +74,6 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diag if d != 0)
-
-    def reconstruct(self, matrix) -> list[list[int]]:
-        return mat_mul(mat_mul(self.left, matrix), self.right)
 
 
 def smith_normal_form(matrix) -> SmithDecomposition:
@@ -211,29 +179,11 @@ class QuotientGroup:
         return self.free_rank == 0 and not self.torsion
 
 
-@dataclass(frozen=True)
-class SublatticeIndex:
-    """Index of a sublattice inside its saturation, plus the lattice rank."""
-
-    index: int
-    rank: int
-
-
 def _vectors_matrix(vectors, ambient_rank) -> list[list[int]]:
     vecs = [tuple(map(int, v)) for v in vectors]
     if any(len(v) != ambient_rank for v in vecs):
         raise LatticeError("vector length does not match the ambient rank")
     return [list(v) for v in vecs]
-
-
-def sublattice_index(generators, ambient_rank: int) -> SublatticeIndex:
-    """[saturation(L) : L] for L the ZZ-span of the generators."""
-    if not generators:
-        raise LatticeError("empty sublattice")
-    rows = _vectors_matrix(generators, ambient_rank)
-    diag = smith_normal_form(rows).diag
-    nonzero = [d for d in diag if d != 0]
-    return SublatticeIndex(index=prod(nonzero), rank=len(nonzero))
 
 
 def quotient_group(generators, ambient_rank: int) -> QuotientGroup:
@@ -253,35 +203,6 @@ def kernel_basis(matrix) -> list[IntVector]:
     n = len(mat[0])
     dec = smith_normal_form(mat)
     return [tuple(dec.right[i][j] for i in range(n)) for j in range(dec.rank, n)]
-
-
-def primitive_relation(vectors) -> IntVector:
-    """The primitive integer relation of a circuit.
-
-    The input must be a minimal dependent set; the relation is normalized so
-    its first nonzero coefficient is positive.
-    """
-    vecs = [tuple(map(int, v)) for v in vectors]
-    if len(vecs) < 2:
-        raise LatticeError("not a circuit")
-    d = len(vecs[0])
-    cols = [[v[i] for v in vecs] for i in range(d)]  # d x k, columns = vectors
-    kern = kernel_basis(cols)
-    if len(kern) != 1:
-        raise LatticeError("not a circuit")
-    rel = kern[0]
-    if any(c == 0 for c in rel):
-        raise LatticeError("not a circuit")
-    g = gcd(*rel)
-    if g != 1:  # unimodular transform columns are primitive; guard anyway
-        rel = tuple(c // g for c in rel)
-    first = next(c for c in rel if c != 0)
-    if first < 0:
-        rel = tuple(-c for c in rel)
-    for i in range(d):
-        if sum(c * v[i] for c, v in zip(rel, vecs)) != 0:
-            raise LatticeError("internal error: relation does not annihilate input")
-    return tuple(rel)
 
 
 def saturation_projection(vectors, ambient_rank: int):

@@ -102,9 +102,6 @@ class IntPolynomial:
     def is_constant(self) -> bool:
         return not any(self._packed)
 
-    def is_one(self) -> bool:
-        return self._packed == {0: 1}
-
     def is_monomial(self) -> bool:
         return len(self._packed) == 1
 

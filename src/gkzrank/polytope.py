@@ -23,7 +23,6 @@ from math import gcd, lcm
 
 from .lattice import (
     adjugate,
-    det_int,
     integer_solve,
     kernel_basis,
     quotient_group,
@@ -267,17 +266,6 @@ def faces(aset: ASet) -> tuple[Face, ...]:
         )
     out.sort(key=lambda f: (f.dim, f.indices))
     return tuple(out)
-
-
-def normalized_volume(indices, aset: ASet) -> int:
-    """Normalized volume of the simplex on the chosen d points (0 if flat)."""
-    idx = tuple(indices)
-    if len(idx) != aset.dim:
-        raise InvalidConfiguration(
-            "wrong simplex cardinality",
-            "a maximal simplex needs exactly %d points" % aset.dim,
-        )
-    return abs(det_int([aset.points[i] for i in idx]))
 
 
 @dataclass(frozen=True)

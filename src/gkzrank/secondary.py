@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .lattice import kernel_basis, primitive_relation
+from .lattice import kernel_basis
 from .linprog import solve_lp
 from .polytope import (
     ASet,
@@ -75,12 +75,6 @@ class Circuit:
 
     indices: tuple[int, ...]
     relation: tuple[int, ...]
-
-    @classmethod
-    def from_points(cls, aset: ASet, indices) -> "Circuit":
-        idx = tuple(sorted(indices))
-        rel = primitive_relation([aset.points[i] for i in idx])
-        return cls(indices=idx, relation=rel)
 
     @property
     def plus(self) -> tuple[int, ...]:
@@ -389,7 +383,7 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
         apex = next(k for k in cell if k not in sigma)
         coef = dict(zip((*sigma, apex), sp.table[sigma][1][apex]))
         idx = tuple(k for k in cell if coef[k])
-        sign = 1 if coef[idx[0]] > 0 else -1  # first entry positive, as in Circuit.from_points
+        sign = 1 if coef[idx[0]] > 0 else -1  # the primitive relation with its first entry positive
         circuits.add(Circuit(indices=idx, relation=tuple(sign * coef[k] for k in idx)))
     if len(circuits) != 1:
         raise NotAnEdge("not an edge")

@@ -422,7 +422,7 @@ def _coeff_content(coeffs) -> IntPolynomial:
     acc = IntPolynomial.zero(coeffs[0].nvars)
     for c in coeffs:
         acc = polynomial_gcd(acc, c)
-        if acc.is_one():
+        if acc == IntPolynomial.constant(acc.nvars, 1):
             break
     return acc
 

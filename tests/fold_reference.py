@@ -1,9 +1,84 @@
 """Test-only references for the fold table: the relation on one simplex
-plus one point, a triangulation's characteristic function and a ridge's
-point sides, each recomputed on its own rather than read from the table."""
+plus one point, a circuit's primitive relation by Smith normal form, a
+triangulation's characteristic function and a ridge's point sides, each
+recomputed on its own rather than read from the table; and the integer
+linear algebra they and the lattice tests rest on: det_int (Bareiss),
+mat_mul and the product that rebuilds a Smith normal form."""
 
-from gkzrank.lattice import det_int
+from math import gcd
+
+from gkzrank.lattice import IntVector, LatticeError, kernel_basis
 from gkzrank.polytope import InvalidConfiguration, _relation, _simplex_adjugate
+from gkzrank.secondary import Circuit
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def det_int(rows) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    a = [list(map(int, r)) for r in rows]
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise LatticeError("determinant of a non-square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def reconstruct(dec, matrix) -> list[list[int]]:
+    """left @ matrix @ right of a SmithDecomposition: its diagonal form."""
+    return mat_mul(mat_mul(dec.left, matrix), dec.right)
+
+
+def primitive_relation(vectors) -> IntVector:
+    """The primitive integer relation of a circuit.
+
+    The input must be a minimal dependent set; the relation is normalized so
+    its first nonzero coefficient is positive.
+    """
+    vecs = [tuple(map(int, v)) for v in vectors]
+    if len(vecs) < 2:
+        raise LatticeError("not a circuit")
+    d = len(vecs[0])
+    cols = [[v[i] for v in vecs] for i in range(d)]  # d x k, columns = vectors
+    kern = kernel_basis(cols)
+    if len(kern) != 1:
+        raise LatticeError("not a circuit")
+    rel = kern[0]
+    if any(c == 0 for c in rel):
+        raise LatticeError("not a circuit")
+    g = gcd(*rel)
+    if g != 1:  # unimodular transform columns are primitive; guard anyway
+        rel = tuple(c // g for c in rel)
+    first = next(c for c in rel if c != 0)
+    if first < 0:
+        rel = tuple(-c for c in rel)
+    for i in range(d):
+        if sum(c * v[i] for c, v in zip(rel, vecs)) != 0:
+            raise LatticeError("internal error: relation does not annihilate input")
+    return tuple(rel)
+
+
+def circuit_from_points(aset, indices) -> Circuit:
+    idx = tuple(sorted(indices))
+    rel = primitive_relation([aset.points[i] for i in idx])
+    return Circuit(indices=idx, relation=rel)
 
 
 def fold_relation(points, sigma, j):

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from gkzrank.lattice import det_int
 from gkzrank.linprog import solve_lp
 from gkzrank.polytope import extreme_rays, fold_table, lower_hull_triangulation, placing_lifts, total_volume
 from gkzrank.secondary import TriangulationError, _fold_functionals, _secondary_cone
+
+from fold_reference import det_int
 
 
 def feasible_point(nvars, a_ub=(), b_ub=(), a_eq=(), b_eq=()):

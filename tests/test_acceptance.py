@@ -26,7 +26,7 @@ from gkzrank.elimination import Budget
 from gkzrank.ktheory import rank_k0_edge, rank_k0_face, verify_theorem
 from gkzrank.lattice import quotient_group
 from gkzrank.polynomial import IntPolynomial
-from gkzrank.polytope import faces, normalized_volume, total_volume, validate_aset
+from gkzrank.polytope import faces, total_volume, validate_aset
 from gkzrank.secondary import edge_data, hull_edges, secondary_polytope
 
 from conftest import make_random_aset
@@ -252,7 +252,7 @@ def test_criterion_6_structural_properties_at_scale(corpus):
             for tri in sp.triangulations:
                 phi = characteristic_function(aset, tri)
                 assert sum(phi) == aset.dim * vol
-                assert sum(normalized_volume(s, aset) for s in tri.simplices) == vol
+                assert sum(abs(sp.table[s][0]) for s in tri.simplices) == vol
             assert item.report.status in ("pass", "budget")
             for e in item.report.edges:
                 if e.status == "skipped":

@@ -25,14 +25,15 @@ from gkzrank.discriminant import (
     newton_polytope_check,
     principal_a_determinant,
 )
-from gkzrank.elimination import Budget, BudgetExceeded, _Clock
+from gkzrank.elimination import Budget, BudgetExceeded, InvalidBudget, _Clock
 from gkzrank.polynomial import IntPolynomial
 from gkzrank.polytope import InvalidConfiguration, faces, validate_aset
-from gkzrank.secondary import Circuit, edge_data
+from gkzrank.secondary import edge_data
 
 from buchberger import _groebner_eliminant
 from conftest import make_random_aset, singular_point_vector
 from echelon_reference import ListEchelon
+from fold_reference import circuit_from_points
 from test_elimination import QUARTIC_DISCRIMINANT
 
 
@@ -52,14 +53,14 @@ def find_edge(sp, simplices_a, simplices_b):
 
 
 def test_circuit_discriminant_a3(a3):
-    d1 = circuit_discriminant(Circuit.from_points(a3, (0, 1, 4)), 5)
+    d1 = circuit_discriminant(circuit_from_points(a3, (0, 1, 4)), 5)
     assert d1 == IntPolynomial(5, {(3, 0, 0, 0, 1): 256, (0, 4, 0, 0, 0): -27})
-    d2 = circuit_discriminant(Circuit.from_points(a3, (0, 2, 4)), 5)
+    d2 = circuit_discriminant(circuit_from_points(a3, (0, 2, 4)), 5)
     assert d2 == IntPolynomial(5, {(1, 0, 0, 0, 1): 4, (0, 0, 2, 0, 0): -1})
 
 
 def test_circuit_discriminant_kp2(kp2):
-    d = circuit_discriminant(Circuit.from_points(kp2, (0, 1, 2, 3)), 4)
+    d = circuit_discriminant(circuit_from_points(kp2, (0, 1, 2, 3)), 4)
     # the signed relation coefficients force +27 here
     assert d == IntPolynomial(4, {(3, 0, 0, 0): 1, (0, 1, 1, 1): 27})
 
@@ -86,7 +87,7 @@ def test_face_discriminant_vertex(a3):
 
 def test_face_discriminant_simplex_edge(f2):
     e = face_by_indices(f2, (1, 4))
-    assert face_discriminant(f2, e).is_one()
+    assert face_discriminant(f2, e) == IntPolynomial.constant(f2.n, 1)
 
 
 def test_face_discriminant_a3_quartic(a3):
@@ -117,6 +118,13 @@ def test_face_discriminant_budget(a3):
     q = face_by_indices(a3, (0, 1, 2, 3, 4))
     with pytest.raises(BudgetExceeded):
         face_discriminant(a3, q, _Clock(Budget(seconds=0.0)))
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), -1])
+def test_budget_refuses_seconds_that_are_not_a_number_at_least_zero(a3, seconds):
+    # a NaN deadline is never reached, so such a budget would bound nothing
+    with pytest.raises(InvalidBudget, match="expected seconds >= 0"):
+        principal_a_determinant(a3, Budget(seconds=seconds))
 
 
 def line(exponents):
@@ -161,7 +169,7 @@ def test_resultant_three_point_circuits(top):
         if gcd(p, top) != 1:
             continue
         aset, face = line((0, p, top))
-        expected = circuit_discriminant(Circuit.from_points(aset, (0, 1, 2)), 3)
+        expected = circuit_discriminant(circuit_from_points(aset, (0, 1, 2)), 3)
         assert face_discriminant(aset, face) == expected, (p, top)
 
 
@@ -313,7 +321,7 @@ def test_interpolation_pyramids_are_defective():
     for aset in corpus_instances(CORPUS_PYRAMIDS):
         top = faces(aset)[-1]
         assert len(top.indices) > top.dim + 1
-        assert face_discriminant(aset, top).is_one()
+        assert face_discriminant(aset, top) == IntPolynomial.constant(aset.n, 1)
 
 
 @pytest.mark.parametrize(
@@ -329,7 +337,7 @@ def test_interpolation_circuits_with_large_coefficients(points):
     # coefficients of 81 to 690 bits: the kernel is lifted over several
     # primes before it reconstructs
     aset = validate_aset(3, [(x, y, 1) for x, y in points])
-    expected = circuit_discriminant(Circuit.from_points(aset, range(4)), 4)
+    expected = circuit_discriminant(circuit_from_points(aset, range(4)), 4)
     assert face_discriminant(aset, faces(aset)[-1]) == expected.primitive_part()
 
 
@@ -346,7 +354,7 @@ def test_interpolation_reconstruction_attempts_are_spaced(monkeypatch):
         return reconstruct(*args)
 
     monkeypatch.setattr(discriminant, "_reconstruct", counted)
-    expected = circuit_discriminant(Circuit.from_points(aset, range(4)), 4)
+    expected = circuit_discriminant(circuit_from_points(aset, range(4)), 4)
     assert face_discriminant(aset, faces(aset)[-1]) == expected.primitive_part()
     assert len(attempts) <= 40
 
@@ -645,7 +653,7 @@ def test_interpolation_budget_wide_face():
 
 def test_principal_a_determinant_a3(a3):
     res = principal_a_determinant(a3)
-    assert res.complete
+    assert res.e_a is not None
     a0a4 = IntPolynomial(5, {(1, 0, 0, 0, 1): 1})
     assert res.e_a == (a0a4 * QUARTIC_DISCRIMINANT).sign_normalized()
     assert len(res.e_a.terms) == 16

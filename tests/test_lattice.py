@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 from gkzrank.lattice import (
     LatticeError,
     adjugate,
-    det_int,
     integer_solve,
     kernel_basis,
-    mat_mul,
-    primitive_relation,
     quotient_group,
     smith_normal_form,
     span_coordinates,
-    sublattice_index,
 )
+
+from fold_reference import det_int, mat_mul, primitive_relation, reconstruct
 
 
 def diag_matrix(diag, m, n):
@@ -35,7 +33,7 @@ def test_snf_known_values():
 def test_snf_reconstruction():
     mat = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     dec = smith_normal_form(mat)
-    assert dec.reconstruct(mat) == diag_matrix(dec.diag, 3, 3)
+    assert reconstruct(dec, mat) == diag_matrix(dec.diag, 3, 3)
 
 
 small_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -54,7 +52,7 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 def test_snf_properties(mat):
     dec = smith_normal_form(mat)
     m, n = len(mat), len(mat[0])
-    assert dec.reconstruct(mat) == diag_matrix(dec.diag, m, n)
+    assert reconstruct(dec, mat) == diag_matrix(dec.diag, m, n)
     assert abs(det_int(dec.left)) == 1
     assert abs(det_int(dec.right)) == 1
     nonzero = [d for d in dec.diag if d != 0]
@@ -66,24 +64,6 @@ def test_snf_properties(mat):
     assert tail == [0] * len(tail)
 
 
-def test_sublattice_index_examples():
-    assert sublattice_index([(1, 0), (0, 1)], 2).index == 1
-    assert sublattice_index([(1, 0), (1, 2)], 2).index == 2
-    res = sublattice_index([(1, 0, 1), (0, 1, 1), (-1, 2, 1)], 3)
-    assert (res.rank, res.index) == (2, 1)
-
-
-def test_sublattice_index_determinant_identity():
-    # index in saturation of a full-rank square system equals |det|
-    gens = [(2, 1), (0, 3)]
-    assert sublattice_index(gens, 2).index == abs(det_int(gens))
-
-
-def test_sublattice_index_empty():
-    with pytest.raises(LatticeError, match="empty sublattice"):
-        sublattice_index([], 2)
-
-
 def test_quotient_group_examples():
     assert quotient_group([], 3).free_rank == 3
     q = quotient_group([(1, 0), (1, 2)], 2)
@@ -91,6 +71,15 @@ def test_quotient_group_examples():
     q = quotient_group([(1, 0), (1, 1), (1, 4)], 2)
     assert (q.free_rank, q.torsion) == (0, ())
     assert q.is_trivial
+
+
+def test_quotient_torsion_is_the_saturation_index():
+    # a full-rank square system: the index in the saturation is |det|
+    gens = [(2, 1), (0, 3)]
+    assert quotient_group(gens, 2).torsion_order == abs(det_int(gens)) == 6
+    # a saturated plane in ZZ^3: index one
+    q = quotient_group([(1, 0, 1), (0, 1, 1), (-1, 2, 1)], 3)
+    assert (q.free_rank, q.torsion_order) == (1, 1)
 
 
 def test_quotient_torsion_matches_invariant_factors():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkzrank.lattice import det_int, smith_normal_form
+from gkzrank.lattice import smith_normal_form
 from gkzrank.polytope import (
     InvalidConfiguration,
     affine_rank,
@@ -16,7 +16,6 @@ from gkzrank.polytope import (
     hull_vertex_indices,
     lower_hull_cells,
     lower_hull_triangulation,
-    normalized_volume,
     placing_lifts,
     project_mod_face,
     subset_volume,
@@ -27,7 +26,7 @@ from gkzrank.polytope import (
 from gkzrank.secondary import _fold_functionals
 
 from conftest import make_random_aset
-from fold_reference import characteristic_function, fold_relation
+from fold_reference import characteristic_function, det_int, fold_relation
 from hull_reference import facet_vertex_sets
 from secondary_lp_reference import in_convex_hull
 
@@ -138,14 +137,6 @@ def test_faces_ordering(f2):
     assert keys == sorted(keys)
 
 
-def test_normalized_volume(a3):
-    assert normalized_volume((0, 1), a3) == 1
-    assert normalized_volume((0, 4), a3) == 4
-    assert normalized_volume((0, 2), a3) == 2
-    with pytest.raises(InvalidConfiguration):
-        normalized_volume((0, 1, 2), a3)
-
-
 def test_volume_additivity(a3, kp2, f2):
     from gkzrank.secondary import secondary_polytope
 
@@ -154,7 +145,7 @@ def test_volume_additivity(a3, kp2, f2):
         sp = secondary_polytope(aset)
         assert sp.phis == tuple(characteristic_function(aset, tri) for tri in sp.triangulations)
         for tri in sp.triangulations:
-            assert sum(normalized_volume(s, aset) for s in tri.simplices) == vol
+            assert sum(abs(sp.table[s][0]) for s in tri.simplices) == vol
 
 
 def test_project_mod_face_top(a3):

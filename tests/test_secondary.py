@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkzrank import linprog, secondary
-from gkzrank.lattice import det_int
 from gkzrank.polytope import (
     InvalidConfiguration,
     fold_table,
@@ -17,7 +16,6 @@ from gkzrank.polytope import (
     validate_aset,
 )
 from gkzrank.secondary import (
-    Circuit,
     NotAnEdge,
     TriangulationError,
     _flip,
@@ -34,7 +32,7 @@ from gkzrank.secondary import (
 )
 
 from conftest import make_random_aset
-from fold_reference import fold_relation, ridge_sides_by_det
+from fold_reference import circuit_from_points, det_int, fold_relation, ridge_sides_by_det
 from hull_reference import facet_vertex_sets, hull_edges_by_lp
 from secondary_lp_reference import (
     facets_of_secondary_cone,
@@ -177,7 +175,7 @@ def test_hull_description_matches_lp_and_brute_force(aset):
         lp_psi = normal_cone_sample(sp, i, j)
         assert ed.cells == lower_hull_cells(sp.table, [(-v,) for v in lp_psi])
         # the circuit read from the fold table is the kernel's primitive relation
-        assert ed.circuit == Circuit.from_points(aset, ed.circuit.indices)
+        assert ed.circuit == circuit_from_points(aset, ed.circuit.indices)
 
 
 def test_edge_data_a3_f1(a3_secondary):
@@ -281,7 +279,7 @@ def test_stated_weight_family_for_f2(f2_secondary):
 
 
 def test_circuit_type(f2):
-    c = Circuit.from_points(f2, (1, 2, 3))
+    c = circuit_from_points(f2, (1, 2, 3))
     assert c.plus == (1, 3)
     assert c.minus == (2,)
 
