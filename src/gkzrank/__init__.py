@@ -18,7 +18,6 @@ from .secondary import (
 from .discriminant import (
     EDetResult,
     circuit_discriminant,
-    edge_restriction_check,
     face_discriminant,
     multiplicity,
     newton_polytope_check,
@@ -50,7 +49,6 @@ __all__ = [
     "Triangulation",
     "circuit_discriminant",
     "edge_data",
-    "edge_restriction_check",
     "face_discriminant",
     "faces",
     "is_regular",

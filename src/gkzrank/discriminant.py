@@ -27,7 +27,7 @@ import struct
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
-from operator import getitem, mul
+from operator import floordiv, getitem, mul
 
 from .elimination import (
     _EXP_MAX,
@@ -37,12 +37,11 @@ from .elimination import (
     _Clock,
 )
 from .ktheory import FaceInvariants, rank_k0_face
-from .lattice import kernel_basis, lattice_coordinates, mat_vec, span_coordinates
+from .lattice import kernel_basis, mat_vec, span
 from .polynomial import IntPolynomial, _value, match_power
 from .polytope import (
     ASet,
     Face,
-    affine_rank,
     faces,
     fold_table,
     lower_hull_triangulation,
@@ -95,13 +94,16 @@ def face_local_exponents(aset: ASet, face: Face):
     """Exponent vectors of the face configuration in saturated affine
     coordinates, shifted to be non-negative."""
     pts = [aset.points[i] for i in face.indices]
-    coords, rank = span_coordinates(pts, aset.dim)
-    if rank == 1:
+    lat = span(pts, aset.dim)
+    coords = [lat.coordinates(p) for p in pts]
+    if lat.rank == 1:
         return [()] * len(pts)
     base = coords[0]
     diffs = [tuple(a - b for a, b in zip(c, base)) for c in coords[1:]]
-    dcoords, drank = span_coordinates(diffs, rank)
-    if drank != rank - 1:
+    dlat = span(diffs, lat.rank)
+    dcoords = [dlat.coordinates(v) for v in diffs]
+    drank = dlat.rank
+    if drank != lat.rank - 1:
         raise OracleError("face coordinates have unexpected affine rank")
     exps = [(0,) * drank] + dcoords
     lows = [min(e[i] for e in exps) for i in range(drank)]
@@ -131,8 +133,7 @@ def _face_discriminant(aset: ASet, face: Face, clock: _Clock, held) -> IntPolyno
     idx = face.indices
     if len(idx) == 1:
         return IntPolynomial.variable(n, idx[0])
-    pts = [aset.points[i] for i in idx]
-    if affine_rank(pts) == len(idx) - 1:
+    if face.dim == len(idx) - 1:
         return IntPolynomial.constant(n, 1)
 
     exps = face_local_exponents(aset, face)
@@ -148,8 +149,10 @@ def _face_discriminant(aset: ASet, face: Face, clock: _Clock, held) -> IntPolyno
     elif held is not None and len(idx) == n:
         h = _interpolation_eliminant(aset, held, clock)
     else:  # the face as its own configuration, in the lattice it generates
-        coords, rank = lattice_coordinates(pts, aset.dim)
-        h = _factors(validate_aset(rank, coords), clock)[-1].discriminant
+        pts = [aset.points[i] for i in idx]
+        lat = span(pts, aset.dim)
+        coords = [tuple(map(floordiv, lat.coordinates(p), lat.diag)) for p in pts]
+        h = _factors(validate_aset(lat.rank, coords), clock)[-1].discriminant
         if h is None:  # its row holds the interpolation's BudgetExceeded
             raise BudgetExceeded(clock.budget, "interpolation")
     return h.primitive_part().embed(n, list(idx))
@@ -524,25 +527,22 @@ def principal_a_determinant(aset: ASet, budget: Budget | None = None) -> EDetRes
 
 
 def multiplicity(
-    aset: ASet,
-    face: Face,
-    edge: EdgeData,
-    face_disc: IntPolynomial,
-    circuit_disc: IntPolynomial | None = None,
+    poly: IntPolynomial, edge: EdgeData, circuit_disc: IntPolynomial | None = None
 ) -> int:
     """The power with which the edge's circuit discriminant appears in the
-    leading form of the face discriminant along the edge's normal direction.
+    leading form of poly (a face discriminant, or E_A itself) along the
+    edge's normal direction.
 
     A pure-monomial leading form gives zero; any other mismatch is an error
     because it would break the rank bookkeeping downstream.
     """
     if circuit_disc is None:
-        circuit_disc = circuit_discriminant(edge.circuit, aset.n)
-    if face_disc.is_zero():
-        raise MultiplicityError("face discriminant is zero")
-    if face_disc.is_constant():
+        circuit_disc = circuit_discriminant(edge.circuit, poly.nvars)
+    if poly.is_zero():
+        raise MultiplicityError("the polynomial is zero")
+    if poly.is_constant():
         return 0
-    form = face_disc.leading_form(edge.psi)
+    form = poly.leading_form(edge.psi)
     k = match_power(form, circuit_disc)
     if k is None:
         raise MultiplicityError(
@@ -550,32 +550,6 @@ def multiplicity(
             % (form.to_str(), circuit_disc.to_str())
         )
     return k
-
-
-@dataclass(frozen=True)
-class RestrictionReport:
-    ok: bool
-    exponent: int | None
-    expected_exponent: int
-    leading_form: IntPolynomial
-    circuit_disc: IntPolynomial
-
-
-def edge_restriction_check(
-    aset: ASet, edge: EdgeData, e_a: IntPolynomial, expected_exponent: int
-) -> RestrictionReport:
-    """Check that the coefficient restriction of E_A to the edge is the
-    expected power of the circuit discriminant (up to sign and a monomial)."""
-    delta = circuit_discriminant(edge.circuit, aset.n)
-    form = e_a.leading_form(edge.psi)
-    k = match_power(form, delta)
-    return RestrictionReport(
-        ok=(k == expected_exponent),
-        exponent=k,
-        expected_exponent=expected_exponent,
-        leading_form=form,
-        circuit_disc=delta,
-    )
 
 
 @dataclass(frozen=True)

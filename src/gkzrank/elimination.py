@@ -38,8 +38,9 @@ class Budget:
     seconds: float = DEFAULT_BUDGET_SECONDS
 
     def __post_init__(self):
-        if not self.seconds >= 0:  # false for NaN too
-            raise InvalidBudget("expected seconds >= 0, got %r" % (self.seconds,))
+        s = self.seconds
+        if isinstance(s, bool) or not isinstance(s, (int, float)) or not s >= 0:  # NaN too
+            raise InvalidBudget("expected seconds >= 0, got %r" % (s,))
 
     def describe(self) -> str:
         return "%gs" % self.seconds

@@ -17,10 +17,9 @@ multiplicity-weighted sum of face ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .elimination import Budget
-from .lattice import quotient_group
+from .lattice import span
 from .polytope import (
     ASet,
     Face,
@@ -113,11 +112,10 @@ def _fan_volume(proj: ProjectedFace, staircase: Staircase) -> int:
 
 
 def rank_k0_face(aset: ASet, face: Face) -> FaceInvariants:
-    """u * i from the one projection of the face: i is the order of the
-    torsion of ZZ^d / ZZ(face), and u is cross-checked against the fan
+    """u * i from the one projection of the face: i is the index of
+    ZZ(face) in its saturation, and u is cross-checked against the fan
     volume on the staircase's bounded facets."""
     proj = project_mod_face(aset, face)
-    idx = prod(proj.torsion)
     stair = _staircase(proj)
     fan = _fan_volume(proj, stair)
     if fan != stair.u:
@@ -125,7 +123,8 @@ def rank_k0_face(aset: ASet, face: Face) -> FaceInvariants:
             "face rank mismatch: staircase u = %d but fan volume = %d" % (stair.u, fan)
         )
     return FaceInvariants(
-        face=face, i=idx, u=stair.u, ray_indices=stair.ray_indices, k0_rank=stair.u * idx
+        face=face, i=proj.index, u=stair.u, ray_indices=stair.ray_indices,
+        k0_rank=stair.u * proj.index,
     )
 
 
@@ -137,13 +136,13 @@ def rank_k0_edge(aset: ASet, edge: EdgeData) -> EdgeInvariants:
         pts = [aset.points[i] for i in edge.circuit.indices] + [
             aset.points[i] for i in jset
         ]
-        group = quotient_group(pts, aset.dim)
-        if group.free_rank != 0:
+        lat = span(pts, aset.dim)
+        if lat.rank != aset.dim:
             raise RankInconsistency(
                 "circuit plus separating set fails to span the ambient space"
             )
-        per_j.append((jset, group.torsion_order))
-        total += group.torsion_order
+        per_j.append((jset, lat.index))
+        total += lat.index
     return EdgeInvariants(edge=edge, per_j_indices=tuple(per_j), zf_rank=total)
 
 
@@ -203,10 +202,8 @@ def verify_theorem(
     for (i, j) in sp.edges:
         ed = edge_data(sp, i, j)
         ranks = rank_k0_edge(aset, ed)
-        cgroup = quotient_group(
-            [aset.points[k] for k in ed.circuit.indices], aset.dim
-        )
-        spans = cgroup.free_rank == 0
+        circuit = span([aset.points[k] for k in ed.circuit.indices], aset.dim)
+        spans = circuit.rank == aset.dim
         mults = []
         rhs = None
         if missing:
@@ -216,7 +213,7 @@ def verify_theorem(
             delta_i = circuit_discriminant(ed.circuit, aset.n)
             try:
                 for row in edet.factors:
-                    n = multiplicity(aset, row.face, ed, row.discriminant, delta_i)
+                    n = multiplicity(row.discriminant, ed, delta_i)
                     mults.append((row.face.indices, n))
                 rhs = sum(n * row.exponent for (_, n), row in zip(mults, edet.factors))
                 status, detail = "ok", ""
@@ -231,7 +228,7 @@ def verify_theorem(
                 circuit_indices=ed.circuit.indices,
                 circuit_relation=ed.circuit.relation,
                 circuit_spans=spans,
-                circuit_index=cgroup.torsion_order if spans else None,
+                circuit_index=circuit.index if spans else None,
                 separating_sets=ed.separating_sets,
                 per_j_indices=ranks.per_j_indices,
                 zf_rank=ranks.zf_rank,

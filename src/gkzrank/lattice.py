@@ -1,15 +1,17 @@
 """Exact integer linear algebra over ZZ^d.
 
-Smith normal forms, adjugates, quotient groups (the torsion order of
-ZZ^d modulo a sublattice is the sublattice's index in its saturation),
-integer kernels and solutions, and coordinates in the saturation of a span
-or in the lattice it generates.  All arithmetic is arbitrary-precision
-integer; there is no floating point anywhere in this module.
+Smith normal forms, adjugates, integer kernels and solutions, and the
+lattice a point set generates (span): its rank, its index in its
+saturation (the torsion order of ZZ^d modulo it), coordinates in the
+saturation and the projection onto the saturated quotient, all from one
+Smith normal form.  All arithmetic is arbitrary-precision integer; there
+is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -161,40 +163,40 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 
 
 @dataclass(frozen=True)
-class QuotientGroup:
-    """ZZ^d modulo a sublattice: free rank plus invariant-factor torsion."""
+class Span:
+    """The lattice L that some vectors generate in ZZ^d, read from one Smith
+    normal form of the matrix whose columns are the vectors: the first rank
+    rows of the unimodular left transform carry L onto the sum of the
+    diag[k] ZZ, and the remaining rows vanish exactly on the saturation of L,
+    so left[rank:] projects ZZ^d onto the saturated quotient."""
 
-    free_rank: int
-    torsion: IntVector
-
-    @property
-    def torsion_order(self) -> int:
-        order = 1
-        for t in self.torsion:
-            order *= t
-        return order
+    rank: int
+    diag: IntVector  # the nonzero invariant factors of L
+    left: IntMatrix
 
     @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
+    def index(self) -> int:
+        """[sat L : L], the torsion order of ZZ^d / L."""
+        return prod(self.diag)
+
+    def coordinates(self, v) -> IntVector:
+        """v in a basis of the saturation of L; they are divisible by diag
+        entrywise exactly when v lies in L itself."""
+        if len(v) != len(self.left):
+            raise LatticeError("vector length does not match the ambient rank")
+        image = mat_vec(self.left, v)
+        if any(image[self.rank :]):
+            raise LatticeError("vector outside the span during coordinate change")
+        return tuple(image[: self.rank])
 
 
-def _vectors_matrix(vectors, ambient_rank) -> list[list[int]]:
+def span(vectors, d: int) -> Span:
+    """The lattice the vectors generate in ZZ^d."""
     vecs = [tuple(map(int, v)) for v in vectors]
-    if any(len(v) != ambient_rank for v in vecs):
+    if any(len(v) != d for v in vecs):
         raise LatticeError("vector length does not match the ambient rank")
-    return [list(v) for v in vecs]
-
-
-def quotient_group(generators, ambient_rank: int) -> QuotientGroup:
-    """ZZ^ambient_rank modulo the ZZ-span of the generators."""
-    if not generators:
-        return QuotientGroup(free_rank=ambient_rank, torsion=())
-    rows = _vectors_matrix(generators, ambient_rank)
-    diag = smith_normal_form(rows).diag
-    rank = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d >= 2)
-    return QuotientGroup(free_rank=ambient_rank - rank, torsion=torsion)
+    dec = smith_normal_form([[v[i] for v in vecs] for i in range(d)])
+    return Span(rank=dec.rank, diag=dec.diag[: dec.rank], left=dec.left)
 
 
 def kernel_basis(matrix) -> list[IntVector]:
@@ -203,62 +205,6 @@ def kernel_basis(matrix) -> list[IntVector]:
     n = len(mat[0])
     dec = smith_normal_form(mat)
     return [tuple(dec.right[i][j] for i in range(n)) for j in range(dec.rank, n)]
-
-
-def saturation_projection(vectors, ambient_rank: int):
-    """Projection of ZZ^d onto the saturated quotient by the span of vectors.
-
-    Returns (pi_rows, rank, torsion): pi_rows are the rows of an integer
-    matrix computing ZZ^d -> ZZ^(d-rank) with kernel exactly the saturation
-    of the span; torsion lists the invariant factors >= 2 of
-    ZZ^d / ZZ-span(vectors).
-    """
-    d = ambient_rank
-    if not vectors:
-        return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)), 0, ()
-    vecs = _vectors_matrix(vectors, d)
-    cols = [[v[i] for v in vecs] for i in range(d)]  # columns = vectors
-    dec = smith_normal_form(cols)
-    rank = dec.rank
-    pi = tuple(dec.left[i] for i in range(rank, d))
-    torsion = tuple(t for t in dec.diag if t >= 2)
-    return pi, rank, torsion
-
-
-def span_coordinates(vectors, ambient_rank: int):
-    """Coordinates of the vectors in a basis of the saturation of their span.
-
-    Returns (coords, rank): coords[i] is an integer rank-vector expressing
-    vectors[i] in a fixed basis of (real span) intersect ZZ^d.
-    """
-    coords, rank, _ = _smith_coordinates(vectors, ambient_rank)
-    return coords, rank
-
-
-def lattice_coordinates(vectors, ambient_rank: int):
-    """Coordinates of the vectors in a basis of the lattice they generate.
-
-    Returns (coords, rank).  Unlike span_coordinates, the basis spans
-    ZZ-span(vectors) itself, which may have finite index in its saturation:
-    saturated coordinate i is divisible by the i-th invariant factor.
-    """
-    coords, rank, diag = _smith_coordinates(vectors, ambient_rank)
-    return [tuple(x // s for x, s in zip(c, diag)) for c in coords], rank
-
-
-def _smith_coordinates(vectors, ambient_rank: int):
-    d = ambient_rank
-    vecs = _vectors_matrix(vectors, d)
-    cols = [[v[i] for v in vecs] for i in range(d)]
-    dec = smith_normal_form(cols)
-    rank = dec.rank
-    coords = []
-    for v in vecs:
-        image = mat_vec(dec.left, v)
-        if any(image[rank:]):
-            raise LatticeError("vector outside the span during coordinate change")
-        coords.append(tuple(image[:rank]))
-    return coords, rank, dec.diag
 
 
 def integer_solve(matrix, rhs) -> IntVector | None:

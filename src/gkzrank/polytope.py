@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, lcm
 
-from .lattice import (
-    adjugate,
-    integer_solve,
-    kernel_basis,
-    quotient_group,
-    saturation_projection,
-)
+from .lattice import adjugate, integer_solve, kernel_basis, span
 
 IntVector = tuple[int, ...]
 
@@ -95,12 +89,13 @@ def validate_aset(dim: int, points) -> ASet:
     height = integer_solve([list(p) for p in pts], [1] * len(pts))
     if height is None:
         raise InvalidConfiguration("no height functional")
-    if affine_rank(pts) != dim - 1:
+    lat = span(pts, dim)  # the points lie off 0, so rank dim is affine rank dim - 1
+    if lat.rank != dim:
         raise InvalidConfiguration(
             "degenerate configuration",
             "points lie on a proper affine subspace of the height-one hyperplane",
         )
-    if not quotient_group(pts, dim).is_trivial:
+    if lat.index != 1:
         raise InvalidConfiguration("does not generate lattice")
     return ASet(dim=dim, points=tuple(pts), height=tuple(height))
 
@@ -274,17 +269,17 @@ class ProjectedFace:
 
     quotient_rank: int
     images: tuple[tuple[int, IntVector], ...]  # (point index, projected point)
-    torsion: tuple[int, ...]  # invariant factors >= 2 of ZZ^d / ZZ(face)
+    index: int  # [sat ZZ(face) : ZZ(face)], the torsion order of ZZ^d / ZZ(face)
 
 
 def project_mod_face(aset: ASet, face: Face) -> ProjectedFace:
     """Project A to the saturated quotient lattice by the span of the face.
 
     Images are listed for the points outside the real span of the face; the
-    torsion of ZZ^d / ZZ(A on the face) is reported separately.
+    index of ZZ(A on the face) in its saturation is reported separately.
     """
-    gens = [aset.points[i] for i in face.indices]
-    pi, rank, torsion = saturation_projection(gens, aset.dim)
+    lat = span([aset.points[i] for i in face.indices], aset.dim)
+    pi = lat.left[lat.rank :]
     images = []
     face_set = set(face.indices)
     for i, p in enumerate(aset.points):
@@ -297,9 +292,9 @@ def project_mod_face(aset: ASet, face: Face) -> ProjectedFace:
             raise RuntimeError("non-face point unexpectedly in the face span")
         images.append((i, img))
     return ProjectedFace(
-        quotient_rank=aset.dim - rank,
+        quotient_rank=aset.dim - lat.rank,
         images=tuple(images),
-        torsion=torsion,
+        index=lat.index,
     )
 
 

@@ -200,6 +200,16 @@ def test_golden_outputs(name, command):
     assert out == expected
 
 
+@pytest.mark.parametrize("run", ["validate f2", "multiplicities a3"])
+def test_golden_json_layouts(run):
+    # the JSON layouts of the commands the grid above leaves out
+    command, name = run.split()
+    expected = (GOLDEN / ("%s_%s.json" % (name, command))).read_text()
+    code, out, _ = run_cli([command, name, "--json"])
+    assert code == 0
+    assert out == expected
+
+
 @pytest.mark.parametrize("name, pair", [("f2", ["2", "3"]), ("kp2", ["0", "1"])])
 def test_golden_edge_outputs(name, pair):
     expected = (GOLDEN / ("%s_edge.json" % name)).read_text()

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkzrank.ktheory import _staircase, rank_k0_edge, rank_k0_face, verify_theorem
-from gkzrank.lattice import kernel_basis, quotient_group, smith_normal_form
+from gkzrank.lattice import kernel_basis, smith_normal_form, span
 from gkzrank.polytope import (
     InvalidConfiguration,
     faces,
@@ -43,7 +43,7 @@ def test_face_index_examples(a3, kp2, f2):
 
 
 def test_face_index_matches_projection_torsion(a3, kp2, f2):
-    # rank_k0_face reads i from the torsion of its projection (a Smith normal
+    # rank_k0_face reads i from the index of its projection (a Smith normal
     # form of the face's columns); here it is read from the face's rows
     rng = random.Random(271828)  # the acceptance corpus
     corpus = [make_random_aset(rng) for _ in range(100)]
@@ -144,9 +144,9 @@ def test_full_dimensional_circuit_rank(a3, a3_secondary):
     # when the edge circuit spans the ambient lattice the edge rank equals
     # the index of the circuit sublattice
     e2 = find_edge(a3_secondary, [(0, 4)], [(0, 2), (2, 4)])
-    idx = quotient_group([a3.points[i] for i in e2.circuit.indices], 2)
-    assert idx.free_rank == 0
-    assert rank_k0_edge(a3, e2).zf_rank == idx.torsion_order == 2
+    lat = span([a3.points[i] for i in e2.circuit.indices], 2)
+    assert lat.rank == 2
+    assert rank_k0_edge(a3, e2).zf_rank == lat.index == 2
 
 
 def test_full_dimensional_circuit_rank_index_three():
@@ -161,14 +161,6 @@ def test_full_dimensional_circuit_rank_index_three():
             assert e.zf_rank == 3
             hits += 1
     assert hits == 1
-
-
-def test_face_index_equals_quotient_torsion(a3, kp2, f2):
-    # the torsion of the full quotient reproduces the saturation index
-    for aset in (a3, kp2, f2):
-        for f in faces(aset):
-            pts = [aset.points[i] for i in f.indices]
-            assert rank_k0_face(aset, f).i == quotient_group(pts, aset.dim).torsion_order
 
 
 def test_edet_exponents_match_face_ranks(a3, kp2, f2):

@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +9,8 @@ from gkzrank.lattice import (
     adjugate,
     integer_solve,
     kernel_basis,
-    quotient_group,
     smith_normal_form,
-    span_coordinates,
+    span,
 )
 
 from fold_reference import det_int, mat_mul, primitive_relation, reconstruct
@@ -65,28 +64,27 @@ def test_snf_properties(mat):
 
 
 def test_quotient_group_examples():
-    assert quotient_group([], 3).free_rank == 3
-    q = quotient_group([(1, 0), (1, 2)], 2)
-    assert (q.free_rank, q.torsion) == (0, (2,))
-    q = quotient_group([(1, 0), (1, 1), (1, 4)], 2)
-    assert (q.free_rank, q.torsion) == (0, ())
-    assert q.is_trivial
+    # ZZ^d / L has free rank d - rank and torsion order index
+    lat = span([(1, 0), (1, 2)], 2)
+    assert (lat.rank, lat.diag, lat.index) == (2, (1, 2), 2)
+    lat = span([(1, 0), (1, 1), (1, 4)], 2)
+    assert (lat.rank, lat.index) == (2, 1)
+    with pytest.raises(LatticeError):
+        span([], 3)
 
 
 def test_quotient_torsion_is_the_saturation_index():
     # a full-rank square system: the index in the saturation is |det|
     gens = [(2, 1), (0, 3)]
-    assert quotient_group(gens, 2).torsion_order == abs(det_int(gens)) == 6
+    assert span(gens, 2).index == abs(det_int(gens)) == 6
     # a saturated plane in ZZ^3: index one
-    q = quotient_group([(1, 0, 1), (0, 1, 1), (-1, 2, 1)], 3)
-    assert (q.free_rank, q.torsion_order) == (1, 1)
+    lat = span([(1, 0, 1), (0, 1, 1), (-1, 2, 1)], 3)
+    assert (lat.rank, lat.index) == (2, 1)
 
 
 def test_quotient_torsion_matches_invariant_factors():
-    gens = [(2, 0, 0), (0, 6, 0)]
-    q = quotient_group(gens, 3)
-    assert q.free_rank == 1
-    assert q.torsion_order == 12
+    lat = span([(2, 0, 0), (0, 6, 0)], 3)
+    assert (lat.rank, lat.diag, lat.index) == (2, (2, 6), 12)
 
 
 def test_primitive_relation_known_circuits():
@@ -135,11 +133,46 @@ def test_integer_solve():
 
 
 def test_span_coordinates():
-    coords, rank = span_coordinates([(2, 0, 0), (0, 3, 0)], 3)
-    assert rank == 2
-    assert len(coords) == 2 and all(len(c) == 2 for c in coords)
+    lat = span([(2, 0, 0), (0, 3, 0)], 3)
+    assert lat.rank == 2
+    assert all(len(lat.coordinates(v)) == 2 for v in [(2, 0, 0), (0, 3, 0), (1, 1, 0)])
     with pytest.raises(LatticeError):
-        span_coordinates([(1, 0)], 3)
+        lat.coordinates((0, 0, 1))
+    with pytest.raises(LatticeError):
+        span([(1, 0)], 3)
+
+
+def _vector_sets():
+    return st.integers(1, 4).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=1, max_size=5),
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vector_sets())
+def test_span_against_the_rows(case):
+    d, vecs = case
+    lat = span(vecs, d)
+    rows = smith_normal_form(vecs).diag  # the transpose: same invariant factors
+    assert lat.rank == sum(1 for x in rows if x)
+    assert lat.index == prod(x for x in rows if x)
+    for v in vecs:
+        assert not any(sum(a * b for a, b in zip(r, v)) for r in lat.left[lat.rank :])
+        assert all(c % s == 0 for c, s in zip(lat.coordinates(v), lat.diag))
+    # a unit vector lies in the real span exactly when it leaves the rank as
+    # it is, and in L exactly when some integer combination of vecs gives it
+    cols = [[v[i] for v in vecs] for i in range(d)]
+    for k in range(d):
+        e = [int(i == k) for i in range(d)]
+        if smith_normal_form(vecs + [e]).rank > lat.rank:
+            with pytest.raises(LatticeError):
+                lat.coordinates(e)
+        else:
+            in_lattice = all(c % s == 0 for c, s in zip(lat.coordinates(e), lat.diag))
+            assert in_lattice == (integer_solve(cols, e) is not None)
 
 
 def test_mat_mul_shapes():

@@ -167,7 +167,7 @@ def test_project_mod_face_kp2_vertex(kp2):
     v1 = face_by_indices(kp2, (1,))
     proj = project_mod_face(kp2, v1)
     assert proj.quotient_rank == 2
-    assert proj.torsion == ()
+    assert proj.index == 1
 
 
 def test_placing_lower_hull(a3):
