@@ -37,7 +37,7 @@ from .elimination import (
     _Clock,
 )
 from .ktheory import FaceInvariants, rank_k0_face
-from .lattice import kernel_basis, mat_vec, span
+from .lattice import Span, kernel_basis, mat_vec, span
 from .polynomial import IntPolynomial, _value, match_power
 from .polytope import (
     ASet,
@@ -94,7 +94,11 @@ def face_local_exponents(aset: ASet, face: Face):
     """Exponent vectors of the face configuration in saturated affine
     coordinates, shifted to be non-negative."""
     pts = [aset.points[i] for i in face.indices]
-    lat = span(pts, aset.dim)
+    return _local_exponents(span(pts, aset.dim), pts)
+
+
+def _local_exponents(lat: Span, pts):
+    """face_local_exponents of the points pts, read from lat, their span."""
     coords = [lat.coordinates(p) for p in pts]
     if lat.rank == 1:
         return [()] * len(pts)
@@ -136,7 +140,9 @@ def _face_discriminant(aset: ASet, face: Face, clock: _Clock, held) -> IntPolyno
     if face.dim == len(idx) - 1:
         return IntPolynomial.constant(n, 1)
 
-    exps = face_local_exponents(aset, face)
+    pts = [aset.points[i] for i in idx]
+    lat = span(pts, aset.dim)
+    exps = _local_exponents(lat, pts)
     if len(exps[0]) == 1:
         g = gcd(*(e for (e,) in exps))
         exps = [(e // g,) for (e,) in exps]
@@ -149,8 +155,6 @@ def _face_discriminant(aset: ASet, face: Face, clock: _Clock, held) -> IntPolyno
     elif held is not None and len(idx) == n:
         h = _interpolation_eliminant(aset, held, clock)
     else:  # the face as its own configuration, in the lattice it generates
-        pts = [aset.points[i] for i in idx]
-        lat = span(pts, aset.dim)
         coords = [tuple(map(floordiv, lat.coordinates(p), lat.diag)) for p in pts]
         h = _factors(validate_aset(lat.rank, coords), clock)[-1].discriminant
         if h is None:  # its row holds the interpolation's BudgetExceeded

@@ -1,11 +1,12 @@
 """Exact integer linear algebra over ZZ^d.
 
-Smith normal forms, adjugates, integer kernels and solutions, and the
-lattice a point set generates (span): its rank, its index in its
-saturation (the torsion order of ZZ^d modulo it), coordinates in the
-saturation and the projection onto the saturated quotient, all from one
-Smith normal form.  All arithmetic is arbitrary-precision integer; there
-is no floating point anywhere in this module.
+Smith normal forms, built with only the transforms the caller reads;
+adjugates; integer kernels; and the lattice a point set generates (span):
+its rank, its index in its saturation (the torsion order of ZZ^d modulo
+it), coordinates in the saturation and the projection onto the saturated
+quotient, all from one Smith normal form.  All arithmetic is
+arbitrary-precision integer; there is no floating point anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -67,98 +68,95 @@ def adjugate(rows) -> tuple[int, IntMatrix | None]:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """left @ matrix @ right is diagonal, with both transforms unimodular."""
+    """left @ matrix @ right is diagonal, with both transforms unimodular; a
+    transform the caller did not ask for is None."""
 
-    left: IntMatrix
+    left: IntMatrix | None
     diag: IntVector
-    right: IntMatrix
+    right: IntMatrix | None
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diag if d != 0)
 
 
-def smith_normal_form(matrix) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms.
+def smith_normal_form(matrix, *, left: bool = False, right: bool = False) -> SmithDecomposition:
+    """Smith normal form, with the unimodular transforms asked for.
 
     The diagonal is non-negative, forms a divisibility chain and has its
     zeros last.  Pivots are chosen smallest-in-absolute-value to moderate
-    coefficient growth.
+    coefficient growth.  The transforms never steer the elimination, so the
+    diagonal, and each transform built, do not depend on which are built.
     """
     a = _check_matrix(matrix)
     m, n = len(a), len(a[0])
-    left = identity_matrix(m)
-    right = identity_matrix(n)
-
-    def row_sub(i, j, q):
-        if q:
-            a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-            left[i] = [x - q * y for x, y in zip(left[i], left[j])]
-
-    def col_sub(i, j, q):
-        if q:
-            for r in a:
-                r[i] -= q * r[j]
-            for r in right:
-                r[i] -= q * r[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in right:
-            r[i], r[j] = r[j], r[i]
+    lt = identity_matrix(m) if left else None
+    rt = identity_matrix(n) if right else None  # rt[j] is column j of the right transform
 
     for t in range(min(m, n)):
-        piv = None
+        best = 0
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+        if not best:
             break
-        if piv[0] != t:
-            row_swap(t, piv[0])
-        if piv[1] != t:
-            col_swap(t, piv[1])
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            if left:
+                lt[t], lt[pi] = lt[pi], lt[t]
+        if pj != t:
+            for r in a:
+                r[t], r[pj] = r[pj], r[t]
+            if right:
+                rt[t], rt[pj] = rt[pj], rt[t]
 
         while True:
             for i in range(t + 1, m):
-                while a[i][t] != 0:
-                    row_sub(i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:
-                        row_swap(i, t)
+                while a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                        if left:
+                            lt[i] = [x - q * y for x, y in zip(lt[i], lt[t])]
+                    if a[i][t]:
+                        a[i], a[t] = a[t], a[i]
+                        if left:
+                            lt[i], lt[t] = lt[t], lt[i]
             for j in range(t + 1, n):
-                while a[t][j] != 0:
-                    col_sub(j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
-                        col_swap(j, t)
-            if any(a[i][t] != 0 for i in range(t + 1, m)):
+                while a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        for r in a:
+                            r[j] -= q * r[t]
+                        if right:
+                            rt[j] = [x - q * y for x, y in zip(rt[j], rt[t])]
+                    if a[t][j]:
+                        for r in a:
+                            r[j], r[t] = r[t], r[j]
+                        if right:
+                            rt[j], rt[t] = rt[t], rt[j]
+            if any(a[i][t] for i in range(t + 1, m)):
                 continue
             # pivot must divide the rest of the submatrix for the chain
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            p = a[t][t]
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1 :])), None)
             if bad is None:
                 break
-            row_sub(t, bad, -1)
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            if left:
+                lt[t] = [x + y for x, y in zip(lt[t], lt[bad])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            left[t] = [-x for x in left[t]]
+            if left:
+                lt[t] = [-x for x in lt[t]]
 
-    diag = tuple(a[i][i] for i in range(min(m, n)))
     return SmithDecomposition(
-        left=tuple(tuple(r) for r in left),
-        diag=diag,
-        right=tuple(tuple(r) for r in right),
+        left=tuple(map(tuple, lt)) if left else None,
+        diag=tuple(a[i][i] for i in range(min(m, n))),
+        right=tuple(zip(*rt)) if right else None,
     )
 
 
@@ -195,38 +193,11 @@ def span(vectors, d: int) -> Span:
     vecs = [tuple(map(int, v)) for v in vectors]
     if any(len(v) != d for v in vecs):
         raise LatticeError("vector length does not match the ambient rank")
-    dec = smith_normal_form([[v[i] for v in vecs] for i in range(d)])
+    dec = smith_normal_form([[v[i] for v in vecs] for i in range(d)], left=True)
     return Span(rank=dec.rank, diag=dec.diag[: dec.rank], left=dec.left)
 
 
 def kernel_basis(matrix) -> list[IntVector]:
     """Basis of the integer kernel {x : matrix @ x = 0} (a saturated lattice)."""
-    mat = _check_matrix(matrix)
-    n = len(mat[0])
-    dec = smith_normal_form(mat)
-    return [tuple(dec.right[i][j] for i in range(n)) for j in range(dec.rank, n)]
-
-
-def integer_solve(matrix, rhs) -> IntVector | None:
-    """One integer solution x of matrix @ x = rhs, or None."""
-    mat = _check_matrix(matrix)
-    b = list(map(int, rhs))
-    if len(b) != len(mat):
-        raise LatticeError("right-hand side length mismatch")
-    n = len(mat[0])
-    dec = smith_normal_form(mat)
-    lb = mat_vec(dec.left, b)
-    rank = dec.rank
-    y = [0] * n
-    for i, val in enumerate(lb):
-        if i < rank:
-            if val % dec.diag[i] != 0:
-                return None
-            y[i] = val // dec.diag[i]
-        elif val != 0:
-            return None
-    x = mat_vec(dec.right, y)
-    for row, target in zip(mat, b):
-        if sum(c * v for c, v in zip(row, x)) != target:
-            return None
-    return tuple(x)
+    dec = smith_normal_form(matrix, right=True)
+    return list(zip(*dec.right))[dec.rank :]

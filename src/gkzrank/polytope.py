@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .lattice import adjugate, integer_solve, kernel_basis, span
+from .lattice import adjugate, kernel_basis, smith_normal_form, span
 
 IntVector = tuple[int, ...]
 
@@ -86,18 +86,25 @@ def validate_aset(dim: int, points) -> ASet:
         raise InvalidConfiguration("wrong point length", "point length differs from dim")
     if len(set(pts)) != len(pts):
         raise InvalidConfiguration("duplicate point")
-    height = integer_solve([list(p) for p in pts], [1] * len(pts))
-    if height is None:
+    # L M R = D for the matrix M whose columns are the points: h M = 1 exactly
+    # when y = h L^-1 solves y D = c = 1 R, so c vanishes past the rank, d_k
+    # divides c_k, and h = y L with y_k = c_k / d_k (unique at rank dim)
+    dec = smith_normal_form([[p[i] for p in pts] for i in range(dim)], left=True, right=True)
+    rank, diag = dec.rank, dec.diag[: dec.rank]
+    c = [sum(col) for col in zip(*dec.right)]
+    y = [x // q for x, q in zip(c, diag)]
+    height = tuple(sum(a * row[j] for a, row in zip(y, dec.left)) for j in range(dim))
+    divisible = not any(c[rank:]) and not any(x % q for x, q in zip(c, diag))
+    if not divisible or any(_dot(height, p) != 1 for p in pts):
         raise InvalidConfiguration("no height functional")
-    lat = span(pts, dim)  # the points lie off 0, so rank dim is affine rank dim - 1
-    if lat.rank != dim:
+    if rank != dim:  # the points lie off 0, so rank dim is affine rank dim - 1
         raise InvalidConfiguration(
             "degenerate configuration",
             "points lie on a proper affine subspace of the height-one hyperplane",
         )
-    if lat.index != 1:
+    if prod(diag) != 1:
         raise InvalidConfiguration("does not generate lattice")
-    return ASet(dim=dim, points=tuple(pts), height=tuple(height))
+    return ASet(dim=dim, points=tuple(pts), height=height)
 
 
 def _is_int(x) -> bool:

@@ -3,12 +3,21 @@ plus one point, a circuit's primitive relation by Smith normal form, a
 triangulation's characteristic function and a ridge's point sides, each
 recomputed on its own rather than read from the table; and the integer
 linear algebra they and the lattice tests rest on: det_int (Bareiss),
-mat_mul and the product that rebuilds a Smith normal form."""
+mat_mul, the product that rebuilds a Smith normal form, and integer_solve,
+with the A-set validation by two Smith normal forms built on it."""
 
 from math import gcd
 
-from gkzrank.lattice import IntVector, LatticeError, kernel_basis
-from gkzrank.polytope import InvalidConfiguration, _relation, _simplex_adjugate
+from gkzrank.lattice import (
+    IntVector,
+    LatticeError,
+    _check_matrix,
+    kernel_basis,
+    mat_vec,
+    smith_normal_form,
+    span,
+)
+from gkzrank.polytope import ASet, InvalidConfiguration, _relation, _simplex_adjugate
 from gkzrank.secondary import Circuit
 
 
@@ -44,6 +53,46 @@ def det_int(rows) -> int:
 def reconstruct(dec, matrix) -> list[list[int]]:
     """left @ matrix @ right of a SmithDecomposition: its diagonal form."""
     return mat_mul(mat_mul(dec.left, matrix), dec.right)
+
+
+def integer_solve(matrix, rhs) -> IntVector | None:
+    """One integer solution x of matrix @ x = rhs, or None."""
+    mat = _check_matrix(matrix)
+    b = list(map(int, rhs))
+    if len(b) != len(mat):
+        raise LatticeError("right-hand side length mismatch")
+    n = len(mat[0])
+    dec = smith_normal_form(mat, left=True, right=True)
+    lb = mat_vec(dec.left, b)
+    rank = dec.rank
+    y = [0] * n
+    for i, val in enumerate(lb):
+        if i < rank:
+            if val % dec.diag[i] != 0:
+                return None
+            y[i] = val // dec.diag[i]
+        elif val != 0:
+            return None
+    x = mat_vec(dec.right, y)
+    for row, target in zip(mat, b):
+        if sum(c * v for c, v in zip(row, x)) != target:
+            return None
+    return tuple(x)
+
+
+def validate_by_two_snfs(dim, pts) -> ASet:
+    """validate_aset's lattice checks on distinct integer points of length
+    dim, by one Smith normal form for the height (integer_solve on the rows)
+    and another for the rank and the index (span of the columns)."""
+    height = integer_solve([list(p) for p in pts], [1] * len(pts))
+    if height is None:
+        raise InvalidConfiguration("no height functional")
+    lat = span(pts, dim)
+    if lat.rank != dim:
+        raise InvalidConfiguration("degenerate configuration")
+    if lat.index != 1:
+        raise InvalidConfiguration("does not generate lattice")
+    return ASet(dim=dim, points=tuple(map(tuple, pts)), height=tuple(height))
 
 
 def primitive_relation(vectors) -> IntVector:

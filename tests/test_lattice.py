@@ -4,16 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkzrank.lattice import (
-    LatticeError,
-    adjugate,
-    integer_solve,
-    kernel_basis,
-    smith_normal_form,
-    span,
-)
+from gkzrank.lattice import LatticeError, adjugate, kernel_basis, smith_normal_form, span
 
-from fold_reference import det_int, mat_mul, primitive_relation, reconstruct
+from fold_reference import det_int, integer_solve, mat_mul, primitive_relation, reconstruct
 
 
 def diag_matrix(diag, m, n):
@@ -31,7 +24,7 @@ def test_snf_known_values():
 
 def test_snf_reconstruction():
     mat = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    dec = smith_normal_form(mat)
+    dec = smith_normal_form(mat, left=True, right=True)
     assert reconstruct(dec, mat) == diag_matrix(dec.diag, 3, 3)
 
 
@@ -49,7 +42,7 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_snf_properties(mat):
-    dec = smith_normal_form(mat)
+    dec = smith_normal_form(mat, left=True, right=True)
     m, n = len(mat), len(mat[0])
     assert reconstruct(dec, mat) == diag_matrix(dec.diag, m, n)
     assert abs(det_int(dec.left)) == 1
@@ -61,6 +54,47 @@ def test_snf_properties(mat):
     # zeros come last
     tail = list(dec.diag[len(nonzero):])
     assert tail == [0] * len(tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices)
+def test_snf_builds_only_the_transforms_asked_for(mat):
+    both = smith_normal_form(mat, left=True, right=True)
+    only_left = smith_normal_form(mat, left=True)
+    only_right = smith_normal_form(mat, right=True)
+    neither = smith_normal_form(mat)
+    assert only_left.diag == only_right.diag == neither.diag == both.diag
+    assert (only_left.left, only_left.right) == (both.left, None)
+    assert (only_right.left, only_right.right) == (None, both.right)
+    assert (neither.left, neither.right) == (None, None)
+
+
+@pytest.mark.parametrize(
+    "mat,diag,left,right",
+    [
+        (
+            [[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
+            (2, 2, 156),
+            ((1, 0, 0), (32, -1, -7), (1221, -38, -267)),
+            ((1, 44, -90), (0, 1, -2), (0, -23, 47)),
+        ),
+        (
+            [[1, 1, 1, 1], [0, 1, 0, 2], [0, 0, 1, 1]],
+            (1, 1, 1),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((1, -1, -1, 2), (0, 1, 0, -2), (0, 0, 1, -1), (0, 0, 0, 1)),
+        ),
+        ([[0, 3], [2, 5], [4, 1]], (1, 6), ((0, 0, 1), (1, -1, 2), (3, -2, 1)), ((0, 1), (1, -4))),
+        ([[6, 10, 15]], (1,), ((1,),), ((-14, -5, 30), (7, 3, -15), (1, 0, -2))),
+        ([[2, 0], [0, 3]], (1, 6), ((1, 1), (3, 2)), ((-1, 3), (1, -2))),  # the divisibility fix-up
+        ([[0, -4], [-6, 0]], (2, 12), ((-1, -1), (-3, -2)), ((1, -2), (-1, 3))),  # sign flips
+    ],
+)
+def test_snf_pinned_transforms(mat, diag, left, right):
+    # the exact transforms, not only their properties: span's left transform
+    # sets every saturated coordinate, so a change of pivot order shows here
+    dec = smith_normal_form(mat, left=True, right=True)
+    assert (dec.diag, dec.left, dec.right) == (diag, left, right)
 
 
 def test_quotient_group_examples():

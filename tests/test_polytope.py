@@ -26,7 +26,7 @@ from gkzrank.polytope import (
 from gkzrank.secondary import _fold_functionals
 
 from conftest import make_random_aset
-from fold_reference import characteristic_function, det_int, fold_relation
+from fold_reference import characteristic_function, det_int, fold_relation, validate_by_two_snfs
 from hull_reference import facet_vertex_sets
 from secondary_lp_reference import in_convex_hull
 
@@ -67,6 +67,30 @@ def test_validate_errors(dim, pts, code):
     with pytest.raises(InvalidConfiguration) as err:
         validate_aset(dim, pts)
     assert err.value.code == code
+
+
+@st.composite
+def point_sets(draw):
+    """Distinct integer points of length 1 to 4: some at height one in the
+    first coordinate, valid or not, and some with no height functional."""
+    dim = draw(st.integers(1, 4))
+    first = st.just(1) if draw(st.booleans()) else st.integers(-3, 3)
+    point = st.tuples(first, *[st.integers(-3, 3)] * (dim - 1))
+    return dim, draw(st.lists(point, min_size=1, max_size=7, unique=True))
+
+
+@settings(max_examples=500, deadline=None)
+@given(point_sets())
+def test_validate_matches_the_two_snf_route(case):
+    dim, pts = case
+    try:
+        expected = validate_by_two_snfs(dim, pts)
+    except InvalidConfiguration as err:
+        with pytest.raises(InvalidConfiguration) as got:
+            validate_aset(dim, pts)
+        assert got.value.code == err.code
+    else:
+        assert validate_aset(dim, pts) == expected
 
 
 def test_faces_a3(a3):
