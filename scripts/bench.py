@@ -8,16 +8,21 @@ defaults to 271828; the holdout seed is 314159) from the root of CHECKOUT
 (default: this checkout) for W in flips, edet and survey, one after the
 other, and writes BENCH_NAME.json at the root of this checkout.  The file
 holds, per workload, the result line and the `# report` lines of the run,
-and for the measured checkout the line count of `src/`, the Python version
-and the number of usable processors (`nproc`).  Compare two checkouts only
-with files written on the same machine.
+and for the measured checkout the line count of `src/`, the import time of
+the CLI (`import_ms`: the median, over IMPORT_RUNS fresh interpreters, of the
+cumulative `python -X importtime -c "import gkzrank.cli"` figure on the
+`gkzrank.cli` line, run in `src/`; it includes compiling the sources when no
+bytecode cache is written), the Python version and the number of usable
+processors (`nproc`).  Compare two checkouts only with files written on the
+same machine.
 
 With --parent, each workload runs PAIRS times on the parent checkout and on
 the change (--root), alternating which side runs first.  The file then holds
-every run's metrics and report digest, and per end-to-end metric each side's
-median and quartiles, the pairs the change wins (ties count for neither) and
-whether the gain rule holds: the change wins at least nine pairs in ten and
-the medians differ by more than the parent's interquartile range.  Each
+the parent's line count and import time too, every run's metrics and report
+digest, and per end-to-end metric each side's median and quartiles, the
+pairs the change wins (ties count for neither) and whether the gain rule
+holds: the change wins at least nine pairs in ten and the medians differ by
+more than the parent's interquartile range.  Each
 checkout must be a whole tree, since `survey` reads `tests/golden`.
 """
 
@@ -37,10 +42,24 @@ WORKLOADS = ("flips", "edet", "survey")
 SEED = 271828
 SECONDS = 10
 PAIRS = 10
+IMPORT_RUNS = 7
 
 
 def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
+
+
+def import_ms(root: Path) -> float:
+    times = []
+    for _ in range(IMPORT_RUNS):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", "import gkzrank.cli"],
+            cwd=root / "src", capture_output=True, text=True, check=True,
+        )
+        # "import time: <self us> | <cumulative us> | <module>"
+        line = next(x for x in proc.stderr.splitlines() if x.split("|")[-1].strip() == "gkzrank.cli")
+        times.append(int(line.split("|")[1]) / 1000)
+    return statistics.median(times)
 
 
 def run_workload(root: Path, workload: str, seed: int) -> dict:
@@ -110,10 +129,11 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "src_lines": src_lines(root),
+        "import_ms": import_ms(root),
     }
     if args.parent:
         parent = args.parent.resolve()
-        bench.update(pairs=PAIRS, parent_src_lines=src_lines(parent))
+        bench.update(pairs=PAIRS, parent_src_lines=src_lines(parent), parent_import_ms=import_ms(parent))
         bench["workloads"] = paired(root, parent, args.seed)
     else:
         bench["workloads"] = {w: run_workload(root, w, args.seed) for w in WORKLOADS}

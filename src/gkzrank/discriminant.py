@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 from operator import floordiv, getitem, mul
+from typing import NamedTuple
 
 from .elimination import (
     _EXP_MAX,
@@ -489,8 +489,7 @@ def _reconstruct(residues, modulus: int) -> list[int] | None:
     return [r * (den // s) for r, s in fracs]
 
 
-@dataclass(frozen=True)
-class FaceFactor:
+class FaceFactor(NamedTuple):
     """A face's discriminant, raised in E_A to the face's rank u * i."""
 
     invariants: FaceInvariants
@@ -506,8 +505,7 @@ class FaceFactor:
         return self.invariants.k0_rank
 
 
-@dataclass(frozen=True)
-class EDetResult:
+class EDetResult(NamedTuple):
     factors: tuple[FaceFactor, ...]
     e_a: IntPolynomial | None
 
@@ -556,8 +554,7 @@ def multiplicity(
     return k
 
 
-@dataclass(frozen=True)
-class NewtonReport:
+class NewtonReport(NamedTuple):
     ok: bool
     missing_vertices: tuple[tuple[int, ...], ...]
     non_vertex_phis: tuple[tuple[int, ...], ...]

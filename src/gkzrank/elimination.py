@@ -15,7 +15,7 @@ ExponentOverflow.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_BUDGET_SECONDS = 60.0
 
@@ -33,14 +33,22 @@ def parse_seconds(text: str) -> float:
         raise InvalidBudget("expected seconds >= 0, got %r" % text) from None
 
 
-@dataclass(frozen=True)
-class Budget:
+class _BudgetFields(NamedTuple):
     seconds: float = DEFAULT_BUDGET_SECONDS
 
-    def __post_init__(self):
-        s = self.seconds
+
+class Budget(_BudgetFields):
+    __slots__ = ()
+
+    def __new__(cls, seconds: float = DEFAULT_BUDGET_SECONDS):
+        s = seconds
         if isinstance(s, bool) or not isinstance(s, (int, float)) or not s >= 0:  # NaN too
             raise InvalidBudget("expected seconds >= 0, got %r" % (s,))
+        return super().__new__(cls, seconds)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the new value too
+        return cls(*iterable)
 
     def describe(self) -> str:
         return "%gs" % self.seconds

@@ -16,7 +16,7 @@ multiplicity-weighted sum of face ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elimination import Budget
 from .lattice import span
@@ -36,8 +36,7 @@ class RankInconsistency(RuntimeError):
     """The two independent rank computations disagreed."""
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(NamedTuple):
     """Bounded staircase data of a projected face: volume and the indices
     whose projections lie on the bounded boundary."""
 
@@ -46,8 +45,7 @@ class Staircase:
     bounded_facets: tuple[tuple[int, ...], ...]  # A-indices per bounded facet
 
 
-@dataclass(frozen=True)
-class FaceInvariants:
+class FaceInvariants(NamedTuple):
     face: Face
     i: int
     u: int
@@ -55,8 +53,7 @@ class FaceInvariants:
     k0_rank: int
 
 
-@dataclass(frozen=True)
-class EdgeInvariants:
+class EdgeInvariants(NamedTuple):
     edge: EdgeData
     per_j_indices: tuple[tuple[tuple[int, ...], int], ...]
     zf_rank: int
@@ -146,8 +143,7 @@ def rank_k0_edge(aset: ASet, edge: EdgeData) -> EdgeInvariants:
     return EdgeInvariants(edge=edge, per_j_indices=tuple(per_j), zf_rank=total)
 
 
-@dataclass(frozen=True)
-class EdgeCheck:
+class EdgeCheck(NamedTuple):
     vertex_pair: tuple[int, int]
     circuit_indices: tuple[int, ...]
     circuit_relation: tuple[int, ...]
@@ -162,8 +158,7 @@ class EdgeCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     aset: ASet
     triangulation_count: int
     face_ranks: tuple[FaceInvariants, ...]

@@ -11,8 +11,8 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -66,8 +66,7 @@ def adjugate(rows) -> tuple[int, IntMatrix | None]:
     return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in a)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """left @ matrix @ right is diagonal, with both transforms unimodular; a
     transform the caller did not ask for is None."""
 
@@ -160,8 +159,7 @@ def smith_normal_form(matrix, *, left: bool = False, right: bool = False) -> Smi
     )
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """The lattice L that some vectors generate in ZZ^d, read from one Smith
     normal form of the matrix whose columns are the vectors: the first rank
     rows of the unimodular left transform carry L onto the sum of the

@@ -15,13 +15,12 @@ secondary.normal_cone_sample, poses strict feasibility as slack maximization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 
-@dataclass
-class LPResult:
+class LPResult(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: tuple[Fraction, ...] | None = None
     objective: Fraction | None = None

@@ -17,9 +17,9 @@ lattice of Q is the closure of its facets under intersection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .lattice import adjugate, kernel_basis, smith_normal_form, span
 
@@ -34,8 +34,7 @@ class InvalidConfiguration(ValueError):
         super().__init__(message or code)
 
 
-@dataclass(frozen=True)
-class ASet:
+class ASet(NamedTuple):
     """A height-one lattice point configuration generating ZZ^dim."""
 
     dim: int
@@ -47,8 +46,7 @@ class ASet:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A non-empty face of Q = conv(A), stored as the indices of all points
     of A lying on it, with an integer supporting functional certificate:
     <support, v> <= offset on A with equality exactly on the face."""
@@ -59,8 +57,7 @@ class Face:
     dim: int
 
 
-@dataclass(frozen=True)
-class MarkedPolytope:
+class MarkedPolytope(NamedTuple):
     """A polytope together with a marked subset of A spanning it."""
 
     vertices_hull: tuple[int, ...]
@@ -144,8 +141,7 @@ def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class HRepresentation:
+class HRepresentation(NamedTuple):
     """conv of finitely many integer points as {x : c.x == e for every
     equation (c, e), a.x <= b for every facet (a, b)}.  The equations are a
     basis of the integer normals of the affine hull; each facet normal a is
@@ -270,8 +266,7 @@ def faces(aset: ASet) -> tuple[Face, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ProjectedFace:
+class ProjectedFace(NamedTuple):
     """The saturated quotient of ZZ^d by the span of a face."""
 
     quotient_rank: int

@@ -1,22 +1,21 @@
 """The JSON layout of verification reports.
 
 This module is the one place that fixes the layout.  It serializes the
-verifier's own frozen rows: a FaceInvariants per face (u, i, the rank u * i
-and the staircase rays), an EdgeCheck per edge, and a FaceFactor per face,
-which holds that face's FaceInvariants with its discriminant.  Polynomials
-are written as IntPolynomial.to_records() lists.
+verifier's own immutable NamedTuple records: a FaceInvariants per face (u,
+i, the rank u * i and the staircase rays), an EdgeCheck per edge, and a
+FaceFactor per face, which holds that face's FaceInvariants with its
+discriminant.  Polynomials are written as IntPolynomial.to_records() lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .discriminant import EDetResult
 from .ktheory import TheoremReport
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str | None
     result: TheoremReport
 

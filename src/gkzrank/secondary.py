@@ -20,9 +20,9 @@ normal_cone_sample, the edge normal that `gkzrank edge` prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .lattice import kernel_basis
 from .linprog import solve_lp
@@ -54,8 +54,7 @@ class NotAnEdge(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Triangulation:
+class Triangulation(NamedTuple):
     """Maximal simplices (index sets) with a regularity certificate: an
     integer lifting whose lower hull is exactly these simplices."""
 
@@ -65,12 +64,14 @@ class Triangulation:
     def __eq__(self, other):
         return isinstance(other, Triangulation) and self.simplices == other.simplices
 
+    def __ne__(self, other):  # tuple's own __ne__ would compare the lifting too
+        return not self == other
+
     def __hash__(self):
         return hash(self.simplices)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """A minimal dependent subset with its primitive relation."""
 
     indices: tuple[int, ...]
@@ -85,8 +86,7 @@ class Circuit:
         return tuple(i for i, l in zip(self.indices, self.relation) if l < 0)
 
 
-@dataclass(frozen=True)
-class EdgeData:
+class EdgeData(NamedTuple):
     """An edge of the secondary polytope with its circuit, separating sets
     and coarsest common subdivision."""
 
@@ -105,15 +105,14 @@ class EdgeData:
         return tuple(marked_polytope(self.points, cell) for cell in self.cells)
 
 
-@dataclass(frozen=True)
-class SecondaryPolytope:
+class SecondaryPolytope(NamedTuple):
     aset: ASet
     triangulations: tuple[Triangulation, ...]
     phis: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
     dim: int
     hull: HRepresentation  # of conv(phis), built from the phis alone
-    table: FoldTable = field(repr=False, compare=False)  # fold_table of aset
+    table: FoldTable  # fold_table of aset
 
 
 def check_triangulation(aset: ASet, table: FoldTable, simplices) -> tuple[tuple[int, ...], ...]:
@@ -179,8 +178,7 @@ def _fold_functionals(aset: ASet, table: FoldTable, simplices) -> list[tuple[int
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class RegularityResult:
+class RegularityResult(NamedTuple):
     regular: bool
     lifting: tuple[int, ...] | None = None
     # non-negative multipliers on the fold functionals, summing them to zero,

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -311,9 +310,9 @@ def test_run_examples_exit_code(fault, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["run_examples.py"])
     verify, newton = script.verify_theorem, script.newton_polytope_check
     fakes = {
-        "status": ("verify_theorem", lambda *a, **k: replace(verify(*a, **k), status="fail")),
+        "status": ("verify_theorem", lambda *a, **k: verify(*a, **k)._replace(status="fail")),
         "skeleton": ("hull_edges", lambda sp: sp.edges[1:]),
-        "newton": ("newton_polytope_check", lambda *a: replace(newton(*a), ok=False)),
+        "newton": ("newton_polytope_check", lambda *a: newton(*a)._replace(ok=False)),
     }
     if fault:
         monkeypatch.setattr(script, *fakes[fault])

@@ -2,7 +2,6 @@ import random
 import time
 import tracemalloc
 import types
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd, isqrt, prod
@@ -795,5 +794,5 @@ def test_newton_polytope_check_reports_each_violation(f2, f2_secondary):
     assert not rep.ok and rep.outside_exponents == (beyond,)
     # a phi list with the edge's midpoint added: a point that is no vertex
     mid = tuple(Fraction(a + b, 2) for a, b in zip(sp.phis[i], sp.phis[j]))
-    rep = newton_polytope_check(e_a, replace(sp, phis=sp.phis + (mid,)))
+    rep = newton_polytope_check(e_a, sp._replace(phis=sp.phis + (mid,)))
     assert not rep.ok and rep.non_vertex_phis == (mid,) and rep.outside_exponents == ()

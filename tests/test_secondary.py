@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -157,7 +156,7 @@ def test_hull_description_matches_lp_and_brute_force(aset):
     # the skeleton from the facets equals the LP skeleton and the flip graph,
     # and reads nothing the flip walk produced
     assert hull_edges(sp) == hull_edges_by_lp(sp) == sp.edges
-    assert hull_edges(replace(sp, edges=(), triangulations=())) == sp.edges
+    assert hull_edges(sp._replace(edges=(), triangulations=())) == sp.edges
     # double description finds exactly the facets a brute-force search finds
     assert all(sp.hull.contains(phi) for phi in sp.phis)
     tight = [
