@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Seeded random survey: generate valid configurations and verify the rank
-identity on every secondary-polytope edge, reporting oracle timeouts.
+identity on every secondary-polytope edge, reporting oracle timeouts.  Each
+line ends with the seconds spent on the flip walk (walk=), the hull skeleton
+cross-check (skeleton=) and the rank identity (verify=).
 
 Usage: python scripts/random_survey.py [--seed N] [--count M] [--budget S]
 """
@@ -33,9 +35,13 @@ def main():
     start = time.monotonic()
     for k in range(args.count):
         aset = make_random_aset(rng)
+        t0 = time.monotonic()
         sp = secondary_polytope(aset)
-        report = verify_theorem(aset, budget, sp=sp)
+        t1 = time.monotonic()
         skel = hull_edges(sp) == sp.edges
+        t2 = time.monotonic()
+        report = verify_theorem(aset, budget, sp=sp)
+        t3 = time.monotonic()
         newton = "-"
         if report.edet.e_a is not None:
             newton = "ok" if newton_polytope_check(report.edet.e_a, sp).ok else "FAIL"
@@ -45,7 +51,7 @@ def main():
             failures += 1
         print(
             "[%3d] d=%d n=%d points=%s verts=%d edges=%d status=%s "
-            "skeleton=%s newton=%s skipped=%d"
+            "skeleton=%s newton=%s skipped=%d | walk=%.3fs skeleton=%.3fs verify=%.3fs"
             % (
                 k,
                 aset.dim,
@@ -57,6 +63,9 @@ def main():
                 "ok" if skel else "FAIL",
                 newton,
                 skipped,
+                t1 - t0,
+                t2 - t1,
+                t3 - t2,
             )
         )
     print(

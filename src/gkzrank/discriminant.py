@@ -535,8 +535,9 @@ def multiplicity(
     leading form of poly (a face discriminant, or E_A itself) along the
     edge's normal direction.
 
-    A pure-monomial leading form gives zero; any other mismatch is an error
-    because it would break the rank bookkeeping downstream.
+    A pure-monomial leading form gives zero (a monomial poly is its own
+    leading form); any other mismatch is an error because it would break the
+    rank bookkeeping downstream.
     """
     if circuit_disc is None:
         circuit_disc = circuit_discriminant(edge.circuit, poly.nvars)
@@ -544,7 +545,7 @@ def multiplicity(
         raise MultiplicityError("the polynomial is zero")
     if poly.is_constant():
         return 0
-    form = poly.leading_form(edge.psi)
+    form = poly if poly.is_monomial() else poly.leading_form(edge.psi)
     k = match_power(form, circuit_disc)
     if k is None:
         raise MultiplicityError(
@@ -564,16 +565,15 @@ class NewtonReport(NamedTuple):
 def newton_polytope_check(e_a: IntPolynomial, sp: SecondaryPolytope) -> NewtonReport:
     """Vertices of the Newton polytope of E_A must be exactly the
     characteristic functions of the regular triangulations, read from the
-    facets of their convex hull (sp.hull): each phi must be a vertex (its
-    facet normals have rank dim) and every other exponent must satisfy the
-    hull equations and every facet inequality."""
+    facets of their convex hull (sp.hull, built from sp.phis in order): each
+    phi must be a vertex (the only phi on every facet through it) and every
+    other exponent must satisfy the hull equations and every facet
+    inequality."""
     exps = set(e_a.terms)
     hull = sp.hull
     phi_set = set(sp.phis)
     missing = tuple(sorted(p for p in sp.phis if p not in exps))
-    non_vertex = [
-        p for p in sp.phis if not (hull.contains(p) and hull.face_normals(p)[0] == 0)
-    ]
+    non_vertex = [p for k, p in enumerate(sp.phis) if not hull.is_vertex(k, len(sp.phis))]
     outside = [e for e in sorted(exps) if e not in phi_set and not hull.contains(e)]
 
     ok = not missing and not non_vertex and not outside

@@ -213,9 +213,11 @@ class IntPolynomial:
         """Sum of the terms maximizing <weights, exponent>."""
         if not self._packed:
             raise PolynomialError("leading form of the zero polynomial")
-        w = [Fraction(x) for x in weights]
+        w = list(weights)
         if len(w) != self.nvars:
             raise PolynomialError("weight vector length mismatch")
+        if not all(isinstance(x, (int, Fraction)) for x in w):
+            raise PolynomialError("weights must be ints or Fractions")
         # a positive integer multiple of the weights has the same maximizers
         scale = lcm(*(x.denominator for x in w))
         w = [x.numerator * (scale // x.denominator) for x in w]

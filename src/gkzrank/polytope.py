@@ -145,22 +145,34 @@ class HRepresentation(NamedTuple):
     """conv of finitely many integer points as {x : c.x == e for every
     equation (c, e), a.x <= b for every facet (a, b)}.  The equations are a
     basis of the integer normals of the affine hull; each facet normal a is
-    primitive, outward, and zero off the hull coordinates it was found in."""
+    primitive, outward, and zero off the hull coordinates it was found in.
+    incidence holds, in facet order, the input points on each facet as a
+    bitmask (bit k for the k-th point): every question about the faces
+    through input points is read from it."""
 
     equations: tuple[tuple[IntVector, int], ...]
     facets: tuple[tuple[IntVector, int], ...]
+    incidence: tuple[int, ...]
 
     def contains(self, x) -> bool:
         return all(_dot(c, x) == e for c, e in self.equations) and all(
             _dot(a, x) <= b for a, b in self.facets
         )
 
-    def face_normals(self, *xs) -> tuple[int, list[IntVector]]:
-        """For points of the polytope: the dimension of the smallest face
-        containing them all, and the outward normals of the facets containing
-        that face (their sum lies in the relative interior of its normal cone)."""
-        normals = [a for a, b in self.facets if all(_dot(a, x) == b for x in xs)]
-        return len(xs[0]) - len(self.equations) - len(_independent_rows(normals)), normals
+    def face(self, points: int, m: int) -> tuple[int, list[int]]:
+        """For a bitmask of some of the m input points: the input points of
+        the smallest face containing them all (every face is the intersection
+        of the facets containing it; no facet leaves the polytope itself),
+        as a bitmask, and the indices of those facets."""
+        facets = [f for f, on in enumerate(self.incidence) if on & points == points]
+        face = (1 << m) - 1
+        for f in facets:
+            face &= self.incidence[f]
+        return face, facets
+
+    def is_vertex(self, k: int, m: int) -> bool:
+        """Whether the k-th of the m input points is a vertex."""
+        return self.face(1 << k, m)[0] == 1 << k
 
 
 def extreme_rays(rows) -> list[tuple[IntVector, set[int]]]:
@@ -202,43 +214,48 @@ def extreme_rays(rows) -> list[tuple[IntVector, set[int]]]:
 def h_representation(points) -> HRepresentation:
     """Equations and facets of conv(points).  The points are read on a set of
     coordinates onto which their affine hull projects one to one; a facet
-    a.x <= b there is an extreme ray (b, a) of {h : h.(1, -x) >= 0 for all x}."""
+    a.x <= b there is an extreme ray (b, a) of {h : h.(1, -x) >= 0 for all x},
+    and the points on it are the rows the ray is tight on."""
     pts = [tuple(p) for p in points]
     n = len(pts[0])
     diffs = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]] or [[0] * n]
     equations = tuple((c, _dot(c, pts[0])) for c in kernel_basis(diffs))
     dim = n - len(equations)
     if dim == 0:
-        return HRepresentation(equations=equations, facets=())
+        return HRepresentation(equations=equations, facets=(), incidence=())
     coords = _independent_rows(list(zip(*diffs)))
     rays = extreme_rays([(1,) + tuple(-p[c] for c in coords) for p in pts])
     place = dict(zip(coords, range(1, dim + 1)))
-    facets = ((tuple(h[place[k]] if k in place else 0 for k in range(n)), h[0]) for h, _ in rays)
-    return HRepresentation(equations=equations, facets=tuple(sorted(facets)))
+    facets = sorted(
+        (tuple(h[place[k]] if k in place else 0 for k in range(n)), h[0], sum(1 << k for k in tight))
+        for h, tight in rays
+    )
+    return HRepresentation(
+        equations=equations,
+        facets=tuple((a, b) for a, b, _ in facets),
+        incidence=tuple(on for _, _, on in facets),
+    )
 
 
 def faces(aset: ASet) -> tuple[Face, ...]:
     """All non-empty faces of Q, vertices through Q itself, with certificates.
 
     The facets are those of h_representation(aset.points), each the set of
-    points on its hyperplane; every other proper face is an intersection of
-    facets, certified by the sum of the facets containing it (a point of the
-    relative interior of its normal cone).  Ordered by (dim, lexicographic
-    indices).
+    points its incidence records; every other proper face is an intersection
+    of facets, certified by the sum of the facets containing it (a point of
+    the relative interior of its normal cone).  Ordered by (dim,
+    lexicographic indices).
     """
     d = aset.dim
     pts = aset.points
-    facets = {
-        frozenset(i for i, p in enumerate(pts) if _dot(a, p) == b): (a, b)
-        for a, b in h_representation(pts).facets
-    }
+    hull = h_representation(pts)
 
-    face_sets: set[frozenset] = set(facets)
-    frontier = set(facets)
+    face_sets = set(hull.incidence)
+    frontier = set(face_sets)
     while frontier:
         new = set()
         for f in frontier:
-            for g in facets:
+            for g in hull.incidence:
                 h = f & g
                 if h and h not in face_sets:
                     new.add(h)
@@ -247,12 +264,12 @@ def faces(aset: ASet) -> tuple[Face, ...]:
 
     out = [Face(indices=tuple(range(aset.n)), support=(0,) * d, offset=0, dim=d - 1)]
     for fs in face_sets:
-        containing = [facets[s] for s in facets if fs <= s]
+        containing = [hull.facets[f] for f in hull.face(fs, aset.n)[1]]
         support = tuple(sum(u[i] for u, _ in containing) for i in range(d))
         offset = sum(c for _, c in containing)
         vals = [_dot(support, p) for p in pts]
-        exact = tuple(sorted(i for i, v in enumerate(vals) if v == offset))
-        if set(exact) != fs:
+        exact = tuple(i for i, v in enumerate(vals) if v == offset)
+        if sum(1 << i for i in exact) != fs:
             raise RuntimeError("face certificate failed to isolate the face")
         out.append(
             Face(
@@ -406,7 +423,7 @@ def hull_vertex_indices(points, indices) -> tuple[int, ...]:
     if not idx:
         return ()
     hull = h_representation([points[i] for i in idx])
-    return tuple(i for i in idx if hull.face_normals(points[i])[0] == 0)
+    return tuple(i for k, i in enumerate(idx) if hull.is_vertex(k, len(idx)))
 
 
 def marked_polytope(points, marks) -> MarkedPolytope:

@@ -12,9 +12,11 @@ ridge sides and lower hulls come from one fold table per configuration
 (polytope.fold_table), which the secondary polytope keeps for its edges.
 
 The characteristic functions of the triangulations found are then described
-once by their facets (polytope.h_representation).  The hull skeleton that
-cross-checks the flip walk, the Newton-polytope check and the normal
-direction of every edge are read from that description.  The one LP left is
+once by their facets (polytope.h_representation), with the phis on each
+facet.  The hull skeleton that cross-checks the flip walk, the
+Newton-polytope check and the normal direction of every edge are read from
+that incidence, with no dot product: the smallest face through some phis is
+the intersection of the facets containing them.  The one LP left is
 normal_cone_sample, the edge normal that `gkzrank edge` prints.
 """
 
@@ -343,8 +345,9 @@ def normal_cone_sample(sp: SecondaryPolytope, i: int, j: int) -> tuple[Fraction,
 def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
     """Circuit, separating sets and subdivision of a secondary-polytope edge.
 
-    psi, the sum of the outward normals of the facets of sp.hull containing
-    the edge, exposes exactly the edge.  Every face discriminant's Newton
+    The pair is an edge when the phis on every facet of sp.hull containing
+    both are the two.  psi, the sum of the outward normals of those facets,
+    exposes exactly the edge.  Every face discriminant's Newton
     polytope is a Minkowski summand of the secondary polytope, so psi also
     picks out the edge's face of each of them.
     """
@@ -352,10 +355,11 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
     if i == j or not (0 <= i < len(sp.phis)) or not (0 <= j < len(sp.phis)):
         raise NotAnEdge("not an edge")
     i, j = min(i, j), max(i, j)
-    face_dim, normals = sp.hull.face_normals(sp.phis[i], sp.phis[j])
-    if face_dim != 1:
+    pair = 1 << i | 1 << j
+    face, facets = sp.hull.face(pair, len(sp.phis))
+    if face != pair:
         raise NotAnEdge("not an edge")
-    psi = tuple(sum(a[k] for a in normals) for k in range(aset.n))
+    psi = tuple(sum(sp.hull.facets[f][0][k] for f in facets) for k in range(aset.n))
     ta, tb = sp.triangulations[i], sp.triangulations[j]
     cells = lower_hull_cells(sp.table, [(-v,) for v in psi])
 
@@ -444,11 +448,17 @@ def _check_separating_sides(ta, tb, circuit: Circuit, seps):
 
 
 def hull_edges(sp: SecondaryPolytope) -> tuple[tuple[int, int], ...]:
-    """Edges of conv{phi_T} read from its facets, for cross-checking the flip
-    walk: phi_i and phi_j span an edge when the facets containing both have
-    normals of rank dim - 1.  Only sp.phis and sp.hull are read."""
+    """Edges of conv{phi_T} read from the incidence of its facets, for
+    cross-checking the flip walk: phi_i and phi_j span an edge when the phis
+    on every facet containing both are exactly the two.  An edge lies on at
+    least dim - 1 facets, so a pair sharing fewer is passed over without a
+    look at its face.  Only sp.phis and sp.hull are read."""
+    hull, m = sp.hull, len(sp.phis)
+    dim = len(sp.phis[0]) - len(hull.equations)
+    masks = [sum(1 << f for f, on in enumerate(hull.incidence) if on >> k & 1) for k in range(m)]
     return tuple(
         (i, j)
-        for i, j in combinations(range(len(sp.phis)), 2)
-        if sp.hull.face_normals(sp.phis[i], sp.phis[j])[0] == 1
+        for i, j in combinations(range(m), 2)
+        if (masks[i] & masks[j]).bit_count() >= dim - 1
+        and hull.face(1 << i | 1 << j, m)[0] == 1 << i | 1 << j
     )

@@ -1,16 +1,17 @@
 """Reference hull questions answered without the package's double
-description: the skeleton of the secondary polytope by one exact LP per pair
-of vertices, and the facets of a polytope by trying every hyperplane through
-affinely independent points.  The facet-based `hull_edges`,
-`h_representation` and the facets of `polytope.faces` are checked against
-them."""
+description, or without its incidence table: the skeleton of the secondary
+polytope by one exact LP per pair of vertices, or from the rank of the
+facet normals through each pair, and the facets of a polytope by trying
+every hyperplane through affinely independent points.  The incidence-based
+`hull_edges`, `h_representation` and the facets of `polytope.faces` are
+checked against them."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
 from gkzrank.lattice import kernel_basis
-from gkzrank.polytope import affine_rank
+from gkzrank.polytope import _independent_rows, affine_rank
 from gkzrank.secondary import NotAnEdge, normal_cone_sample
 
 
@@ -26,6 +27,27 @@ def hull_edges_by_lp(sp) -> tuple[tuple[int, int], ...]:
                 continue
             out.append((i, j))
     return tuple(sorted(out))
+
+
+def hull_edges_by_rank(sp) -> tuple[tuple[int, int], ...]:
+    """Edges of conv{phi_T} from the facet inequalities alone: phi_i and
+    phi_j span an edge when the normals of the facets they both lie on, found
+    by dot products, have rank dim - 1."""
+    return tuple(
+        (i, j)
+        for i, j in combinations(range(len(sp.phis)), 2)
+        if _face_dim(sp.hull, sp.phis[i], sp.phis[j]) == 1
+    )
+
+
+def _face_dim(hull, *xs) -> int:
+    """The dimension of the smallest face of the hull containing the points."""
+    normals = [a for a, b in hull.facets if all(_dot(a, x) == b for x in xs)]
+    return len(xs[0]) - len(hull.equations) - len(_independent_rows(normals))
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 def facet_vertex_sets(points, dim) -> set[frozenset[int]]:

@@ -25,8 +25,8 @@ from gkzrank.discriminant import (
 )
 from gkzrank.elimination import Budget, BudgetExceeded, InvalidBudget, _Clock
 from gkzrank.polynomial import IntPolynomial
-from gkzrank.polytope import InvalidConfiguration, faces, validate_aset
-from gkzrank.secondary import edge_data
+from gkzrank.polytope import InvalidConfiguration, faces, h_representation, validate_aset
+from gkzrank.secondary import NotAnEdge, edge_data, hull_edges, secondary_polytope
 
 from buchberger import _groebner_eliminant
 from conftest import make_random_aset, singular_point_vector
@@ -792,7 +792,42 @@ def test_newton_polytope_check_reports_each_violation(f2, f2_secondary):
     assert all(sum(a * b for a, b in zip(c, beyond)) == e for c, e in sp.hull.equations)
     rep = newton_polytope_check(e_a + IntPolynomial(f2.n, {beyond: 1}), sp)
     assert not rep.ok and rep.outside_exponents == (beyond,)
-    # a phi list with the edge's midpoint added: a point that is no vertex
-    mid = tuple(Fraction(a + b, 2) for a, b in zip(sp.phis[i], sp.phis[j]))
-    rep = newton_polytope_check(e_a, sp._replace(phis=sp.phis + (mid,)))
+    # the hull rebuilt with the edge's midpoint added to the phis: a point
+    # that is no vertex
+    mid = tuple((a + b) // 2 for a, b in zip(sp.phis[i], sp.phis[j]))
+    assert tuple(2 * x for x in mid) == tuple(a + b for a, b in zip(sp.phis[i], sp.phis[j]))
+    phis = sp.phis + (mid,)
+    rep = newton_polytope_check(e_a, sp._replace(phis=phis, hull=h_representation(phis)))
     assert not rep.ok and rep.non_vertex_phis == (mid,) and rep.outside_exponents == ()
+
+
+def test_secondary_polytopes_of_dimension_zero_and_one():
+    # a simplex has one triangulation, so its secondary polytope is a point;
+    # a circuit has two, and its secondary polytope is their edge, on no facet
+    for points, edges in (
+        ([(0, 0, 1), (1, 0, 1), (0, 1, 1)], ()),
+        ([(1, 0), (1, 1), (1, 2)], ((0, 1),)),
+    ):
+        aset = validate_aset(len(points[0]), points)
+        sp = secondary_polytope(aset)
+        assert sp.dim == len(edges) and len(sp.phis) == sp.dim + 1
+        assert hull_edges(sp) == sp.edges == edges
+        for i, j in edges:
+            ed = edge_data(sp, i, j)
+            assert ed.psi == (0,) * aset.n and ed.circuit.indices == (0, 1, 2)
+        for i, j in ((0, 0), (0, len(sp.phis))):
+            with pytest.raises(NotAnEdge):
+                edge_data(sp, i, j)
+        rep = newton_polytope_check(principal_a_determinant(aset).e_a, sp)
+        assert rep.ok and rep.non_vertex_phis == ()
+
+
+def test_multiplicity_of_a_monomial(a3, a3_secondary):
+    # a one-term polynomial is its own leading form; like every leading form
+    # it is matched up to its content, so 2 a_0 gives 0 too
+    e1 = find_edge(a3_secondary, [(0, 4)], [(0, 1), (1, 4)])
+    for k in range(a3.n):
+        assert multiplicity(IntPolynomial.variable(a3.n, k), e1) == 0
+    assert multiplicity(IntPolynomial(a3.n, {(1, 0, 0, 0, 0): 2}), e1) == 0
+    with pytest.raises(MultiplicityError):
+        multiplicity(IntPolynomial.zero(a3.n), e1)

@@ -58,6 +58,15 @@ def test_leading_form_weight_examples():
     assert F_Q.leading_form([0, 0, 0, 0, 0]) == F_Q
 
 
+def test_leading_form_reads_ints_and_equal_fractions_alike():
+    ints = (1, 4, 4, 4, 0)
+    fractions = tuple(Fraction(2 * x, 2) for x in ints)
+    assert F_Q.leading_form(ints) == F_Q.leading_form(fractions)
+    assert F_Q.leading_form(ints) == poly(5, {(0, 0, 2, 0, 2): 16, (0, 1, 0, 1, 2): -64})
+    with pytest.raises(PolynomialError):
+        F_Q.leading_form([0.25, 1, 1, 1, 0])
+
+
 def test_leading_form_zero_error():
     with pytest.raises(PolynomialError):
         IntPolynomial.zero(2).leading_form([1, 1])

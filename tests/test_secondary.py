@@ -32,7 +32,7 @@ from gkzrank.secondary import (
 
 from conftest import make_random_aset
 from fold_reference import circuit_from_points, det_int, fold_relation, ridge_sides_by_det
-from hull_reference import facet_vertex_sets, hull_edges_by_lp
+from hull_reference import facet_vertex_sets, hull_edges_by_lp, hull_edges_by_rank
 from secondary_lp_reference import (
     facets_of_secondary_cone,
     flip_by_lift,
@@ -131,6 +131,26 @@ def test_flip_skeleton_equals_hull_skeleton(a3_secondary, kp2_secondary, f2_seco
     for sp in (a3_secondary, kp2_secondary, f2_secondary):
         assert hull_edges(sp) == sp.edges
         assert hull_edges_by_lp(sp) == sp.edges
+        assert hull_edges_by_rank(sp) == sp.edges
+
+
+def test_hull_skeleton_matches_rank_reference_on_corpus_prefix():
+    # corpus instances 0-19 of the acceptance corpus (seed 271828)
+    rng = random.Random(271828)
+    for _ in range(20):
+        sp = secondary_polytope(make_random_aset(rng))
+        assert hull_edges(sp) == hull_edges_by_rank(sp) == sp.edges
+
+
+def test_grid_hull_skeleton_and_sampled_edge_normals():
+    # the 3x3 grid: 387 regular triangulations, 1,190 flips
+    sp = secondary_polytope(validate_aset(3, [(1, i, j) for i in range(3) for j in range(3)]))
+    assert (len(sp.phis), len(sp.edges)) == (387, 1190)
+    assert hull_edges(sp) == sp.edges
+    for i, j in random.Random(5).sample(sp.edges, 50):
+        psi = edge_data(sp, i, j).psi
+        vals = [_dot(psi, phi) for phi in sp.phis]
+        assert [k for k, v in enumerate(vals) if v == max(vals)] == [i, j]
 
 
 def _dot(u, v):
@@ -155,14 +175,16 @@ def test_hull_description_matches_lp_and_brute_force(aset):
     sp = secondary_polytope(aset)
     # the skeleton from the facets equals the LP skeleton and the flip graph,
     # and reads nothing the flip walk produced
-    assert hull_edges(sp) == hull_edges_by_lp(sp) == sp.edges
-    assert hull_edges(sp._replace(edges=(), triangulations=())) == sp.edges
+    assert hull_edges(sp) == hull_edges_by_lp(sp) == hull_edges_by_rank(sp) == sp.edges
+    assert hull_edges(sp._replace(edges=(), triangulations=(), dim=None)) == sp.edges
     # double description finds exactly the facets a brute-force search finds
     assert all(sp.hull.contains(phi) for phi in sp.phis)
     tight = [
         frozenset(k for k, phi in enumerate(sp.phis) if _dot(a, phi) == b)
         for a, b in sp.hull.facets
     ]
+    # and its incidence table records exactly the phis on each facet
+    assert [frozenset(k for k in range(len(sp.phis)) if on >> k & 1) for on in sp.hull.incidence] == tight
     assert len(set(tight)) == len(tight)
     assert set(tight) == facet_vertex_sets(sp.phis, sp.dim)
     # each edge's psi exposes exactly the edge, with the LP psi's subdivision
