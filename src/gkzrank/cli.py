@@ -50,7 +50,7 @@ def _load_document(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_INVALID_INPUT, "cannot read input: %s" % exc)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
         raise CliError(EXIT_INVALID_INPUT, "malformed document: %s" % exc)
     if not isinstance(doc, dict) or "dim" not in doc or "points" not in doc:
         raise CliError(

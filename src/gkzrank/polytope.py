@@ -10,9 +10,10 @@ each full simplex plus each further point, by Cramer's rule from the
 simplex's adjugate (lattice.adjugate), once per configuration.
 
 The facets of every point set (Q, the secondary polytope, a marked cell)
-and the extreme rays of every cone (a secondary cone) come from one integer
-double description, with no LP and no floating-point predicate; the face
-lattice of Q is the closure of its facets under intersection.
+and the extreme rays of every cone (a secondary cone), each with its tight
+rows as one bitmask, come from one integer double description, with no LP
+and no floating-point predicate; the face lattice of Q is the closure of
+its facets under intersection.
 """
 
 from __future__ import annotations
@@ -175,11 +176,11 @@ class HRepresentation(NamedTuple):
         return self.face(1 << k, m)[0] == 1 << k
 
 
-def extreme_rays(rows) -> list[tuple[IntVector, set[int]]]:
+def extreme_rays(rows) -> list[tuple[IntVector, int]]:
     """The extreme rays of the cone {h : r.h >= 0 for every row r}, whose
-    rows must have full rank, each primitive and with the indices of the rows
-    it is tight on, by integer double description (Motzkin, Raiffa, Thompson
-    and Thrall 1953; Fukuda and Prodon 1996).
+    rows must have full rank, each primitive and with the rows it is tight
+    on as one bitmask (bit t for row t), by integer double description
+    (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).
 
     The rows are added one at a time to the simplicial cone of an independent
     subset.  A new ray combines a ray on each side of the added row whose
@@ -194,19 +195,19 @@ def extreme_rays(rows) -> list[tuple[IntVector, set[int]]]:
     for k, s in enumerate(basis):
         h = [x[k] if det > 0 else -x[k] for x in adj]
         g = gcd(*h)
-        rays.append((tuple(x // g for x in h), set(basis) - {s}))
+        rays.append((tuple(x // g for x in h), sum(1 << s for s in basis) ^ 1 << s))
     for t in (t for t in range(len(rows)) if t not in basis):
         vals = [_dot(rows[t], h) for h, _ in rays]
-        new = [(h, tight | {t} if v == 0 else tight) for (h, tight), v in zip(rays, vals) if v >= 0]
+        new = [(h, tight | 1 << t if v == 0 else tight) for (h, tight), v in zip(rays, vals) if v >= 0]
         pos = [k for k, v in enumerate(vals) if v > 0]
         for p, q in product(pos, [k for k, v in enumerate(vals) if v < 0]):
             common = rays[p][1] & rays[q][1]
-            if len(common) >= m - 2 and not any(
-                common <= tight for k, (_, tight) in enumerate(rays) if k not in (p, q)
+            if common.bit_count() >= m - 2 and not any(
+                common & tight == common for k, (_, tight) in enumerate(rays) if k not in (p, q)
             ):
                 h = [vals[p] * y - vals[q] * x for x, y in zip(rays[p][0], rays[q][0])]
                 g = gcd(*h)
-                new.append((tuple(x // g for x in h), common | {t}))
+                new.append((tuple(x // g for x in h), common | 1 << t))
         rays = new
     return rays
 
@@ -215,7 +216,7 @@ def h_representation(points) -> HRepresentation:
     """Equations and facets of conv(points).  The points are read on a set of
     coordinates onto which their affine hull projects one to one; a facet
     a.x <= b there is an extreme ray (b, a) of {h : h.(1, -x) >= 0 for all x},
-    and the points on it are the rows the ray is tight on."""
+    and the ray's tight-row mask, kept as it is, is the facet's incidence."""
     pts = [tuple(p) for p in points]
     n = len(pts[0])
     diffs = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]] or [[0] * n]
@@ -227,7 +228,7 @@ def h_representation(points) -> HRepresentation:
     rays = extreme_rays([(1,) + tuple(-p[c] for c in coords) for p in pts])
     place = dict(zip(coords, range(1, dim + 1)))
     facets = sorted(
-        (tuple(h[place[k]] if k in place else 0 for k in range(n)), h[0], sum(1 << k for k in tight))
+        (tuple(h[place[k]] if k in place else 0 for k in range(n)), h[0], tight)
         for h, tight in rays
     )
     return HRepresentation(

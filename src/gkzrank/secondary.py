@@ -2,14 +2,15 @@
 
 Enumeration is a breadth-first walk on the flip graph, seeded by the placing
 triangulation.  Each vertex of the secondary fan is a full-dimensional cone
-of liftings; its extreme rays, by integer double description, say which
-folds are facets and give an interior point, which certifies the
-triangulation when the walk reaches it.  The neighbor across a facet is the
-bistellar flip on the circuit of its fold, read from the simplices alone.
-is_regular reads the same cone for a triangulation given from outside;
-check_triangulation reads ridge sides off the fold table.  Folds, volumes,
-ridge sides and lower hulls come from one fold table per configuration
-(polytope.fold_table), which the secondary polytope keeps for its edges.
+of liftings; its extreme rays, by integer double description, give an
+interior point, which certifies the triangulation when the walk reaches it,
+and the facets: the folds tight on a maximal set of rays.  The neighbor
+across a facet is the bistellar flip on the circuit of its fold, read from
+the simplices alone.  is_regular reads the same cone for a triangulation
+given from outside; check_triangulation reads ridge sides off the fold
+table.  Folds, volumes, ridge sides and lower hulls come from one fold
+table per configuration (polytope.fold_table), which the secondary polytope
+keeps for its edges.
 
 The characteristic functions of the triangulations found are then described
 once by their facets (polytope.h_representation), with the phis on each
@@ -43,7 +44,6 @@ from .polytope import (
     placing_lifts,
     placing_volume,
     _dot,
-    _independent_rows,
     _is_int,
 )
 
@@ -226,17 +226,16 @@ def _secondary_cone(aset: ASet, table: FoldTable, sims):
     and the indices of the folds that are facets.  The lifting is the sum of
     the extreme rays of the cone read on the coordinates outside the first
     simplex, which determine the folds, so it is pointed and full-dimensional
-    there; a fold is a facet when the rays tight on it have rank one less
-    than the cone's dimension."""
+    there: each fold cuts out a proper face, known by its rays, and a fold
+    is a facet when its tight rays are no other fold's proper subset (on a
+    half-line, tight on none, every fold is one)."""
     folds = _fold_functionals(aset, table, sims)
     off = [i for i in range(aset.n) if i not in sims[0]]
     rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
     total = dict(zip(off, map(sum, zip(*(h for h, _ in rays)))))
-    tight = [[h for h, on in rays if k in on] for k in range(len(folds))]
-    rank = len(off) - 1
-    facets = [
-        k for k, hs in enumerate(tight) if len(hs) >= rank and len(_independent_rows(hs)) == rank
-    ]
+    tight = [sum(1 << r for r, (_, on) in enumerate(rays) if on >> k & 1) for k in range(len(folds))]
+    distinct = set(tight)
+    facets = [k for k, m in enumerate(tight) if not any(m != o and m & o == m for o in distinct)]
     return folds, tuple(total.get(i, 0) for i in range(aset.n)), facets
 
 

@@ -1,10 +1,12 @@
 """Test-only references for the fold table: the relation on one simplex
 plus one point, a circuit's primitive relation by Smith normal form, a
 triangulation's characteristic function and a ridge's point sides, each
-recomputed on its own rather than read from the table; and the integer
-linear algebra they and the lattice tests rest on: det_int (Bareiss),
-mat_mul, the product that rebuilds a Smith normal form, and integer_solve,
-with the A-set validation by two Smith normal forms built on it."""
+recomputed on its own rather than read from the table; the facets of a
+secondary cone by the rank of the extreme rays tight on each fold; and the
+integer linear algebra they and the lattice tests rest on: det_int
+(Bareiss), mat_mul, the product that rebuilds a Smith normal form, and
+integer_solve, with the A-set validation by two Smith normal forms built on
+it."""
 
 from math import gcd
 
@@ -17,7 +19,14 @@ from gkzrank.lattice import (
     smith_normal_form,
     span,
 )
-from gkzrank.polytope import ASet, InvalidConfiguration, _relation, _simplex_adjugate
+from gkzrank.polytope import (
+    ASet,
+    InvalidConfiguration,
+    _independent_rows,
+    _relation,
+    _simplex_adjugate,
+    extreme_rays,
+)
 from gkzrank.secondary import Circuit
 
 
@@ -154,3 +163,14 @@ def ridge_sides_by_det(aset, ridge):
     """det(ridge, p) for every point p of A: the sign gives p's side of the
     hyperplane through the ridge."""
     return [det_int([aset.points[i] for i in ridge] + [p]) for p in aset.points]
+
+
+def facets_by_rank(aset, folds, sims):
+    """The indices of the folds of T that are facets of its cone C(T), read
+    on the coordinates outside T's first simplex: those whose tight extreme
+    rays have rank one less than the cone's dimension there."""
+    off = [i for i in range(aset.n) if i not in sims[0]]
+    rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
+    rank = len(off) - 1
+    tight = [[h for h, on in rays if on >> k & 1] for k in range(len(folds))]
+    return [k for k, hs in enumerate(tight) if len(hs) >= rank and len(_independent_rows(hs)) == rank]

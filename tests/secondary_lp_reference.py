@@ -176,7 +176,7 @@ def wall_points(aset, table, sims):
     rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
     walls = {}
     for k in facets:
-        total = dict(zip(off, map(sum, zip(*(h for h, on in rays if k in on)))))
+        total = dict(zip(off, map(sum, zip(*(h for h, on in rays if on >> k & 1)))))
         walls[k] = tuple(total.get(i, 0) for i in range(aset.n))
     return walls
 

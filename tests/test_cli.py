@@ -61,6 +61,18 @@ def test_exit_code_invalid_inputs(tmp_path):
     code, _, err = run_cli(["validate", str(bad)])
     assert code == 2 and "malformed document" in err
 
+    # not UTF-8, nested past the recursion limit, and an integer past the
+    # 4,300-digit conversion limit
+    for content in [
+        b"\xff\xfe{}",
+        b"[" * 100000 + b"]" * 100000,
+        b'{"dim": 2, "points": [[1, 0], [1, 1%s]]}' % (b"0" * 5000),
+    ]:
+        bad.write_bytes(content)
+        code, out, err = run_cli(["validate", str(bad)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed document: ") and err.count("\n") == 1
+
     dup = tmp_path / "dup.json"
     dup.write_text(json.dumps({"dim": 2, "points": [[1, 0], [1, 0]]}))
     code, _, err = run_cli(["validate", str(dup)])

@@ -11,6 +11,7 @@ from gkzrank.lattice import smith_normal_form
 from gkzrank.polytope import (
     InvalidConfiguration,
     affine_rank,
+    extreme_rays,
     faces,
     fold_table,
     hull_vertex_indices,
@@ -384,6 +385,28 @@ def test_rank_by_elimination_matches_smith_normal_form(rows):
     kept = [t for t in range(len(rows)) if ranks[t + 1] > ranks[t]]
     assert _independent_rows(rows) == kept
     assert _independent_rows([]) == []
+
+
+@st.composite
+def full_rank_matrices(draw):
+    """Integer matrices of rank equal to their 1 to 4 columns, with up to
+    four rows more than that, each row signed to be non-negative on a drawn
+    point so that the cone they cut out is not just the origin."""
+    cols = draw(st.integers(1, 4))
+    row = st.lists(_small_ints, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=cols, max_size=cols + 4))
+    assume(smith_normal_form(rows).rank == cols)
+    point = draw(row)
+    return [r if sum(a * b for a, b in zip(r, point)) >= 0 else [-x for x in r] for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_rank_matrices())
+def test_extreme_ray_masks_hold_exactly_the_tight_rows(rows):
+    # bit t of a ray's mask is set exactly when the ray is tight on row t
+    for h, on in extreme_rays(rows):
+        assert all(sum(a * b for a, b in zip(r, h)) >= 0 for r in rows) and gcd(*h) == 1
+        assert on == sum(1 << t for t, r in enumerate(rows) if sum(a * b for a, b in zip(r, h)) == 0)
 
 
 def test_rank_by_elimination_examples():

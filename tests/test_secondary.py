@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gkzrank import linprog, secondary
 from gkzrank.polytope import (
     InvalidConfiguration,
+    extreme_rays,
     fold_table,
     lower_hull_cells,
     total_volume,
@@ -31,7 +32,7 @@ from gkzrank.secondary import (
 )
 
 from conftest import make_random_aset
-from fold_reference import circuit_from_points, det_int, fold_relation, ridge_sides_by_det
+from fold_reference import circuit_from_points, det_int, facets_by_rank, fold_relation, ridge_sides_by_det
 from hull_reference import facet_vertex_sets, hull_edges_by_lp, hull_edges_by_rank
 from secondary_lp_reference import (
     facets_of_secondary_cone,
@@ -460,8 +461,9 @@ def test_flip_walk_and_edge_data_solve_no_lp(monkeypatch, a3, kp2, f2):
 
 def test_fold_tight_on_enough_rays_need_not_be_a_facet():
     # modulo affine functions this cone has dimension 5; the fold below is
-    # tight on four of its seven extreme rays, which span only a
-    # three-dimensional face, so only the rank test keeps it off the facets
+    # tight on four of its seven extreme rays, as many as a facet holds, but
+    # they span only a three-dimensional face: another fold is tight on all
+    # four and more, so the fold is not a facet
     points = [(0, 2, 1), (1, 0, 1), (-1, 0, 1), (0, 0, 1), (-1, -1, 1), (1, 2, 1), (1, 1, 1), (1, -1, 1)]
     aset = validate_aset(3, points)
     sims = ((0, 2, 3), (0, 3, 5), (2, 3, 4), (3, 4, 7), (3, 5, 6), (3, 6, 7))
@@ -492,6 +494,38 @@ def test_bistellar_flip_matches_the_lifted_lower_hull(a3, kp2, f2):
                 assert _flip(tri.simplices, folds[k]) == flip_by_lift(sp.table, w, folds[k])
                 walls += 1
     assert walls == 3644
+
+
+def _walk_cones(a3, kp2, f2):
+    """(aset, simplices, folds, facets) for every secondary cone of the walk
+    configurations and of the 3 x 3 grid."""
+    grid = validate_aset(3, [(1, i, j) for i in range(3) for j in range(3)])
+    for aset in (*_walk_configurations(a3, kp2, f2), grid):
+        sp = secondary_polytope(aset)
+        for tri in sp.triangulations:
+            folds, _, facets = _secondary_cone(aset, sp.table, tri.simplices)
+            yield aset, tri.simplices, folds, facets
+
+
+def test_extreme_ray_masks_on_the_secondary_cones(a3, kp2, f2):
+    # bit t of a ray's mask is set exactly when the ray is tight on fold t
+    rays = 0
+    for aset, sims, folds, _ in _walk_cones(a3, kp2, f2):
+        rows = [[c[i] for i in range(aset.n) if i not in sims[0]] for c in folds]
+        for h, on in extreme_rays(rows) if rows else []:
+            assert on == sum(1 << t for t, r in enumerate(rows) if _dot(r, h) == 0)
+            rays += 1
+    assert rays == 6032
+
+
+def test_facets_by_maximal_masks_match_the_rank_rule(a3, kp2, f2):
+    # the folds whose tight rays are no other fold's proper subset are the
+    # folds whose tight rays have rank one less than the cone's dimension
+    cones = 0
+    for aset, sims, folds, facets in _walk_cones(a3, kp2, f2):
+        assert facets == facets_by_rank(aset, folds, sims)
+        cones += 1
+    assert cones == 1355
 
 
 def test_fold_table_matches_fold_relation(a3, kp2, f2):
