@@ -114,7 +114,7 @@ def _local_exponents(lat: Span, pts):
     return [tuple(x - lo for x, lo in zip(e, lows)) for e in exps]
 
 
-def face_discriminant(aset: ASet, face: Face, clock: _Clock | None = None) -> IntPolynomial:
+def face_discriminant(aset: ASet, face: Face, budget: Budget | None = None) -> IntPolynomial:
     """The discriminant of the face configuration, in the global a-variables.
 
     Vertices give their own coordinate variable; simplex faces (and any face
@@ -122,11 +122,11 @@ def face_discriminant(aset: ASet, face: Face, clock: _Clock | None = None) -> In
     One-dimensional faces are eliminated by a resultant on their exponents
     divided by their gcd, their coordinates in the lattice the face's
     points generate; higher faces by their own configuration's face loop.
-    Raises BudgetExceeded when the clock runs out and ExponentOverflow when
-    a local exponent exceeds the limit: an edge's once divided by their gcd,
-    a higher face's in saturated coordinates.
+    Raises BudgetExceeded when the budget's clock, started here, runs out and
+    ExponentOverflow when a local exponent exceeds the limit: an edge's once
+    divided by their gcd, a higher face's in saturated coordinates.
     """
-    return _face_discriminant(aset, face, clock or _Clock(Budget()), None)
+    return _face_discriminant(aset, face, _Clock(budget or Budget()), None)
 
 
 def _face_discriminant(aset: ASet, face: Face, clock: _Clock, held) -> IntPolynomial:

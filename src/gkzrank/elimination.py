@@ -1,12 +1,13 @@
 """The budget clock and exponent limit shared by the face oracles.
 
 A Budget is a wall-clock limit on all the face oracles of a command:
-principal_a_determinant turns it into one _Clock that every face oracle
-polls, so a face reached after the deadline is over budget at its first
-check.  The clock is read at every check, each guarding a whole unit of
-work (a Bareiss cell update, a fiber node, an evaluation row), so the
-oracles run at most one such unit past the limit, then raise
-BudgetExceeded, which echoes the budget and the stage.  The limit defaults
+principal_a_determinant (or face_discriminant, for one face) turns it
+into one _Clock that every face oracle polls, so a face reached after the
+deadline is over budget at its first check.  The clock is read at every
+check, each guarding a whole unit of work (a Bareiss cell update, a fiber
+node, an evaluation row), so the oracles run at most one such unit past
+the limit, then raise BudgetExceeded, which echoes the budget and the
+stage.  The limit defaults
 to 60 s and is set only by Budget(seconds=...), which refuses a value that
 is not a number >= 0.  A face-local exponent above _EXP_MAX raises
 ExponentOverflow.

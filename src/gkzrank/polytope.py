@@ -9,8 +9,8 @@ from the fold table of the configuration: the integer affine relation on
 each full simplex plus each further point, by Cramer's rule from the
 simplex's adjugate (lattice.adjugate), once per configuration.
 
-The facets of every point set (Q, the secondary polytope, a marked cell)
-and the extreme rays of every cone (a secondary cone), each with its tight
+The facets of every point set (Q, the secondary polytope) and the
+extreme rays of every cone (a secondary cone), each with its tight
 rows as one bitmask, come from one integer double description, with no LP
 and no floating-point predicate; the face lattice of Q is the closure of
 its facets under intersection.
@@ -416,19 +416,3 @@ def total_volume(aset: ASet) -> int:
     """Normalized volume of Q (via the placing triangulation)."""
     return subset_volume(aset.points, range(aset.n), aset.dim)
 
-
-def hull_vertex_indices(points, indices) -> tuple[int, ...]:
-    """The subset of indices whose points are vertices of their convex hull:
-    those whose smallest face of the hull is the point itself."""
-    idx = sorted(indices)
-    if not idx:
-        return ()
-    hull = h_representation([points[i] for i in idx])
-    return tuple(i for k, i in enumerate(idx) if hull.is_vertex(k, len(idx)))
-
-
-def marked_polytope(points, marks) -> MarkedPolytope:
-    marks = tuple(sorted(marks))
-    return MarkedPolytope(
-        vertices_hull=hull_vertex_indices(points, marks), marks=marks
-    )

@@ -18,7 +18,8 @@ facet.  The hull skeleton that cross-checks the flip walk, the
 Newton-polytope check and the normal direction of every edge are read from
 that incidence, with no dot product: the smallest face through some phis is
 the intersection of the facets containing them.  The one LP left is
-normal_cone_sample, the edge normal that `gkzrank edge` prints.
+normal_cone_sample, the edge normal that `gkzrank edge` prints; the
+vertices of each cell of an edge's subdivision are read off its circuit.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ from .polytope import (
     ASet,
     FoldTable,
     HRepresentation,
-    IntVector,
     MarkedPolytope,
     extreme_rays,
     fold_table,
     h_representation,
     lower_hull_cells,
     lower_hull_triangulation,
-    marked_polytope,
     placing_lifts,
     placing_volume,
     _dot,
@@ -99,12 +98,24 @@ class EdgeData(NamedTuple):
     common_simplices: tuple[tuple[int, ...], ...]
     psi: tuple[int, ...]  # sum of the outward facet normals at the edge
     vertex_pair: tuple[int, int]
-    points: tuple[IntVector, ...]
 
     @property
     def subdivision(self) -> tuple[MarkedPolytope, ...]:
-        """The marked cells, built when read."""
-        return tuple(marked_polytope(self.points, cell) for cell in self.cells)
+        """The marked cells with the vertices of their hulls, read off the
+        circuit Z.  A cell holding Z is conv(Z + J), J a separating set off
+        the affine span of Z; its only non-vertex is a point of Z alone on
+        its side of Z's relation, if there is one: the relation writes that
+        point as a convex combination of the others, and a point in the
+        hull of the others gives a relation with it alone on its side.
+        Every other cell is a simplex (De Loera, Rambau and Santos 2010,
+        section 2.4)."""
+        z = self.circuit
+        lone = {side[0] for side in (z.plus, z.minus) if len(side) == 1}
+        return tuple(
+            MarkedPolytope(tuple(k for k in c if k not in lone), c) if set(z.indices) <= set(c)
+            else MarkedPolytope(c, c)
+            for c in self.cells
+        )
 
 
 class SecondaryPolytope(NamedTuple):
@@ -360,7 +371,7 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
         raise NotAnEdge("not an edge")
     psi = tuple(sum(sp.hull.facets[f][0][k] for f in facets) for k in range(aset.n))
     ta, tb = sp.triangulations[i], sp.triangulations[j]
-    cells = lower_hull_cells(sp.table, [(-v,) for v in psi])
+    cells = lower_hull_cells(sp.table, [-v for v in psi])
 
     d = aset.dim
     common = []
@@ -412,7 +423,6 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
         common_simplices=expected_common,
         psi=psi,
         vertex_pair=(i, j),
-        points=aset.points,
     )
 
 

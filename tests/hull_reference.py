@@ -4,14 +4,17 @@ polytope by one exact LP per pair of vertices, or from the rank of the
 facet normals through each pair, and the facets of a polytope by trying
 every hyperplane through affinely independent points.  The incidence-based
 `hull_edges`, `h_representation` and the facets of `polytope.faces` are
-checked against them."""
+checked against them.  `hull_vertex_indices` reads the vertices of a point
+set off its double description; the vertices of each edge cell, which
+`EdgeData.subdivision` reads off the edge's circuit, are checked against
+it."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
 from gkzrank.lattice import kernel_basis
-from gkzrank.polytope import _independent_rows, affine_rank
+from gkzrank.polytope import _independent_rows, affine_rank, h_representation
 from gkzrank.secondary import NotAnEdge, normal_cone_sample
 
 
@@ -67,3 +70,13 @@ def facet_vertex_sets(points, dim) -> set[frozenset[int]]:
         if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
             out.add(frozenset(k for k, v in enumerate(vals) if v == 0))
     return out
+
+
+def hull_vertex_indices(points, indices) -> tuple[int, ...]:
+    """The subset of indices whose points are vertices of their convex hull:
+    those whose smallest face of the hull is the point itself."""
+    idx = sorted(indices)
+    if not idx:
+        return ()
+    hull = h_representation([points[i] for i in idx])
+    return tuple(i for k, i in enumerate(idx) if hull.is_vertex(k, len(idx)))

@@ -14,6 +14,8 @@ from gkzrank.ktheory import verify_theorem
 from gkzrank.polytope import faces, validate_aset
 from gkzrank.report import build_report, report_to_dict
 
+from hull_reference import hull_vertex_indices
+
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
 
@@ -229,6 +231,21 @@ def test_golden_edge_outputs(name, pair):
     assert out == expected
 
 
+@pytest.mark.parametrize("name", ["a3", "kp2", "f2"])
+def test_edge_command_on_every_edge(name, request):
+    # each cell's vertices, as printed, are those of its own double description
+    sp = request.getfixturevalue("%s_secondary" % name)
+    for i, j in sp.edges:
+        code, out, _ = run_cli(["edge", name, "--pair", str(i), str(j), "--json"])
+        assert code == 0
+        subdivision = json.loads(out)["subdivision"]
+        assert subdivision
+        assert subdivision == [
+            {"vertices_hull": list(hull_vertex_indices(sp.aset.points, m["marks"])), "marks": m["marks"]}
+            for m in subdivision
+        ]
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -236,6 +253,7 @@ def test_golden_edge_outputs(name, pair):
         "faces kp2",
         "secondary a3",
         "edge f2 --pair 2 3",
+        "edge kp2 --pair 0 1",
         "edet a3",
         "multiplicities kp2",
         "verify f2",

@@ -115,7 +115,7 @@ def test_face_discriminant_f2(f2):
 def test_face_discriminant_budget(a3):
     q = face_by_indices(a3, (0, 1, 2, 3, 4))
     with pytest.raises(BudgetExceeded):
-        face_discriminant(a3, q, _Clock(Budget(seconds=0.0)))
+        face_discriminant(a3, q, Budget(seconds=0.0))
 
 
 @pytest.mark.parametrize("seconds", [float("nan"), -1, "5", None, True])
@@ -187,7 +187,7 @@ def test_resultant_budget_three_points(budget):
     # three cell updates: the clock is read on the first check
     aset, top = line((0, 1, 2))
     with pytest.raises(BudgetExceeded) as err:
-        face_discriminant(aset, top, _Clock(budget))
+        face_discriminant(aset, top, budget)
     assert str(err.value) == (
         "elimination budget exceeded (%s) during resultant" % budget.describe()
     )
@@ -201,7 +201,7 @@ def test_resultant_budget_wide_face():
     start = time.monotonic()
     try:
         with pytest.raises(BudgetExceeded):
-            face_discriminant(aset, top, _Clock(Budget(seconds=0.5)))
+            face_discriminant(aset, top, Budget(seconds=0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -361,7 +361,7 @@ def test_interpolation_reconstruction_attempts_are_spaced(monkeypatch):
 @pytest.mark.parametrize("budget", [Budget(seconds=0.0)])
 def test_interpolation_budget(f2, budget):
     with pytest.raises(BudgetExceeded) as err:
-        face_discriminant(f2, faces(f2)[-1], _Clock(budget))
+        face_discriminant(f2, faces(f2)[-1], budget)
     assert str(err.value) == (
         "elimination budget exceeded (%s) during interpolation" % budget.describe()
     )
@@ -390,7 +390,7 @@ def test_interpolation_clock_read_at_every_row(monkeypatch):
     fake_time = types.SimpleNamespace(monotonic=lambda: 1e9 if passed else 0.0)
     monkeypatch.setattr(elimination, "time", fake_time)
     with pytest.raises(BudgetExceeded, match="during interpolation"):
-        face_discriminant(aset, faces(aset)[-1], _Clock(Budget(seconds=60)))
+        face_discriminant(aset, faces(aset)[-1], Budget(seconds=60))
     assert passed == [1166]
     assert len(rows) <= 1
 
@@ -537,7 +537,7 @@ def test_standalone_face_budget(f2, monkeypatch):
     fake_time = types.SimpleNamespace(monotonic=lambda: 1e9 if passed else 0.0)
     monkeypatch.setattr(elimination, "time", fake_time)
     with pytest.raises(BudgetExceeded) as err:
-        face_discriminant(f2, faces(f2)[-1], _Clock(Budget(seconds=60)))
+        face_discriminant(f2, faces(f2)[-1], Budget(seconds=60))
     assert str(err.value) == "elimination budget exceeded (60s) during interpolation"
     assert passed == [1]
     assert fibers == []
@@ -642,7 +642,7 @@ def test_interpolation_budget_wide_face():
     start = time.monotonic()
     try:
         with pytest.raises(BudgetExceeded):
-            face_discriminant(aset, top, _Clock(Budget(seconds=0.5)))
+            face_discriminant(aset, top, Budget(seconds=0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

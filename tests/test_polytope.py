@@ -14,7 +14,6 @@ from gkzrank.polytope import (
     extreme_rays,
     faces,
     fold_table,
-    hull_vertex_indices,
     lower_hull_cells,
     lower_hull_triangulation,
     placing_lifts,
@@ -28,7 +27,7 @@ from gkzrank.secondary import _fold_functionals
 
 from conftest import make_random_aset
 from fold_reference import characteristic_function, det_int, fold_relation, validate_by_two_snfs
-from hull_reference import facet_vertex_sets
+from hull_reference import facet_vertex_sets, hull_vertex_indices
 from secondary_lp_reference import in_convex_hull
 
 

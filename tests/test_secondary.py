@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gkzrank import linprog, secondary
 from gkzrank.polytope import (
     InvalidConfiguration,
+    MarkedPolytope,
     extreme_rays,
     fold_table,
     lower_hull_cells,
@@ -33,7 +34,7 @@ from gkzrank.secondary import (
 
 from conftest import make_random_aset
 from fold_reference import circuit_from_points, det_int, facets_by_rank, fold_relation, ridge_sides_by_det
-from hull_reference import facet_vertex_sets, hull_edges_by_lp, hull_edges_by_rank
+from hull_reference import facet_vertex_sets, hull_edges_by_lp, hull_edges_by_rank, hull_vertex_indices
 from secondary_lp_reference import (
     facets_of_secondary_cone,
     flip_by_lift,
@@ -246,6 +247,27 @@ def test_edge_subdivision_refined_by_endpoints(f2_secondary):
         for tri in ed.endpoints:
             for sigma in tri.simplices:
                 assert any(set(sigma) <= cell for cell in cells)
+
+
+def test_subdivision_vertices_match_the_hull_reference(a3, kp2, f2):
+    # every cell of every edge of the built-ins, corpus instances 0-19
+    # (seed 271828) and the 3x3 grid: the vertices read off the circuit are
+    # those of the cell's own double description
+    rng = random.Random(271828)
+    corpus = [make_random_aset(rng) for _ in range(20)]
+    grid = validate_aset(3, [(1, i, j) for i in range(3) for j in range(3)])
+    cells = dropped = 0
+    for aset in (a3, kp2, f2, *corpus, grid):
+        sp = secondary_polytope(aset)
+        for i, j in sp.edges:
+            ed = edge_data(sp, i, j)
+            assert ed.subdivision == tuple(
+                MarkedPolytope(vertices_hull=hull_vertex_indices(aset.points, c), marks=c)
+                for c in ed.cells
+            )
+            cells += len(ed.cells)
+            dropped += sum(m.vertices_hull != m.marks for m in ed.subdivision)
+    assert (cells, dropped) == (6911, 861)
 
 
 def test_separating_set_simplex_property(f2_secondary):
