@@ -363,7 +363,9 @@ def fold_table(points, dim) -> FoldTable:
 
 
 def lower_hull_cells(table: FoldTable, lifts) -> tuple[tuple[int, ...], ...]:
-    """Marked cells (supports) of the subdivision a lift of the table's points induces."""
+    """Marked cells (supports) of the subdivision a lift of the table's
+    points induces; the rows of some of its simplices give the cells that
+    hold one of them."""
     rows = [v if isinstance(v, tuple) else (v,) for v in lifts]
     cols = []
     for k in range(max(map(len, rows))):

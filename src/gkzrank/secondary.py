@@ -3,23 +3,25 @@
 Enumeration is a breadth-first walk on the flip graph, seeded by the placing
 triangulation.  Each vertex of the secondary fan is a full-dimensional cone
 of liftings; its extreme rays, by integer double description, give an
-interior point, which certifies the triangulation when the walk reaches it,
-and the facets: the folds tight on a maximal set of rays.  The neighbor
-across a facet is the bistellar flip on the circuit of its fold, read from
-the simplices alone.  is_regular reads the same cone for a triangulation
-given from outside; check_triangulation reads ridge sides off the fold
-table.  Folds, volumes, ridge sides and lower hulls come from one fold
-table per configuration (polytope.fold_table), which the secondary polytope
-keeps for its edges.
+interior point and the facets: the folds tight on a maximal set of rays.
+The point certifies T with no lower hull: each fold of T positive on it
+makes each simplex a lower cell, and volumes adding up to vol(Q), read off
+the seed, leave room for no other.  The neighbor across a facet is the
+bistellar flip on the circuit of its fold.  is_regular reads the same cone
+and certificate for a triangulation given from outside; check_triangulation
+reads ridge sides off the fold table.  Folds, volumes and ridge sides come
+from one fold table per configuration (polytope.fold_table), which the
+secondary polytope keeps for its edges.
 
 The characteristic functions of the triangulations found are then described
 once by their facets (polytope.h_representation), with the phis on each
 facet.  The hull skeleton that cross-checks the flip walk, the
 Newton-polytope check and the normal direction of every edge are read from
-that incidence, with no dot product: the smallest face through some phis is
-the intersection of the facets containing them.  The one LP left is
-normal_cone_sample, the edge normal that `gkzrank edge` prints; the
-vertices of each cell of an edge's subdivision are read off its circuit.
+that incidence: the smallest face through some phis is the intersection of
+the facets containing them.  An edge's cells are its normal's lower hull on
+the table rows of its endpoints' simplices alone, since each cell of a
+coarsening holds a simplex of every refinement.  The one LP left is
+normal_cone_sample, the edge normal that `gkzrank edge` prints.
 """
 
 from __future__ import annotations
@@ -202,25 +204,21 @@ class RegularityResult(NamedTuple):
 def is_regular(aset: ASet, triangulation) -> RegularityResult:
     """Certify regularity of a triangulation from its secondary cone.
 
-    T is regular exactly when every fold is positive on the cone's interior
-    point, which then induces T.  Otherwise the folds zero there are the
-    cone's implicit equalities, and a non-negative dependence among them,
-    the sum of the extreme rays of the cone of such dependences, refutes it
-    (Farkas).
+    T is regular exactly when no fold is zero on the cone's interior point,
+    which then induces T by the walk's certificate, with the volume that
+    check_triangulation has matched to vol(Q).  Otherwise the folds zero
+    there are the cone's implicit equalities, and a non-negative dependence
+    among them, the sum of the extreme rays of the cone of such
+    dependences, refutes it (Farkas).
     """
-    simplices = (
-        triangulation.simplices
-        if isinstance(triangulation, Triangulation)
-        else triangulation
-    )
+    simplices = triangulation.simplices if isinstance(triangulation, Triangulation) else triangulation
     table = fold_table(aset.points, aset.dim)
     sims = check_triangulation(aset, table, simplices)
     folds, lifting, _ = _secondary_cone(aset, table, sims)
-    if all(_dot(c, lifting) > 0 for c in folds):
-        if lower_hull_cells(table, lifting) != sims:
-            raise RuntimeError("certificate lifting fails to induce the triangulation")
-        return RegularityResult(regular=True, lifting=lifting)
     tight = [k for k, c in enumerate(folds) if _dot(c, lifting) == 0]
+    if not tight:
+        _certify_lifting(table, sims, folds, lifting, sum(abs(table[s][0]) for s in sims))
+        return RegularityResult(regular=True, lifting=lifting)
     basis = kernel_basis([[folds[k][i] for k in tight] for i in range(aset.n)])
     rows = list(zip(*basis))  # the dependences are y = K.lambda; y >= 0 is a cone in lambda
     total = [sum(x) for x in zip(*(h for h, _ in extreme_rays(rows)))]
@@ -269,12 +267,19 @@ def _flip(sims, fold):
     return tuple(sorted(set(sims) - join(plus) | join(minus)))
 
 
-def _flip_node(aset: ASet, table: FoldTable, sims):
-    """The triangulation sims, certified by the lifting inside its cone, and
-    its neighbors, one bistellar flip across each facet."""
-    folds, lifting, facets = _secondary_cone(aset, table, sims)
-    if lower_hull_cells(table, lifting) != sims:
+def _certify_lifting(table: FoldTable, sims, folds, lifting, volume: int) -> None:
+    """Raise unless the lifting induces exactly sims: each fold of sims
+    positive on it makes each simplex a lower cell with no other point on
+    it, and volumes adding up to vol(Q) leave room for no other cell."""
+    if not all(_dot(c, lifting) > 0 for c in folds) or sum(abs(table[s][0]) for s in sims) != volume:
         raise RuntimeError("the secondary cone's interior point fails to induce the triangulation")
+
+
+def _flip_node(aset: ASet, table: FoldTable, sims, volume: int):
+    """The triangulation sims, certified by the lifting inside its cone and
+    vol(Q), and its neighbors, one bistellar flip across each facet."""
+    folds, lifting, facets = _secondary_cone(aset, table, sims)
+    _certify_lifting(table, sims, folds, lifting, volume)
     return Triangulation(simplices=sims, lifting=lifting), [_flip(sims, folds[k]) for k in facets]
 
 
@@ -282,19 +287,20 @@ def placing_triangulation(aset: ASet) -> Triangulation:
     """The placing triangulation (points in input order), certified by its cone."""
     table = fold_table(aset.points, aset.dim)
     sims = lower_hull_triangulation(table, placing_lifts(aset.n))
-    return _flip_node(aset, table, sims)[0]
+    return _flip_node(aset, table, sims, sum(abs(table[s][0]) for s in sims))[0]
 
 
 def secondary_polytope(aset: ASet) -> SecondaryPolytope:
     """The secondary polytope: vertices, flip edges and dimension."""
     table = fold_table(aset.points, aset.dim)
     seed = lower_hull_triangulation(table, placing_lifts(aset.n))
+    volume = sum(abs(table[s][0]) for s in seed)  # vol(Q), as placing_volume reads it
     by_key = {seed: None}
     queue = [seed]
     edge_keys = set()
     while queue:
         key = queue.pop(0)
-        by_key[key], neighbors = _flip_node(aset, table, key)
+        by_key[key], neighbors = _flip_node(aset, table, key, volume)
         for sims in neighbors:
             if sims not in by_key:
                 by_key[sims] = None
@@ -306,9 +312,7 @@ def secondary_polytope(aset: ASet) -> SecondaryPolytope:
     }
     tris = sorted(by_key.values(), key=lambda t: phi[t.simplices])
     index = {t.simplices: i for i, t in enumerate(tris)}
-    edges = tuple(
-        sorted(tuple(sorted((index[a], index[b]))) for a, b in edge_keys)
-    )
+    edges = tuple(sorted(tuple(sorted((index[a], index[b]))) for a, b in edge_keys))
     phis = tuple(phi[t.simplices] for t in tris)
     expected = aset.n - aset.dim
     hull = h_representation(phis)
@@ -359,7 +363,9 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
     both are the two.  psi, the sum of the outward normals of those facets,
     exposes exactly the edge.  Every face discriminant's Newton
     polytope is a Minkowski summand of the secondary polytope, so psi also
-    picks out the edge's face of each of them.
+    picks out the edge's face of each of them.  Each cell of the
+    subdivision psi induces holds a simplex of each endpoint, so the rows
+    of their simplices give them all; a wrong psi fails the checks below.
     """
     aset = sp.aset
     if i == j or not (0 <= i < len(sp.phis)) or not (0 <= j < len(sp.phis)):
@@ -371,20 +377,12 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
         raise NotAnEdge("not an edge")
     psi = tuple(sum(sp.hull.facets[f][0][k] for f in facets) for k in range(aset.n))
     ta, tb = sp.triangulations[i], sp.triangulations[j]
-    cells = lower_hull_cells(sp.table, [-v for v in psi])
+    cells = lower_hull_cells({s: sp.table[s] for s in ta.simplices + tb.simplices}, [-v for v in psi])
 
     d = aset.dim
-    common = []
-    big = []
-    for cell in cells:
-        if len(cell) == d:
-            common.append(cell)
-        else:
-            big.append(cell)
+    big = [cell for cell in cells if len(cell) != d]
     expected_common = tuple(sorted(set(ta.simplices) & set(tb.simplices)))
-    if tuple(sorted(common)) != expected_common:
-        raise NotAnEdge("not an edge")
-    if not big:
+    if tuple(cell for cell in cells if len(cell) == d) != expected_common or not big:
         raise NotAnEdge("not an edge")
 
     circuits = set()
@@ -401,9 +399,7 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
         raise NotAnEdge("not an edge")
     (circuit,) = circuits
 
-    cell_seps = tuple(
-        sorted(tuple(sorted(set(cell) - set(circuit.indices))) for cell in big)
-    )
+    cell_seps = tuple(sorted(tuple(sorted(set(cell) - set(circuit.indices))) for cell in big))
     scan_seps = _separating_sets_by_scan(ta, tb, circuit)
     if cell_seps != scan_seps:
         raise RuntimeError(

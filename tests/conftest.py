@@ -25,6 +25,17 @@ def f2():
 
 
 @pytest.fixture(scope="session")
+def grid():
+    """The 3 x 3 grid: 387 regular triangulations, 1,190 flips."""
+    return validate_aset(3, [(1, i, j) for i in range(3) for j in range(3)])
+
+
+@pytest.fixture(scope="session")
+def grid_secondary(grid):
+    return secondary_polytope(grid)
+
+
+@pytest.fixture(scope="session")
 def a3_secondary(a3):
     return secondary_polytope(a3)
 

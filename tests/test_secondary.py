@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -19,6 +21,7 @@ from gkzrank.polytope import (
 from gkzrank.secondary import (
     NotAnEdge,
     TriangulationError,
+    _certify_lifting,
     _flip,
     _fold_functionals,
     _ridge_sides,
@@ -144,9 +147,9 @@ def test_hull_skeleton_matches_rank_reference_on_corpus_prefix():
         assert hull_edges(sp) == hull_edges_by_rank(sp) == sp.edges
 
 
-def test_grid_hull_skeleton_and_sampled_edge_normals():
+def test_grid_hull_skeleton_and_sampled_edge_normals(grid_secondary):
     # the 3x3 grid: 387 regular triangulations, 1,190 flips
-    sp = secondary_polytope(validate_aset(3, [(1, i, j) for i in range(3) for j in range(3)]))
+    sp = grid_secondary
     assert (len(sp.phis), len(sp.edges)) == (387, 1190)
     assert hull_edges(sp) == sp.edges
     for i, j in random.Random(5).sample(sp.edges, 50):
@@ -249,25 +252,56 @@ def test_edge_subdivision_refined_by_endpoints(f2_secondary):
                 assert any(set(sigma) <= cell for cell in cells)
 
 
-def test_subdivision_vertices_match_the_hull_reference(a3, kp2, f2):
+def _edge_walks(a3, kp2, f2, grid_secondary):
+    """The secondary polytopes of the built-ins, corpus instances 0-19
+    (seed 271828) and the 3x3 grid."""
+    rng = random.Random(271828)
+    corpus = [make_random_aset(rng) for _ in range(20)]
+    return [secondary_polytope(aset) for aset in (a3, kp2, f2, *corpus)] + [grid_secondary]
+
+
+def test_subdivision_vertices_match_the_hull_reference(a3, kp2, f2, grid_secondary):
     # every cell of every edge of the built-ins, corpus instances 0-19
     # (seed 271828) and the 3x3 grid: the vertices read off the circuit are
     # those of the cell's own double description
-    rng = random.Random(271828)
-    corpus = [make_random_aset(rng) for _ in range(20)]
-    grid = validate_aset(3, [(1, i, j) for i in range(3) for j in range(3)])
     cells = dropped = 0
-    for aset in (a3, kp2, f2, *corpus, grid):
-        sp = secondary_polytope(aset)
+    for sp in _edge_walks(a3, kp2, f2, grid_secondary):
         for i, j in sp.edges:
             ed = edge_data(sp, i, j)
             assert ed.subdivision == tuple(
-                MarkedPolytope(vertices_hull=hull_vertex_indices(aset.points, c), marks=c)
+                MarkedPolytope(vertices_hull=hull_vertex_indices(sp.aset.points, c), marks=c)
                 for c in ed.cells
             )
             cells += len(ed.cells)
             dropped += sum(m.vertices_hull != m.marks for m in ed.subdivision)
     assert (cells, dropped) == (6911, 861)
+
+
+def test_edge_cells_from_the_endpoints_rows_match_the_full_scan(a3, kp2, f2, grid_secondary):
+    # every edge of the same walks: the cells read on the rows of the
+    # endpoints' simplices are the lower hull of -psi on the whole table
+    edges = 0
+    for sp in _edge_walks(a3, kp2, f2, grid_secondary):
+        for i, j in sp.edges:
+            ed = edge_data(sp, i, j)
+            assert ed.cells == lower_hull_cells(sp.table, [-v for v in ed.psi])
+            edges += 1
+    assert edges == 1417
+
+
+# sha256 of the canonical JSON of the grid's secondary polytope and of the
+# data of each of its edges
+GRID_DIGEST = "c375c4a2b3a4b2b6b84fbc97ed03be77fa9c94deccdf14751c0f0441b92c5b82"
+
+
+def test_grid_records_are_pinned_by_a_digest(grid_secondary):
+    sp = grid_secondary
+    records = [
+        [sp.triangulations, sp.phis, sp.edges, sp.hull],
+        [edge_data(sp, i, j) for i, j in sp.edges],
+    ]
+    blob = json.dumps(records, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == GRID_DIGEST
 
 
 def test_separating_set_simplex_property(f2_secondary):
@@ -460,6 +494,32 @@ def test_secondary_cones_edge_cases(kp2):
     assert tuple(sorted(SPIRAL)) not in [t.simplices for t in sp.triangulations]
 
 
+def test_lifting_certificate_refuses_a_zero_fold_and_a_missing_simplex(a3, kp2, f2):
+    # each walk lifting passes; a point on a wall of its cone (one fold
+    # zero) fails, and so does T with one simplex left out, whose folds are
+    # still positive on the lifting but whose volume falls short of vol(Q)
+    refused = 0
+    for aset in (a3, kp2, f2, validate_aset(3, NESTED_TRIANGLES)):
+        sp = secondary_polytope(aset)
+        volume = total_volume(aset)
+        for tri in sp.triangulations:
+            folds = _fold_functionals(aset, sp.table, tri.simplices)
+            _certify_lifting(sp.table, tri.simplices, folds, tri.lifting, volume)
+            for w in wall_points(aset, sp.table, tri.simplices).values():
+                assert min(_dot(c, w) for c in folds) == 0
+                with pytest.raises(RuntimeError, match="fails to induce"):
+                    _certify_lifting(sp.table, tri.simplices, folds, w, volume)
+                refused += 1
+            for k in range(len(tri.simplices)):
+                short = tri.simplices[:k] + tri.simplices[k + 1:]
+                short_folds = _fold_functionals(aset, sp.table, short)
+                assert all(_dot(c, tri.lifting) > 0 for c in short_folds)
+                with pytest.raises(RuntimeError, match="fails to induce"):
+                    _certify_lifting(sp.table, short, short_folds, tri.lifting, volume)
+                refused += 1
+    assert refused == 198
+
+
 def test_flip_walk_and_edge_data_solve_no_lp(monkeypatch, a3, kp2, f2):
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
@@ -518,21 +578,20 @@ def test_bistellar_flip_matches_the_lifted_lower_hull(a3, kp2, f2):
     assert walls == 3644
 
 
-def _walk_cones(a3, kp2, f2):
+def _walk_cones(a3, kp2, f2, grid_secondary):
     """(aset, simplices, folds, facets) for every secondary cone of the walk
     configurations and of the 3 x 3 grid."""
-    grid = validate_aset(3, [(1, i, j) for i in range(3) for j in range(3)])
-    for aset in (*_walk_configurations(a3, kp2, f2), grid):
-        sp = secondary_polytope(aset)
+    walks = [secondary_polytope(aset) for aset in _walk_configurations(a3, kp2, f2)]
+    for sp in walks + [grid_secondary]:
         for tri in sp.triangulations:
-            folds, _, facets = _secondary_cone(aset, sp.table, tri.simplices)
-            yield aset, tri.simplices, folds, facets
+            folds, _, facets = _secondary_cone(sp.aset, sp.table, tri.simplices)
+            yield sp.aset, tri.simplices, folds, facets
 
 
-def test_extreme_ray_masks_on_the_secondary_cones(a3, kp2, f2):
+def test_extreme_ray_masks_on_the_secondary_cones(a3, kp2, f2, grid_secondary):
     # bit t of a ray's mask is set exactly when the ray is tight on fold t
     rays = 0
-    for aset, sims, folds, _ in _walk_cones(a3, kp2, f2):
+    for aset, sims, folds, _ in _walk_cones(a3, kp2, f2, grid_secondary):
         rows = [[c[i] for i in range(aset.n) if i not in sims[0]] for c in folds]
         for h, on in extreme_rays(rows) if rows else []:
             assert on == sum(1 << t for t, r in enumerate(rows) if _dot(r, h) == 0)
@@ -540,11 +599,11 @@ def test_extreme_ray_masks_on_the_secondary_cones(a3, kp2, f2):
     assert rays == 6032
 
 
-def test_facets_by_maximal_masks_match_the_rank_rule(a3, kp2, f2):
+def test_facets_by_maximal_masks_match_the_rank_rule(a3, kp2, f2, grid_secondary):
     # the folds whose tight rays are no other fold's proper subset are the
     # folds whose tight rays have rank one less than the cone's dimension
     cones = 0
-    for aset, sims, folds, facets in _walk_cones(a3, kp2, f2):
+    for aset, sims, folds, facets in _walk_cones(a3, kp2, f2, grid_secondary):
         assert facets == facets_by_rank(aset, folds, sims)
         cones += 1
     assert cones == 1355
