@@ -533,19 +533,21 @@ def multiplicity(
 ) -> int:
     """The power with which the edge's circuit discriminant appears in the
     leading form of poly (a face discriminant, or E_A itself) along the
-    edge's normal direction.
-
-    A pure-monomial leading form gives zero (a monomial poly is its own
-    leading form); any other mismatch is an error because it would break the
-    rank bookkeeping downstream.
-    """
-    if circuit_disc is None:
-        circuit_disc = circuit_discriminant(edge.circuit, poly.nvars)
+    edge's normal direction: form_multiplicity of poly.leading_form(psi)."""
     if poly.is_zero():
         raise MultiplicityError("the polynomial is zero")
-    if poly.is_constant():
+    if circuit_disc is None:
+        circuit_disc = circuit_discriminant(edge.circuit, poly.nvars)
+    return form_multiplicity(poly.leading_form(edge.psi), circuit_disc)
+
+
+def form_multiplicity(form: IntPolynomial, circuit_disc: IntPolynomial) -> int:
+    """The k with form = circuit_disc^k up to a monomial and a constant, for
+    multiplicity and for verify_theorem's batched leading forms: zero for a
+    monomial form with no match_power, and an error for any other mismatch,
+    since it would break the rank bookkeeping downstream."""
+    if form.is_monomial():
         return 0
-    form = poly if poly.is_monomial() else poly.leading_form(edge.psi)
     k = match_power(form, circuit_disc)
     if k is None:
         raise MultiplicityError(

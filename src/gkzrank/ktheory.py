@@ -9,17 +9,19 @@ constant lift, and u is cross-checked against a second fan on them.  Each
 face's rank row is computed once, by rank_k0_face; the principal
 A-determinant raises the face discriminant to it and the verifier reads it
 from there.  For a secondary-polytope edge the rank is the sum over
-separating sets J of the index of the circuit-plus-J sublattice.  The main
-verification routine checks, on every edge, that the edge rank equals the
-multiplicity-weighted sum of face ranks.
+separating sets J of the index of ZZ(I + J), I the circuit: the gcd of its
+maximal minors, so of the volumes of the simplices (I - i) + J, since the
+minors that skip a point of J hold all of the dependent I and vanish.  The
+main verification routine checks, on every edge, that the edge rank equals
+the multiplicity-weighted sum of face ranks.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from .elimination import Budget
-from .lattice import span
 from .polytope import (
     ASet,
     Face,
@@ -54,9 +56,9 @@ class FaceInvariants(NamedTuple):
 
 
 class EdgeInvariants(NamedTuple):
-    edge: EdgeData
     per_j_indices: tuple[tuple[tuple[int, ...], int], ...]
     zf_rank: int
+    circuit_index: int | None  # [N : ZZ I] when the circuit spans, else None
 
 
 def _staircase(proj: ProjectedFace) -> Staircase:
@@ -125,22 +127,25 @@ def rank_k0_face(aset: ASet, face: Face) -> FaceInvariants:
     )
 
 
-def rank_k0_edge(aset: ASet, edge: EdgeData) -> EdgeInvariants:
-    """Sum over separating sets of the index of ZZ(circuit + J) in ZZ^d."""
-    per_j = []
-    total = 0
-    for jset in edge.separating_sets:
-        pts = [aset.points[i] for i in edge.circuit.indices] + [
-            aset.points[i] for i in jset
-        ]
-        lat = span(pts, aset.dim)
-        if lat.rank != aset.dim:
-            raise RankInconsistency(
-                "circuit plus separating set fails to span the ambient space"
-            )
-        per_j.append((jset, lat.index))
-        total += lat.index
-    return EdgeInvariants(edge=edge, per_j_indices=tuple(per_j), zf_rank=total)
+def rank_k0_edge(sp: SecondaryPolytope, edge: EdgeData) -> EdgeInvariants:
+    """Sum over separating sets J of [ZZ^d : ZZ(I + J)], I the circuit, and
+    I's own index when it spans (has d + 1 points): the gcd of the d x d
+    minors (Newman 1972), of which those skipping a point of J hold all of
+    the dependent I and vanish, so the gcd of the volumes in sp.table of
+    the simplices (I - i) + J that the flip exchanges, found by edge_data."""
+    idx = edge.circuit.indices
+
+    def index(jset):
+        try:
+            return gcd(*(abs(sp.table[tuple(sorted({*idx, *jset} - {i}))][0]) for i in idx))
+        except KeyError:
+            raise RankInconsistency("circuit plus separating set fails to span the ambient space")
+
+    per_j = tuple((jset, index(jset)) for jset in edge.separating_sets)
+    return EdgeInvariants(
+        per_j_indices=per_j, zf_rank=sum(x for _, x in per_j),
+        circuit_index=index(()) if len(idx) == sp.aset.dim + 1 else None,
+    )
 
 
 class EdgeCheck(NamedTuple):
@@ -181,35 +186,31 @@ def verify_theorem(
     Edges whose face discriminants did not finish within budget are reported
     as skipped, never silently dropped.
     """
-    from .discriminant import (
-        MultiplicityError,
-        circuit_discriminant,
-        multiplicity,
-        principal_a_determinant,
-    )
+    from .discriminant import MultiplicityError, circuit_discriminant, form_multiplicity
+    from .discriminant import principal_a_determinant
 
     if sp is None:
         sp = secondary_polytope(aset)
+    elif sp.aset != aset:
+        raise ValueError("the secondary polytope given is of another configuration")
     edet = principal_a_determinant(aset, budget)
     missing = [row.face.indices for row in edet.factors if row.discriminant is None]
+    eds = [edge_data(sp, i, j) for i, j in sp.edges]
+    psis = [ed.psi for ed in eds]  # each face discriminant decoded once for all of them
+    forms = [] if missing else [row.discriminant.leading_forms(psis) for row in edet.factors]
 
     checks = []
-    for (i, j) in sp.edges:
-        ed = edge_data(sp, i, j)
-        ranks = rank_k0_edge(aset, ed)
-        circuit = span([aset.points[k] for k in ed.circuit.indices], aset.dim)
-        spans = circuit.rank == aset.dim
-        mults = []
-        rhs = None
+    for e, ed in enumerate(eds):
+        ranks = rank_k0_edge(sp, ed)
+        mults, rhs = [], None
         if missing:
             status = "skipped"
             detail = "face discriminants over budget: %s" % ", ".join(map(str, missing))
         else:
             delta_i = circuit_discriminant(ed.circuit, aset.n)
             try:
-                for row in edet.factors:
-                    n = multiplicity(row.discriminant, ed, delta_i)
-                    mults.append((row.face.indices, n))
+                for row, face_forms in zip(edet.factors, forms):
+                    mults.append((row.face.indices, form_multiplicity(face_forms[e], delta_i)))
                 rhs = sum(n * row.exponent for (_, n), row in zip(mults, edet.factors))
                 status, detail = "ok", ""
                 if rhs != ranks.zf_rank:
@@ -217,30 +218,17 @@ def verify_theorem(
                     detail = "rank identity fails: lhs %d vs rhs %d" % (ranks.zf_rank, rhs)
             except MultiplicityError as exc:
                 status, detail = "fail", str(exc)
-        checks.append(
-            EdgeCheck(
-                vertex_pair=(i, j),
-                circuit_indices=ed.circuit.indices,
-                circuit_relation=ed.circuit.relation,
-                circuit_spans=spans,
-                circuit_index=circuit.index if spans else None,
-                separating_sets=ed.separating_sets,
-                per_j_indices=ranks.per_j_indices,
-                zf_rank=ranks.zf_rank,
-                multiplicities=tuple(mults),
-                rhs=rhs,
-                status=status,
-                detail=detail,
-            )
-        )
+        checks.append(EdgeCheck(
+            vertex_pair=ed.vertex_pair, circuit_indices=ed.circuit.indices,
+            circuit_relation=ed.circuit.relation, circuit_spans=ranks.circuit_index is not None,
+            circuit_index=ranks.circuit_index, separating_sets=ed.separating_sets,
+            per_j_indices=ranks.per_j_indices, zf_rank=ranks.zf_rank,
+            multiplicities=tuple(mults), rhs=rhs, status=status, detail=detail,
+        ))
 
     statuses = {c.status for c in checks}
     status = "fail" if "fail" in statuses else ("budget" if "skipped" in statuses else "pass")
     return TheoremReport(
-        aset=aset,
-        triangulation_count=len(sp.triangulations),
-        face_ranks=tuple(row.invariants for row in edet.factors),
-        edges=tuple(checks),
-        edet=edet,
-        status=status,
+        aset=aset, triangulation_count=len(sp.triangulations), edges=tuple(checks), edet=edet,
+        face_ranks=tuple(row.invariants for row in edet.factors), status=status,
     )

@@ -211,19 +211,29 @@ class IntPolynomial:
 
     def leading_form(self, weights) -> "IntPolynomial":
         """Sum of the terms maximizing <weights, exponent>."""
+        return self.leading_forms([weights])[0]
+
+    def leading_forms(self, weight_list) -> list["IntPolynomial"]:
+        """leading_form for each weight vector (ints or Fractions, not bools),
+        the exponents decoded once and read on the variables that occur."""
         if not self._packed:
             raise PolynomialError("leading form of the zero polynomial")
-        w = list(weights)
-        if len(w) != self.nvars:
-            raise PolynomialError("weight vector length mismatch")
-        if not all(isinstance(x, (int, Fraction)) for x in w):
-            raise PolynomialError("weights must be ints or Fractions")
-        # a positive integer multiple of the weights has the same maximizers
-        scale = lcm(*(x.denominator for x in w))
-        w = [x.numerator * (scale // x.denominator) for x in w]
-        vals = [sum(map(mul, w, e)) for e in self._exponents(self._packed)]
-        best = max(vals)
-        return self._new({k: c for (k, c), v in zip(self._packed.items(), vals) if v == best})
+        items = self._packed.items()
+        cols = [(i, col) for i, col in enumerate(zip(*self._exponents(self._packed))) if any(col)]
+        exps = list(zip(*(col for _, col in cols))) or [()] * len(items)
+        forms = []
+        for w in map(list, weight_list):
+            if len(w) != self.nvars:
+                raise PolynomialError("weight vector length mismatch")
+            if not all(isinstance(x, (int, Fraction)) and type(x) is not bool for x in w):
+                raise PolynomialError("weights must be ints or Fractions")
+            # a positive integer multiple of the weights has the same maximizers
+            scale = lcm(*(x.denominator for x in w))
+            w = [w[i].numerator * (scale // w[i].denominator) for i, _ in cols]
+            vals = [sum(map(mul, w, e)) for e in exps]
+            best = max(vals)
+            forms.append(self._new({k: c for (k, c), v in zip(items, vals) if v == best}))
+        return forms
 
     def exact_div(self, other) -> "IntPolynomial | None":
         """Exact quotient self / other over ZZ, or None when not divisible."""

@@ -2,11 +2,12 @@
 plus one point, a circuit's primitive relation by Smith normal form, a
 triangulation's characteristic function and a ridge's point sides, each
 recomputed on its own rather than read from the table; the facets of a
-secondary cone by the rank of the extreme rays tight on each fold; and the
-integer linear algebra they and the lattice tests rest on: det_int
-(Bareiss), mat_mul, the product that rebuilds a Smith normal form, and
-integer_solve, with the A-set validation by two Smith normal forms built on
-it."""
+secondary cone by the rank of the extreme rays tight on each fold; an
+edge's lattice indices, each by the Smith normal form of its point set
+rather than from the table's volumes; and the integer linear algebra they
+and the lattice tests rest on: det_int (Bareiss), mat_mul, the product that
+rebuilds a Smith normal form, and integer_solve, with the A-set validation
+by two Smith normal forms built on it."""
 
 from math import gcd
 
@@ -157,6 +158,21 @@ def characteristic_function(aset, triangulation):
         for i in sigma:
             phi[i] += vol
     return tuple(phi)
+
+
+def edge_indices_by_snf(aset, edge):
+    """(per_j_indices, zf_rank, circuit_index) of an edge, as rank_k0_edge
+    returns them: [ZZ^d : ZZ(I + J)] for each separating set J, their sum,
+    and [ZZ^d : ZZ I] when the circuit I spans (None otherwise), each the
+    index of one span, i.e. the product of its Smith invariant factors."""
+    circuit = [aset.points[i] for i in edge.circuit.indices]
+    per_j = []
+    for jset in edge.separating_sets:
+        lat = span(circuit + [aset.points[i] for i in jset], aset.dim)
+        assert lat.rank == aset.dim, "circuit plus separating set fails to span"
+        per_j.append((jset, lat.index))
+    lat = span(circuit, aset.dim)
+    return tuple(per_j), sum(x for _, x in per_j), lat.index if lat.rank == aset.dim else None
 
 
 def ridge_sides_by_det(aset, ridge):

@@ -29,7 +29,7 @@ from gkzrank.polytope import faces, total_volume, validate_aset
 from gkzrank.secondary import edge_data, hull_edges, secondary_polytope
 
 from conftest import make_random_aset
-from fold_reference import characteristic_function
+from fold_reference import characteristic_function, edge_indices_by_snf
 from test_elimination import QUARTIC_DISCRIMINANT
 
 
@@ -129,9 +129,9 @@ def test_criterion_2_a3_multiplicities_and_ranks(a3, a3_secondary):
         f1 = find_edge(a3_secondary, [(0, 4)], [(0, 1), (1, 4)])
         f2_edge = find_edge(a3_secondary, [(0, 4)], [(0, 2), (2, 4)])
         assert multiplicity(disc, f1) == 1
-        assert rank_k0_edge(a3, f1).zf_rank == 1
+        assert rank_k0_edge(a3_secondary, f1).zf_rank == 1
         assert multiplicity(disc, f2_edge) == 2
-        assert rank_k0_edge(a3, f2_edge).zf_rank == 2
+        assert rank_k0_edge(a3_secondary, f2_edge).zf_rank == 2
         report = verify_theorem(a3, sp=a3_secondary)
         assert report.status == "pass"
         assert len(report.edges) == 12
@@ -290,7 +290,7 @@ def test_criterion_7_full_dimensional_circuits(a3, a3_secondary, corpus):
         e2 = find_edge(a3_secondary, [(0, 4)], [(0, 2), (2, 4)])
         lat = span([a3.points[i] for i in e2.circuit.indices], 2)
         assert lat.rank == 2 and lat.index == 2
-        assert rank_k0_edge(a3, e2).zf_rank == 2
+        assert rank_k0_edge(a3_secondary, e2).zf_rank == 2
 
         # constructed instances with spanning circuits of index two and three
         constructed = [
@@ -307,7 +307,7 @@ def test_criterion_7_full_dimensional_circuits(a3, a3_secondary, corpus):
                 lat = span([aset.points[i] for i in ed.circuit.indices], aset.dim)
                 assert lat.rank == aset.dim
                 assert lat.index == expected
-                assert rank_k0_edge(aset, ed).zf_rank == expected
+                assert rank_k0_edge(sp, ed).zf_rank == expected
                 hits += 1
             assert hits >= 1
 
@@ -321,6 +321,19 @@ def test_criterion_7_full_dimensional_circuits(a3, a3_secondary, corpus):
                     sweep += 1
         print("criterion 7 corpus: %d spanning-circuit edges checked" % sweep)
         assert sweep > 0
+
+
+def test_corpus_edge_indices_match_the_smith_normal_form_reference(corpus):
+    # every edge of corpus instances 0-99: the indices verify_theorem reads
+    # from the fold table's volumes equal those of one SNF per point set
+    items, _ = corpus
+    edges = 0
+    for item in items:
+        for e in item.report.edges:
+            ed = edge_data(item.sp, *e.vertex_pair)
+            assert (e.per_j_indices, e.zf_rank, e.circuit_index) == edge_indices_by_snf(item.aset, ed)
+            edges += 1
+    assert edges > 0
 
 
 # -- past the corpus ----------------------------------------------------------

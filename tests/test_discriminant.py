@@ -755,13 +755,13 @@ def test_edge_restriction_check(a3, kp2, a3_secondary, kp2_secondary):
     e_a = principal_a_determinant(a3).e_a
     e1 = find_edge(a3_secondary, [(0, 4)], [(0, 1), (1, 4)])
     e2 = find_edge(a3_secondary, [(0, 4)], [(0, 2), (2, 4)])
-    assert multiplicity(e_a, e1) == rank_k0_edge(a3, e1).zf_rank == 1
-    assert multiplicity(e_a, e2) == rank_k0_edge(a3, e2).zf_rank == 2
+    assert multiplicity(e_a, e1) == rank_k0_edge(a3_secondary, e1).zf_rank == 1
+    assert multiplicity(e_a, e2) == rank_k0_edge(a3_secondary, e2).zf_rank == 2
 
     e_a2 = principal_a_determinant(kp2).e_a
     (i, j) = kp2_secondary.edges[0]
     ed = edge_data(kp2_secondary, i, j)
-    assert multiplicity(e_a2, ed) == rank_k0_edge(kp2, ed).zf_rank == 1
+    assert multiplicity(e_a2, ed) == rank_k0_edge(kp2_secondary, ed).zf_rank == 1
 
 
 def test_newton_polytope_check(a3, kp2, f2, a3_secondary, kp2_secondary, f2_secondary):

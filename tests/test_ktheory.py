@@ -2,6 +2,7 @@ import random
 from itertools import combinations, product
 from math import prod
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from gkzrank.polytope import (
 from gkzrank.secondary import edge_data, secondary_polytope
 
 from conftest import make_random_aset
+from fold_reference import edge_indices_by_snf
 
 
 def face_by_indices(aset, indices):
@@ -92,8 +94,8 @@ def test_rank_k0_face_examples(a3, kp2, f2):
 def test_rank_k0_edge_a3(a3, a3_secondary):
     e1 = find_edge(a3_secondary, [(0, 4)], [(0, 1), (1, 4)])
     e2 = find_edge(a3_secondary, [(0, 4)], [(0, 2), (2, 4)])
-    r1 = rank_k0_edge(a3, e1)
-    r2 = rank_k0_edge(a3, e2)
+    r1 = rank_k0_edge(a3_secondary, e1)
+    r2 = rank_k0_edge(a3_secondary, e2)
     assert r1.zf_rank == 1
     assert r2.zf_rank == 2
     assert r1.per_j_indices == (((), 1),)
@@ -146,7 +148,7 @@ def test_full_dimensional_circuit_rank(a3, a3_secondary):
     e2 = find_edge(a3_secondary, [(0, 4)], [(0, 2), (2, 4)])
     lat = span([a3.points[i] for i in e2.circuit.indices], 2)
     assert lat.rank == 2
-    assert rank_k0_edge(a3, e2).zf_rank == lat.index == 2
+    assert rank_k0_edge(a3_secondary, e2).zf_rank == lat.index == 2
 
 
 def test_full_dimensional_circuit_rank_index_three():
@@ -161,6 +163,34 @@ def test_full_dimensional_circuit_rank_index_three():
             assert e.zf_rank == 3
             hits += 1
     assert hits == 1
+
+
+def test_edge_indices_match_the_smith_normal_form_reference(
+    a3, kp2, f2, a3_secondary, kp2_secondary, f2_secondary, grid_secondary
+):
+    # the volumes of the flip's simplices give every index one SNF gives;
+    # the circuit's own index is compared too, not only the edge rank
+    for aset, sp in ((a3, a3_secondary), (kp2, kp2_secondary), (f2, f2_secondary)):
+        rep = verify_theorem(aset, sp=sp)
+        for e in rep.edges:
+            ed = edge_data(sp, *e.vertex_pair)
+            expected = edge_indices_by_snf(aset, ed)
+            assert (e.per_j_indices, e.zf_rank, e.circuit_index) == expected
+            assert e.circuit_spans == (expected[2] is not None)
+    grid = grid_secondary.aset
+    for i, j in grid_secondary.edges:
+        ed = edge_data(grid_secondary, i, j)
+        assert tuple(rank_k0_edge(grid_secondary, ed)) == edge_indices_by_snf(grid, ed)
+
+
+def test_verify_theorem_refuses_another_configurations_secondary_polytope(a3, kp2, f2, f2_secondary):
+    # kp2 and f2 share d = 3; a3 has the same n as f2
+    for aset in (a3, kp2):
+        with pytest.raises(ValueError, match="another configuration"):
+            verify_theorem(aset, sp=f2_secondary)
+    # an equal configuration validated afresh is accepted
+    again = validate_aset(f2.dim, f2.points)
+    assert verify_theorem(again, sp=f2_secondary).status == "pass"
 
 
 def test_edet_exponents_match_face_ranks(a3, kp2, f2):

@@ -193,6 +193,33 @@ def test_packed_arithmetic_matches_the_tuple_reference(p, q, k, w):
         assert q.leading_form(w).terms == ref.leading_form(b, w)
 
 
+weight_lists3 = st.lists(
+    st.tuples(*[st.one_of(st.integers(min_value=-5, max_value=5), st.fractions(min_value=-3, max_value=3))] * 3),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys3, weight_lists3)
+def test_leading_forms_match_the_reference_one_weight_at_a_time(p, ws):
+    # one decode for all the weights, variables that never occur skipped
+    if p.is_zero():
+        return
+    forms = p.leading_forms(ws)
+    assert [f.terms for f in forms] == [ref.leading_form(p.terms, w) for w in ws]
+    assert forms == [p.leading_form(w) for w in ws]
+
+
+def test_leading_forms_refuse_bool_weights():
+    p = poly(2, {(1, 0): 1, (0, 1): 1})
+    for w in ([True, False], [1, False], [Fraction(1, 2), True]):
+        with pytest.raises(PolynomialError):
+            p.leading_form(w)
+        with pytest.raises(PolynomialError):
+            p.leading_forms([[1, 0], w])
+
+
 @pytest.mark.parametrize(
     "terms",
     [
