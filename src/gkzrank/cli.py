@@ -202,29 +202,27 @@ def cmd_edet(args) -> int:
 def cmd_multiplicities(args) -> int:
     aset, name = _load_aset(args.input)
     result = verify_theorem(aset, Budget(seconds=args.budget))
+    rows = [
+        {
+            "vertex_pair": list(e.vertex_pair),
+            "circuit": list(e.circuit_indices),
+            "status": e.status,
+            "multiplicities": [{"face": list(f), "n": n} for f, n in e.multiplicities],
+        }
+        for e in result.edges
+    ]
     lines = ["multiplicities of %s (per edge, per face)" % (name or args.input)]
-    rows = []
-    for e in result.edges:
-        lines.append(
-            "  edge %s circuit %s: %s"
-            % (
-                list(e.vertex_pair),
-                list(e.circuit_indices),
-                "skipped (%s)" % e.detail
-                if e.status == "skipped"
-                else [[list(f), n] for f, n in e.multiplicities],
-            )
+    lines += [
+        "  edge %s circuit %s: %s"
+        % (
+            row["vertex_pair"],
+            row["circuit"],
+            "skipped (%s)" % e.detail
+            if e.status == "skipped"
+            else [[m["face"], m["n"]] for m in row["multiplicities"]],
         )
-        rows.append(
-            {
-                "vertex_pair": list(e.vertex_pair),
-                "circuit": list(e.circuit_indices),
-                "status": e.status,
-                "multiplicities": [
-                    {"face": list(f), "n": n} for f, n in e.multiplicities
-                ],
-            }
-        )
+        for e, row in zip(result.edges, rows)
+    ]
     _emit(args, lines, {"name": name, "edges": rows})
     return _STATUS_EXIT[result.status]
 

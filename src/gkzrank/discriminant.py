@@ -528,17 +528,15 @@ def principal_a_determinant(aset: ASet, budget: Budget | None = None) -> EDetRes
     return EDetResult(factors=tuple(rows), e_a=product)
 
 
-def multiplicity(
-    poly: IntPolynomial, edge: EdgeData, circuit_disc: IntPolynomial | None = None
-) -> int:
+def multiplicity(poly: IntPolynomial, edge: EdgeData) -> int:
     """The power with which the edge's circuit discriminant appears in the
     leading form of poly (a face discriminant, or E_A itself) along the
     edge's normal direction: form_multiplicity of poly.leading_form(psi)."""
     if poly.is_zero():
         raise MultiplicityError("the polynomial is zero")
-    if circuit_disc is None:
-        circuit_disc = circuit_discriminant(edge.circuit, poly.nvars)
-    return form_multiplicity(poly.leading_form(edge.psi), circuit_disc)
+    return form_multiplicity(
+        poly.leading_form(edge.psi), circuit_discriminant(edge.circuit, poly.nvars)
+    )
 
 
 def form_multiplicity(form: IntPolynomial, circuit_disc: IntPolynomial) -> int:

@@ -5,7 +5,8 @@ region of the projected point semigroup, times the index of the face
 sublattice in its saturation, which is the order of the torsion of
 ZZ^d / ZZ(face) that the face's one projection reports.  The staircase's
 bounded facets are the lower-hull cells of the projected points under a
-constant lift, and u is cross-checked against a second fan on them.  Each
+constant lift; u, the volume of their placing triangulation, is checked
+against the reversed placing one, both read off one fold table.  Each
 face's rank row is computed once, by rank_k0_face; the principal
 A-determinant raises the face discriminant to it and the verifier reads it
 from there.  For a secondary-polytope edge the rank is the sum over
@@ -28,8 +29,9 @@ from .polytope import (
     ProjectedFace,
     fold_table,
     lower_hull_cells,
+    lower_hull_triangulation,
+    placing_lifts,
     project_mod_face,
-    subset_volume,
 )
 from .secondary import EdgeData, SecondaryPolytope, edge_data, secondary_polytope
 
@@ -68,7 +70,9 @@ def _staircase(proj: ProjectedFace) -> Staircase:
     are the lower-hull cells of the projected points under the constant
     lift -1: the fold of sigma + (j,) is then minus the sum of the
     relation, positive exactly when image j lies beyond the hyperplane
-    through sigma and zero when it lies on it."""
+    through sigma and zero when it lies on it.  The volumes of two
+    triangulations of those facets, the placing one and the one placing the
+    points in reversed order, are read off the one fold table and must agree."""
     q = proj.quotient_rank
     if q == 0:
         return Staircase(u=1, ray_indices=(), bounded_facets=())
@@ -81,10 +85,17 @@ def _staircase(proj: ProjectedFace) -> Staircase:
         m = min(abs(v) for v in vals)
         rays = tuple(i for i, v in zip(ids, vals) if abs(v) == m)
         return Staircase(u=m, ray_indices=rays, bounded_facets=(rays,))
-    cells = lower_hull_cells(fold_table(ws, q), [-1] * len(ws))
-    u = sum(subset_volume(ws, cell, q) for cell in cells)
-    if u < 1:
-        raise RankInconsistency("staircase volume vanished")
+    table = fold_table(ws, q)
+    cells = lower_hull_cells(table, [-1] * len(ws))
+    placing = [(-1, *e) for e in placing_lifts(len(ws))]
+    u, fan = (
+        sum(abs(table[s][0]) for s in lower_hull_triangulation(table, lifts))
+        for lifts in (placing, placing[::-1])
+    )
+    if u != fan or u < 1:
+        raise RankInconsistency(
+            "face rank mismatch: staircase volumes %d (placing), %d (reversed)" % (u, fan)
+        )
     facets = tuple(sorted(tuple(ids[k] for k in cell) for cell in cells))
     return Staircase(
         u=u,
@@ -93,34 +104,12 @@ def _staircase(proj: ProjectedFace) -> Staircase:
     )
 
 
-def _fan_volume(proj: ProjectedFace, staircase: Staircase) -> int:
-    """Total cone volume of a simplicial fan on the staircase rays.
-
-    The fan is the placing triangulation of each bounded facet taken in
-    reversed point order, so its simplices generally differ from the ones
-    behind _staircase; the totals must still agree.
-    """
-    q = proj.quotient_rank
-    if q == 0:
-        return 1
-    image_of = dict(proj.images)
-    return sum(
-        subset_volume([image_of[i] for i in reversed(facet)], range(len(facet)), q)
-        for facet in staircase.bounded_facets
-    )
-
-
 def rank_k0_face(aset: ASet, face: Face) -> FaceInvariants:
     """u * i from the one projection of the face: i is the index of
-    ZZ(face) in its saturation, and u is cross-checked against the fan
-    volume on the staircase's bounded facets."""
+    ZZ(face) in its saturation, and u is the staircase volume, checked
+    against a second triangulation of its bounded facets."""
     proj = project_mod_face(aset, face)
     stair = _staircase(proj)
-    fan = _fan_volume(proj, stair)
-    if fan != stair.u:
-        raise RankInconsistency(
-            "face rank mismatch: staircase u = %d but fan volume = %d" % (stair.u, fan)
-        )
     return FaceInvariants(
         face=face, i=proj.index, u=stair.u, ray_indices=stair.ray_indices,
         k0_rank=stair.u * proj.index,

@@ -9,11 +9,13 @@ PolynomialError instead of carrying; a monomial quotient a / b is
 Only the public constructors validate: exponents and coefficients must be
 of type int, so bools and floats are refused.  Exponent tuples are decoded
 only where they leave the class.  The serialization orders terms
-lexicographically descending and round-trips.
+lexicographically descending and round-trips; its reader refuses any
+record the writer never produces.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -25,6 +27,7 @@ Exponent = tuple[int, ...]
 _FIELD = 32
 _GUARD = 1 << (_FIELD - 1)
 _EXP_LIMIT = _GUARD - 1
+_DECIMAL = re.compile(r"-?[1-9][0-9]*")  # str(c) for an int c != 0
 
 
 class PolynomialError(ValueError):
@@ -298,9 +301,18 @@ class IntPolynomial:
 
     @classmethod
     def from_records(cls, nvars: int, records) -> "IntPolynomial":
-        if not all(isinstance(r["coeff"], str) for r in records):
-            raise PolynomialError("coefficients must be decimal strings")
-        return cls(nvars, {tuple(r["exps"]): int(r["coeff"]) for r in records})
+        """The inverse of to_records, refusing what it never writes: a
+        coefficient other than a nonzero decimal string in canonical form,
+        or an exponent vector given twice."""
+        terms = {}
+        for r in records:
+            c, e = r["coeff"], tuple(r["exps"])
+            if not isinstance(c, str) or not _DECIMAL.fullmatch(c):
+                raise PolynomialError("coefficients must be canonical nonzero decimal strings")
+            if e in terms:
+                raise PolynomialError("repeated exponent vector %r" % (e,))
+            terms[e] = int(c)
+        return cls(nvars, terms)
 
     def to_str(self, names=None) -> str:
         if not self._packed:

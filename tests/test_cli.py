@@ -152,6 +152,21 @@ def test_verify_budget_skips_every_edge():
     assert lines[-1] == "status: budget"
 
 
+def test_multiplicities_budget_skips_every_edge():
+    code, out, _ = run_cli(["multiplicities", "a3", "--budget", "0"])
+    assert code == 3
+    edges = out.splitlines()[1:]
+    assert len(edges) == 12
+    for line in edges:
+        assert line.startswith("  edge ")
+        assert line.endswith(": skipped (face discriminants over budget: (0, 1, 2, 3, 4))")
+    code, out, _ = run_cli(["multiplicities", "a3", "--budget", "0", "--json"])
+    assert code == 3
+    rows = json.loads(out)["edges"]
+    assert len(rows) == 12
+    assert all(row["status"] == "skipped" and row["multiplicities"] == [] for row in rows)
+
+
 @pytest.mark.parametrize(
     "flags", [["--budget", "nan"], ["--budget", "-1"]]
 )

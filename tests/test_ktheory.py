@@ -6,11 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkzrank.ktheory import _staircase, rank_k0_edge, rank_k0_face, verify_theorem
+from gkzrank import ktheory
+from gkzrank.ktheory import (
+    RankInconsistency,
+    _staircase,
+    rank_k0_edge,
+    rank_k0_face,
+    verify_theorem,
+)
 from gkzrank.lattice import kernel_basis, smith_normal_form, span
 from gkzrank.polytope import (
     InvalidConfiguration,
     faces,
+    lower_hull_triangulation,
     project_mod_face,
     subset_volume,
     validate_aset,
@@ -181,6 +189,49 @@ def test_edge_indices_match_the_smith_normal_form_reference(
     for i, j in grid_secondary.edges:
         ed = edge_data(grid_secondary, i, j)
         assert tuple(rank_k0_edge(grid_secondary, ed)) == edge_indices_by_snf(grid, ed)
+
+
+def test_edge_ranks_match_the_gkz_vector_difference(
+    a3, kp2, f2, a3_secondary, kp2_secondary, f2_secondary, grid_secondary
+):
+    # along an edge the GKZ vectors differ by the edge rank times the
+    # circuit relation written over all points (GKZ 1994, ch. 7): a check
+    # of rank_k0_edge that reads neither its separating sets nor the
+    # volumes it takes the gcd of
+    rng = random.Random(271828)  # the acceptance corpus
+    sps = [a3_secondary, kp2_secondary, f2_secondary, grid_secondary]
+    sps += [secondary_polytope(make_random_aset(rng)) for _ in range(100)]
+    edges = 0
+    for sp in sps:
+        for i, j in sp.edges:
+            ed = edge_data(sp, i, j)
+            rel = [0] * sp.aset.n
+            for k, c in zip(ed.circuit.indices, ed.circuit.relation):
+                rel[k] = c
+            z = rank_k0_edge(sp, ed).zf_rank
+            diff = [x - y for x, y in zip(sp.phis[i], sp.phis[j])]
+            assert diff in ([z * c for c in rel], [-z * c for c in rel]), (sp.aset.points, i, j)
+            edges += 1
+    assert edges == 2275
+
+
+def test_staircase_cross_check_is_live(kp2, monkeypatch):
+    # the placing and reversed placing triangulations share one fold table;
+    # losing a simplex from either one must be caught
+    vertex = face_by_indices(kp2, (1,))
+    assert _staircase(project_mod_face(kp2, vertex)).u == 2
+    for dropped in (0, 1):
+        calls = []
+
+        def lossy(table, lifts):
+            simplices = lower_hull_triangulation(table, lifts)
+            calls.append(lifts)
+            return simplices[1:] if len(calls) == dropped + 1 else simplices
+
+        monkeypatch.setattr(ktheory, "lower_hull_triangulation", lossy)
+        with pytest.raises(RankInconsistency, match="face rank mismatch"):
+            rank_k0_face(kp2, vertex)
+        assert len(calls) == 2
 
 
 def test_verify_theorem_refuses_another_configurations_secondary_polytope(a3, kp2, f2, f2_secondary):

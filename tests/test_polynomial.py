@@ -255,6 +255,22 @@ def test_public_constructors_reject_coercible_values():
     assert IntPolynomial.from_records(1, [{"coeff": "-27", "exps": [3]}]).terms == {(3,): -27}
 
 
+@pytest.mark.parametrize(
+    "coeff", ["1_0", " 7 ", "+5", "007", "\u0665", "0", "-0", "", "x"]
+)
+def test_from_records_refuses_a_coefficient_to_records_never_writes(coeff):
+    # int() reads each of these (bar the last two), "1_0" as 10 and the
+    # Arabic-Indic digit five as 5; to_records writes only str(c), c != 0
+    with pytest.raises(PolynomialError):
+        IntPolynomial.from_records(1, [{"coeff": coeff, "exps": [1]}])
+
+
+def test_from_records_refuses_a_repeated_exponent_vector():
+    records = [{"coeff": "2", "exps": [1, 0]}, {"coeff": "3", "exps": [1, 0]}]
+    with pytest.raises(PolynomialError, match="repeated"):
+        IntPolynomial.from_records(2, records)
+
+
 def test_product_at_the_field_limit_raises_instead_of_carrying():
     limit = 2**31 - 1
     top = IntPolynomial(2, {(0, limit): 1})
