@@ -6,8 +6,8 @@ lattices, and the lower hulls of lifted point sets (symbolic placing lifts
 included) that triangulations and subdivisions are built on.  Every fold
 sign of a lower hull, and every fold functional of a secondary cone, is read
 from the fold table of the configuration: the integer affine relation on
-each full simplex plus each further point, by Cramer's rule from the
-simplex's adjugate (lattice.adjugate), once per configuration.
+each full simplex plus each further point, read off the maximal minors
+as one relation per (d + 1)-subset, once per configuration.
 
 The facets of every point set (Q, the secondary polytope) and the
 extreme rays of every cone (a secondary cone), each with its tight
@@ -322,14 +322,15 @@ def project_mod_face(aset: ASet, face: Face) -> ProjectedFace:
 #
 # Every fold sign is read from the fold table: for each full simplex sigma,
 # det sigma and the primitive integer affine relation on sigma plus each
-# further point j, with j's entry positive, from the adjugate of sigma.  The
-# relations depend on the points alone, so a configuration's table is built
-# once and every lower hull, secondary cone and edge of it reads the same
-# one.  A lift w puts j strictly above the plane through the lifted sigma
-# exactly when the relation dotted with w is positive.  Lift values may be
-# tuples compared lexicographically (entries are coefficients of successive
-# infinitesimals: exact symbolic perturbation); each column is scaled to
-# integers by the positive lcm of its denominators, which keeps every sign.
+# further point j, with j's entry positive, which is the circuit relation of
+# the (d + 1)-subset sigma + j that its d + 1 simplices share, read off the
+# maximal minors.  A configuration's table is built once and every lower
+# hull, secondary cone and edge of it reads the same one.  A lift w puts j
+# strictly above the plane through the lifted sigma exactly when the
+# relation dotted with w is positive.  Lift values may be tuples compared
+# lexicographically (entries are coefficients of successive infinitesimals:
+# exact symbolic perturbation); each column is scaled to integers by the
+# positive lcm of its denominators, which keeps every sign.
 
 FoldTable = dict[tuple[int, ...], tuple[int, dict[int, IntVector]]]
 
@@ -340,25 +341,34 @@ def _simplex_adjugate(points, sigma):
     return adjugate(list(zip(*(points[i] for i in sigma))))
 
 
-def _relation(det, adj, p) -> IntVector:
-    """The relation on sigma + (j,) from _simplex_adjugate(points, sigma) and
-    p = points[j]: (-adj.p, det), primitive, with last entry positive."""
-    rel = [-_dot(row, p) for row in adj]
-    rel.append(det)
-    g = gcd(*rel) if det > 0 else -gcd(*rel)
-    return tuple(x // g for x in rel)
-
-
 def fold_table(points, dim) -> FoldTable:
     """sigma -> (det sigma, {j: relation on sigma + (j,)} for j outside
     sigma), over the full simplices sigma (sorted dim-subsets of the point
-    indices with det != 0) in combinations order."""
-    table = {}
-    for sigma in combinations(range(len(points)), dim):
-        det, adj = _simplex_adjugate(points, sigma)
-        if det:
-            others = (j for j in range(len(points)) if j not in sigma)
-            table[sigma] = det, {j: _relation(det, adj, points[j]) for j in others}
+    indices with det != 0) in combinations order.  Every k-minor on the
+    first k coordinates is the Laplace expansion along coordinate k of the
+    (k - 1)-minors; each (dim + 1)-subset tau then has the one relation
+    sum_t (-1)^t det(tau - tau_t) p_(tau_t) = 0, which gives the simplex
+    tau - tau_t its row tau_t, primitive with that last entry positive."""
+    n = len(points)
+    minors = {(): 1}
+    for k in range(dim):
+        last, minors = minors, {}
+        for tau in combinations(range(n), k + 1):
+            det = 0
+            for t, i in enumerate(tau):
+                if m := last[tau[:t] + tau[t + 1 :]]:
+                    det += -points[i][k] * m if (k ^ t) & 1 else points[i][k] * m
+            minors[tau] = det
+    table = {sigma: (det, {}) for sigma, det in minors.items() if det}
+    for tau in combinations(range(n), dim + 1):
+        sigmas = [tau[:t] + tau[t + 1 :] for t in range(dim + 1)]
+        v = [-minors[s] if t & 1 else minors[s] for t, s in enumerate(sigmas)]
+        if g := gcd(*v):
+            rel = [x // g for x in v]
+            for t, sigma in enumerate(sigmas):
+                if rel[t]:
+                    r = rel if rel[t] > 0 else [-x for x in rel]
+                    table[sigma][1][tau[t]] = (*r[:t], *r[t + 1 :], r[t])
     return table
 
 
@@ -368,7 +378,7 @@ def lower_hull_cells(table: FoldTable, lifts) -> tuple[tuple[int, ...], ...]:
     hold one of them."""
     rows = [v if isinstance(v, tuple) else (v,) for v in lifts]
     cols = []
-    for k in range(max(map(len, rows))):
+    for k in range(max(map(len, rows), default=0)):
         col = [v[k] if k < len(v) else 0 for v in rows]
         scale = lcm(*(x.denominator for x in col))
         cols.append([x.numerator * (scale // x.denominator) for x in col])
@@ -405,16 +415,6 @@ def placing_volume(table: FoldTable, n: int) -> int:
     return sum(abs(table[s][0]) for s in lower_hull_triangulation(table, placing_lifts(n)))
 
 
-def subset_volume(points, indices, dim) -> int:
-    """Normalized volume of conv of the chosen (full-dimensional) subset."""
-    sub = [points[i] for i in indices]
-    total = placing_volume(fold_table(sub, dim), len(sub))
-    if total == 0:
-        raise InvalidConfiguration("flat subset", "subset spans no full-dimensional cell")
-    return total
-
-
 def total_volume(aset: ASet) -> int:
     """Normalized volume of Q (via the placing triangulation)."""
-    return subset_volume(aset.points, range(aset.n), aset.dim)
-
+    return placing_volume(fold_table(aset.points, aset.dim), aset.n)

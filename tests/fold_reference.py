@@ -1,14 +1,17 @@
-"""Test-only references for the fold table: the relation on one simplex
-plus one point, a circuit's primitive relation by Smith normal form, a
-triangulation's characteristic function and a ridge's point sides, each
-recomputed on its own rather than read from the table; the facets of a
-secondary cone by the rank of the extreme rays tight on each fold; an
-edge's lattice indices, each by the Smith normal form of its point set
-rather than from the table's volumes; and the integer linear algebra they
-and the lattice tests rest on: det_int (Bareiss), mat_mul, the product that
-rebuilds a Smith normal form, and integer_solve, with the A-set validation
-by two Smith normal forms built on it."""
+"""Test-only references for the fold table: the relation on one simplex plus
+one point by Cramer's rule from the simplex's adjugate, and the whole table
+built that way, one simplex at a time; the volume of a subset by the
+placing triangulation of its own fold table; a circuit's primitive relation
+by Smith normal form, a triangulation's characteristic function and a
+ridge's point sides, each recomputed on its own rather than read from the
+table; the facets of a secondary cone by the rank of the extreme rays tight
+on each fold; an edge's lattice indices, each by the Smith normal form of
+its point set rather than from the table's volumes; and the integer linear
+algebra they and the lattice tests rest on: det_int (Bareiss), mat_mul, the
+product that rebuilds a Smith normal form, and integer_solve, with the
+A-set validation by two Smith normal forms built on it."""
 
+from itertools import combinations
 from math import gcd
 
 from gkzrank.lattice import (
@@ -24,9 +27,10 @@ from gkzrank.polytope import (
     ASet,
     InvalidConfiguration,
     _independent_rows,
-    _relation,
     _simplex_adjugate,
     extreme_rays,
+    fold_table,
+    placing_volume,
 )
 from gkzrank.secondary import Circuit
 
@@ -142,11 +146,42 @@ def circuit_from_points(aset, indices) -> Circuit:
 
 def fold_relation(points, sigma, j):
     """Primitive integer relation c on sigma + (j,), i.e. sum_k c_k p_k = 0,
-    with c[-1] > 0; sigma must be a full simplex."""
+    with c[-1] > 0; sigma must be a full simplex.  By Cramer's rule from
+    the adjugate of sigma: c is (-adj.p_j, det sigma) made primitive."""
     det, adj = _simplex_adjugate(points, sigma)
     if det == 0:
         raise InvalidConfiguration("flat simplex", "sigma spans no full-dimensional cell")
-    return _relation(det, adj, points[j])
+    rel = [-sum(a * x for a, x in zip(row, points[j])) for row in adj] + [det]
+    g = gcd(*rel) if det > 0 else -gcd(*rel)
+    return tuple(x // g for x in rel)
+
+
+def fold_table_by_adjugates(points, dim):
+    """fold_table one simplex at a time: each sorted dim-subset sigma with
+    det_int != 0, in combinations order, with fold_relation for every point
+    outside it, in ascending order."""
+    table = {}
+    for sigma in combinations(range(len(points)), dim):
+        if det := det_int([points[i] for i in sigma]):
+            others = (j for j in range(len(points)) if j not in sigma)
+            table[sigma] = det, {j: fold_relation(points, sigma, j) for j in others}
+    return table
+
+
+def listed(table):
+    """A fold table as a list, so that comparing two also compares the
+    order of their keys and of each key's rows."""
+    return [(sigma, det, list(rels.items())) for sigma, (det, rels) in table.items()]
+
+
+def subset_volume(points, indices, dim) -> int:
+    """Normalized volume of conv of the chosen (full-dimensional) subset,
+    by the placing triangulation of its own fold table."""
+    sub = [points[i] for i in indices]
+    total = placing_volume(fold_table(sub, dim), len(sub))
+    if total == 0:
+        raise InvalidConfiguration("flat subset", "subset spans no full-dimensional cell")
+    return total
 
 
 def characteristic_function(aset, triangulation):

@@ -14,19 +14,19 @@ from gkzrank.ktheory import (
     rank_k0_face,
     verify_theorem,
 )
+from gkzrank.discriminant import newton_polytope_check
 from gkzrank.lattice import kernel_basis, smith_normal_form, span
 from gkzrank.polytope import (
     InvalidConfiguration,
     faces,
     lower_hull_triangulation,
     project_mod_face,
-    subset_volume,
     validate_aset,
 )
 from gkzrank.secondary import edge_data, secondary_polytope
 
 from conftest import make_random_aset
-from fold_reference import edge_indices_by_snf
+from fold_reference import edge_indices_by_snf, subset_volume
 
 
 def face_by_indices(aset, indices):
@@ -148,6 +148,30 @@ def test_verify_theorem_f2(f2, f2_secondary):
             assert mults[(0, 1, 2, 3, 4)] == 0 and mults[(1, 2, 3)] == 1
         else:
             assert mults[(0, 1, 2, 3, 4)] == 1 and mults[(1, 2, 3)] == 1
+
+
+# the fan polytopes of P^3, P^1 x P^2 and P^1 x P^1 x P^1 (d = 4): the
+# origin and the primitive generators of each fan's rays
+FANS_D4 = {
+    "P3": [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, -1, -1, -1)],
+    "P1xP2": [(1, 0, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 0, -1, -1)],
+    "P1xP1xP1": [
+        (1, 0, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0), (1, 0, 0, 1), (1, 0, 0, -1),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, triangulations, edges", [("P3", 2, 1), ("P1xP2", 3, 3), ("P1xP1xP1", 4, 6)])
+def test_verify_theorem_at_d4_fan_polytopes(name, triangulations, edges):
+    # the whole pipeline at d = 4: the walk, E_A, every edge's identity and
+    # the Newton polytope of E_A against the secondary polytope
+    aset = validate_aset(4, FANS_D4[name])
+    sp = secondary_polytope(aset)
+    rep = verify_theorem(aset, sp=sp)
+    assert rep.status == "pass"
+    assert (rep.triangulation_count, len(rep.edges)) == (triangulations, edges)
+    assert all(e.status == "ok" and e.zf_rank == e.rhs for e in rep.edges)
+    assert newton_polytope_check(rep.edet.e_a, sp).ok
 
 
 def test_full_dimensional_circuit_rank(a3, a3_secondary):

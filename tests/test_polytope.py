@@ -17,8 +17,8 @@ from gkzrank.polytope import (
     lower_hull_cells,
     lower_hull_triangulation,
     placing_lifts,
+    placing_volume,
     project_mod_face,
-    subset_volume,
     total_volume,
     validate_aset,
     _independent_rows,
@@ -26,7 +26,15 @@ from gkzrank.polytope import (
 from gkzrank.secondary import _fold_functionals
 
 from conftest import make_random_aset
-from fold_reference import characteristic_function, det_int, fold_relation, validate_by_two_snfs
+from fold_reference import (
+    characteristic_function,
+    det_int,
+    fold_relation,
+    fold_table_by_adjugates,
+    listed,
+    subset_volume,
+    validate_by_two_snfs,
+)
 from hull_reference import facet_vertex_sets, hull_vertex_indices
 from secondary_lp_reference import in_convex_hull
 
@@ -211,6 +219,27 @@ def test_subset_volume_and_hull_vertices(f2):
     assert subset_volume(f2.points, (0, 1, 2, 3), 3) == 2
     assert hull_vertex_indices(f2.points, (0, 1, 2, 3)) == (0, 1, 3)
     assert affine_rank([f2.points[i] for i in (1, 2, 3)]) == 1
+
+
+def test_no_points_have_no_cells_and_no_volume():
+    # an empty lift list gives no cell, and an empty subset is flat like
+    # every other subset that spans no full cell
+    for dim in (1, 2, 3):
+        assert lower_hull_cells(fold_table([], dim), []) == ()
+        assert placing_volume(fold_table([], dim), 0) == 0
+    with pytest.raises(InvalidConfiguration):
+        subset_volume([(1, 0), (1, 1)], (), 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=8))
+))
+def test_fold_table_matches_the_adjugate_reference(case):
+    # any integer points, flat simplices, repeated points and n <= dim
+    # included: the same keys, rows, volumes and relations, in the same order
+    dim, points = case
+    assert listed(fold_table(points, dim)) == listed(fold_table_by_adjugates(points, dim))
 
 
 def test_in_convex_hull():

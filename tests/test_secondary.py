@@ -13,8 +13,10 @@ from gkzrank.polytope import (
     InvalidConfiguration,
     MarkedPolytope,
     extreme_rays,
+    faces,
     fold_table,
     lower_hull_cells,
+    project_mod_face,
     total_volume,
     validate_aset,
 )
@@ -36,7 +38,14 @@ from gkzrank.secondary import (
 )
 
 from conftest import make_random_aset
-from fold_reference import circuit_from_points, det_int, facets_by_rank, fold_relation, ridge_sides_by_det
+from fold_reference import (
+    circuit_from_points,
+    det_int,
+    facets_by_rank,
+    fold_table_by_adjugates,
+    listed,
+    ridge_sides_by_det,
+)
 from hull_reference import facet_vertex_sets, hull_edges_by_lp, hull_edges_by_rank, hull_vertex_indices
 from secondary_lp_reference import (
     facets_of_secondary_cone,
@@ -609,17 +618,19 @@ def test_facets_by_maximal_masks_match_the_rank_rule(a3, kp2, f2, grid_secondary
     assert cones == 1355
 
 
-def test_fold_table_matches_fold_relation(a3, kp2, f2):
-    # the table holds exactly the full simplices, each with its volume and
-    # the relation fold_relation gives for every point outside it
-    for aset in _walk_configurations(a3, kp2, f2):
-        table = fold_table(aset.points, aset.dim)
-        full = [s for s in combinations(range(aset.n), aset.dim) if det_int([aset.points[i] for i in s])]
-        assert list(table) == full
-        for sigma, (det, rels) in table.items():
-            assert det == det_int([aset.points[i] for i in sigma])
-            assert list(rels) == [j for j in range(aset.n) if j not in sigma]
-            assert all(rel == fold_relation(aset.points, sigma, j) for j, rel in rels.items())
+def test_fold_table_matches_fold_relation(a3, kp2, f2, grid):
+    # the table holds exactly the full simplices, in order, each with its
+    # volume and the relation fold_relation gives for every point outside
+    # it, in order: on the walk configurations, the 3 x 3 grid and every
+    # image set of theirs that a staircase reads a table of (rank q >= 2)
+    sets = 0
+    for aset in _walk_configurations(a3, kp2, f2) + [grid]:
+        projs = [project_mod_face(aset, face) for face in faces(aset)]
+        images = [([w for _, w in p.images], p.quotient_rank) for p in projs if p.quotient_rank >= 2]
+        for points, dim in [(aset.points, aset.dim)] + images:
+            assert listed(fold_table(points, dim)) == listed(fold_table_by_adjugates(points, dim))
+            sets += 1
+    assert sets == 320
 
 
 def test_ridge_sides_from_the_table_match_determinants(a3_secondary, kp2_secondary, f2_secondary):
