@@ -328,7 +328,7 @@ def _target(conf: ASet, rows) -> list[int]:
     """
     table = fold_table(conf.points, conf.dim)
     beta = [0] * conf.n
-    for simplex in lower_hull_triangulation(table, placing_lifts(conf.n)):
+    for simplex in lower_hull_triangulation(table, placing_lifts(table)):
         for i in simplex:
             beta[i] += abs(table[simplex][0])
     for row in rows:

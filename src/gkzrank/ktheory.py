@@ -72,7 +72,9 @@ def _staircase(proj: ProjectedFace) -> Staircase:
     relation, positive exactly when image j lies beyond the hyperplane
     through sigma and zero when it lies on it.  The volumes of two
     triangulations of those facets, the placing one and the one placing the
-    points in reversed order, are read off the one fold table and must agree."""
+    points in reversed order, are read off the one fold table and must agree:
+    the placing lifts B^i shifted by -B^n, so that -1 leads, and the same
+    list reversed."""
     q = proj.quotient_rank
     if q == 0:
         return Staircase(u=1, ray_indices=(), bounded_facets=())
@@ -87,7 +89,8 @@ def _staircase(proj: ProjectedFace) -> Staircase:
         return Staircase(u=m, ray_indices=rays, bounded_facets=(rays,))
     table = fold_table(ws, q)
     cells = lower_hull_cells(table, [-1] * len(ws))
-    placing = [(-1, *e) for e in placing_lifts(len(ws))]
+    powers = placing_lifts(table)
+    placing = [x - powers[1] * powers[-1] for x in powers]  # the constant -1 leads, as -B^n
     u, fan = (
         sum(abs(table[s][0]) for s in lower_hull_triangulation(table, lifts))
         for lifts in (placing, placing[::-1])

@@ -2,12 +2,12 @@
 
 Validation of A-sets, the face lattice of Q = conv(A) with supporting
 certificates, normalized volumes, projections to saturated quotient
-lattices, and the lower hulls of lifted point sets (symbolic placing lifts
-included) that triangulations and subdivisions are built on.  Every fold
-sign of a lower hull, and every fold functional of a secondary cone, is read
-from the fold table of the configuration: the integer affine relation on
-each full simplex plus each further point, read off the maximal minors
-as one relation per (d + 1)-subset, once per configuration.
+lattices, and the lower hulls of integer lifts (placing orders as powers of
+one base) that triangulations and subdivisions are built on.  Every fold
+sign of a lower hull, and every wall of a secondary cone, is read from the
+fold table of the configuration: the integer affine relation on each full
+simplex plus each further point, read off the maximal minors as one
+relation per (d + 1)-subset, once per configuration.
 
 The facets of every point set (Q, the secondary polytope) and the
 extreme rays of every cone (a secondary cone), each with its tight
@@ -19,7 +19,8 @@ its facets under intersection.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import gcd, lcm, prod
+from math import gcd, prod
+from operator import mul
 from typing import NamedTuple
 
 from .lattice import adjugate, kernel_basis, smith_normal_form, span
@@ -322,15 +323,11 @@ def project_mod_face(aset: ASet, face: Face) -> ProjectedFace:
 #
 # Every fold sign is read from the fold table: for each full simplex sigma,
 # det sigma and the primitive integer affine relation on sigma plus each
-# further point j, with j's entry positive, which is the circuit relation of
-# the (d + 1)-subset sigma + j that its d + 1 simplices share, read off the
-# maximal minors.  A configuration's table is built once and every lower
-# hull, secondary cone and edge of it reads the same one.  A lift w puts j
-# strictly above the plane through the lifted sigma exactly when the
-# relation dotted with w is positive.  Lift values may be tuples compared
-# lexicographically (entries are coefficients of successive infinitesimals:
-# exact symbolic perturbation); each column is scaled to integers by the
-# positive lcm of its denominators, which keeps every sign.
+# further point j, with j's entry positive (the circuit relation of the
+# (d + 1)-subset sigma + j, which its d + 1 simplices share).  Each lower
+# hull, cone and edge of a configuration reads its one table.  An integer
+# lift w puts j strictly above the plane through the lifted sigma exactly
+# when the relation dotted with w is positive.
 
 FoldTable = dict[tuple[int, ...], tuple[int, dict[int, IntVector]]]
 
@@ -373,27 +370,19 @@ def fold_table(points, dim) -> FoldTable:
 
 
 def lower_hull_cells(table: FoldTable, lifts) -> tuple[tuple[int, ...], ...]:
-    """Marked cells (supports) of the subdivision a lift of the table's
-    points induces; the rows of some of its simplices give the cells that
-    hold one of them."""
-    rows = [v if isinstance(v, tuple) else (v,) for v in lifts]
-    cols = []
-    for k in range(max(map(len, rows), default=0)):
-        col = [v[k] if k < len(v) else 0 for v in rows]
-        scale = lcm(*(x.denominator for x in col))
-        cols.append([x.numerator * (scale // x.denominator) for x in col])
+    """Marked cells (supports) of the subdivision that one integer lift per
+    point induces on the table's points; the rows of some of its simplices
+    give the cells that hold one of them."""
     cells = set()
     for sigma, (_, rels) in table.items():
-        support = set(sigma)
+        base = [lifts[i] for i in sigma]
+        support = list(sigma)
         for j, rel in rels.items():
-            for col in cols:  # the first nonzero column gives the sign
-                fold = rel[-1] * col[j] + sum(c * col[i] for c, i in zip(rel, sigma))
-                if fold:
-                    break
+            fold = rel[-1] * lifts[j] + sum(map(mul, rel, base))
             if fold < 0:
                 break
             if fold == 0:
-                support.add(j)
+                support.append(j)
         else:
             cells.add(tuple(sorted(support)))
     return tuple(sorted(cells))
@@ -405,16 +394,24 @@ def lower_hull_triangulation(table: FoldTable, lifts) -> tuple[tuple[int, ...], 
     return tuple(c for c in lower_hull_cells(table, lifts) if c in table)
 
 
-def placing_lifts(n: int):
-    """Symbolic lifts realizing the placing order: point i at epsilon^(n-i)."""
-    return [tuple(int(k == n - i) for k in range(n + 1)) for i in range(n)]
+def placing_lifts(table: FoldTable) -> list[int]:
+    """The placing order as one integer lift: point i at B^i, for
+    B = 2 + (d + 1) max |det sigma|.  A relation's d + 1 entries, each a
+    d-minor, times powers below B^k add up to less than B^k, so a fold has
+    the sign of its last point's entry (as under epsilon^(n - i)), also with
+    every lift shifted by -B^n.  An empty table gives no lift."""
+    if not table:
+        return []
+    sigma, (_, rels) = next(iter(table.items()))
+    base = 2 + (len(sigma) + 1) * max(abs(det) for det, _ in table.values())
+    return [base**i for i in range(len(sigma) + len(rels))]
 
 
-def placing_volume(table: FoldTable, n: int) -> int:
-    """Normalized volume of conv of the n points of a fold table (0 if flat)."""
-    return sum(abs(table[s][0]) for s in lower_hull_triangulation(table, placing_lifts(n)))
+def placing_volume(table: FoldTable) -> int:
+    """Normalized volume of conv of the table's points (0 if flat)."""
+    return sum(abs(table[s][0]) for s in lower_hull_triangulation(table, placing_lifts(table)))
 
 
 def total_volume(aset: ASet) -> int:
     """Normalized volume of Q (via the placing triangulation)."""
-    return placing_volume(fold_table(aset.points, aset.dim), aset.n)
+    return placing_volume(fold_table(aset.points, aset.dim))

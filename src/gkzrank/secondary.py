@@ -2,16 +2,18 @@
 
 Enumeration is a breadth-first walk on the flip graph, seeded by the placing
 triangulation.  Each vertex of the secondary fan is a full-dimensional cone
-of liftings; its extreme rays, by integer double description, give an
-interior point and the facets: the folds tight on a maximal set of rays.
-The point certifies T with no lower hull: each fold of T positive on it
-makes each simplex a lower cell, and volumes adding up to vol(Q), read off
-the seed, leave room for no other.  The neighbor across a facet is the
-bistellar flip on the circuit of its fold.  is_regular reads the same cone
-and certificate for a triangulation given from outside; check_triangulation
-reads ridge sides off the fold table.  Folds, volumes and ridge sides come
-from one fold table per configuration (polytope.fold_table), which the
-secondary polytope keeps for its edges.
+of liftings, cut out by the walls of T: a lifting convex across each
+interior ridge and under no unused point is convex (De Loera, Rambau and
+Santos 2010, chapters 2 and 5).  Their extreme rays, by integer double
+description, give an interior point and the facets: the walls tight on a
+maximal set of rays.  The point certifies T with no appeal to that theorem:
+each row of T positive on it makes each simplex a lower cell, and volumes
+adding up to vol(Q), read off the seed, leave room for no other.  The
+neighbor across a facet is the bistellar flip on the circuit of its wall.
+is_regular reads the same cone and certificate for a triangulation given
+from outside; check_triangulation reads ridge sides off the fold table.
+Folds, volumes and ridge sides come from one fold table per configuration
+(polytope.fold_table), which the secondary polytope keeps for its edges.
 
 The characteristic functions of the triangulations found are then described
 once by their facets (polytope.h_representation), with the phis on each
@@ -155,7 +157,7 @@ def check_triangulation(aset: ASet, table: FoldTable, simplices) -> tuple[tuple[
         if sigma not in table:
             raise TriangulationError("flat simplex: %r" % (sigma,))
         vol += abs(table[sigma][0])
-    if vol != placing_volume(table, aset.n):
+    if vol != placing_volume(table):
         raise TriangulationError("simplices do not tile Q (volume mismatch)")
     ridges = {}
     for sigma in sims:
@@ -181,35 +183,42 @@ def _ridge_sides(table: FoldTable, sigma, k: int, n: int) -> list[int]:
     return side
 
 
-def _fold_functionals(aset: ASet, table: FoldTable, simplices) -> list[tuple[int, ...]]:
-    """Primitive integer functionals c with C(T) = {w : c.w >= 0}."""
+def _walls(aset: ASet, table: FoldTable, sims) -> list[tuple[int, ...]]:
+    """The distinct walls c of T, sorted, with C(T) = {w : c.w >= 0}: the row
+    of sigma at the apex of sigma' for each ridge they share, and for each
+    point j that T leaves unused the row of a simplex holding it (no
+    positive entry before j's own)."""
+    ridges = {}
+    for sigma in sims:
+        for k, apex in enumerate(sigma):
+            ridges.setdefault(sigma[:k] + sigma[k + 1:], []).append((sigma, apex))
+    rows = [(sigma, apex) for (sigma, _), (_, apex) in (o for o in ridges.values() if len(o) == 2)]
+    for j in set(range(aset.n)).difference(*sims):
+        rows.append((next(s for s in sims if max(table[s][1][j][:-1]) <= 0), j))
     out = set()
-    for sigma in simplices:
-        for j, rel in table[sigma][1].items():
-            c = [0] * aset.n
-            for i, x in zip((*sigma, j), rel):
-                c[i] = x
-            out.add(tuple(c))
+    for sigma, j in rows:
+        c = dict(zip((*sigma, j), table[sigma][1][j]))
+        out.add(tuple(c.get(i, 0) for i in range(aset.n)))
     return sorted(out)
 
 
 class RegularityResult(NamedTuple):
     regular: bool
     lifting: tuple[int, ...] | None = None
-    # non-negative multipliers on the fold functionals, summing them to zero,
-    # when irregular
+    # non-negative multipliers on the walls of T (in _walls order), summing
+    # them to zero, when irregular
     refutation: tuple[int, ...] | None = None
 
 
 def is_regular(aset: ASet, triangulation) -> RegularityResult:
     """Certify regularity of a triangulation from its secondary cone.
 
-    T is regular exactly when no fold is zero on the cone's interior point,
+    T is regular exactly when no wall is zero on the cone's interior point,
     which then induces T by the walk's certificate, with the volume that
-    check_triangulation has matched to vol(Q).  Otherwise the folds zero
+    check_triangulation has matched to vol(Q).  Otherwise the walls zero
     there are the cone's implicit equalities, and a non-negative dependence
     among them, the sum of the extreme rays of the cone of such
-    dependences, refutes it (Farkas).
+    dependences, refutes it (Farkas) over the walls, which cut out C(T).
     """
     simplices = triangulation.simplices if isinstance(triangulation, Triangulation) else triangulation
     table = fold_table(aset.points, aset.dim)
@@ -217,7 +226,7 @@ def is_regular(aset: ASet, triangulation) -> RegularityResult:
     folds, lifting, _ = _secondary_cone(aset, table, sims)
     tight = [k for k, c in enumerate(folds) if _dot(c, lifting) == 0]
     if not tight:
-        _certify_lifting(table, sims, folds, lifting, sum(abs(table[s][0]) for s in sims))
+        _certify_lifting(table, sims, lifting, sum(abs(table[s][0]) for s in sims))
         return RegularityResult(regular=True, lifting=lifting)
     basis = kernel_basis([[folds[k][i] for k in tight] for i in range(aset.n)])
     rows = list(zip(*basis))  # the dependences are y = K.lambda; y >= 0 is a cone in lambda
@@ -231,14 +240,13 @@ def is_regular(aset: ASet, triangulation) -> RegularityResult:
 
 
 def _secondary_cone(aset: ASet, table: FoldTable, sims):
-    """The folds c of T, a lifting inside its cone C(T) = {w : c.w >= 0},
-    and the indices of the folds that are facets.  The lifting is the sum of
+    """The walls c of T, a lifting inside its cone C(T) = {w : c.w >= 0},
+    and the indices of the walls that are facets.  The lifting is the sum of
     the extreme rays of the cone read on the coordinates outside the first
-    simplex, which determine the folds, so it is pointed and full-dimensional
-    there: each fold cuts out a proper face, known by its rays, and a fold
-    is a facet when its tight rays are no other fold's proper subset (on a
-    half-line, tight on none, every fold is one)."""
-    folds = _fold_functionals(aset, table, sims)
+    simplex, which determine the folds, so it is pointed there, and for a
+    regular T full-dimensional: a wall is a facet when its tight rays are no
+    other wall's proper subset (on a half-line, tight on none, all are)."""
+    folds = _walls(aset, table, sims)
     off = [i for i in range(aset.n) if i not in sims[0]]
     rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
     total = dict(zip(off, map(sum, zip(*(h for h, _ in rays)))))
@@ -267,11 +275,12 @@ def _flip(sims, fold):
     return tuple(sorted(set(sims) - join(plus) | join(minus)))
 
 
-def _certify_lifting(table: FoldTable, sims, folds, lifting, volume: int) -> None:
-    """Raise unless the lifting induces exactly sims: each fold of sims
+def _certify_lifting(table: FoldTable, sims, lifting, volume: int) -> None:
+    """Raise unless the lifting induces exactly sims: every row of sims
     positive on it makes each simplex a lower cell with no other point on
     it, and volumes adding up to vol(Q) leave room for no other cell."""
-    if not all(_dot(c, lifting) > 0 for c in folds) or sum(abs(table[s][0]) for s in sims) != volume:
+    cells = lower_hull_cells({s: table[s] for s in sims}, lifting)
+    if cells != sims or sum(abs(table[s][0]) for s in sims) != volume:
         raise RuntimeError("the secondary cone's interior point fails to induce the triangulation")
 
 
@@ -279,21 +288,21 @@ def _flip_node(aset: ASet, table: FoldTable, sims, volume: int):
     """The triangulation sims, certified by the lifting inside its cone and
     vol(Q), and its neighbors, one bistellar flip across each facet."""
     folds, lifting, facets = _secondary_cone(aset, table, sims)
-    _certify_lifting(table, sims, folds, lifting, volume)
+    _certify_lifting(table, sims, lifting, volume)
     return Triangulation(simplices=sims, lifting=lifting), [_flip(sims, folds[k]) for k in facets]
 
 
 def placing_triangulation(aset: ASet) -> Triangulation:
     """The placing triangulation (points in input order), certified by its cone."""
     table = fold_table(aset.points, aset.dim)
-    sims = lower_hull_triangulation(table, placing_lifts(aset.n))
+    sims = lower_hull_triangulation(table, placing_lifts(table))
     return _flip_node(aset, table, sims, sum(abs(table[s][0]) for s in sims))[0]
 
 
 def secondary_polytope(aset: ASet) -> SecondaryPolytope:
     """The secondary polytope: vertices, flip edges and dimension."""
     table = fold_table(aset.points, aset.dim)
-    seed = lower_hull_triangulation(table, placing_lifts(aset.n))
+    seed = lower_hull_triangulation(table, placing_lifts(table))
     volume = sum(abs(table[s][0]) for s in seed)  # vol(Q), as placing_volume reads it
     by_key = {seed: None}
     queue = [seed]

@@ -4,15 +4,17 @@ built that way, one simplex at a time; the volume of a subset by the
 placing triangulation of its own fold table; a circuit's primitive relation
 by Smith normal form, a triangulation's characteristic function and a
 ridge's point sides, each recomputed on its own rather than read from the
-table; the facets of a secondary cone by the rank of the extreme rays tight
-on each fold; an edge's lattice indices, each by the Smith normal form of
+table; every fold functional of a triangulation, from Fraction barycentric
+coordinates, for the cone that all its folds cut out; the facets of a
+secondary cone by the rank of the extreme rays tight on each fold; an edge's lattice indices, each by the Smith normal form of
 its point set rather than from the table's volumes; and the integer linear
 algebra they and the lattice tests rest on: det_int (Bareiss), mat_mul, the
 product that rebuilds a Smith normal form, and integer_solve, with the
 A-set validation by two Smith normal forms built on it."""
 
+from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from gkzrank.lattice import (
     IntVector,
@@ -178,10 +180,38 @@ def subset_volume(points, indices, dim) -> int:
     """Normalized volume of conv of the chosen (full-dimensional) subset,
     by the placing triangulation of its own fold table."""
     sub = [points[i] for i in indices]
-    total = placing_volume(fold_table(sub, dim), len(sub))
+    total = placing_volume(fold_table(sub, dim))
     if total == 0:
         raise InvalidConfiguration("flat subset", "subset spans no full-dimensional cell")
     return total
+
+
+def barycentric(points, sigma, j):
+    """Affine coordinates of point j in the full simplex sigma (Cramer)."""
+    mat = [points[i] for i in sigma]
+    den = det_int(mat)
+    return [
+        Fraction(det_int([points[j] if k == r else row for k, row in enumerate(mat)]), den)
+        for r in range(len(mat))
+    ]
+
+
+def reference_fold_functionals(aset, simplices):
+    """Every fold functional of the simplices, one for each simplex and each
+    point outside it, normalised from Fraction barycentric coordinates:
+    distinct, primitive and sorted."""
+    out = set()
+    for sigma in simplices:
+        for j in set(range(aset.n)) - set(sigma):
+            c = [Fraction(0)] * aset.n
+            c[j] = Fraction(1)
+            for coef, i in zip(barycentric(aset.points, sigma, j), sigma):
+                c[i] -= coef
+            den = lcm(*(x.denominator for x in c))
+            ints = [int(x * den) for x in c]
+            g = gcd(*ints)
+            out.add(tuple(x // g for x in ints))
+    return sorted(out)
 
 
 def characteristic_function(aset, triangulation):

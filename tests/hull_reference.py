@@ -7,11 +7,16 @@ every hyperplane through affinely independent points.  The incidence-based
 checked against them.  `hull_vertex_indices` reads the vertices of a point
 set off its double description; the vertices of each edge cell, which
 `EdgeData.subdivision` reads off the edge's circuit, are checked against
-it."""
+it.  `lower_hull_cells_symbolic` is the lower hull under symbolic lifts
+(tuples of infinitesimal coefficients, ints or Fractions), scanned one
+column at a time: the integer placing lifts and every integer lift of the
+package are checked against it, and the references that lift a point set
+by a fraction or across a wall read it."""
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 
 from gkzrank.lattice import kernel_basis
 from gkzrank.polytope import _independent_rows, affine_rank, h_representation
@@ -80,3 +85,43 @@ def hull_vertex_indices(points, indices) -> tuple[int, ...]:
         return ()
     hull = h_representation([points[i] for i in idx])
     return tuple(i for k, i in enumerate(idx) if hull.is_vertex(k, len(idx)))
+
+
+def lower_hull_cells_symbolic(table, lifts) -> tuple[tuple[int, ...], ...]:
+    """Marked cells of the subdivision a lift of the table's points induces.
+    Lift values may be tuples compared lexicographically (entries are
+    coefficients of successive infinitesimals: exact symbolic perturbation)
+    and ints or Fractions; each column is scaled to integers by the positive
+    lcm of its denominators, which keeps every sign, and the first nonzero
+    column gives a fold's sign."""
+    rows = [v if isinstance(v, tuple) else (v,) for v in lifts]
+    cols = []
+    for k in range(max(map(len, rows), default=0)):
+        col = [v[k] if k < len(v) else 0 for v in rows]
+        scale = lcm(*(x.denominator for x in col))
+        cols.append([x.numerator * (scale // x.denominator) for x in col])
+    cells = set()
+    for sigma, (_, rels) in table.items():
+        support = set(sigma)
+        for j, rel in rels.items():
+            for col in cols:
+                fold = rel[-1] * col[j] + sum(c * col[i] for c, i in zip(rel, sigma))
+                if fold:
+                    break
+            if fold < 0:
+                break
+            if fold == 0:
+                support.add(j)
+        else:
+            cells.add(tuple(sorted(support)))
+    return tuple(sorted(cells))
+
+
+def lower_hull_triangulation_symbolic(table, lifts) -> tuple[tuple[int, ...], ...]:
+    """The cells of lower_hull_cells_symbolic that are full simplices."""
+    return tuple(c for c in lower_hull_cells_symbolic(table, lifts) if c in table)
+
+
+def placing_lifts_symbolic(n: int):
+    """Symbolic lifts realizing the placing order: point i at epsilon^(n-i)."""
+    return [tuple(int(k == n - i) for k in range(n + 1)) for i in range(n)]

@@ -1,13 +1,15 @@
 """The polyhedral questions of `secondary` and `polytope` by exact LP, with
 no double description, as references for the package's answers:
 
-- the flip walk: one LP per fold functional to drop the redundant ones, one
-  LP per facet for a point inside it, and `is_regular_by_lp` on every
-  triangulation reached (checked against `secondary_polytope` and the cones
-  of `_secondary_cone`);
+- the flip walk: one LP per fold functional, over every fold of T rather
+  than its walls, to drop the redundant ones, one LP per facet for a point
+  inside it, and `is_regular_by_lp` over every fold on every triangulation
+  reached (checked against `secondary_polytope` and the cones of
+  `_secondary_cone`);
 - `is_regular_by_lp`: the triangulation test by pairwise proper
   intersection LPs, then regularity by strict feasibility with slack one
-  (checked against `check_triangulation` and `is_regular`);
+  over the folds it is given, every fold or the walls alone (checked
+  against `check_triangulation` and `is_regular`);
 - `in_convex_hull`: hull membership (checked against `hull_vertex_indices`).
 
 `feasible_point` is the feasibility question they share, and the LP tests'.
@@ -15,7 +17,8 @@ no double description, as references for the package's answers:
 `flip_by_lift` is the other reference here, with no LP: the neighbor across
 a facet of a secondary cone as the lower hull of a symbolic lift from a
 point inside the facet, which `wall_points` reads off the cone's extreme
-rays (checked against the bistellar flip `secondary._flip`).
+rays (checked against the bistellar flip `secondary._flip`).  Every lower
+hull here is the symbolic reference of `hull_reference`.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from __future__ import annotations
 from itertools import combinations
 
 from gkzrank.linprog import solve_lp
-from gkzrank.polytope import extreme_rays, fold_table, lower_hull_triangulation, placing_lifts, total_volume
-from gkzrank.secondary import TriangulationError, _fold_functionals, _secondary_cone
+from gkzrank.polytope import extreme_rays, fold_table, total_volume
+from gkzrank.secondary import TriangulationError, _secondary_cone
 
-from fold_reference import det_int
+from fold_reference import det_int, reference_fold_functionals
+from hull_reference import lower_hull_triangulation_symbolic, placing_lifts_symbolic
 
 
 def feasible_point(nvars, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
@@ -88,14 +92,14 @@ def is_triangulation_by_lp(aset, sims) -> bool:
     )
 
 
-def is_regular_by_lp(aset, sims):
-    """(lifting, None) for a regular triangulation, (None, Farkas multipliers
-    on the folds) for an irregular one: every fold is at least one on some
-    lifting exactly when the strict system is feasible."""
+def is_regular_by_lp(aset, sims, folds):
+    """(lifting, None) when some lifting is positive on every given fold of
+    the triangulation, (None, Farkas multipliers on the folds) when none
+    is: every fold is at least one on some lifting exactly when the strict
+    system is feasible."""
     sims = tuple(sorted(tuple(sorted(s)) for s in sims))
     if not is_triangulation_by_lp(aset, sims):
         raise TriangulationError("not a triangulation by the pairwise LP test")
-    folds = _fold_functionals(aset, fold_table(aset.points, aset.dim), sims)
     if not folds:
         return (0,) * aset.n, None
     res = solve_lp(aset.n, None, [[-x for x in c] for c in folds], [-1] * len(folds))
@@ -119,8 +123,8 @@ def facets_of_secondary_cone(aset, folds):
 
 def triangulation_flips(aset, table, simplices):
     """Neighbors of a regular triangulation across the facets of its cone,
-    each with the fold functional of the facet crossed."""
-    folds = _fold_functionals(aset, table, simplices)
+    each with the fold functional of the facet crossed, from every fold."""
+    folds = reference_fold_functionals(aset, simplices)
     if not folds:
         return []
     facet_idx = facets_of_secondary_cone(aset, folds)
@@ -140,7 +144,7 @@ def triangulation_flips(aset, table, simplices):
         if wall is None:
             raise RuntimeError("facet of a secondary cone has empty relative interior")
         lifts = [(wall[i], -c0[i]) for i in range(aset.n)]
-        sims = lower_hull_triangulation(table, lifts)
+        sims = lower_hull_triangulation_symbolic(table, lifts)
         neighbors.append((sims, c0))
     return neighbors
 
@@ -149,8 +153,8 @@ def flip_walk_by_lp(aset):
     """The regular triangulations (simplex tuples) reached from the placing
     triangulation, and the flip edges as sorted pairs of them."""
     table = fold_table(aset.points, aset.dim)
-    seed = lower_hull_triangulation(table, placing_lifts(aset.n))
-    if is_regular_by_lp(aset, seed)[0] is None:
+    seed = lower_hull_triangulation_symbolic(table, placing_lifts_symbolic(aset.n))
+    if is_regular_by_lp(aset, seed, reference_fold_functionals(aset, seed))[0] is None:
         raise RuntimeError("placing triangulation failed its regularity LP")
     seen = {seed}
     queue = [seed]
@@ -159,7 +163,7 @@ def flip_walk_by_lp(aset):
         key = queue.pop(0)
         for sims, _wall in triangulation_flips(aset, table, key):
             if sims not in seen:
-                if is_regular_by_lp(aset, sims)[0] is None:
+                if is_regular_by_lp(aset, sims, reference_fold_functionals(aset, sims))[0] is None:
                     raise RuntimeError("flip crossed into an irregular triangulation")
                 seen.add(sims)
                 queue.append(sims)
@@ -168,8 +172,8 @@ def flip_walk_by_lp(aset):
 
 
 def wall_points(aset, table, sims):
-    """A point inside each facet of C(T), keyed by the index of its fold in
-    `_fold_functionals`: the sum of the extreme rays of the cone tight on
+    """A point inside each facet of C(T), keyed by the index of its wall in
+    `_walls`: the sum of the extreme rays of the cone tight on
     it, read on the coordinates outside T's first simplex (zero on it)."""
     folds, _, facets = _secondary_cone(aset, table, sims)
     off = [i for i in range(aset.n) if i not in sims[0]]
@@ -184,4 +188,4 @@ def wall_points(aset, table, sims):
 def flip_by_lift(table, wall, fold):
     """The neighbor of T across the facet of C(T) with this fold and wall
     point w: the triangulation induced by the symbolic lift (w, -fold)."""
-    return lower_hull_triangulation(table, list(zip(wall, (-x for x in fold))))
+    return lower_hull_triangulation_symbolic(table, list(zip(wall, (-x for x in fold))))

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,19 +23,26 @@ from gkzrank.polytope import (
     validate_aset,
     _independent_rows,
 )
-from gkzrank.secondary import _fold_functionals
 
 from conftest import make_random_aset
 from fold_reference import (
+    barycentric,
     characteristic_function,
     det_int,
     fold_relation,
     fold_table_by_adjugates,
     listed,
+    reference_fold_functionals,
     subset_volume,
     validate_by_two_snfs,
 )
-from hull_reference import facet_vertex_sets, hull_vertex_indices
+from hull_reference import (
+    facet_vertex_sets,
+    hull_vertex_indices,
+    lower_hull_cells_symbolic,
+    lower_hull_triangulation_symbolic,
+    placing_lifts_symbolic,
+)
 from secondary_lp_reference import in_convex_hull
 
 
@@ -203,7 +210,8 @@ def test_project_mod_face_kp2_vertex(kp2):
 
 
 def test_placing_lower_hull(a3):
-    tri = lower_hull_triangulation(fold_table(a3.points, 2), placing_lifts(a3.n))
+    table = fold_table(a3.points, 2)
+    tri = lower_hull_triangulation(table, placing_lifts(table))
     assert tri == ((0, 1), (1, 2), (2, 3), (3, 4))
 
 
@@ -226,7 +234,7 @@ def test_no_points_have_no_cells_and_no_volume():
     # every other subset that spans no full cell
     for dim in (1, 2, 3):
         assert lower_hull_cells(fold_table([], dim), []) == ()
-        assert placing_volume(fold_table([], dim), 0) == 0
+        assert placing_volume(fold_table([], dim)) == 0
     with pytest.raises(InvalidConfiguration):
         subset_volume([(1, 0), (1, 1)], (), 2)
 
@@ -266,23 +274,13 @@ def test_hull_vertices_match_the_lp_membership_test(xy):
 # -- integer fold relations against the Fraction barycentric reference ------
 
 
-def _barycentric(points, sigma, j):
-    """Affine coordinates of point j in the full simplex sigma (Cramer)."""
-    mat = [points[i] for i in sigma]
-    den = det_int(mat)
-    return [
-        Fraction(det_int([points[j] if k == r else row for k, row in enumerate(mat)]), den)
-        for r in range(len(mat))
-    ]
-
-
 def _reference_fold(points, lifts, sigma, j):
     """Lift of j minus the affine extension of the sigma lift at point j."""
     vals = [tuple(map(Fraction, v)) if isinstance(v, tuple) else (Fraction(v),) for v in lifts]
     width = max(map(len, vals))
     vals = [v + (Fraction(0),) * (width - len(v)) for v in vals]
     out = list(vals[j])
-    for coef, i in zip(_barycentric(points, sigma, j), sigma):
+    for coef, i in zip(barycentric(points, sigma, j), sigma):
         for k in range(width):
             out[k] -= coef * vals[i][k]
     return tuple(out)
@@ -338,17 +336,22 @@ def lifted_asets(draw):
 @settings(max_examples=150, deadline=None)
 @given(lifted_asets(), st.integers(0, 2), st.fractions(Fraction(1, 5), 5))
 def test_lower_hull_matches_fraction_reference(case, column, factor):
+    # the symbolic reference on mixed lifts, and the package's integer
+    # lower hull whenever every lift is an integer
     points, lifts, dim = case
     cells, simplices = _reference_cells(points, lifts, dim)
     table = fold_table(points, dim)
-    assert lower_hull_cells(table, lifts) == cells
-    assert lower_hull_triangulation(table, lifts) == simplices
+    assert lower_hull_cells_symbolic(table, lifts) == cells
+    assert lower_hull_triangulation_symbolic(table, lifts) == simplices
+    if all(type(v) is int for v in lifts):
+        assert lower_hull_cells(table, lifts) == cells
+        assert lower_hull_triangulation(table, lifts) == simplices
 
     def scale(v):
         v = v if isinstance(v, tuple) else (v,)
         return tuple(x * factor if k == column else x for k, x in enumerate(v))
 
-    assert lower_hull_cells(table, [scale(v) for v in lifts]) == cells
+    assert lower_hull_cells_symbolic(table, [scale(v) for v in lifts]) == cells
 
     full = [s for s in combinations(range(len(points)), dim) if det_int([points[i] for i in s])]
     assert list(table) == full
@@ -362,30 +365,62 @@ def test_lower_hull_matches_fraction_reference(case, column, factor):
             assert gcd(*rel) == 1 and rel[-1] > 0
 
 
-def _reference_fold_functionals(aset, simplices):
-    """Fold functionals normalised from Fraction barycentric coordinates."""
-    out = set()
-    for sigma in simplices:
-        for j in set(range(aset.n)) - set(sigma):
-            c = [Fraction(0)] * aset.n
-            c[j] = Fraction(1)
-            for coef, i in zip(_barycentric(aset.points, sigma, j), sigma):
-                c[i] -= coef
-            den = lcm(*(x.denominator for x in c))
-            ints = [int(x * den) for x in c]
-            g = gcd(*ints)
-            out.add(tuple(x // g for x in ints))
-    return sorted(out)
-
-
 @pytest.mark.parametrize("name", ["a3", "kp2", "f2"])
 def test_fold_functionals_match_reference(name, request):
+    # the rows of T's simplices in the table, as functionals on all points,
+    # are the fold functionals of the Fraction barycentric reference
     aset = request.getfixturevalue(name)
     sp = request.getfixturevalue(name + "_secondary")
     for tri in sp.triangulations:
-        assert _fold_functionals(aset, sp.table, tri.simplices) == _reference_fold_functionals(
-            aset, tri.simplices
-        )
+        rows = set()
+        for sigma in tri.simplices:
+            for j, rel in sp.table[sigma][1].items():
+                c = [0] * aset.n
+                for i, x in zip((*sigma, j), rel):
+                    c[i] = x
+                rows.add(tuple(c))
+        assert sorted(rows) == reference_fold_functionals(aset, tri.simplices)
+
+
+@st.composite
+def placed_points(draw):
+    """Integer points of dim 1 to 4, coordinates up to 50 in absolute value:
+    flat subsets, repeated points and sets that span nothing included."""
+    dim = draw(st.integers(1, 4))
+    coords = st.tuples(*[st.integers(-50, 50)] * dim)
+    return dim, draw(st.lists(coords, max_size=7 if dim < 4 else 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(placed_points())
+def test_integer_placing_lifts_match_the_symbolic_ones(case):
+    # the powers of one base order the points as the infinitesimals do:
+    # placing, reversed placing, and both shifted by the staircase's
+    # constant lift -1, which leads as -B^n
+    dim, points = case
+    table = fold_table(points, dim)
+    lifts = placing_lifts(table)
+    assert len(lifts) == (len(points) if table else 0)
+    symbolic = placing_lifts_symbolic(len(points))
+    shifted = [x - lifts[1] * lifts[-1] for x in lifts] if len(lifts) > 1 else lifts
+    shifted_symbolic = [(-1, *e) for e in symbolic] if len(lifts) > 1 else symbolic
+    for ints, reference in ((lifts, symbolic), (shifted, shifted_symbolic)):
+        for order in (1, -1):
+            expected = lower_hull_cells_symbolic(table, reference[::order])
+            assert lower_hull_cells(table, ints[::order]) == expected
+
+
+def test_placing_base_must_exceed_max_det():
+    # one hand-built row, simplex (0, 1) at point 2 with the relation
+    # (-1, -M, 1), M = max |det|: under the placing order its sign is that
+    # of its last entry, +1, but the powers of a base of M alone give
+    # -1 - M * M + M^2 < 0.  The base 2 + (d + 1) M keeps the sign.
+    m = 6
+    table = {(0, 1): (m, {2: (-1, -m, 1)})}
+    assert lower_hull_cells_symbolic(table, placing_lifts_symbolic(3)) == ((0, 1),)
+    assert lower_hull_cells(table, [m**i for i in range(3)]) == ()
+    assert placing_lifts(table) == [1, 20, 400]
+    assert lower_hull_cells(table, placing_lifts(table)) == ((0, 1),)
 
 
 _small_ints = st.integers(-4, 4)

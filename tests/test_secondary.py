@@ -25,9 +25,9 @@ from gkzrank.secondary import (
     TriangulationError,
     _certify_lifting,
     _flip,
-    _fold_functionals,
     _ridge_sides,
     _secondary_cone,
+    _walls,
     check_triangulation,
     edge_data,
     hull_edges,
@@ -44,9 +44,16 @@ from fold_reference import (
     facets_by_rank,
     fold_table_by_adjugates,
     listed,
+    reference_fold_functionals,
     ridge_sides_by_det,
 )
-from hull_reference import facet_vertex_sets, hull_edges_by_lp, hull_edges_by_rank, hull_vertex_indices
+from hull_reference import (
+    facet_vertex_sets,
+    hull_edges_by_lp,
+    hull_edges_by_rank,
+    hull_vertex_indices,
+    lower_hull_cells_symbolic,
+)
 from secondary_lp_reference import (
     facets_of_secondary_cone,
     flip_by_lift,
@@ -208,7 +215,7 @@ def test_hull_description_matches_lp_and_brute_force(aset):
         assert vals[i] == vals[j]
         assert all(v < vals[i] for k, v in enumerate(vals) if k not in (i, j))
         lp_psi = normal_cone_sample(sp, i, j)
-        assert ed.cells == lower_hull_cells(sp.table, [(-v,) for v in lp_psi])
+        assert ed.cells == lower_hull_cells_symbolic(sp.table, [-v for v in lp_psi])
         # the circuit read from the fold table is the kernel's primitive relation
         assert ed.circuit == circuit_from_points(aset, ed.circuit.indices)
 
@@ -390,8 +397,8 @@ def test_spiral_triangulation_is_refuted():
 
 
 def _check_refutation(aset, sims, refutation):
-    """y >= 0, y != 0 and sum_k y_k c_k = 0 over the folds c_k of T."""
-    folds = _fold_functionals(aset, fold_table(aset.points, aset.dim), sims)
+    """y >= 0, y != 0 and sum_k y_k c_k = 0 over the walls c_k of T."""
+    folds = _walls(aset, fold_table(aset.points, aset.dim), sims)
     assert len(refutation) == len(folds)
     assert all(isinstance(y, int) and y >= 0 for y in refutation) and any(refutation)
     assert all(sum(y * c[i] for y, c in zip(refutation, folds)) == 0 for i in range(aset.n))
@@ -433,12 +440,14 @@ def test_triangulation_and_regularity_checks_match_the_lp_references():
             accepted = False
         assert accepted == all(proper_intersection_by_lp(aset, a, b) for a, b in combinations(sims, 2))
         assert accepted == (sims in tris)
-    # the same verdicts as the strict-feasibility LP, and on both spirals a
-    # refutation that is exact and a positive multiple of the LP's
+    # the same verdicts as the strict-feasibility LP over every fold and
+    # over the walls alone, and on both spirals a refutation over the walls
+    # that is exact and a positive multiple of the LP's over the same walls
     for sims in tris:
         res = is_regular(aset, sims)
-        lp_lifting, lp_refutation = is_regular_by_lp(aset, sims)
-        assert res.regular == (lp_lifting is not None) == (sims not in spirals)
+        lp_lifting, lp_refutation = is_regular_by_lp(aset, sims, _walls(aset, table, sims))
+        all_folds = is_regular_by_lp(aset, sims, reference_fold_functionals(aset, sims))[0]
+        assert res.regular == (lp_lifting is not None) == (all_folds is not None) == (sims not in spirals)
         if res.regular:
             assert all(isinstance(x, int) for x in res.lifting)
             assert lower_hull_cells(table, res.lifting) == sims
@@ -463,14 +472,14 @@ def _check_cones_against_lp(aset):
     """Every secondary cone of the walk, and the walk itself, against LP."""
     sp = secondary_polytope(aset)
     for tri in sp.triangulations:
-        folds, lifting, facets = _secondary_cone(aset, sp.table, tri.simplices)
-        # the double description keeps exactly the folds the LP finds irredundant
-        assert facets == facets_of_secondary_cone(aset, folds)
-        walls = wall_points(aset, sp.table, tri.simplices)
-        for k, w in walls.items():
-            assert _dot(folds[k], w) == 0
-            assert all(_dot(folds[i], w) > 0 for i in walls if i != k)
-        assert all(_dot(c, lifting) > 0 for c in folds)
+        walls, lifting, facets = _secondary_cone(aset, sp.table, tri.simplices)
+        # the double description keeps exactly the walls the LP finds irredundant
+        assert facets == facets_of_secondary_cone(aset, walls)
+        points = wall_points(aset, sp.table, tri.simplices)
+        for k, w in points.items():
+            assert _dot(walls[k], w) == 0
+            assert all(_dot(walls[i], w) > 0 for i in points if i != k)
+        assert all(_dot(c, lifting) > 0 for c in reference_fold_functionals(aset, tri.simplices))
         assert tri.lifting == lifting
         assert lower_hull_cells(sp.table, lifting) == tri.simplices
     tris, edges = flip_walk_by_lp(aset)
@@ -503,6 +512,39 @@ def test_secondary_cones_edge_cases(kp2):
     assert tuple(sorted(SPIRAL)) not in [t.simplices for t in sp.triangulations]
 
 
+def _check_walls_against_every_fold(sp) -> int:
+    """Each cone of the walk from T's walls and from every fold of T, the
+    reference (extreme_rays over reference_fold_functionals): the same
+    extreme rays, the same lifting, their sum, and the same facet
+    functionals.  Returns the number of cones."""
+    aset = sp.aset
+    for tri in sp.triangulations:
+        sims = tri.simplices
+        walls, lifting, facets = _secondary_cone(aset, sp.table, sims)
+        folds = reference_fold_functionals(aset, sims)
+        assert set(walls) <= set(folds)
+        off = [i for i in range(aset.n) if i not in sims[0]]
+        rays = [sorted(h for h, _ in extreme_rays([[c[i] for i in off] for c in rows])) if rows else []
+                for rows in (walls, folds)]
+        assert rays[0] == rays[1]
+        total = dict(zip(off, map(sum, zip(*rays[1]))))
+        assert lifting == tuple(total.get(i, 0) for i in range(aset.n))
+        assert {walls[k] for k in facets} == {folds[k] for k in facets_by_rank(aset, folds, sims)}
+    return len(sp.triangulations)
+
+
+def test_walls_cut_out_the_cone_of_every_fold(a3, kp2, f2, grid_secondary):
+    # the walk configurations and the 3 x 3 grid
+    walks = [secondary_polytope(aset) for aset in _walk_configurations(a3, kp2, f2)]
+    assert sum(_check_walls_against_every_fold(sp) for sp in walks + [grid_secondary]) == 1355
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_asets())
+def test_walls_cut_out_the_cone_of_every_fold_on_small_configurations(aset):
+    _check_walls_against_every_fold(secondary_polytope(aset))
+
+
 def test_lifting_certificate_refuses_a_zero_fold_and_a_missing_simplex(a3, kp2, f2):
     # each walk lifting passes; a point on a wall of its cone (one fold
     # zero) fails, and so does T with one simplex left out, whose folds are
@@ -512,19 +554,19 @@ def test_lifting_certificate_refuses_a_zero_fold_and_a_missing_simplex(a3, kp2, 
         sp = secondary_polytope(aset)
         volume = total_volume(aset)
         for tri in sp.triangulations:
-            folds = _fold_functionals(aset, sp.table, tri.simplices)
-            _certify_lifting(sp.table, tri.simplices, folds, tri.lifting, volume)
+            folds = reference_fold_functionals(aset, tri.simplices)
+            _certify_lifting(sp.table, tri.simplices, tri.lifting, volume)
             for w in wall_points(aset, sp.table, tri.simplices).values():
                 assert min(_dot(c, w) for c in folds) == 0
                 with pytest.raises(RuntimeError, match="fails to induce"):
-                    _certify_lifting(sp.table, tri.simplices, folds, w, volume)
+                    _certify_lifting(sp.table, tri.simplices, w, volume)
                 refused += 1
             for k in range(len(tri.simplices)):
                 short = tri.simplices[:k] + tri.simplices[k + 1:]
-                short_folds = _fold_functionals(aset, sp.table, short)
+                short_folds = reference_fold_functionals(aset, short)
                 assert all(_dot(c, tri.lifting) > 0 for c in short_folds)
                 with pytest.raises(RuntimeError, match="fails to induce"):
-                    _certify_lifting(sp.table, short, short_folds, tri.lifting, volume)
+                    _certify_lifting(sp.table, short, tri.lifting, volume)
                 refused += 1
     assert refused == 198
 
@@ -551,16 +593,23 @@ def test_flip_walk_and_edge_data_solve_no_lp(monkeypatch, a3, kp2, f2):
 
 
 def test_fold_tight_on_enough_rays_need_not_be_a_facet():
-    # modulo affine functions this cone has dimension 5; the fold below is
+    # modulo affine functions this cone has dimension 5; the wall below (of
+    # the ridge (1, 2), between the simplices (1, 2, 3) and (1, 2, 7)) is
     # tight on four of its seven extreme rays, as many as a facet holds, but
-    # they span only a three-dimensional face: another fold is tight on all
-    # four and more, so the fold is not a facet
-    points = [(0, 2, 1), (1, 0, 1), (-1, 0, 1), (0, 0, 1), (-1, -1, 1), (1, 2, 1), (1, 1, 1), (1, -1, 1)]
+    # they span only a three-dimensional face: another wall is tight on all
+    # four and more, so the wall is not a facet
+    points = [(-1, -1, 1), (-1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (2, -1, 1), (2, 1, 1), (2, 2, 1)]
     aset = validate_aset(3, points)
-    sims = ((0, 2, 3), (0, 3, 5), (2, 3, 4), (3, 4, 7), (3, 5, 6), (3, 6, 7))
-    folds, _, facets = _secondary_cone(aset, fold_table(aset.points, aset.dim), sims)
-    assert folds.index((0, 1, 0, 0, 0, 1, -2, 0)) not in facets
-    assert facets == facets_of_secondary_cone(aset, folds)
+    sims = ((0, 1, 3), (0, 3, 5), (1, 2, 3), (1, 2, 7), (2, 3, 4), (2, 4, 7), (3, 4, 7), (3, 5, 6), (3, 6, 7))
+    table = fold_table(aset.points, aset.dim)
+    walls, _, facets = _secondary_cone(aset, table, sims)
+    assert walls == _walls(aset, table, sims)
+    k = walls.index((0, 3, -5, 1, 0, 0, 0, 1))
+    off = [i for i in range(aset.n) if i not in sims[0]]
+    rays = extreme_rays([[c[i] for i in off] for c in walls])
+    assert (len(rays), sum(on >> k & 1 for _, on in rays)) == (7, 4)
+    assert k not in facets
+    assert facets == facets_of_secondary_cone(aset, walls)
 
 
 def _walk_configurations(a3, kp2, f2):
@@ -588,7 +637,7 @@ def test_bistellar_flip_matches_the_lifted_lower_hull(a3, kp2, f2):
 
 
 def _walk_cones(a3, kp2, f2, grid_secondary):
-    """(aset, simplices, folds, facets) for every secondary cone of the walk
+    """(aset, simplices, walls, facets) for every secondary cone of the walk
     configurations and of the 3 x 3 grid."""
     walks = [secondary_polytope(aset) for aset in _walk_configurations(a3, kp2, f2)]
     for sp in walks + [grid_secondary]:
@@ -598,7 +647,7 @@ def _walk_cones(a3, kp2, f2, grid_secondary):
 
 
 def test_extreme_ray_masks_on_the_secondary_cones(a3, kp2, f2, grid_secondary):
-    # bit t of a ray's mask is set exactly when the ray is tight on fold t
+    # bit t of a ray's mask is set exactly when the ray is tight on wall t
     rays = 0
     for aset, sims, folds, _ in _walk_cones(a3, kp2, f2, grid_secondary):
         rows = [[c[i] for i in range(aset.n) if i not in sims[0]] for c in folds]
@@ -609,8 +658,8 @@ def test_extreme_ray_masks_on_the_secondary_cones(a3, kp2, f2, grid_secondary):
 
 
 def test_facets_by_maximal_masks_match_the_rank_rule(a3, kp2, f2, grid_secondary):
-    # the folds whose tight rays are no other fold's proper subset are the
-    # folds whose tight rays have rank one less than the cone's dimension
+    # the walls whose tight rays are no other wall's proper subset are the
+    # walls whose tight rays have rank one less than the cone's dimension
     cones = 0
     for aset, sims, folds, facets in _walk_cones(a3, kp2, f2, grid_secondary):
         assert facets == facets_by_rank(aset, folds, sims)
