@@ -1,23 +1,25 @@
 """Discriminants and the principal A-determinant.
 
 Circuit discriminants come from the explicit binomial formula attached to a
-primitive relation.  Face discriminants are eliminants of the face's
-coefficient family, routed by the face alone: a vertex gives its own
-variable, a simplex the constant 1, a one-dimensional face the resultant
-Res(f, f') of f = sum_j a_j x^(e_j) (the determinant of a sparse Sylvester
-matrix, its monomial factor stripped), and a face of dimension two or more
-the interpolation oracle.  One face loop per configuration (_factors)
-ranks and eliminates its faces in faces order, so the top face comes last
-and reads its multidegree off the factors already held; a higher face asked
-for on its own is the top face of its own configuration.  The discriminant
-is the kernel of the matrix that evaluates the monomials of that
-multidegree at points of the dual variety, eliminated modulo primes below
-2^21 in rows packed into 64-bit slots, lifted by CRT and certified exactly.
-Both oracles read the face in the lattice its points generate, so either
-eliminant is the irreducible discriminant up to its content and sign, which
-primitive_part removes.  Both oracles poll one budget clock and share its
-exponent limit.  The principal A-determinant is the product of the loop's
-face discriminants raised to their K-theory rank exponents.
+primitive relation.  Face discriminants are routed by the face alone: a
+vertex gives its own variable, a simplex the constant 1, a face with one
+point more than a simplex (corank one) the binomial of its primitive affine
+relation, or 1 on a pyramid over a circuit, a one-dimensional face the
+resultant Res(F_x, F_y) of the partials of its binary form (the determinant
+of a sparse Sylvester matrix, its monomial factor stripped), and a face of
+dimension two or more the interpolation oracle.  One face loop per
+configuration (_factors) ranks and eliminates its faces in faces order, so
+the top face comes last and reads its multidegree off the factors already
+held; a higher face asked for on its own is the top face of its own
+configuration.  The discriminant is the kernel of the matrix that evaluates
+the monomials of that multidegree at points of the dual variety, eliminated
+modulo primes below 2^21 in rows packed into 64-bit slots, lifted by CRT and
+certified exactly.  Both oracles read the face in the lattice its points
+generate, so either eliminant is the irreducible discriminant up to its
+content and sign, which primitive_part removes.  Both oracles poll one
+budget clock and share its exponent limit.  The principal A-determinant is
+the product of the loop's face discriminants raised to their K-theory rank
+exponents.
 """
 
 from __future__ import annotations
@@ -118,10 +120,12 @@ def face_discriminant(aset: ASet, face: Face, budget: Budget | None = None) -> I
     """The discriminant of the face configuration, in the global a-variables.
 
     Vertices give their own coordinate variable; simplex faces (and any face
-    whose dual variety has codimension above one) give the constant 1.
-    One-dimensional faces are eliminated by a resultant on their exponents
-    divided by their gcd, their coordinates in the lattice the face's
-    points generate; higher faces by their own configuration's face loop.
+    whose dual variety has codimension above one) give the constant 1, and
+    corank-one faces the binomial of their primitive affine relation (GKZ
+    1994, ch. 9), without reading the clock.  Other one-dimensional faces
+    are eliminated by a resultant on their exponents divided by their gcd,
+    their coordinates in the lattice the face's points generate; higher
+    faces by their own configuration's face loop.
     Raises BudgetExceeded when the budget's clock, started here, runs out and
     ExponentOverflow when a local exponent exceeds the limit: an edge's once
     divided by their gcd, a higher face's in saturated coordinates.
@@ -150,7 +154,12 @@ def _face_discriminant(aset: ASet, face: Face, clock: _Clock, held) -> IntPolyno
         for x in e:
             if x > _EXP_MAX:
                 raise ExponentOverflow(x)
-    if len(exps[0]) == 1:
+    if len(idx) == face.dim + 2:  # corank one: one primitive affine relation
+        (rel,) = kernel_basis([[1] * len(idx), *zip(*exps)])
+        if 0 in rel:  # a pyramid over a circuit
+            return IntPolynomial.constant(n, 1)
+        h = circuit_discriminant(Circuit(tuple(range(len(idx))), rel), len(idx))
+    elif len(exps[0]) == 1:
         h = _resultant_eliminant(exps, clock)
     elif held is not None and len(idx) == n:
         h = _interpolation_eliminant(aset, held, clock)
@@ -178,32 +187,37 @@ def _factors(conf: ASet, clock: _Clock) -> list[FaceFactor]:
 
 
 def _resultant_eliminant(exps, clock: _Clock) -> IntPolynomial:
-    """Res(f, f') for f = sum_j a_j x^(e_j), its monomial factor stripped.
+    """Res(F_x, F_y) for the binary form F = sum_j a_j x^(e_j) y^(N-e_j),
+    N = max e_j, its monomial factor stripped: +-N^(N-2) times the
+    discriminant of F.
 
-    When the exponents have gcd 1, f has a single double root at a generic
+    When the exponents have gcd 1, F has a single double root at a generic
     point of the discriminant, and this is the discriminant of the
     one-dimensional configuration up to a constant (GKZ 1994, ch. 12); with
     gcd g the double roots come in groups of g and it is a g-th power.
-    The Sylvester matrix is held as sparse rows, column -> entry, with
-    column c the coefficient of x^(2N-2-c), and its determinant is taken by
-    fraction-free (Bareiss) elimination, every division exact.
+    The Sylvester matrix of F_x = sum e_j a_j x^(e_j-1) and
+    F_y = sum (N-e_j) a_j x^(e_j), both of formal degree N-1, has order
+    2N-2 and is held as sparse rows, column -> entry, with column c the
+    coefficient of x^(2N-3-c); its determinant is taken by fraction-free
+    (Bareiss) elimination, every division exact.
     """
     degrees = [e for (e,) in exps]
     k = len(degrees)
     top = max(degrees)
-    last = 2 * top - 2
+    last = 2 * top - 3
     coeffs = [IntPolynomial.variable(k, j) for j in range(k)]
     rows = [
-        {last - s - e: a for e, a in zip(degrees, coeffs)} for s in range(top - 1)
-    ] + [
         {last + 1 - s - e: a * e for e, a in zip(degrees, coeffs) if e}
-        for s in range(top)
+        for s in range(top - 1)
+    ] + [
+        {last - s - e: a * (top - e) for e, a in zip(degrees, coeffs) if e < top}
+        for s in range(top - 1)
     ]
     prev = IntPolynomial.constant(k, 1)
     for col in range(last + 1):
         r = next((r for r, row in enumerate(rows) if col in row), None)
         if r is None:
-            raise OracleError("Sylvester matrix of f and f' is singular")
+            raise OracleError("Sylvester matrix of F_x and F_y is singular")
         pivot_row = rows.pop(r)
         pivot = pivot_row.pop(col)
         for row in rows:

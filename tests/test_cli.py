@@ -134,6 +134,13 @@ def test_exit_code_budget():
     assert "incomplete" in out
 
 
+def test_circuit_completes_under_a_spent_budget():
+    # kp2's faces are vertices and one circuit: no face runs an oracle
+    code, out, _ = run_cli(["verify", "kp2", "--budget", "0"])
+    assert code == 0
+    assert out.splitlines()[-1] == "status: pass"
+
+
 def test_terms_flag_is_refused(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["edet", "a3", "--terms", "1"])
@@ -300,6 +307,12 @@ def test_golden_gap3_edet(tmp_path):
     # an edge with exponents 0, 3, 6, 9: its discriminant is that of 0, 1, 2, 3
     points = [[1, 0, 0], [1, 3, 0], [1, 6, 0], [1, 9, 0], [1, 0, 1], [1, 1, 1]]
     assert_golden_edet(tmp_path, {"dim": 3, "points": points, "name": "gap3"})
+
+
+def test_golden_line7_edet(tmp_path):
+    # a line of degree 9 with gaps: the largest resultant of the golden files
+    points = [[1, e] for e in (0, 1, 2, 4, 6, 7, 9)]
+    assert_golden_edet(tmp_path, {"dim": 2, "points": points, "name": "line7"})
 
 
 def test_report_round_trip(kp2):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 import tracemalloc
@@ -14,6 +15,8 @@ from gkzrank.discriminant import (
     MultiplicityError,
     _Echelon,
     _evaluation_row,
+    _factors,
+    _interpolation_eliminant,
     _primes,
     _resultant_eliminant,
     circuit_discriminant,
@@ -24,6 +27,7 @@ from gkzrank.discriminant import (
     principal_a_determinant,
 )
 from gkzrank.elimination import Budget, BudgetExceeded, InvalidBudget, _Clock
+from gkzrank.lattice import kernel_basis, span
 from gkzrank.polynomial import IntPolynomial
 from gkzrank.polytope import InvalidConfiguration, faces, h_representation, validate_aset
 from gkzrank.secondary import NotAnEdge, edge_data, hull_edges, secondary_polytope
@@ -32,6 +36,7 @@ from buchberger import _groebner_eliminant
 from conftest import make_random_aset, singular_point_vector
 from echelon_reference import ListEchelon
 from fold_reference import circuit_from_points
+from resultant_reference import resultant_f_fprime
 from test_elimination import QUARTIC_DISCRIMINANT
 
 
@@ -169,6 +174,8 @@ def test_resultant_three_point_circuits(top):
             continue
         aset, face = line((0, p, top))
         expected = circuit_discriminant(circuit_from_points(aset, (0, 1, 2)), 3)
+        by_resultant = _resultant_eliminant([(0,), (p,), (top,)], _Clock(Budget()))
+        assert by_resultant.primitive_part() == expected, (p, top)
         assert face_discriminant(aset, face) == expected, (p, top)
 
 
@@ -183,9 +190,10 @@ def test_resultant_vanishes_on_dual_variety(pattern):
 
 
 @pytest.mark.parametrize("budget", [Budget(seconds=0.0)])
-def test_resultant_budget_three_points(budget):
-    # three cell updates: the clock is read on the first check
-    aset, top = line((0, 1, 2))
+def test_resultant_budget_four_points(budget):
+    # the cubic, the smallest line that is not a circuit: the clock is read
+    # at its first cell update
+    aset, top = line((0, 1, 2, 3))
     with pytest.raises(BudgetExceeded) as err:
         face_discriminant(aset, top, budget)
     assert str(err.value) == (
@@ -207,6 +215,41 @@ def test_resultant_budget_wide_face():
         tracemalloc.stop()
     assert time.monotonic() - start < 5.0
     assert peak < 64 * 2**20
+
+
+def test_resultant_is_taken_on_the_partials_of_the_binary_form():
+    # Res(F_x, F_y) is +-N^(N-2) times the discriminant of the binary form:
+    # a content of 4^2 on the dense quartic, where Res(f, f'), from the
+    # Sylvester matrix of order 2N-1, is +-a_4 times it, content 1 once a_4
+    # is stripped
+    exps = [(e,) for e in range(5)]
+    assert _resultant_eliminant(exps, _Clock(Budget())) == QUARTIC_DISCRIMINANT * -16
+    assert resultant_f_fprime(exps, _Clock(Budget())) == QUARTIC_DISCRIMINANT
+
+
+def random_lines(rng, count):
+    """count exponent patterns 0 < ... < N <= 12 of three to five points,
+    two in five of them multiplied by 2 or 3 (exponent gcd above 1)."""
+    for _ in range(count):
+        g = rng.choice([1, 1, 1, 2, 3])
+        top = rng.randint(2, 12 // g)
+        inner = rng.sample(range(1, top), rng.randint(1, min(top - 1, 3)))
+        yield tuple(g * e for e in sorted([0, top, *inner]))
+
+
+# every line the benchmark's windows can hold (six consecutive points at
+# d = 2, a 4 x 4 box at d = 3): three or more exponents out of 0..5
+WINDOW_LINES = [(0,) + rest for r in range(2, 6) for rest in combinations(range(1, 6), r)]
+
+
+def test_line_resultant_matches_the_f_fprime_reference():
+    patterns = list(random_lines(random.Random(150), 150)) + WINDOW_LINES
+    assert any(gcd(*p) > 1 for p in patterns) and max(map(max, patterns)) == 12
+    for pattern in patterns:
+        exps = [(e,) for e in pattern]
+        by_partials = _resultant_eliminant(exps, _Clock(Budget()))
+        by_reference = resultant_f_fprime(exps, _Clock(Budget()))
+        assert by_partials.primitive_part() == by_reference.primitive_part(), pattern
 
 
 @pytest.mark.parametrize("pattern", [(0, 1, 2), (0, 1, 3), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5)])
@@ -275,6 +318,14 @@ def test_interpolation_index_two_square():
     )
 
 
+def interpolated_top_face(conf):
+    """The top face of conf by the interpolation oracle itself, from the
+    rows the face loop holds for its proper faces."""
+    clock = _Clock(Budget())
+    rows = _factors(conf, clock)[:-1]
+    return _interpolation_eliminant(conf, rows, clock).primitive_part()
+
+
 def corpus_instances(numbers):
     rng = random.Random(271828)  # the acceptance corpus
     corpus = [make_random_aset(rng) for _ in range(max(numbers) + 1)]
@@ -320,6 +371,7 @@ def test_interpolation_pyramids_are_defective():
     for aset in corpus_instances(CORPUS_PYRAMIDS):
         top = faces(aset)[-1]
         assert len(top.indices) > top.dim + 1
+        assert interpolated_top_face(aset) == IntPolynomial.constant(aset.n, 1)
         assert face_discriminant(aset, top) == IntPolynomial.constant(aset.n, 1)
 
 
@@ -337,6 +389,7 @@ def test_interpolation_circuits_with_large_coefficients(points):
     # primes before it reconstructs
     aset = validate_aset(3, [(x, y, 1) for x, y in points])
     expected = circuit_discriminant(circuit_from_points(aset, range(4)), 4)
+    assert interpolated_top_face(aset) == expected.primitive_part()
     assert face_discriminant(aset, faces(aset)[-1]) == expected.primitive_part()
 
 
@@ -354,8 +407,8 @@ def test_interpolation_reconstruction_attempts_are_spaced(monkeypatch):
 
     monkeypatch.setattr(discriminant, "_reconstruct", counted)
     expected = circuit_discriminant(circuit_from_points(aset, range(4)), 4)
-    assert face_discriminant(aset, faces(aset)[-1]) == expected.primitive_part()
-    assert len(attempts) <= 40
+    assert interpolated_top_face(aset) == expected.primitive_part()
+    assert 1 <= len(attempts) <= 40
 
 
 @pytest.mark.parametrize("budget", [Budget(seconds=0.0)])
@@ -395,8 +448,13 @@ def test_interpolation_clock_read_at_every_row(monkeypatch):
     assert len(rows) <= 1
 
 
-def test_one_clock_bounds_every_face(f2, monkeypatch):
-    # the deadline passes as f2's first oracle face, the edge (1, 2, 3),
+# f2 with a fourth point on its edge (1, 2, 3), which is then a cubic:
+# its oracle faces are that edge, by the resultant, and the top face
+F2_CUBIC_EDGE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, 2, 1), (0, -1, 1), (-2, 3, 1)]
+
+
+def test_one_clock_bounds_every_face(monkeypatch):
+    # the deadline passes as the first oracle face, the edge (1, 2, 3, 5),
     # starts: that face and every later one, the top face included, are
     # over budget at their first check, and the top face's fiber is never
     # walked
@@ -416,12 +474,12 @@ def test_one_clock_bounds_every_face(f2, monkeypatch):
     monkeypatch.setattr(discriminant, "_fiber", counted_fiber)
     fake_time = types.SimpleNamespace(monotonic=lambda: 1e9 if passed else 0.0)
     monkeypatch.setattr(elimination, "time", fake_time)
-    result = principal_a_determinant(f2, Budget(seconds=60))
+    result = principal_a_determinant(validate_aset(3, F2_CUBIC_EDGE), Budget(seconds=60))
     assert result.e_a is None
     over = {f.face.indices: f.error for f in result.factors if f.discriminant is None}
     assert over == {
-        (1, 2, 3): "elimination budget exceeded (60s) during resultant",
-        (0, 1, 2, 3, 4): "elimination budget exceeded (60s) during interpolation",
+        (1, 2, 3, 5): "elimination budget exceeded (60s) during resultant",
+        (0, 1, 2, 3, 4, 5): "elimination budget exceeded (60s) during interpolation",
     }
     assert passed == [1]
     assert fibers == []
@@ -515,9 +573,9 @@ def test_face_discriminant_routes_agree(a3, kp2, f2):
             assert face_discriminant(aset, face) == row.discriminant
 
 
-def test_standalone_face_budget(f2, monkeypatch):
-    # the deadline passes in the first edge resultant of f2's own face
-    # loop: the top face is over budget at its first check, before its
+def test_standalone_face_budget(monkeypatch):
+    # the deadline passes in the first edge resultant of the top face's own
+    # face loop: the top face is over budget at its first check, before its
     # multidegree reads the edge's missing discriminant, and its fiber is
     # never walked
     passed = []
@@ -536,11 +594,137 @@ def test_standalone_face_budget(f2, monkeypatch):
     monkeypatch.setattr(discriminant, "_fiber", counted_fiber)
     fake_time = types.SimpleNamespace(monotonic=lambda: 1e9 if passed else 0.0)
     monkeypatch.setattr(elimination, "time", fake_time)
+    aset = validate_aset(3, F2_CUBIC_EDGE)
     with pytest.raises(BudgetExceeded) as err:
-        face_discriminant(f2, faces(f2)[-1], Budget(seconds=60))
+        face_discriminant(aset, faces(aset)[-1], Budget(seconds=60))
     assert str(err.value) == "elimination budget exceeded (60s) during interpolation"
     assert passed == [1]
     assert fibers == []
+
+
+def face_configuration(aset, face):
+    """The face as its own configuration, in a basis of the lattice its
+    points generate."""
+    pts = [aset.points[i] for i in face.indices]
+    lat = span(pts, aset.dim)
+    coords = [tuple(x // q for x, q in zip(lat.coordinates(p), lat.diag)) for p in pts]
+    return validate_aset(lat.rank, coords)
+
+
+def no_oracle(*args):
+    raise AssertionError("an oracle ran on a corank-one face")
+
+
+def test_corank_one_faces_match_both_oracles(a3, kp2, f2, monkeypatch):
+    # a face with one point more than a simplex takes the binomial of its
+    # relation, and neither oracle runs for it; the oracles, called
+    # directly, agree with it: interpolation on the face's own
+    # configuration and, on a line, the resultant
+    monkeypatch.setattr(discriminant, "_resultant_eliminant", no_oracle)
+    monkeypatch.setattr(discriminant, "_interpolation_eliminant", no_oracle)
+    counts = []
+    for group in ([a3, kp2, f2], corpus_instances(range(100))):
+        lines = planar = 0
+        for aset in group:
+            for face in faces(aset):
+                if len(face.indices) != face.dim + 2:
+                    continue
+                closed = face_discriminant(aset, face)
+                conf = face_configuration(aset, face)
+                assert closed == interpolated_top_face(conf).embed(aset.n, face.indices)
+                if face.dim == 1:
+                    lines += 1
+                    exps = face_local_exponents(aset, face)
+                    g = gcd(*(e for (e,) in exps))
+                    by_resultant = _resultant_eliminant([(e // g,) for (e,) in exps], _Clock(Budget()))
+                    assert closed == by_resultant.primitive_part().embed(aset.n, face.indices)
+                else:
+                    planar += 1
+        counts.append((lines, planar))
+    assert counts == [(1, 1), (36, 18)]
+
+
+def random_corank_one(rng, dim):
+    """dim + 1 points (1, x) with x in [-2, 2]^(dim - 1), affinely spanning
+    and generating the lattice."""
+    while True:
+        pts = {(1,) + tuple(rng.randint(-2, 2) for _ in range(dim - 1)) for _ in range(dim + 1)}
+        try:
+            return validate_aset(dim, sorted(pts))
+        except InvalidConfiguration:
+            continue
+
+
+def test_corank_one_random_circuits_pyramids_and_index_two():
+    # random circuits in the plane and in space; pyramids over planar
+    # circuits; and planar circuits stretched by 2, which generate a lattice
+    # of index 2 in their saturation, as the base of a prism-like
+    # configuration: the closed form equals the interpolation of the face's
+    # own configuration, and is 1 exactly when the relation vanishes at a
+    # point
+    rng = random.Random(9)
+    cases = []
+    for dim in (3, 4):
+        for _ in range(12):
+            aset = random_corank_one(rng, dim)
+            cases.append((aset, faces(aset)[-1]))
+    for _ in range(6):
+        base = random_corank_one(rng, 3).points
+        apex = (1, rng.randint(-2, 2), rng.randint(-2, 2), 1)
+        pyramid = validate_aset(4, [p + (0,) for p in base] + [apex])
+        wide = validate_aset(4, [(1, 2 * x, y, 0) for _, x, y in base] + [(1, 0, 0, 1), (1, 1, 0, 1)])
+        stretched = face_by_indices(wide, range(len(base)))
+        assert prod(span([wide.points[i] for i in stretched.indices], 4).diag) == 2
+        cases += [(pyramid, faces(pyramid)[-1]), (wide, stretched)]
+    pyramids = 0
+    for aset, face in cases:
+        assert len(face.indices) == face.dim + 2
+        conf = face_configuration(aset, face)
+        closed = face_discriminant(aset, face)
+        assert closed == interpolated_top_face(conf).embed(aset.n, face.indices), aset.points
+        (rel,) = kernel_basis(list(zip(*conf.points)))
+        assert closed.is_constant() == (0 in rel)
+        pyramids += 0 in rel
+    assert pyramids >= 6
+
+
+def test_corank_one_face_takes_no_budget(kp2):
+    # kp2's top face is a circuit: it completes under a spent budget
+    expected = circuit_discriminant(circuit_from_points(kp2, range(4)), 4).primitive_part()
+    assert face_discriminant(kp2, faces(kp2)[-1], Budget(seconds=0.0)) == expected
+    assert principal_a_determinant(kp2, Budget(seconds=0.0)).e_a is not None
+
+
+def test_four_dimensional_faces_take_the_closed_form(monkeypatch):
+    # 40 draws of 6 to 8 points (1, x, y, z), 0 <= x <= 1, 0 <= y, z <= 2:
+    # with an oracle on every face that is not a simplex, E_A of these ran 57
+    # resultants and 132 interpolations, since each 2-face of 5 or more
+    # points reruns its own face loop; the corank-one faces run neither
+    calls = {"resultant": 0, "interpolation": 0}
+    for name in calls:
+        oracle = getattr(discriminant, "_%s_eliminant" % name)
+
+        def counted(*args, name=name, oracle=oracle):
+            calls[name] += 1
+            return oracle(*args)
+
+        monkeypatch.setattr(discriminant, "_%s_eliminant" % name, counted)
+    rng = random.Random(314159)
+    box = [(x, y, z) for x in range(2) for y in range(3) for z in range(3)]
+    digest = hashlib.sha256()
+    draws = 0
+    while draws < 40:
+        pts = sorted(rng.sample(box, rng.randint(6, 8)))
+        try:
+            aset = validate_aset(4, [(1,) + p for p in pts])
+        except InvalidConfiguration:
+            continue
+        draws += 1
+        e_a = principal_a_determinant(aset).e_a
+        digest.update(repr(sorted(e_a.terms.items())).encode())
+    assert calls == {"resultant": 0, "interpolation": 57}
+    # the E_A the resultant-on-every-line route gave
+    assert digest.hexdigest() == "537c08a6022dc0c3c7e2986773b4ea993b0408979cf2f7ada69dadc6ce70715c"
 
 
 def test_echelon_kernel_vector():
