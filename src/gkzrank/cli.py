@@ -61,6 +61,7 @@ def _load_document(path: str) -> dict:
 
 def _load_aset(path: str):
     doc = _load_document(path)
+    sys.set_int_max_str_digits(0)  # input read: coefficients may pass 4,300 digits
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise CliError(EXIT_INVALID_INPUT, 'malformed document: "name" must be a string')
@@ -323,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digits = sys.get_int_max_str_digits()
     try:
         return args.fn(args)
     except CliError as exc:
@@ -331,6 +333,8 @@ def main(argv=None) -> int:
         error, code = exc, EXIT_INVALID_INPUT
     except BudgetExceeded as exc:
         error, code = exc, EXIT_BUDGET
+    finally:  # _load_aset lifted it for the command's output
+        sys.set_int_max_str_digits(digits)
     sys.stderr.write("error: %s\n" % error)
     return code
 

@@ -68,13 +68,18 @@ def circuit_discriminant(circuit: Circuit, nvars: int) -> IntPolynomial:
     For the primitive relation sum l_i v_i = 0 the two monomials are
     prod_{l_i>0} l_i^{l_i} * prod_{l_i<0} a_i^{-l_i} and
     prod_{l_i<0} l_i^{-l_i} * prod_{l_i>0} a_i^{l_i}; the signed coefficients
-    are kept exactly as the relation dictates.
+    are kept exactly as the relation dictates.  Raises ExponentOverflow,
+    before any power is taken, when sum |l_i| * bit_length(|l_i|), a bound on
+    the bit length of both coefficients, exceeds the limit.
     """
     rel = circuit.relation
     if any(l == 0 for l in rel):
         raise ValueError("relation with zero coefficient is not primitive")
     if gcd(*rel) != 1:
         raise ValueError("relation is not primitive")
+    bits = sum(abs(l) * abs(l).bit_length() for l in rel)
+    if bits > _EXP_MAX:
+        raise ExponentOverflow(bits, "circuit binomial coefficient bit bound")
     coeff_plus = 1
     coeff_minus = 1
     exp_plus = [0] * nvars
@@ -127,8 +132,9 @@ def face_discriminant(aset: ASet, face: Face, budget: Budget | None = None) -> I
     their coordinates in the lattice the face's points generate; higher
     faces by their own configuration's face loop.
     Raises BudgetExceeded when the budget's clock, started here, runs out and
-    ExponentOverflow when a local exponent exceeds the limit: an edge's once
-    divided by their gcd, a higher face's in saturated coordinates.
+    ExponentOverflow when a local exponent exceeds the limit (an edge's once
+    divided by their gcd, a higher face's in saturated coordinates) or when
+    circuit_discriminant refuses a corank-one face's binomial as too large.
     """
     return _face_discriminant(aset, face, _Clock(budget or Budget()), None)
 

@@ -10,7 +10,8 @@ the limit, then raise BudgetExceeded, which echoes the budget and the
 stage.  The limit defaults
 to 60 s and is set only by Budget(seconds=...), which refuses a value that
 is not a number >= 0.  A face-local exponent above _EXP_MAX raises
-ExponentOverflow.
+ExponentOverflow, and so does a circuit binomial whose coefficients could
+have more than _EXP_MAX bits.
 """
 
 from __future__ import annotations
@@ -65,14 +66,15 @@ class BudgetExceeded(RuntimeError):
 
 
 class ExponentOverflow(ValueError):
-    """A face-local exponent above the limit the face oracles accept.
+    """A face-local exponent above the limit the face oracles accept, or a
+    bound on the bit length of a circuit binomial's coefficients above it.
 
-    The face is refused before either oracle builds anything for it.
+    The face or circuit is refused before anything is built for it.
     """
 
-    def __init__(self, exponent: int):
+    def __init__(self, exponent: int, what: str = "exponent"):
         super().__init__(
-            "exponent %d exceeds the elimination limit %d" % (exponent, _EXP_MAX)
+            "%s %d exceeds the elimination limit %d" % (what, exponent, _EXP_MAX)
         )
 
 

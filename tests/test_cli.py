@@ -98,18 +98,57 @@ def test_exit_code_invalid_inputs(tmp_path):
 
 
 def test_exit_code_exponent_overflow(tmp_path):
+    limit = "exceeds the elimination limit 65535\n"
     documents = [
-        {"dim": 2, "points": [[1, 0], [1, 1], [1, 70000]]},
+        ({"dim": 2, "points": [[1, 0], [1, 1], [1, 70000]]}, "exponent 70000"),
         # a quadrilateral whose edges are all simplices: only its top face
         # has the wide exponent
-        {"dim": 3, "points": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 70000, 1]]},
+        (
+            {"dim": 3, "points": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 70000, 1]]},
+            "exponent 70000",
+        ),
+        # every exponent within the limit, but the circuit binomials'
+        # coefficients could pass 2^65535: the line 0, 1, 5000 (relation
+        # 4999, -5000, 1) and the planar circuit (0, 0), (101, 0), (0, 100),
+        # (1, 1) (relation 9899, 100, 101, -10100)
+        (
+            {"dim": 2, "points": [[1, 0], [1, 1], [1, 5000]]},
+            "circuit binomial coefficient bit bound 129988",
+        ),
+        (
+            {"dim": 3, "points": [[1, 0, 0], [1, 101, 0], [1, 0, 100], [1, 1, 1]]},
+            "circuit binomial coefficient bit bound 281393",
+        ),
     ]
-    for doc in documents:
+    for doc, what in documents:
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["edet", str(path)])
-        assert code == 2 and out == ""
-        assert err.startswith("error: exponent 70000 exceeds") and err.count("\n") == 1
+        for verb in ("edet", "verify", "multiplicities"):
+            code, out, err = run_cli([verb, str(path)])
+            assert code == 2 and out == ""
+            assert err == "error: %s %s" % (what, limit)
+
+
+def test_circuit_binomial_past_4300_digits_is_printed(tmp_path):
+    # the line 0, 1, 1400 has the binomial 1399^1399 a1^1400 - 1400^1400 a0^1399 a2,
+    # whose coefficients pass the default limit of int-to-str conversion;
+    # the command lifts it only once its input is read, and restores it
+    path = tmp_path / "line1400.json"
+    path.write_text(json.dumps({"dim": 2, "points": [[1, 0], [1, 1], [1, 1400]]}))
+    digits = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["edet", str(path), "--json"])
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == digits
+    top = json.loads(out)["factors"][-1]
+    assert top["face"] == [0, 1, 2]
+    coeffs = sorted(t["coeff"].lstrip("-") for t in top["discriminant"])
+    sys.set_int_max_str_digits(0)
+    try:
+        assert coeffs == sorted([str(1399**1399), str(1400**1400)])
+    finally:
+        sys.set_int_max_str_digits(digits)
+    code, out, err = run_cli(["verify", str(path)])
+    assert code == 0 and out.splitlines()[-1] == "status: pass"
 
 
 def test_exponent_limit_reads_an_edge_in_the_lattice_it_generates(tmp_path):
@@ -132,9 +171,6 @@ def test_exit_code_budget():
     assert code == 3
     assert "BUDGET EXCEEDED" in out
     assert "incomplete" in out
-
-
-def test_circuit_completes_under_a_spent_budget():
     # kp2's faces are vertices and one circuit: no face runs an oracle
     code, out, _ = run_cli(["verify", "kp2", "--budget", "0"])
     assert code == 0

@@ -26,7 +26,7 @@ from gkzrank.discriminant import (
     newton_polytope_check,
     principal_a_determinant,
 )
-from gkzrank.elimination import Budget, BudgetExceeded, InvalidBudget, _Clock
+from gkzrank.elimination import Budget, BudgetExceeded, ExponentOverflow, InvalidBudget, _Clock
 from gkzrank.lattice import kernel_basis, span
 from gkzrank.polynomial import IntPolynomial
 from gkzrank.polytope import InvalidConfiguration, faces, h_representation, validate_aset
@@ -695,6 +695,20 @@ def test_corank_one_face_takes_no_budget(kp2):
     assert principal_a_determinant(kp2, Budget(seconds=0.0)).e_a is not None
 
 
+def test_circuit_binomial_size_is_limited():
+    # the line 0, 1, N has the relation (N - 1, -N, 1), and
+    # sum |l_i| * bit_length(|l_i|) bounds its coefficients' bit length:
+    # 65,533 for N = 2731 is taken, 65,557 for N = 2732 refused
+    aset = validate_aset(2, [(1, 0), (1, 1), (1, 2731)])
+    delta = face_discriminant(aset, faces(aset)[-1], Budget(seconds=0.0))
+    assert sorted(map(abs, delta.terms.values())) == [2730**2730, 2731**2731]
+    aset = validate_aset(2, [(1, 0), (1, 1), (1, 2732)])
+    with pytest.raises(ExponentOverflow, match="^circuit binomial coefficient bit bound 65557 exceeds"):
+        face_discriminant(aset, faces(aset)[-1])
+    with pytest.raises(ExponentOverflow, match="bit bound 65557 "):
+        circuit_discriminant(circuit_from_points(aset, range(3)), 3)
+
+
 def test_four_dimensional_faces_take_the_closed_form(monkeypatch):
     # 40 draws of 6 to 8 points (1, x, y, z), 0 <= x <= 1, 0 <= y, z <= 2:
     # with an oracle on every face that is not a simplex, E_A of these ran 57
@@ -817,11 +831,12 @@ def test_echelon_refuses_slot_overflow():
 
 
 def test_interpolation_budget_wide_face():
-    # exponents up to 3000: the multidegree has total degree in the
-    # thousands and the walk over its fiber is stopped by the clock
-    aset = validate_aset(3, [(x, y, 1) for x, y in [(0, 0), (1, 0), (0, 1), (1, 1), (3000, 1)]])
+    # exponents up to 2000: the multidegree has total degree in the
+    # thousands and the walk over its fiber is stopped by the clock (the
+    # edge 0, 1, 2000 is a circuit whose binomial is within the size limit)
+    aset = validate_aset(3, [(x, y, 1) for x, y in [(0, 0), (1, 0), (0, 1), (1, 1), (2000, 1)]])
     top = faces(aset)[-1]
-    assert max(max(e) for e in face_local_exponents(aset, top)) == 3000
+    assert max(max(e) for e in face_local_exponents(aset, top)) == 2000
     tracemalloc.start()
     start = time.monotonic()
     try:
