@@ -18,7 +18,7 @@ import time
 
 from gkzrank.discriminant import _factors, _fiber, _target
 from gkzrank.elimination import Budget, _Clock
-from gkzrank.polytope import validate_aset
+from gkzrank.polytope import fold_table, validate_aset
 
 BOX = [(x, y) for x in range(-1, 3) for y in range(-1, 3)]
 
@@ -44,7 +44,8 @@ def main():
         seconds = time.monotonic() - start
         ncands = "-"
         if all(row.discriminant is not None for row in proper):
-            ncands = len(_fiber(aset, _target(aset, proper), _Clock(Budget())))
+            table = fold_table(aset.points, aset.dim)
+            ncands = len(_fiber(aset, _target(aset, table, proper), _Clock(Budget())))
         if top.discriminant is None:
             status, terms = "over budget", "-"
         else:

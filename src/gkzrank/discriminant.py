@@ -141,8 +141,8 @@ def face_discriminant(aset: ASet, face: Face, budget: Budget | None = None) -> I
 
 def _face_discriminant(aset: ASet, face: Face, clock: _Clock, held) -> IntPolynomial:
     """face_discriminant, where held is None for a face asked for on its own
-    and otherwise the rows _factors holds for the faces of aset before this
-    one: all the proper faces when this is the top face."""
+    and otherwise _factors' fold table of aset and rows of the faces before
+    this one: all the proper faces when this is the top face."""
     n = aset.n
     idx = face.indices
     if len(idx) == 1:
@@ -168,7 +168,7 @@ def _face_discriminant(aset: ASet, face: Face, clock: _Clock, held) -> IntPolyno
     elif len(exps[0]) == 1:
         h = _resultant_eliminant(exps, clock)
     elif held is not None and len(idx) == n:
-        h = _interpolation_eliminant(aset, held, clock)
+        h = _interpolation_eliminant(aset, *held, clock)
     else:  # the face as its own configuration, in the lattice it generates
         coords = [tuple(map(floordiv, lat.coordinates(p), lat.diag)) for p in pts]
         h = _factors(validate_aset(lat.rank, coords), clock)[-1].discriminant
@@ -179,13 +179,14 @@ def _face_discriminant(aset: ASet, face: Face, clock: _Clock, held) -> IntPolyno
 
 def _factors(conf: ASet, clock: _Clock) -> list[FaceFactor]:
     """One row per face of conf, in faces order (by dimension, the top face
-    last): its rank_k0_face row and its discriminant, or the BudgetExceeded
-    that stopped it."""
+    last): its rank_k0_face row, read off conf's one fold table, and its
+    discriminant, or the BudgetExceeded that stopped it."""
+    table = fold_table(conf.points, conf.dim)
     rows = []
     for face in faces(conf):
-        row = rank_k0_face(conf, face)
+        row = rank_k0_face(conf, face, table)
         try:
-            delta, err = _face_discriminant(conf, face, clock, rows), None
+            delta, err = _face_discriminant(conf, face, clock, (table, rows)), None
         except BudgetExceeded as exc:
             delta, err = None, str(exc)
         rows.append(FaceFactor(invariants=row, discriminant=delta, error=err))
@@ -259,11 +260,11 @@ _SPARE_SAMPLES = 2
 _SAMPLE_RANGE = 64
 
 
-def _interpolation_eliminant(conf: ASet, rows, clock: _Clock) -> IntPolynomial:
+def _interpolation_eliminant(conf: ASet, table, rows, clock: _Clock) -> IntPolynomial:
     """The discriminant of the top face of conf, a configuration of
     dimension two or more in a basis of the lattice its points generate, by
-    interpolation on points of its dual variety; rows are _factors' rows of
-    the proper faces of conf.
+    interpolation on points of its dual variety; table is conf's fold table
+    and rows are _factors' rows of the proper faces of conf.
 
     Every u in ker B (B = conf) is a point of the dual variety (Kapranov
     1991), and so is its torus orbit, on which a B-homogeneous polynomial
@@ -280,7 +281,7 @@ def _interpolation_eliminant(conf: ASet, rows, clock: _Clock) -> IntPolynomial:
     vanishes exactly at every sample.
     """
     clock.check("interpolation")  # a row over budget means the deadline has passed
-    target = _target(conf, rows)
+    target = _target(conf, table, rows)
     if not any(target):
         return IntPolynomial.constant(conf.n, 1)
     cands = _fiber(conf, target, clock)
@@ -337,16 +338,15 @@ def _interpolation_eliminant(conf: ASet, rows, clock: _Clock) -> IntPolynomial:
         lifted += 1
 
 
-def _target(conf: ASet, rows) -> list[int]:
-    """B beta, the multidegree of Delta_B for B = conf, from the rows of
-    the proper faces of conf.
+def _target(conf: ASet, table, rows) -> list[int]:
+    """B beta, the multidegree of Delta_B for B = conf, from conf's fold
+    table and the rows of the proper faces of conf.
 
     E_B = prod_F Delta_F^(u * i) over the faces F of B (GKZ 1994, ch. 10)
     has the exponent phi_T of the placing triangulation T, so
     beta = phi_T - sum_F (u * i)_F beta_F is an exponent of Delta_B for any
     exponent beta_F of each Delta_F.
     """
-    table = fold_table(conf.points, conf.dim)
     beta = [0] * conf.n
     for simplex in lower_hull_triangulation(table, placing_lifts(table)):
         for i in simplex:

@@ -1,20 +1,25 @@
 """K-theory ranks of the toric stacks attached to faces and edges.
 
-For a face the rank is u * i: the normalized volume of the bounded staircase
-region of the projected point semigroup, times the index of the face
-sublattice in its saturation, which is the order of the torsion of
-ZZ^d / ZZ(face) that the face's one projection reports.  The staircase's
-bounded facets are the lower-hull cells of the projected points under a
-constant lift; u, the volume of their placing triangulation, is checked
-against the reversed placing one, both read off one fold table.  Each
-face's rank row is computed once, by rank_k0_face; the principal
-A-determinant raises the face discriminant to it and the verifier reads it
-from there.  For a secondary-polytope edge the rank is the sum over
-separating sets J of the index of ZZ(I + J), I the circuit: the gcd of its
-maximal minors, so of the volumes of the simplices (I - i) + J, since the
-minors that skip a point of J hold all of the dependent I and vanish.  The
-main verification routine checks, on every edge, that the edge rank equals
-the multiplicity-weighted sum of face ranks.
+For a face F the rank is u * i, read off the configuration's one fold
+table.  Let sigma_F be the points of F in the first full simplex holding
+r = rank F of them.  In a basis adapted to the saturation of ZZ(F),
+det(sigma_F + tau) = det_sat(sigma_F) times the q-minor (q = d - r) of the
+images of tau in ZZ^d / sat ZZ(F), and those images generate it, so their
+minors have gcd 1 (Newman 1972).  So i = [sat ZZ(F) : ZZ(F)] is the gcd of
+the volumes of the full simplices holding r points of F, and the images'
+fold table is a view on A's: the q-sets tau off F completing sigma_F, of
+volume |det(sigma_F + tau)| / c, c the gcd of those, and the rows of A on
+sigma_F + tau restricted to tau + (j,) and made primitive, since F's
+points project to 0.  u is
+the volume of the bounded staircase region of the images, checked against
+a second triangulation of it.  The principal A-determinant raises each face
+discriminant to its rank row and the verifier reads it from there.  For a
+secondary-polytope edge the rank is the sum over separating sets J of the
+index of ZZ(I + J), I the circuit: the gcd of its maximal minors, so of the
+volumes of the simplices (I - i) + J, since the minors that skip a point of
+J hold all of the dependent I and vanish.  The main verification routine
+checks, on every edge, that the edge rank equals the multiplicity-weighted
+sum of face ranks.
 """
 
 from __future__ import annotations
@@ -26,27 +31,16 @@ from .elimination import Budget
 from .polytope import (
     ASet,
     Face,
-    ProjectedFace,
-    fold_table,
+    FoldTable,
     lower_hull_cells,
     lower_hull_triangulation,
     placing_lifts,
-    project_mod_face,
 )
 from .secondary import EdgeData, SecondaryPolytope, edge_data, secondary_polytope
 
 
 class RankInconsistency(RuntimeError):
     """The two independent rank computations disagreed."""
-
-
-class Staircase(NamedTuple):
-    """Bounded staircase data of a projected face: volume and the indices
-    whose projections lie on the bounded boundary."""
-
-    u: int
-    ray_indices: tuple[int, ...]
-    bounded_facets: tuple[tuple[int, ...], ...]  # A-indices per bounded facet
 
 
 class FaceInvariants(NamedTuple):
@@ -63,60 +57,90 @@ class EdgeInvariants(NamedTuple):
     circuit_index: int | None  # [N : ZZ I] when the circuit spans, else None
 
 
-def _staircase(proj: ProjectedFace) -> Staircase:
-    """Normalized volume of the bounded staircase region in the quotient:
-    the sum of apex-zero pyramid volumes over the bounded facets of
-    conv(projected points) + cone(projected points).  The bounded facets
-    are the lower-hull cells of the projected points under the constant
-    lift -1: the fold of sigma + (j,) is then minus the sum of the
+def _face_simplex(face: Face, table: FoldTable) -> tuple[tuple[int, ...], int]:
+    """(sigma_F, i): the face's points in the first full simplex of the table
+    holding the most of them, r, and the gcd of the volumes of all those
+    holding r."""
+    on = set(face.indices)
+    r = i = 0
+    for sigma, (det, _) in table.items():
+        held = [k for k in sigma if k in on]
+        if len(held) > r:
+            r, i, sigma_f = len(held), 0, tuple(held)
+        if len(held) == r:
+            i = gcd(i, det)
+    return sigma_f, i
+
+
+def _staircase(aset: ASet, face: Face, table: FoldTable, sigma_f):
+    """(u, ray_indices, bounded_facets) of the face's staircase: the images
+    of the points off it in the quotient of rank q = d - |sigma_f|, read off
+    the view on A's table, as A-indices.  For q = 1 image j is
+    det(sigma_f + (j,)) / c, signed by the permutation that sorts
+    sigma_f + (j,), and the images must lie on one side of 0.  Above, the
+    bounded facets are the lower-hull cells of the images under the
+    constant lift -1, where the fold of tau + (j,) is minus the sum of its
     relation, positive exactly when image j lies beyond the hyperplane
-    through sigma and zero when it lies on it.  The volumes of two
-    triangulations of those facets, the placing one and the one placing the
-    points in reversed order, are read off the one fold table and must agree:
-    the placing lifts B^i shifted by -B^n, so that -1 leads, and the same
-    list reversed."""
-    q = proj.quotient_rank
-    if q == 0:
-        return Staircase(u=1, ray_indices=(), bounded_facets=())
-    ids = [i for i, _ in proj.images]
-    ws = [w for _, w in proj.images]
+    through tau.  u, the volume of their placing triangulation, must equal
+    that of the reversed placing one: the placing lifts B^i shifted by -B^m,
+    so that -1 leads, and the same list reversed.  A point off the face in
+    no full sigma_f + tau lies in the face's span: the face is refused."""
+    on = set(face.indices)
+    off = [j for j in range(aset.n) if j not in on]
+    q = aset.dim - len(sigma_f)
+    vals, view = [], {}
     if q == 1:
-        vals = [w[0] for w in ws]
+        for j in off:
+            det = table.get(tuple(sorted((*sigma_f, j))), (0,))[0]
+            vals.append(-det if sum(k > j for k in sigma_f) & 1 else det)
+    elif q:
+        base, pos = set(sigma_f), {j: k for k, j in enumerate(off)}
+        for sigma, (det, rels) in table.items():
+            if base.issubset(sigma):
+                keep = [t for t, k in enumerate(sigma) if k not in base]  # tau's places
+                rows = {}
+                for j, rel in rels.items():
+                    if j not in on:
+                        row = [rel[t] for t in keep] + [rel[-1]]
+                        g = gcd(*row)
+                        rows[pos[j]] = tuple(x // g for x in row)
+                view[tuple(pos[sigma[t]] for t in keep)] = det, rows
+    covered = {j for j, v in zip(off, vals) if v} | {off[k] for tau in view for k in tau}
+    if missed := set(off) - covered:
+        raise RuntimeError("point %d off the face lies in the face's span" % min(missed))
+    if q == 0:
+        return 1, (), ()
+    if q == 1:
         if not (all(v > 0 for v in vals) or all(v < 0 for v in vals)):
             raise RankInconsistency("projected semigroup cone is not pointed")
-        m = min(abs(v) for v in vals)
-        rays = tuple(i for i, v in zip(ids, vals) if abs(v) == m)
-        return Staircase(u=m, ray_indices=rays, bounded_facets=(rays,))
-    table = fold_table(ws, q)
-    cells = lower_hull_cells(table, [-1] * len(ws))
-    powers = placing_lifts(table)
-    placing = [x - powers[1] * powers[-1] for x in powers]  # the constant -1 leads, as -B^n
+        c = gcd(*vals)
+        vals = [v // c for v in vals]
+        m = min(map(abs, vals))
+        rays = tuple(j for j, v in zip(off, vals) if abs(v) == m)
+        return m, rays, (rays,)
+    c = gcd(*(det for det, _ in view.values()))
+    view = {tau: (det // c, rows) for tau, (det, rows) in view.items()}
+    cells = lower_hull_cells(view, [-1] * len(off))
+    powers = placing_lifts(view)
+    placing = [x - powers[1] * powers[-1] for x in powers]  # the constant -1 leads, as -B^m
     u, fan = (
-        sum(abs(table[s][0]) for s in lower_hull_triangulation(table, lifts))
+        sum(abs(view[s][0]) for s in lower_hull_triangulation(view, lifts))
         for lifts in (placing, placing[::-1])
     )
     if u != fan or u < 1:
         raise RankInconsistency(
             "face rank mismatch: staircase volumes %d (placing), %d (reversed)" % (u, fan)
         )
-    facets = tuple(sorted(tuple(ids[k] for k in cell) for cell in cells))
-    return Staircase(
-        u=u,
-        ray_indices=tuple(sorted({i for facet in facets for i in facet})),
-        bounded_facets=facets,
-    )
+    facets = tuple(sorted(tuple(off[k] for k in cell) for cell in cells))
+    return u, tuple(sorted({i for facet in facets for i in facet})), facets
 
 
-def rank_k0_face(aset: ASet, face: Face) -> FaceInvariants:
-    """u * i from the one projection of the face: i is the index of
-    ZZ(face) in its saturation, and u is the staircase volume, checked
-    against a second triangulation of its bounded facets."""
-    proj = project_mod_face(aset, face)
-    stair = _staircase(proj)
-    return FaceInvariants(
-        face=face, i=proj.index, u=stair.u, ray_indices=stair.ray_indices,
-        k0_rank=stair.u * proj.index,
-    )
+def rank_k0_face(aset: ASet, face: Face, table: FoldTable) -> FaceInvariants:
+    """u * i read off the configuration's fold table: i is the index of
+    ZZ(face) in its saturation, u the staircase volume."""
+    sigma_f, i = _face_simplex(face, table)
+    u, rays, _ = _staircase(aset, face, table, sigma_f)
+    return FaceInvariants(face=face, i=i, u=u, ray_indices=rays, k0_rank=u * i)
 
 
 def rank_k0_edge(sp: SecondaryPolytope, edge: EdgeData) -> EdgeInvariants:

@@ -1,13 +1,13 @@
 """Exact rational convex geometry for height-one point configurations.
 
 Validation of A-sets, the face lattice of Q = conv(A) with supporting
-certificates, normalized volumes, projections to saturated quotient
-lattices, and the lower hulls of integer lifts (placing orders as powers of
-one base) that triangulations and subdivisions are built on.  Every fold
-sign of a lower hull, and every wall of a secondary cone, is read from the
-fold table of the configuration: the integer affine relation on each full
-simplex plus each further point, read off the maximal minors as one
-relation per (d + 1)-subset, once per configuration.
+certificates, normalized volumes, and the lower hulls of integer lifts
+(placing orders as powers of one base) that triangulations, subdivisions
+and the staircases of faces are built on.  Every fold sign of a lower hull,
+and every wall of a secondary cone, is read from the fold table of the
+configuration: the integer affine relation on each full simplex plus each
+further point, read off the maximal minors as one relation per
+(d + 1)-subset, once per configuration.
 
 The facets of every point set (Q, the secondary polytope) and the
 extreme rays of every cone (a secondary cone), each with its tight
@@ -23,7 +23,7 @@ from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
-from .lattice import adjugate, kernel_basis, smith_normal_form, span
+from .lattice import adjugate, kernel_basis, smith_normal_form
 
 IntVector = tuple[int, ...]
 
@@ -285,49 +285,15 @@ def faces(aset: ASet) -> tuple[Face, ...]:
     return tuple(out)
 
 
-class ProjectedFace(NamedTuple):
-    """The saturated quotient of ZZ^d by the span of a face."""
-
-    quotient_rank: int
-    images: tuple[tuple[int, IntVector], ...]  # (point index, projected point)
-    index: int  # [sat ZZ(face) : ZZ(face)], the torsion order of ZZ^d / ZZ(face)
-
-
-def project_mod_face(aset: ASet, face: Face) -> ProjectedFace:
-    """Project A to the saturated quotient lattice by the span of the face.
-
-    Images are listed for the points outside the real span of the face; the
-    index of ZZ(A on the face) in its saturation is reported separately.
-    """
-    lat = span([aset.points[i] for i in face.indices], aset.dim)
-    pi = lat.left[lat.rank :]
-    images = []
-    face_set = set(face.indices)
-    for i, p in enumerate(aset.points):
-        img = tuple(sum(r * x for r, x in zip(row, p)) for row in pi)
-        if i in face_set:
-            if any(img):
-                raise RuntimeError("face point fails to project to zero")
-            continue
-        if not any(img):
-            raise RuntimeError("non-face point unexpectedly in the face span")
-        images.append((i, img))
-    return ProjectedFace(
-        quotient_rank=aset.dim - lat.rank,
-        images=tuple(images),
-        index=lat.index,
-    )
-
-
 # -- lower-hull machinery ---------------------------------------------------
 #
 # Every fold sign is read from the fold table: for each full simplex sigma,
 # det sigma and the primitive integer affine relation on sigma plus each
 # further point j, with j's entry positive (the circuit relation of the
 # (d + 1)-subset sigma + j, which its d + 1 simplices share).  Each lower
-# hull, cone and edge of a configuration reads its one table.  An integer
-# lift w puts j strictly above the plane through the lifted sigma exactly
-# when the relation dotted with w is positive.
+# hull, cone, edge and face staircase of a configuration reads its one
+# table.  An integer lift w puts j strictly above the plane through the
+# lifted sigma exactly when the relation dotted with w is positive.
 
 FoldTable = dict[tuple[int, ...], tuple[int, dict[int, IntVector]]]
 

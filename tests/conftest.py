@@ -68,6 +68,21 @@ def make_random_aset(rng: random.Random):
             continue
 
 
+def four_dimensional_draws():
+    """40 seeded d = 4 configurations of 6 to 8 points (1, x, y, z),
+    0 <= x <= 1, 0 <= y, z <= 2."""
+    rng = random.Random(314159)
+    box = [(x, y, z) for x in range(2) for y in range(3) for z in range(3)]
+    out = []
+    while len(out) < 40:
+        pts = sorted(rng.sample(box, rng.randint(6, 8)))
+        try:
+            out.append(validate_aset(4, [(1,) + p for p in pts]))
+        except InvalidConfiguration:
+            continue
+    return out
+
+
 def singular_point_vector(exps, y0):
     """Coefficients making the family singular at the given torus point.
 

@@ -326,29 +326,36 @@ def test_golden_text_outputs(run):
     assert out == expected
 
 
-def assert_golden_edet(tmp_path, doc):
+def assert_golden_document(tmp_path, doc, command="edet"):
     path = tmp_path / ("%s.json" % doc["name"])
     path.write_text(json.dumps(doc))
-    code, out, _ = run_cli(["edet", str(path), "--json"])
+    code, out, _ = run_cli([command, str(path), "--json"])
     assert code == 0
-    assert out == (GOLDEN / ("%s_edet.json" % doc["name"])).read_text()
+    assert out == (GOLDEN / ("%s_%s.json" % (doc["name"], command))).read_text()
 
 
 def test_golden_line6_edet(tmp_path):
     # six consecutive points on a line: the dense quintic discriminant
-    assert_golden_edet(tmp_path, {"dim": 2, "points": [[1, e] for e in range(6)], "name": "line6"})
+    assert_golden_document(tmp_path, {"dim": 2, "points": [[1, e] for e in range(6)], "name": "line6"})
 
 
 def test_golden_gap3_edet(tmp_path):
     # an edge with exponents 0, 3, 6, 9: its discriminant is that of 0, 1, 2, 3
     points = [[1, 0, 0], [1, 3, 0], [1, 6, 0], [1, 9, 0], [1, 0, 1], [1, 1, 1]]
-    assert_golden_edet(tmp_path, {"dim": 3, "points": points, "name": "gap3"})
+    assert_golden_document(tmp_path, {"dim": 3, "points": points, "name": "gap3"})
 
 
 def test_golden_line7_edet(tmp_path):
     # a line of degree 9 with gaps: the largest resultant of the golden files
     points = [[1, e] for e in (0, 1, 2, 4, 6, 7, 9)]
-    assert_golden_edet(tmp_path, {"dim": 2, "points": points, "name": "line7"})
+    assert_golden_document(tmp_path, {"dim": 2, "points": points, "name": "line7"})
+
+
+def test_golden_p1p1p1_verify(tmp_path):
+    # the whole pipeline at d = 4 on the fan polytope of P1 x P1 x P1: each
+    # vertex's rank row has a quotient of rank 3
+    points = [[1, 0, 0, 0], [1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]]
+    assert_golden_document(tmp_path, {"dim": 4, "points": points, "name": "p1p1p1"}, "verify")
 
 
 def test_report_round_trip(kp2):

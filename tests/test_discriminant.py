@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import time
 import tracemalloc
 import types
@@ -29,11 +30,11 @@ from gkzrank.discriminant import (
 from gkzrank.elimination import Budget, BudgetExceeded, ExponentOverflow, InvalidBudget, _Clock
 from gkzrank.lattice import kernel_basis, span
 from gkzrank.polynomial import IntPolynomial
-from gkzrank.polytope import InvalidConfiguration, faces, h_representation, validate_aset
+from gkzrank.polytope import InvalidConfiguration, faces, fold_table, h_representation, validate_aset
 from gkzrank.secondary import NotAnEdge, edge_data, hull_edges, secondary_polytope
 
 from buchberger import _groebner_eliminant
-from conftest import make_random_aset, singular_point_vector
+from conftest import four_dimensional_draws, make_random_aset, singular_point_vector
 from echelon_reference import ListEchelon
 from fold_reference import circuit_from_points
 from resultant_reference import resultant_f_fprime
@@ -323,7 +324,8 @@ def interpolated_top_face(conf):
     rows the face loop holds for its proper faces."""
     clock = _Clock(Budget())
     rows = _factors(conf, clock)[:-1]
-    return _interpolation_eliminant(conf, rows, clock).primitive_part()
+    table = fold_table(conf.points, conf.dim)
+    return _interpolation_eliminant(conf, table, rows, clock).primitive_part()
 
 
 def corpus_instances(numbers):
@@ -532,9 +534,9 @@ def test_face_loop_ranks_each_face_once(case, f2, monkeypatch):
         lattices.append(conf.points)
         return face_lattice(conf)
 
-    def counted_rank(conf, face):
+    def counted_rank(conf, face, table):
         ranked.append(face.indices)
-        return rank_k0_face(conf, face)
+        return rank_k0_face(conf, face, table)
 
     monkeypatch.setattr(discriminant, "faces", counted_faces)
     monkeypatch.setattr(discriminant, "rank_k0_face", counted_rank)
@@ -542,6 +544,38 @@ def test_face_loop_ranks_each_face_once(case, f2, monkeypatch):
     assert result.e_a is not None
     assert lattices == [aset.points]
     assert ranked == [f.indices for f in faces(aset)]
+
+
+def test_face_loop_builds_one_fold_table_per_configuration(kp2, f2, monkeypatch):
+    # every face's rank row and the top face's multidegree are read off one
+    # fold table per configuration the face loop runs on: A's, and that of a
+    # 2-face of 5 or more points at d = 4, which runs its own face loop
+    tables = []
+    lattices = []
+    table_of, face_lattice = discriminant.fold_table, discriminant.faces
+
+    def counted_table(points, dim):
+        tables.append(tuple(points))
+        return table_of(points, dim)
+
+    def counted_faces(conf):
+        lattices.append(conf.points)
+        return face_lattice(conf)
+
+    for name, module in list(sys.modules.items()):  # a call from any module counts
+        if name.startswith("gkzrank.") and hasattr(module, "fold_table"):
+            monkeypatch.setattr(module, "fold_table", counted_table)
+    monkeypatch.setattr(discriminant, "faces", counted_faces)
+    four = random_four_dimensional(random.Random(271828))
+    assert [f.indices for f in faces(four) if f.dim == 2 and len(f.indices) >= 5] == [(0, 1, 2, 4, 5, 6)]
+    corpus = corpus_instances([10])[0]
+    assert (corpus.dim, corpus.n) == (3, 6)  # an interpolated top face
+    for aset, configurations in ((kp2, 1), (f2, 1), (corpus, 1), (four, 2)):
+        tables.clear()
+        lattices.clear()
+        assert principal_a_determinant(aset).e_a is not None
+        assert tables == lattices
+        assert tables[0] == aset.points and len(tables) == configurations
 
 
 def random_four_dimensional(rng):
@@ -723,17 +757,8 @@ def test_four_dimensional_faces_take_the_closed_form(monkeypatch):
             return oracle(*args)
 
         monkeypatch.setattr(discriminant, "_%s_eliminant" % name, counted)
-    rng = random.Random(314159)
-    box = [(x, y, z) for x in range(2) for y in range(3) for z in range(3)]
     digest = hashlib.sha256()
-    draws = 0
-    while draws < 40:
-        pts = sorted(rng.sample(box, rng.randint(6, 8)))
-        try:
-            aset = validate_aset(4, [(1,) + p for p in pts])
-        except InvalidConfiguration:
-            continue
-        draws += 1
+    for aset in four_dimensional_draws():
         e_a = principal_a_determinant(aset).e_a
         digest.update(repr(sorted(e_a.terms.items())).encode())
     assert calls == {"resultant": 0, "interpolation": 57}

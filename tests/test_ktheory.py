@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gkzrank import ktheory
 from gkzrank.ktheory import (
     RankInconsistency,
+    _face_simplex,
     _staircase,
     rank_k0_edge,
     rank_k0_face,
@@ -17,16 +18,18 @@ from gkzrank.ktheory import (
 from gkzrank.discriminant import newton_polytope_check
 from gkzrank.lattice import kernel_basis, smith_normal_form, span
 from gkzrank.polytope import (
+    Face,
     InvalidConfiguration,
     faces,
+    fold_table,
     lower_hull_triangulation,
-    project_mod_face,
     validate_aset,
 )
 from gkzrank.secondary import edge_data, secondary_polytope
 
-from conftest import make_random_aset
+from conftest import four_dimensional_draws, make_random_aset
 from fold_reference import edge_indices_by_snf, subset_volume
+from projection_reference import project_mod_face, rank_row_by_projection, staircase_by_projection
 
 
 def face_by_indices(aset, indices):
@@ -34,6 +37,11 @@ def face_by_indices(aset, indices):
         if f.indices == tuple(indices):
             return f
     raise AssertionError
+
+
+def rank_row(aset, face):
+    """rank_k0_face on the configuration's fold table."""
+    return rank_k0_face(aset, face, fold_table(aset.points, aset.dim))
 
 
 def find_edge(sp, simplices_a, simplices_b):
@@ -48,13 +56,13 @@ def test_face_index_examples(a3, kp2, f2):
     for aset in (a3, kp2, f2):
         top = faces(aset)[-1]
         assert top.dim == aset.dim - 1
-        assert rank_k0_face(aset, top).i == 1
-    assert rank_k0_face(a3, face_by_indices(a3, (0,))).i == 1
+        assert rank_row(aset, top).i == 1
+    assert rank_row(a3, face_by_indices(a3, (0,))).i == 1
 
 
 def test_face_index_matches_projection_torsion(a3, kp2, f2):
-    # rank_k0_face reads i from the index of its projection (a Smith normal
-    # form of the face's columns); here it is read from the face's rows
+    # rank_k0_face reads i as a gcd of the fold table's volumes; here it is
+    # read from a Smith normal form of the face's rows
     rng = random.Random(271828)  # the acceptance corpus
     corpus = [make_random_aset(rng) for _ in range(100)]
     nontrivial = 0
@@ -62,20 +70,20 @@ def test_face_index_matches_projection_torsion(a3, kp2, f2):
         for f in faces(aset):
             diag = smith_normal_form([aset.points[k] for k in f.indices]).diag
             i = prod(d for d in diag if d)
-            assert rank_k0_face(aset, f).i == i, (aset.points, f.indices)
+            assert rank_row(aset, f).i == i, (aset.points, f.indices)
             nontrivial += i > 1
     assert nontrivial > 0
 
 
 def test_face_volume_u_top(a3):
     top = face_by_indices(a3, (0, 1, 2, 3, 4))
-    row = rank_k0_face(a3, top)
+    row = rank_row(a3, top)
     assert row.u == 1 and row.ray_indices == ()
 
 
 def test_face_volume_u_a3_vertex(a3):
     v0 = face_by_indices(a3, (0,))
-    row = rank_k0_face(a3, v0)
+    row = rank_row(a3, v0)
     assert row.u == 1
     assert row.ray_indices == (1,)
 
@@ -83,20 +91,20 @@ def test_face_volume_u_a3_vertex(a3):
 def test_face_volume_u_kp2_vertices(kp2):
     for v in ((1,), (2,), (3,)):
         f = face_by_indices(kp2, v)
-        row = rank_k0_face(kp2, f)
+        row = rank_row(kp2, f)
         assert (row.u, row.i) == (2, 1)
 
 
 def test_rank_k0_face_examples(a3, kp2, f2):
     for aset in (a3, kp2, f2):
         top = faces(aset)[-1]
-        assert rank_k0_face(aset, top).k0_rank == 1
+        assert rank_row(aset, top).k0_rank == 1
     for v in ((1,), (2,), (3,)):
-        assert rank_k0_face(kp2, face_by_indices(kp2, v)).k0_rank == 2
+        assert rank_row(kp2, face_by_indices(kp2, v)).k0_rank == 2
     # vertices of the quadrilateral example all carry rank two
     for v in ((1,), (3,), (4,)):
-        assert rank_k0_face(f2, face_by_indices(f2, v)).k0_rank == 2
-    assert rank_k0_face(f2, face_by_indices(f2, (1, 2, 3))).k0_rank == 1
+        assert rank_row(f2, face_by_indices(f2, v)).k0_rank == 2
+    assert rank_row(f2, face_by_indices(f2, (1, 2, 3))).k0_rank == 1
 
 
 def test_rank_k0_edge_a3(a3, a3_secondary):
@@ -240,10 +248,12 @@ def test_edge_ranks_match_the_gkz_vector_difference(
 
 
 def test_staircase_cross_check_is_live(kp2, monkeypatch):
-    # the placing and reversed placing triangulations share one fold table;
-    # losing a simplex from either one must be caught
+    # the placing and reversed placing triangulations share one view on the
+    # configuration's fold table; losing a simplex from either one must be
+    # caught
     vertex = face_by_indices(kp2, (1,))
-    assert _staircase(project_mod_face(kp2, vertex)).u == 2
+    table = fold_table(kp2.points, kp2.dim)
+    assert rank_k0_face(kp2, vertex, table).u == 2
     for dropped in (0, 1):
         calls = []
 
@@ -254,7 +264,7 @@ def test_staircase_cross_check_is_live(kp2, monkeypatch):
 
         monkeypatch.setattr(ktheory, "lower_hull_triangulation", lossy)
         with pytest.raises(RankInconsistency, match="face rank mismatch"):
-            rank_k0_face(kp2, vertex)
+            rank_k0_face(kp2, vertex, table)
         assert len(calls) == 2
 
 
@@ -274,7 +284,7 @@ def test_edet_exponents_match_face_ranks(a3, kp2, f2):
     for aset in (a3, kp2, f2):
         rows = principal_a_determinant(aset).factors
         for row in rows:
-            assert row.exponent == rank_k0_face(aset, row.face).k0_rank
+            assert row.exponent == rank_row(aset, row.face).k0_rank
 
 
 def test_verify_theorem_budget_skip(a3):
@@ -342,8 +352,69 @@ def height_one_asets(draw):
 @settings(max_examples=40, deadline=None)
 @given(height_one_asets())
 def test_staircase_matches_facet_search(aset):
+    # both staircases, the view on the configuration's fold table and the
+    # projection's own table, against the exhaustive facet search
+    table = fold_table(aset.points, aset.dim)
     for f in faces(aset):
-        stair = _staircase(project_mod_face(aset, f))
         ref = _reference_staircase(aset, f)
-        assert (stair.u, stair.ray_indices, stair.bounded_facets) == ref
-        rank_k0_face(aset, f)
+        assert _staircase(aset, f, table, _face_simplex(f, table)[0]) == ref
+        assert staircase_by_projection(project_mod_face(aset, f)) == ref
+
+
+def test_rank_rows_match_the_projection_reference(a3, kp2, f2, grid):
+    # whole rank rows read off the configuration's one fold table against
+    # the route that projects each face by a Smith normal form and builds
+    # its images' own fold table, on every face, quotient ranks 0 to 3
+    rng = random.Random(271828)  # the acceptance corpus
+    asets = [a3, kp2, f2, grid] + [make_random_aset(rng) for _ in range(100)]
+    asets += [validate_aset(4, points) for points in FANS_D4.values()]
+    asets += four_dimensional_draws()
+    rows = 0
+    ranks = set()
+    for aset in asets:
+        table = fold_table(aset.points, aset.dim)
+        for f in faces(aset):
+            assert rank_k0_face(aset, f, table) == rank_row_by_projection(aset, f), (aset.points, f.indices)
+            ranks.add(aset.dim - 1 - f.dim)
+            rows += 1
+    assert rows == 1667
+    assert ranks == {0, 1, 2, 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(height_one_asets())
+def test_rank_rows_match_the_projection_reference_on_random_sets(aset):
+    table = fold_table(aset.points, aset.dim)
+    for f in faces(aset):
+        assert rank_k0_face(aset, f, table) == rank_row_by_projection(aset, f)
+
+
+@pytest.mark.parametrize("dim, points, indices, q, point", [
+    # a3's points 0 and 2 span the plane, which holds every other point
+    (2, [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4)], (0, 2), 0, 1),
+    # f2's points 2 and 4 span a plane through point 0
+    (3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, 2, 1), (0, -1, 1)], (2, 4), 1, 0),
+    # two opposite rays of the fan of P1 x P1 x P1 span a plane through point 0
+    (4, FANS_D4["P1xP1xP1"], (1, 2), 2, 0),
+])
+def test_a_point_off_a_face_in_its_span_is_refused(dim, points, indices, q, point):
+    # a Face record of a subset that is not a face: a point off it lies in
+    # no full simplex that completes the subset's points
+    aset = validate_aset(dim, points)
+    face = Face(indices=indices, support=(0,) * dim, offset=0, dim=len(indices) - 1)
+    table = fold_table(aset.points, aset.dim)
+    assert aset.dim - len(_face_simplex(face, table)[0]) == q
+    with pytest.raises(RuntimeError, match="point %d off the face lies in the face's span" % point):
+        rank_k0_face(aset, face, table)
+    with pytest.raises(RuntimeError, match="in the face span"):
+        project_mod_face(aset, face)
+
+
+def test_a_facet_whose_points_lie_on_both_sides_is_not_pointed(a3):
+    # a3's middle point is no face: the points off it lie on both sides of
+    # its line, which the q = 1 images show as values of both signs
+    face = Face(indices=(2,), support=(0, 0), offset=0, dim=0)
+    with pytest.raises(RankInconsistency, match="not pointed"):
+        rank_k0_face(a3, face, fold_table(a3.points, a3.dim))
+    with pytest.raises(RankInconsistency, match="not pointed"):
+        rank_row_by_projection(a3, face)

@@ -18,7 +18,6 @@ from gkzrank.polytope import (
     lower_hull_triangulation,
     placing_lifts,
     placing_volume,
-    project_mod_face,
     total_volume,
     validate_aset,
     _independent_rows,
@@ -43,6 +42,7 @@ from hull_reference import (
     lower_hull_triangulation_symbolic,
     placing_lifts_symbolic,
 )
+from projection_reference import project_mod_face
 from secondary_lp_reference import in_convex_hull
 
 

@@ -16,7 +16,6 @@ from gkzrank.polytope import (
     faces,
     fold_table,
     lower_hull_cells,
-    project_mod_face,
     total_volume,
     validate_aset,
 )
@@ -54,6 +53,7 @@ from hull_reference import (
     hull_vertex_indices,
     lower_hull_cells_symbolic,
 )
+from projection_reference import project_mod_face
 from secondary_lp_reference import (
     facets_of_secondary_cone,
     flip_by_lift,
