@@ -45,7 +45,7 @@ def main():
         ncands = "-"
         if all(row.discriminant is not None for row in proper):
             table = fold_table(aset.points, aset.dim)
-            ncands = len(_fiber(aset, _target(aset, table, proper), _Clock(Budget())))
+            ncands = len(_fiber(table, _target(aset.n, table, proper), _Clock(Budget())))
         if top.discriminant is None:
             status, terms = "over budget", "-"
         else:

@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Inputs are JSON documents {"dim": d, "points": [[..], ..], "name": optional}
-or the built-in example names a3, kp2, f2.  Output is deterministic text, or
+One parser reads every command: gkzrank COMMAND INPUT [--pair I J] [--json]
+[--budget SECONDS], the flags in any position, and COMMANDS maps each command
+to its handler; only edge takes --pair, and it needs it.  Inputs are JSON
+documents {"dim": d, "points": [[..], ..], "name": optional} or the built-in
+example names a3, kp2, f2.  Output is deterministic text, or
 machine-readable JSON with --json.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 invalid input,
@@ -255,14 +258,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_example(args) -> int:
-    if args.name not in BUILTIN_DOCUMENTS:
+    if args.input not in BUILTIN_DOCUMENTS:
         raise CliError(
             EXIT_INVALID_INPUT,
             "unknown example %r; available: %s"
-            % (args.name, ", ".join(sorted(BUILTIN_DOCUMENTS))),
+            % (args.input, ", ".join(sorted(BUILTIN_DOCUMENTS))),
         )
-    sys.stdout.write(json.dumps(BUILTIN_DOCUMENTS[args.name], indent=2) + "\n")
+    sys.stdout.write(json.dumps(BUILTIN_DOCUMENTS[args.input], indent=2) + "\n")
     return EXIT_OK
+
+
+COMMANDS = {
+    "validate": (cmd_validate, "validate an A-set document"),
+    "faces": (cmd_faces, "list the faces of Q = conv(A)"),
+    "secondary": (cmd_secondary, "vertices and edges of the secondary polytope"),
+    "edge": (cmd_edge, "circuit and subdivision data of one edge"),
+    "edet": (cmd_edet, "principal A-determinant and per-face exponents"),
+    "multiplicities": (cmd_multiplicities, "per-edge, per-face multiplicities"),
+    "verify": (cmd_verify, "verify the rank identity on every edge"),
+    "example": (cmd_example, "print a built-in example document"),
+}
 
 
 def _seconds(text: str) -> float:
@@ -272,7 +287,21 @@ def _seconds(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    table = "".join("\n  %-16s%s" % (name, entry[1]) for name, entry in COMMANDS.items())
+    parser = argparse.ArgumentParser(
+        prog="gkzrank",
+        description="Exact secondary-polytope, discriminant and K-theory rank toolkit",
+        epilog="commands:" + table,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "command", metavar="COMMAND", choices=COMMANDS, help="one of the commands below"
+    )
+    parser.add_argument("input", help="path to a JSON document or a built-in name (a3, kp2, f2)")
+    parser.add_argument(
+        "--pair", nargs=2, type=int, metavar=("I", "J"), help="vertex indices of the edge (edge only)"
+    )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
         "--budget",
@@ -281,52 +310,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="seconds for all face discriminants of the command together "
         "(default %(default)g)",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gkzrank",
-        description="Exact secondary-polytope, discriminant and K-theory rank toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    commands = [
-        ("validate", cmd_validate, "validate an A-set document"),
-        ("faces", cmd_faces, "list the faces of Q = conv(A)"),
-        ("secondary", cmd_secondary, "vertices and edges of the secondary polytope"),
-        ("edge", cmd_edge, "circuit and subdivision data of one edge"),
-        ("edet", cmd_edet, "principal A-determinant and per-face exponents"),
-        ("multiplicities", cmd_multiplicities, "per-edge, per-face multiplicities"),
-        ("verify", cmd_verify, "verify the rank identity on every edge"),
-    ]
-    for name, fn, help_text in commands:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="path to a JSON document or a built-in name")
-        if name == "edge":
-            p.add_argument(
-                "--pair",
-                nargs=2,
-                type=int,
-                required=True,
-                metavar=("I", "J"),
-                help="vertex indices of the edge",
-            )
-        _add_common(p)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("example", help="print a built-in example document")
-    p.add_argument("name", help="a3, kp2 or f2")
-    _add_common(p)
-    p.set_defaults(fn=cmd_example)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.command == "edge") != (args.pair is not None):
+        parser.error("edge needs --pair I J, and no other command takes it")
     digits = sys.get_int_max_str_digits()
     try:
-        return args.fn(args)
+        return COMMANDS[args.command][0](args)
     except CliError as exc:
         error, code = exc, exc.code
     except ExponentOverflow as exc:

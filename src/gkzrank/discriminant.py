@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 import struct
-from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 from operator import floordiv, getitem, mul
 from typing import NamedTuple
@@ -39,7 +38,7 @@ from .elimination import (
     _Clock,
 )
 from .ktheory import FaceInvariants, rank_k0_face
-from .lattice import Span, kernel_basis, mat_vec, span
+from .lattice import Span, kernel_basis, span
 from .polynomial import IntPolynomial, _value, match_power
 from .polytope import (
     ASet,
@@ -49,7 +48,6 @@ from .polytope import (
     lower_hull_triangulation,
     placing_lifts,
     validate_aset,
-    _simplex_adjugate,
 )
 from .secondary import Circuit, EdgeData, SecondaryPolytope
 
@@ -281,10 +279,9 @@ def _interpolation_eliminant(conf: ASet, table, rows, clock: _Clock) -> IntPolyn
     vanishes exactly at every sample.
     """
     clock.check("interpolation")  # a row over budget means the deadline has passed
-    target = _target(conf, table, rows)
-    if not any(target):
+    cands = _fiber(table, _target(conf.n, table, rows), clock)
+    if cands == [(0,) * conf.n]:
         return IntPolynomial.constant(conf.n, 1)
-    cands = _fiber(conf, target, clock)
     if not cands:
         raise OracleError("no monomial has the discriminant's multidegree")
     ncols = len(cands)
@@ -338,42 +335,45 @@ def _interpolation_eliminant(conf: ASet, table, rows, clock: _Clock) -> IntPolyn
         lifted += 1
 
 
-def _target(conf: ASet, table, rows) -> list[int]:
-    """B beta, the multidegree of Delta_B for B = conf, from conf's fold
-    table and the rows of the proper faces of conf.
+def _target(n: int, table, rows) -> list[int]:
+    """An exponent beta of Delta_B for B the configuration of n points
+    whose fold table is table, from the rows of the proper faces of B; its
+    multidegree is B beta.
 
     E_B = prod_F Delta_F^(u * i) over the faces F of B (GKZ 1994, ch. 10)
     has the exponent phi_T of the placing triangulation T, so
     beta = phi_T - sum_F (u * i)_F beta_F is an exponent of Delta_B for any
     exponent beta_F of each Delta_F.
     """
-    beta = [0] * conf.n
+    beta = [0] * n
     for simplex in lower_hull_triangulation(table, placing_lifts(table)):
         for i in simplex:
             beta[i] += abs(table[simplex][0])
     for row in rows:
         beta_f = next(iter(row.discriminant.terms))
         beta = [b - row.exponent * x for b, x in zip(beta, beta_f)]
-    return mat_vec(list(zip(*conf.points)), beta)
+    return beta
 
 
-def _fiber(conf: ASet, target, clock: _Clock):
-    """All beta >= 0 with B beta = target.
+def _fiber(table, beta0, clock: _Clock):
+    """All beta >= 0 with B beta = B beta0, for B the configuration whose
+    fold table is table.
 
-    The coordinates off one full simplex sigma run over the compositions of
-    at most the total degree; the coordinates on sigma then follow by
-    Cramer's rule, and must be non-negative integers.
+    The coordinates off the table's first simplex sigma run over the
+    compositions of at most the total degree sum(beta0); the coordinates on
+    sigma then follow by Cramer's rule, and must be non-negative integers.
+    In the basis sigma, det sigma times a free point j is
+    -(det sigma / c_j[-1]) c_j[:-1], for c_j the table's relation on sigma
+    plus j, whose entry c_j[-1] divides det sigma.
     """
-    pts = conf.points
-    degree = sum(h * t for h, t in zip(conf.height, target))
-    for sigma in combinations(range(conf.n), conf.dim):
-        det, adj = _simplex_adjugate(pts, sigma)  # adj.v: det * (coordinates of v)
-        if det:
-            break
-    free = [j for j in range(conf.n) if j not in sigma]
-    steps = [mat_vec(adj, pts[j]) for j in free]
+    sigma, (det, rels) = next(iter(table.items()))
+    free = [j for j in range(len(beta0)) if j not in sigma]
+    steps = [[-(det // rels[j][-1]) * c for c in rels[j][:-1]] for j in free]
+    acc = [det * beta0[i] for i in sigma]
+    for j, step in zip(free, steps):
+        acc = [a + beta0[j] * s for a, s in zip(acc, step)]
     out = []
-    beta = [0] * conf.n
+    beta = [0] * len(beta0)
 
     def walk(pos, left, acc):
         clock.check("interpolation")
@@ -392,8 +392,8 @@ def _fiber(conf: ASet, target, clock: _Clock):
             beta[i] = y
         out.append(tuple(beta))
 
-    if degree >= 0:
-        walk(0, degree, mat_vec(adj, target))
+    if (degree := sum(beta0)) >= 0:
+        walk(0, degree, acc)
     return out
 
 

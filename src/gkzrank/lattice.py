@@ -2,16 +2,14 @@
 
 Smith normal forms, built with only the transforms the caller reads;
 adjugates; integer kernels; and the lattice a point set generates (span):
-its rank, its index in its saturation (the torsion order of ZZ^d modulo
-it), coordinates in the saturation and the projection onto the saturated
-quotient, all from one Smith normal form.  All arithmetic is
-arbitrary-precision integer; there is no floating point anywhere in this
-module.
+its rank, its invariant factors, coordinates in the saturation and the
+projection onto the saturated quotient, all from one Smith normal form.
+All arithmetic is arbitrary-precision integer; there is no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
 
-from math import prod
 from typing import NamedTuple
 
 IntVector = tuple[int, ...]
@@ -169,11 +167,6 @@ class Span(NamedTuple):
     rank: int
     diag: IntVector  # the nonzero invariant factors of L
     left: IntMatrix
-
-    @property
-    def index(self) -> int:
-        """[sat L : L], the torsion order of ZZ^d / L."""
-        return prod(self.diag)
 
     def coordinates(self, v) -> IntVector:
         """v in a basis of the saturation of L; they are divisible by diag

@@ -298,12 +298,6 @@ def faces(aset: ASet) -> tuple[Face, ...]:
 FoldTable = dict[tuple[int, ...], tuple[int, dict[int, IntVector]]]
 
 
-def _simplex_adjugate(points, sigma):
-    """(det B, adj B) for B the matrix with columns points[i], i in sigma:
-    adj B . p is det B times the coordinates of p in the basis sigma."""
-    return adjugate(list(zip(*(points[i] for i in sigma))))
-
-
 def fold_table(points, dim) -> FoldTable:
     """sigma -> (det sigma, {j: relation on sigma + (j,)} for j outside
     sigma), over the full simplices sigma (sorted dim-subsets of the point

@@ -14,12 +14,13 @@ A-set validation by two Smith normal forms built on it."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from gkzrank.lattice import (
     IntVector,
     LatticeError,
     _check_matrix,
+    adjugate,
     kernel_basis,
     mat_vec,
     smith_normal_form,
@@ -29,7 +30,6 @@ from gkzrank.polytope import (
     ASet,
     InvalidConfiguration,
     _independent_rows,
-    _simplex_adjugate,
     extreme_rays,
     fold_table,
     placing_volume,
@@ -106,7 +106,7 @@ def validate_by_two_snfs(dim, pts) -> ASet:
     lat = span(pts, dim)
     if lat.rank != dim:
         raise InvalidConfiguration("degenerate configuration")
-    if lat.index != 1:
+    if prod(lat.diag) != 1:
         raise InvalidConfiguration("does not generate lattice")
     return ASet(dim=dim, points=tuple(map(tuple, pts)), height=tuple(height))
 
@@ -150,7 +150,7 @@ def fold_relation(points, sigma, j):
     """Primitive integer relation c on sigma + (j,), i.e. sum_k c_k p_k = 0,
     with c[-1] > 0; sigma must be a full simplex.  By Cramer's rule from
     the adjugate of sigma: c is (-adj.p_j, det sigma) made primitive."""
-    det, adj = _simplex_adjugate(points, sigma)
+    det, adj = adjugate(list(zip(*(points[i] for i in sigma))))
     if det == 0:
         raise InvalidConfiguration("flat simplex", "sigma spans no full-dimensional cell")
     rel = [-sum(a * x for a, x in zip(row, points[j])) for row in adj] + [det]
@@ -235,9 +235,9 @@ def edge_indices_by_snf(aset, edge):
     for jset in edge.separating_sets:
         lat = span(circuit + [aset.points[i] for i in jset], aset.dim)
         assert lat.rank == aset.dim, "circuit plus separating set fails to span"
-        per_j.append((jset, lat.index))
+        per_j.append((jset, prod(lat.diag)))
     lat = span(circuit, aset.dim)
-    return tuple(per_j), sum(x for _, x in per_j), lat.index if lat.rank == aset.dim else None
+    return tuple(per_j), sum(x for _, x in per_j), prod(lat.diag) if lat.rank == aset.dim else None
 
 
 def ridge_sides_by_det(aset, ridge):

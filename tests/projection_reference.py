@@ -3,6 +3,7 @@ normal form projects A to the saturated quotient lattice of the face's
 span, and the images' own fold table gives the staircase, where the package
 reads both off the configuration's one fold table."""
 
+from math import prod
 from typing import NamedTuple
 
 from gkzrank.ktheory import FaceInvariants, RankInconsistency
@@ -48,7 +49,7 @@ def project_mod_face(aset: ASet, face: Face) -> ProjectedFace:
     return ProjectedFace(
         quotient_rank=aset.dim - lat.rank,
         images=tuple(images),
-        index=lat.index,
+        index=prod(lat.diag),
     )
 
 

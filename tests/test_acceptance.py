@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -29,6 +30,7 @@ from gkzrank.polytope import faces, total_volume, validate_aset
 from gkzrank.secondary import edge_data, hull_edges, secondary_polytope
 
 from conftest import make_random_aset
+from degree_formula import predicted_degree
 from fold_reference import characteristic_function, edge_indices_by_snf
 from test_elimination import QUARTIC_DISCRIMINANT
 
@@ -289,7 +291,7 @@ def test_criterion_7_full_dimensional_circuits(a3, a3_secondary, corpus):
         # the quartic edge whose circuit spans with index two
         e2 = find_edge(a3_secondary, [(0, 4)], [(0, 2), (2, 4)])
         lat = span([a3.points[i] for i in e2.circuit.indices], 2)
-        assert lat.rank == 2 and lat.index == 2
+        assert lat.rank == 2 and prod(lat.diag) == 2
         assert rank_k0_edge(a3_secondary, e2).zf_rank == 2
 
         # constructed instances with spanning circuits of index two and three
@@ -306,7 +308,7 @@ def test_criterion_7_full_dimensional_circuits(a3, a3_secondary, corpus):
                     continue
                 lat = span([aset.points[i] for i in ed.circuit.indices], aset.dim)
                 assert lat.rank == aset.dim
-                assert lat.index == expected
+                assert prod(lat.diag) == expected
                 assert rank_k0_edge(sp, ed).zf_rank == expected
                 hits += 1
             assert hits >= 1
@@ -334,6 +336,21 @@ def test_corpus_edge_indices_match_the_smith_normal_form_reference(corpus):
             assert (e.per_j_indices, e.zf_rank, e.circuit_index) == edge_indices_by_snf(item.aset, ed)
             edges += 1
     assert edges > 0
+
+
+def test_corpus_face_degrees_follow_from_the_face_lattice(corpus):
+    # the degree of every face discriminant of E_A, as degree_formula
+    # predicts it from the face lattice alone; six faces that are not
+    # simplices are pyramids over a circuit, predicted 0 (Delta = 1)
+    items, _ = corpus
+    zeros = 0
+    for k, item in enumerate(items):
+        for row in item.report.edet.factors:
+            degree = predicted_degree(item.aset, row.face)
+            assert row.discriminant.total_degree() == degree, (k, row.face.indices)
+            if degree == 0 and len(row.face.indices) > row.face.dim + 1:
+                zeros += 1
+    assert zeros == 6
 
 
 # -- past the corpus ----------------------------------------------------------

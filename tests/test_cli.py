@@ -1,7 +1,9 @@
+import argparse
 import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -182,6 +184,47 @@ def test_terms_flag_is_refused(capsys):
         main(["edet", "a3", "--terms", "1"])
     assert exc.value.code == 2
     assert "error: unrecognized arguments: --terms 1" in capsys.readouterr().err
+
+
+def test_unknown_command_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate", "a3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["edge", "f2"], ["verify", "kp2", "--pair", "0", "1"]])
+def test_pair_goes_with_edge_alone(argv, capsys):
+    # edge needs --pair and no other command takes it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--pair" in err
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("validate", "faces", "secondary", "edge", "edet", "multiplicities", "verify", "example"):
+        assert re.search(r"^ +%s +\S" % command, out, re.MULTILINE), command
+
+
+def test_main_builds_one_parser(monkeypatch):
+    # one ArgumentParser declares every command's arguments once
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out, _ = run_cli(["validate", "a3", "--json"])
+    assert code == 0 and json.loads(out)["n"] == 5
+    assert len(built) == 1
 
 
 def test_verify_budget_skips_every_edge():

@@ -35,6 +35,7 @@ from gkzrank.secondary import NotAnEdge, edge_data, hull_edges, secondary_polyto
 
 from buchberger import _groebner_eliminant
 from conftest import four_dimensional_draws, make_random_aset, singular_point_vector
+from degree_formula import predicted_degree
 from echelon_reference import ListEchelon
 from fold_reference import circuit_from_points
 from resultant_reference import resultant_f_fprime
@@ -743,6 +744,21 @@ def test_circuit_binomial_size_is_limited():
         circuit_discriminant(circuit_from_points(aset, range(3)), 3)
 
 
+@pytest.mark.parametrize("name", ["a3", "kp2", "f2"])
+def test_face_degrees_follow_from_the_face_lattice(name, request):
+    """deg Delta_B = sum_alpha (-1)^(dim B - dim alpha) (dim alpha + 1)
+    Vol(alpha) Eu_B(alpha) over the faces alpha of each face B, with Euler
+    obstructions from Eu_B(B) = 1 and the ranks u * i of alpha in each face
+    gamma above it (degree_formula): no oracle enters the prediction.  The
+    corpus and the four-dimensional draws run the same check on the E_A
+    their tests already compute."""
+    aset = request.getfixturevalue(name)
+    rows = principal_a_determinant(aset).factors
+    assert [row.discriminant.total_degree() for row in rows] == [
+        predicted_degree(aset, row.face) for row in rows
+    ]
+
+
 def test_four_dimensional_faces_take_the_closed_form(monkeypatch):
     # 40 draws of 6 to 8 points (1, x, y, z), 0 <= x <= 1, 0 <= y, z <= 2:
     # with an oracle on every face that is not a simplex, E_A of these ran 57
@@ -759,8 +775,13 @@ def test_four_dimensional_faces_take_the_closed_form(monkeypatch):
         monkeypatch.setattr(discriminant, "_%s_eliminant" % name, counted)
     digest = hashlib.sha256()
     for aset in four_dimensional_draws():
-        e_a = principal_a_determinant(aset).e_a
-        digest.update(repr(sorted(e_a.terms.items())).encode())
+        result = principal_a_determinant(aset)
+        digest.update(repr(sorted(result.e_a.terms.items())).encode())
+        # every face's degree, the top face's among them, from the face
+        # lattice alone (degree_formula); with the weight u in place of
+        # u * i, draws 1, 5, 6, 20 and 26 fail here
+        for row in result.factors:
+            assert row.discriminant.total_degree() == predicted_degree(aset, row.face)
     assert calls == {"resultant": 0, "interpolation": 57}
     # the E_A the resultant-on-every-line route gave
     assert digest.hexdigest() == "537c08a6022dc0c3c7e2986773b4ea993b0408979cf2f7ada69dadc6ce70715c"

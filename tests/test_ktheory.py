@@ -188,7 +188,7 @@ def test_full_dimensional_circuit_rank(a3, a3_secondary):
     e2 = find_edge(a3_secondary, [(0, 4)], [(0, 2), (2, 4)])
     lat = span([a3.points[i] for i in e2.circuit.indices], 2)
     assert lat.rank == 2
-    assert rank_k0_edge(a3_secondary, e2).zf_rank == lat.index == 2
+    assert rank_k0_edge(a3_secondary, e2).zf_rank == prod(lat.diag) == 2
 
 
 def test_full_dimensional_circuit_rank_index_three():

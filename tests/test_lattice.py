@@ -100,9 +100,9 @@ def test_snf_pinned_transforms(mat, diag, left, right):
 def test_quotient_group_examples():
     # ZZ^d / L has free rank d - rank and torsion order index
     lat = span([(1, 0), (1, 2)], 2)
-    assert (lat.rank, lat.diag, lat.index) == (2, (1, 2), 2)
+    assert (lat.rank, lat.diag, prod(lat.diag)) == (2, (1, 2), 2)
     lat = span([(1, 0), (1, 1), (1, 4)], 2)
-    assert (lat.rank, lat.index) == (2, 1)
+    assert (lat.rank, prod(lat.diag)) == (2, 1)
     with pytest.raises(LatticeError):
         span([], 3)
 
@@ -110,15 +110,15 @@ def test_quotient_group_examples():
 def test_quotient_torsion_is_the_saturation_index():
     # a full-rank square system: the index in the saturation is |det|
     gens = [(2, 1), (0, 3)]
-    assert span(gens, 2).index == abs(det_int(gens)) == 6
+    assert prod(span(gens, 2).diag) == abs(det_int(gens)) == 6
     # a saturated plane in ZZ^3: index one
     lat = span([(1, 0, 1), (0, 1, 1), (-1, 2, 1)], 3)
-    assert (lat.rank, lat.index) == (2, 1)
+    assert (lat.rank, prod(lat.diag)) == (2, 1)
 
 
 def test_quotient_torsion_matches_invariant_factors():
     lat = span([(2, 0, 0), (0, 6, 0)], 3)
-    assert (lat.rank, lat.diag, lat.index) == (2, (2, 6), 12)
+    assert (lat.rank, lat.diag, prod(lat.diag)) == (2, (2, 6), 12)
 
 
 def test_primitive_relation_known_circuits():
@@ -192,7 +192,7 @@ def test_span_against_the_rows(case):
     lat = span(vecs, d)
     rows = smith_normal_form(vecs).diag  # the transpose: same invariant factors
     assert lat.rank == sum(1 for x in rows if x)
-    assert lat.index == prod(x for x in rows if x)
+    assert prod(lat.diag) == prod(x for x in rows if x)
     for v in vecs:
         assert not any(sum(a * b for a, b in zip(r, v)) for r in lat.left[lat.rank :])
         assert all(c % s == 0 for c, s in zip(lat.coordinates(v), lat.diag))
