@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the interpolation oracle on the top faces past the acceptance corpus:
-the 3x3 grid and six seeded d = 3 configurations with 7-8 points.
+"""Time the interpolation oracle on the top faces past the acceptance corpus,
+the 3x3 grid and six seeded d = 3 configurations with 7-8 points, then the
+line resultant on nine lines of degree 3 to 10.
 
 Usage: python scripts/scale_faces.py
 
@@ -11,16 +12,30 @@ configuration's face loop, the top face last, gets its own clock on the
 default Budget, and one line: the number of candidate monomials of the top
 face (`-` when a proper face ran over budget), the seconds the loop took,
 `ok` or `over budget`, and the top face's discriminant's term count.
+
+The second table has one line per exponent pattern of LINES, the points
+(1, e) of a line: the median seconds of 3 `face_discriminant` calls on its
+top face, each on the default Budget, and the discriminant's term count.
 """
 
 import random
+import statistics
 import time
 
-from gkzrank.discriminant import _factors, _fiber, _target
+from gkzrank.discriminant import _factors, _fiber, _target, face_discriminant
 from gkzrank.elimination import Budget, _Clock
-from gkzrank.polytope import fold_table, validate_aset
+from gkzrank.polytope import faces, fold_table, validate_aset
 
 BOX = [(x, y) for x in range(-1, 3) for y in range(-1, 3)]
+
+# the dense lines of degree 3 to 7, two of degree 5 with a gap, one of
+# degree 10 and the line of degree 9 of tests/golden/line7_edet.json
+LINES = [tuple(range(top + 1)) for top in range(3, 8)] + [
+    (0, 1, 2, 3, 5),
+    (0, 1, 2, 4, 5),
+    (0, 1, 4, 6, 9, 10),
+    (0, 1, 2, 4, 6, 7, 9),
+]
 
 
 def configurations():
@@ -53,6 +68,23 @@ def main():
         print(
             "%-9s n=%d candidates=%s seconds=%.1f %s terms=%s"
             % (name, aset.n, ncands, seconds, status, terms),
+            flush=True,
+        )
+    line_table()
+
+
+def line_table():
+    for pattern in LINES:
+        aset = validate_aset(2, [(1, e) for e in pattern])
+        top = faces(aset)[-1]
+        seconds = []
+        for _ in range(3):
+            start = time.monotonic()
+            delta = face_discriminant(aset, top)
+            seconds.append(time.monotonic() - start)
+        print(
+            "line %-20s seconds=%.4f terms=%d"
+            % (",".join(map(str, pattern)), statistics.median(seconds), len(delta.terms)),
             flush=True,
         )
 

@@ -6,20 +6,20 @@ vertex gives its own variable, a simplex the constant 1, a face with one
 point more than a simplex (corank one) the binomial of its primitive affine
 relation, or 1 on a pyramid over a circuit, a one-dimensional face the
 resultant Res(F_x, F_y) of the partials of its binary form (the determinant
-of a sparse Sylvester matrix, its monomial factor stripped), and a face of
-dimension two or more the interpolation oracle.  One face loop per
-configuration (_factors) ranks and eliminates its faces in faces order, so
-the top face comes last and reads its multidegree off the factors already
-held; a higher face asked for on its own is the top face of its own
-configuration.  The discriminant is the kernel of the matrix that evaluates
-the monomials of that multidegree at points of the dual variety, eliminated
-modulo primes below 2^21 in rows packed into 64-bit slots, lifted by CRT and
-certified exactly.  Both oracles read the face in the lattice its points
-generate, so either eliminant is the irreducible discriminant up to its
-content and sign, which primitive_part removes.  Both oracles poll one
-budget clock and share its exponent limit.  The principal A-determinant is
-the product of the loop's face discriminants raised to their K-theory rank
-exponents.
+of their sparse Bezout matrix, of order N - 1 for degree N, its monomial
+factor stripped), and a face of dimension two or more the interpolation
+oracle.  One face loop per configuration (_factors) ranks and eliminates its
+faces in faces order, so the top face comes last and reads its multidegree
+off the factors already held; a higher face asked for on its own is the top
+face of its own configuration.  The discriminant is the kernel of the matrix
+that evaluates the monomials of that multidegree at points of the dual
+variety, eliminated modulo primes below 2^21 in rows packed into 64-bit
+slots, lifted by CRT and certified exactly.  Both oracles read the face in
+the lattice its points generate, so either eliminant is the irreducible
+discriminant up to its content and sign, which primitive_part removes.  Both
+oracles poll one budget clock and share its exponent limit.  The principal
+A-determinant is the product of the loop's face discriminants raised to
+their K-theory rank exponents.
 """
 
 from __future__ import annotations
@@ -126,9 +126,11 @@ def face_discriminant(aset: ASet, face: Face, budget: Budget | None = None) -> I
     whose dual variety has codimension above one) give the constant 1, and
     corank-one faces the binomial of their primitive affine relation (GKZ
     1994, ch. 9), without reading the clock.  Other one-dimensional faces
-    are eliminated by a resultant on their exponents divided by their gcd,
-    their coordinates in the lattice the face's points generate; higher
-    faces by their own configuration's face loop.
+    are eliminated by the resultant of their binary form's partials, the
+    determinant of a Bezout matrix of order N - 1 for degree N, on their
+    exponents divided by their gcd, their coordinates in the lattice the
+    face's points generate; higher faces by their own configuration's face
+    loop.
     Raises BudgetExceeded when the budget's clock, started here, runs out and
     ExponentOverflow when a local exponent exceeds the limit (an edge's once
     divided by their gcd, a higher face's in saturated coordinates) or when
@@ -200,29 +202,38 @@ def _resultant_eliminant(exps, clock: _Clock) -> IntPolynomial:
     point of the discriminant, and this is the discriminant of the
     one-dimensional configuration up to a constant (GKZ 1994, ch. 12); with
     gcd g the double roots come in groups of g and it is a g-th power.
-    The Sylvester matrix of F_x = sum e_j a_j x^(e_j-1) and
-    F_y = sum (N-e_j) a_j x^(e_j), both of formal degree N-1, has order
-    2N-2 and is held as sparse rows, column -> entry, with column c the
-    coefficient of x^(2N-3-c); its determinant is taken by fraction-free
-    (Bareiss) elimination, every division exact.
+    It is the determinant of the Bezout matrix of f = F_x(x, 1) =
+    sum e_j a_j x^(e_j-1) and g = F_y(x, 1) = sum (N-e_j) a_j x^(e_j), both
+    of formal degree m = N-1: the order m matrix whose entry (r, c) is the
+    coefficient of x^r y^c in (f(x) g(y) - f(y) g(x)) / (x - y).  A term
+    pair b a_s x^p of f and b' a_t x^q of g adds b b' a_s a_t to the
+    entries (q+i, p-1-i), i < p-q, when p > q, and subtracts it from
+    (p+i, q-1-i), i < q-p, when p < q.  The matrix is held as sparse rows,
+    column -> entry, built with a clock read per entry; its determinant is
+    taken by fraction-free (Bareiss) elimination from the last column
+    down, every division exact.
     """
     degrees = [e for (e,) in exps]
     k = len(degrees)
     top = max(degrees)
-    last = 2 * top - 3
     coeffs = [IntPolynomial.variable(k, j) for j in range(k)]
-    rows = [
-        {last + 1 - s - e: a * e for e, a in zip(degrees, coeffs) if e}
-        for s in range(top - 1)
-    ] + [
-        {last - s - e: a * (top - e) for e, a in zip(degrees, coeffs) if e < top}
-        for s in range(top - 1)
-    ]
+    rows = [{} for _ in range(top - 1)]
+    for e, a_s in zip(degrees, coeffs):
+        for q, a_t in zip(degrees, coeffs):
+            p = e - 1  # the term e a_s x^p of f against (N-q) a_t x^q of g
+            if e and q < top and p != q:
+                term = a_s * a_t * (e * (top - q) * (1 if p > q else -1))
+                lo, hi = sorted((p, q))
+                for i in range(hi - lo):
+                    row, c = rows[lo + i], hi - 1 - i
+                    row[c] = row[c] + term if c in row else term
+                    clock.check("resultant")
+    rows = [{c: x for c, x in row.items() if x} for row in rows]  # drop cancelled entries
     prev = IntPolynomial.constant(k, 1)
-    for col in range(last + 1):
+    for col in reversed(range(top - 1)):
         r = next((r for r, row in enumerate(rows) if col in row), None)
         if r is None:
-            raise OracleError("Sylvester matrix of F_x and F_y is singular")
+            raise OracleError("Bezout matrix of F_x and F_y is singular")
         pivot_row = rows.pop(r)
         pivot = pivot_row.pop(col)
         for row in rows:

@@ -30,7 +30,7 @@ from gkzrank.polytope import faces, total_volume, validate_aset
 from gkzrank.secondary import edge_data, hull_edges, secondary_polytope
 
 from conftest import make_random_aset
-from degree_formula import predicted_degree
+from degree_formula import multidegree, predicted_degree, predicted_multidegree
 from fold_reference import characteristic_function, edge_indices_by_snf
 from test_elimination import QUARTIC_DISCRIMINANT
 
@@ -339,15 +339,19 @@ def test_corpus_edge_indices_match_the_smith_normal_form_reference(corpus):
 
 
 def test_corpus_face_degrees_follow_from_the_face_lattice(corpus):
-    # the degree of every face discriminant of E_A, as degree_formula
-    # predicts it from the face lattice alone; six faces that are not
-    # simplices are pyramids over a circuit, predicted 0 (Delta = 1)
+    # the degree and multidegree of every face discriminant of E_A, as
+    # degree_formula predicts them from the face lattice alone; six faces
+    # that are not simplices are pyramids over a circuit, predicted 0
+    # (Delta = 1)
     items, _ = corpus
     zeros = 0
     for k, item in enumerate(items):
         for row in item.report.edet.factors:
             degree = predicted_degree(item.aset, row.face)
             assert row.discriminant.total_degree() == degree, (k, row.face.indices)
+            assert multidegree(item.aset, row.discriminant) == predicted_multidegree(
+                item.aset, row.face
+            ), (k, row.face.indices)
             if degree == 0 and len(row.face.indices) > row.face.dim + 1:
                 zeros += 1
     assert zeros == 6

@@ -35,10 +35,10 @@ from gkzrank.secondary import NotAnEdge, edge_data, hull_edges, secondary_polyto
 
 from buchberger import _groebner_eliminant
 from conftest import four_dimensional_draws, make_random_aset, singular_point_vector
-from degree_formula import predicted_degree
+from degree_formula import multidegree, predicted_degree, predicted_multidegree
 from echelon_reference import ListEchelon
 from fold_reference import circuit_from_points
-from resultant_reference import resultant_f_fprime
+from resultant_reference import resultant_by_sylvester, resultant_f_fprime
 from test_elimination import QUARTIC_DISCRIMINANT
 
 
@@ -203,20 +203,32 @@ def test_resultant_budget_four_points(budget):
     )
 
 
-def test_resultant_budget_wide_face():
-    # a dense Sylvester matrix of order 2N-1 = 5999 would hold 36 million
-    # entries; the sparse rows stay small and the clock stops the work
-    aset, top = line((0, 1, 2, 3000))
+def assert_stopped_by_half_a_second_budget(aset, face):
+    """face_discriminant on a 0.5 s budget raises BudgetExceeded within 5 s
+    of wall time and a traced peak below 64 MB."""
     tracemalloc.start()
     start = time.monotonic()
     try:
         with pytest.raises(BudgetExceeded):
-            face_discriminant(aset, top, Budget(seconds=0.5))
+            face_discriminant(aset, face, Budget(seconds=0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert time.monotonic() - start < 5.0
     assert peak < 64 * 2**20
+
+
+def test_resultant_budget_wide_face():
+    # a dense Bezout matrix of order N-1 = 2999 would hold 9 million
+    # entries; the sparse rows stay small and the clock stops the work
+    assert_stopped_by_half_a_second_budget(*line((0, 1, 2, 3000)))
+
+
+def test_resultant_budget_widest_face():
+    # the widest line the exponent limit lets through, a Bezout matrix of
+    # order 65534: the clock is read at every entry built, so neither the
+    # build nor the elimination runs much past the budget
+    assert_stopped_by_half_a_second_budget(*line((0, 1, 2, 65535)))
 
 
 def test_resultant_is_taken_on_the_partials_of_the_binary_form():
@@ -225,7 +237,10 @@ def test_resultant_is_taken_on_the_partials_of_the_binary_form():
     # Sylvester matrix of order 2N-1, is +-a_4 times it, content 1 once a_4
     # is stripped
     exps = [(e,) for e in range(5)]
-    assert _resultant_eliminant(exps, _Clock(Budget())) == QUARTIC_DISCRIMINANT * -16
+    assert _resultant_eliminant(exps, _Clock(Budget())) in (
+        QUARTIC_DISCRIMINANT * 16,
+        QUARTIC_DISCRIMINANT * -16,
+    )
     assert resultant_f_fprime(exps, _Clock(Budget())) == QUARTIC_DISCRIMINANT
 
 
@@ -252,6 +267,20 @@ def test_line_resultant_matches_the_f_fprime_reference():
         by_partials = _resultant_eliminant(exps, _Clock(Budget()))
         by_reference = resultant_f_fprime(exps, _Clock(Budget()))
         assert by_partials.primitive_part() == by_reference.primitive_part(), pattern
+
+
+def test_line_resultant_matches_the_sylvester_reference():
+    # the Bezout matrix of order N-1 and the Sylvester matrix of order 2N-2
+    # of the same two partials: one determinant up to sign, content
+    # included; dense N = 8 is left out, since the two routes take about 15
+    # and 27 s on it on a 2-core machine
+    patterns = list(random_lines(random.Random(150), 150)) + WINDOW_LINES
+    patterns += [tuple(range(top + 1)) for top in range(2, 8)]
+    for pattern in patterns:
+        exps = [(e,) for e in pattern]
+        by_bezout = _resultant_eliminant(exps, _Clock(Budget()))
+        by_sylvester = resultant_by_sylvester(exps, _Clock(Budget()))
+        assert by_bezout in (by_sylvester, -by_sylvester), pattern
 
 
 @pytest.mark.parametrize("pattern", [(0, 1, 2), (0, 1, 3), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5)])
@@ -749,13 +778,17 @@ def test_face_degrees_follow_from_the_face_lattice(name, request):
     """deg Delta_B = sum_alpha (-1)^(dim B - dim alpha) (dim alpha + 1)
     Vol(alpha) Eu_B(alpha) over the faces alpha of each face B, with Euler
     obstructions from Eu_B(B) = 1 and the ranks u * i of alpha in each face
-    gamma above it (degree_formula): no oracle enters the prediction.  The
-    corpus and the four-dimensional draws run the same check on the E_A
-    their tests already compute."""
+    gamma above it, and the multidegree B beta by the vector form, with
+    B phi_alpha in place of (dim alpha + 1) Vol(alpha) (degree_formula): no
+    oracle enters the prediction.  The corpus and the four-dimensional
+    draws run the same check on the E_A their tests already compute."""
     aset = request.getfixturevalue(name)
     rows = principal_a_determinant(aset).factors
     assert [row.discriminant.total_degree() for row in rows] == [
         predicted_degree(aset, row.face) for row in rows
+    ]
+    assert [multidegree(aset, row.discriminant) for row in rows] == [
+        predicted_multidegree(aset, row.face) for row in rows
     ]
 
 
@@ -777,11 +810,12 @@ def test_four_dimensional_faces_take_the_closed_form(monkeypatch):
     for aset in four_dimensional_draws():
         result = principal_a_determinant(aset)
         digest.update(repr(sorted(result.e_a.terms.items())).encode())
-        # every face's degree, the top face's among them, from the face
-        # lattice alone (degree_formula); with the weight u in place of
-        # u * i, draws 1, 5, 6, 20 and 26 fail here
+        # every face's degree and multidegree, the top face's among them,
+        # from the face lattice alone (degree_formula); with the weight u in
+        # place of u * i, draws 1, 5, 6, 20 and 26 fail here
         for row in result.factors:
             assert row.discriminant.total_degree() == predicted_degree(aset, row.face)
+            assert multidegree(aset, row.discriminant) == predicted_multidegree(aset, row.face)
     assert calls == {"resultant": 0, "interpolation": 57}
     # the E_A the resultant-on-every-line route gave
     assert digest.hexdigest() == "537c08a6022dc0c3c7e2986773b4ea993b0408979cf2f7ada69dadc6ce70715c"
@@ -883,16 +917,7 @@ def test_interpolation_budget_wide_face():
     aset = validate_aset(3, [(x, y, 1) for x, y in [(0, 0), (1, 0), (0, 1), (1, 1), (2000, 1)]])
     top = faces(aset)[-1]
     assert max(max(e) for e in face_local_exponents(aset, top)) == 2000
-    tracemalloc.start()
-    start = time.monotonic()
-    try:
-        with pytest.raises(BudgetExceeded):
-            face_discriminant(aset, top, Budget(seconds=0.5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert time.monotonic() - start < 5.0
-    assert peak < 64 * 2**20
+    assert_stopped_by_half_a_second_budget(aset, top)
 
 
 def test_principal_a_determinant_a3(a3):
