@@ -225,6 +225,7 @@ def cmd_multiplicities(args) -> int:
             if e.status == "skipped"
             else [[m["face"], m["n"]] for m in row["multiplicities"]],
         )
+        + (" FAIL (%s)" % e.detail if e.status == "fail" else "")
         for e, row in zip(result.edges, rows)
     ]
     _emit(args, lines, {"name": name, "edges": rows})

@@ -187,10 +187,6 @@ class TheoremReport(NamedTuple):
     edet: "object"
     status: str  # "pass" | "fail" | "budget"
 
-    @property
-    def verified(self) -> bool:
-        return self.status == "pass"
-
 
 def verify_theorem(
     aset: ASet,

@@ -9,9 +9,10 @@ description, give an interior point and the facets: the walls tight on a
 maximal set of rays.  The point certifies T with no appeal to that theorem:
 each row of T positive on it makes each simplex a lower cell, and volumes
 adding up to vol(Q), read off the seed, leave room for no other.  The
-neighbor across a facet is the bistellar flip on the circuit of its wall.
-is_regular reads the same cone and certificate for a triangulation given
-from outside; check_triangulation reads ridge sides off the fold table.
+neighbor across a facet is the bistellar flip on the circuit of its wall,
+whose link sets are the edge's separating sets.  is_regular reads the same
+cone and certificate for a triangulation given from outside;
+check_triangulation reads ridge sides off the fold table.
 Folds, volumes and ridge sides come from one fold table per configuration
 (polytope.fold_table), which the secondary polytope keeps for its edges.
 
@@ -22,8 +23,9 @@ Newton-polytope check and the normal direction of every edge are read from
 that incidence: the smallest face through some phis is the intersection of
 the facets containing them.  An edge's cells are its normal's lower hull on
 the table rows of its endpoints' simplices alone, since each cell of a
-coarsening holds a simplex of every refinement.  The one LP left is
-normal_cone_sample, the edge normal that `gkzrank edge` prints.
+coarsening holds a simplex of every refinement; they cross-check the flip's
+circuit and separating sets.  The one LP left is normal_cone_sample, the
+edge normal that `gkzrank edge` prints.
 """
 
 from __future__ import annotations
@@ -130,6 +132,7 @@ class SecondaryPolytope(NamedTuple):
     dim: int
     hull: HRepresentation  # of conv(phis), built from the phis alone
     table: FoldTable  # fold_table of aset
+    flips: dict[tuple[int, int], tuple]  # edge -> its flip's Circuit and separating sets
 
 
 def check_triangulation(aset: ASet, table: FoldTable, simplices) -> tuple[tuple[int, ...], ...]:
@@ -258,12 +261,14 @@ def _secondary_cone(aset: ASet, table: FoldTable, sims):
 
 def _flip(sims, fold):
     """The bistellar flip of T on the circuit Z of a fold c that is a facet
-    of C(T).  T holds the simplices Z - i + L for every i in Z+ (where
-    c > 0) and every link set L, the rest of a simplex of T that holds all
-    of Z but one point; the neighbor holds Z - i + L for i in Z- instead
-    (De Loera, Rambau and Santos 2010, chapters 2 and 5).  A simplex of
-    T cannot hold Z - i for i in Z-, which would overlap Z - j for the j in
-    Z+ of the fold's own simplex."""
+    of C(T), with the edge's Circuit (c on its support, first entry
+    positive) and its separating sets, the sorted link sets.  T holds the
+    simplices Z - i + L for every i in Z+ (where c > 0) and every link set
+    L, the rest of a simplex of T that holds all of Z but one point; the
+    neighbor holds Z - i + L for i in Z- instead (De Loera, Rambau and
+    Santos 2010, chapters 2 and 5).  A simplex of T cannot hold Z - i for i
+    in Z-, which would overlap Z - j for the j in Z+ of the fold's own
+    simplex."""
     plus = {i for i, x in enumerate(fold) if x > 0}
     minus = {i for i, x in enumerate(fold) if x < 0}
     circuit = plus | minus
@@ -272,7 +277,10 @@ def _flip(sims, fold):
     def join(side):
         return {tuple(sorted((circuit - {i}) | link)) for link in links for i in side}
 
-    return tuple(sorted(set(sims) - join(plus) | join(minus)))
+    idx = tuple(sorted(circuit))
+    relation = tuple(fold[i] if fold[idx[0]] > 0 else -fold[i] for i in idx)
+    flipped = tuple(sorted(set(sims) - join(plus) | join(minus)))
+    return flipped, Circuit(idx, relation), tuple(sorted(tuple(sorted(link)) for link in links))
 
 
 def _certify_lifting(table: FoldTable, sims, lifting, volume: int) -> None:
@@ -286,7 +294,7 @@ def _certify_lifting(table: FoldTable, sims, lifting, volume: int) -> None:
 
 def _flip_node(aset: ASet, table: FoldTable, sims, volume: int):
     """The triangulation sims, certified by the lifting inside its cone and
-    vol(Q), and its neighbors, one bistellar flip across each facet."""
+    vol(Q), and its flips, one across each facet."""
     folds, lifting, facets = _secondary_cone(aset, table, sims)
     _certify_lifting(table, sims, lifting, volume)
     return Triangulation(simplices=sims, lifting=lifting), [_flip(sims, folds[k]) for k in facets]
@@ -306,22 +314,23 @@ def secondary_polytope(aset: ASet) -> SecondaryPolytope:
     volume = sum(abs(table[s][0]) for s in seed)  # vol(Q), as placing_volume reads it
     by_key = {seed: None}
     queue = [seed]
-    edge_keys = set()
+    found = {}
     while queue:
         key = queue.pop(0)
         by_key[key], neighbors = _flip_node(aset, table, key, volume)
-        for sims in neighbors:
+        for sims, circuit, seps in neighbors:
             if sims not in by_key:
                 by_key[sims] = None
                 queue.append(sims)
-            edge_keys.add(tuple(sorted((key, sims))))
+            found[tuple(sorted((key, sims)))] = circuit, seps
 
     phi = {  # the characteristic function of each triangulation
         k: tuple(sum(abs(table[s][0]) for s in k if i in s) for i in range(aset.n)) for k in by_key
     }
     tris = sorted(by_key.values(), key=lambda t: phi[t.simplices])
     index = {t.simplices: i for i, t in enumerate(tris)}
-    edges = tuple(sorted(tuple(sorted((index[a], index[b]))) for a, b in edge_keys))
+    flips = {tuple(sorted((index[a], index[b]))): rec for (a, b), rec in found.items()}
+    edges = tuple(sorted(flips))
     phis = tuple(phi[t.simplices] for t in tris)
     expected = aset.n - aset.dim
     hull = h_representation(phis)
@@ -332,7 +341,7 @@ def secondary_polytope(aset: ASet) -> SecondaryPolytope:
         )
     return SecondaryPolytope(
         aset=aset, triangulations=tuple(tris), phis=phis, edges=edges, dim=expected, hull=hull,
-        table=table,
+        table=table, flips=flips,
     )
 
 
@@ -375,6 +384,9 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
     picks out the edge's face of each of them.  Each cell of the
     subdivision psi induces holds a simplex of each endpoint, so the rows
     of their simplices give them all; a wrong psi fails the checks below.
+    The circuit and separating sets are the flip's (sp.flips), checked
+    against the cells: each cell that is no simplex is the circuit plus one
+    separating set, each set once.
     """
     aset = sp.aset
     if i == j or not (0 <= i < len(sp.phis)) or not (0 <= j < len(sp.phis)):
@@ -384,6 +396,8 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
     face, facets = sp.hull.face(pair, len(sp.phis))
     if face != pair:
         raise NotAnEdge("not an edge")
+    if (i, j) not in sp.flips:
+        raise RuntimeError("vertices %d and %d span a hull edge but no flip joins them" % (i, j))
     psi = tuple(sum(sp.hull.facets[f][0][k] for f in facets) for k in range(aset.n))
     ta, tb = sp.triangulations[i], sp.triangulations[j]
     cells = lower_hull_cells({s: sp.table[s] for s in ta.simplices + tb.simplices}, [-v for v in psi])
@@ -394,28 +408,14 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
     if tuple(cell for cell in cells if len(cell) == d) != expected_common or not big:
         raise NotAnEdge("not an edge")
 
-    circuits = set()
-    for cell in big:  # d + 1 points of rank d: one relation, its support the circuit
-        if len(cell) != d + 1:
-            raise NotAnEdge("not an edge")
-        sigma = next(s for s in combinations(cell, d) if s in sp.table)
-        apex = next(k for k in cell if k not in sigma)
-        coef = dict(zip((*sigma, apex), sp.table[sigma][1][apex]))
-        idx = tuple(k for k in cell if coef[k])
-        sign = 1 if coef[idx[0]] > 0 else -1  # the primitive relation with its first entry positive
-        circuits.add(Circuit(indices=idx, relation=tuple(sign * coef[k] for k in idx)))
-    if len(circuits) != 1:
-        raise NotAnEdge("not an edge")
-    (circuit,) = circuits
-
+    circuit, seps = sp.flips[i, j]
     cell_seps = tuple(sorted(tuple(sorted(set(cell) - set(circuit.indices))) for cell in big))
-    scan_seps = _separating_sets_by_scan(ta, tb, circuit)
-    if cell_seps != scan_seps:
+    if cell_seps != seps:
         raise RuntimeError(
-            "separating sets from the subdivision and from the triangulation "
-            "scan disagree: %r vs %r" % (cell_seps, scan_seps)
+            "separating sets from the subdivision and from the flip disagree: "
+            "%r vs %r" % (cell_seps, seps)
         )
-    _check_separating_sides(ta, tb, circuit, cell_seps)
+    _check_separating_sides(ta, tb, circuit, seps)
 
     # symmetric canonical endpoint order by characteristic function
     pa, pb = sp.phis[i], sp.phis[j]
@@ -423,7 +423,7 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
     return EdgeData(
         endpoints=endpoints,
         circuit=circuit,
-        separating_sets=cell_seps,
+        separating_sets=seps,
         cells=tuple(sorted(cells)),
         common_simplices=expected_common,
         psi=psi,
@@ -431,33 +431,18 @@ def edge_data(sp: SecondaryPolytope, i: int, j: int) -> EdgeData:
     )
 
 
-def _separating_sets_by_scan(ta: Triangulation, tb: Triangulation, circuit: Circuit):
-    cset = set(circuit.indices)
-    out = set()
-    for tri in (ta, tb):
-        for sigma in tri.simplices:
-            missing = cset - set(sigma)
-            if len(missing) == 1:
-                out.add(tuple(sorted(set(sigma) - cset)))
-    return tuple(sorted(out))
-
-
 def _check_separating_sides(ta, tb, circuit: Circuit, seps):
     """Each endpoint hosts the simplices dropping exactly one sign class."""
-    plus, minus = set(circuit.plus), set(circuit.minus)
     cset = set(circuit.indices)
     sims_a, sims_b = set(ta.simplices), set(tb.simplices)
     for jset in seps:
-        sides = {"plus": set(), "minus": set()}
-        for i in circuit.indices:
+        hosts = {True: set(), False: set()}  # keyed by the dropped point's side
+        for i, l in zip(circuit.indices, circuit.relation):
             sigma = tuple(sorted((cset - {i}) | set(jset)))
-            in_a = sigma in sims_a
-            in_b = sigma in sims_b
-            if not (in_a or in_b):
+            if sigma not in sims_a and sigma not in sims_b:
                 raise RuntimeError("separating set fails to span endpoint simplices")
-            label = "plus" if i in plus else "minus"
-            sides[label].add("a" if in_a else "b")
-        if sides["plus"] & sides["minus"]:
+            hosts[l > 0].add(sigma in sims_a)
+        if hosts[True] & hosts[False]:
             raise RuntimeError("separating set mixes the two circuit sides")
 
 

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from gkzrank.elimination import Budget
 from gkzrank.lattice import kernel_basis
@@ -81,6 +84,19 @@ def four_dimensional_draws():
         except InvalidConfiguration:
             continue
     return out
+
+
+@st.composite
+def height_one_asets(draw):
+    """Height-one configurations with d = 3 or 4; d = 4 reaches q = 3."""
+    d = draw(st.sampled_from([3, 4]))
+    r = 2 if d == 3 else 1
+    box = list(product(range(-r, r + 1), repeat=d - 1))
+    pts = draw(st.lists(st.sampled_from(box), min_size=d + 1, max_size=d + 3, unique=True))
+    try:
+        return validate_aset(d, [p + (1,) for p in pts])
+    except InvalidConfiguration:
+        assume(False)
 
 
 def singular_point_vector(exps, y0):

@@ -11,7 +11,10 @@ it.  `lower_hull_cells_symbolic` is the lower hull under symbolic lifts
 (tuples of infinitesimal coefficients, ints or Fractions), scanned one
 column at a time: the integer placing lifts and every integer lift of the
 package are checked against it, and the references that lift a point set
-by a fraction or across a wall read it."""
+by a fraction or across a wall read it.  `circuit_by_cell_search` and
+`separating_sets_by_scan` read an edge's circuit off its cells and its
+separating sets off its endpoints' simplices; the circuit and separating
+sets that `edge_data` takes from the edge's flip are checked against them."""
 
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from math import lcm
 
 from gkzrank.lattice import kernel_basis
 from gkzrank.polytope import _independent_rows, affine_rank, h_representation
-from gkzrank.secondary import NotAnEdge, normal_cone_sample
+from gkzrank.secondary import Circuit, NotAnEdge, normal_cone_sample
 
 
 def hull_edges_by_lp(sp) -> tuple[tuple[int, int], ...]:
@@ -125,3 +128,35 @@ def lower_hull_triangulation_symbolic(table, lifts) -> tuple[tuple[int, ...], ..
 def placing_lifts_symbolic(n: int):
     """Symbolic lifts realizing the placing order: point i at epsilon^(n-i)."""
     return [tuple(int(k == n - i) for k in range(n + 1)) for i in range(n)]
+
+
+def circuit_by_cell_search(table, cells, d) -> Circuit:
+    """The circuit of an edge from its cells of more than d points: each has
+    d + 1 points of rank d, so one relation, found on a full simplex of the
+    cell and the remaining point; its support is the circuit, its first
+    entry made positive, and every cell must give the same one."""
+    circuits = set()
+    for cell in cells:
+        if len(cell) == d:
+            continue
+        assert len(cell) == d + 1, cell
+        sigma = next(s for s in combinations(cell, d) if s in table)
+        apex = next(k for k in cell if k not in sigma)
+        coef = dict(zip((*sigma, apex), table[sigma][1][apex]))
+        idx = tuple(k for k in cell if coef[k])
+        sign = 1 if coef[idx[0]] > 0 else -1
+        circuits.add(Circuit(indices=idx, relation=tuple(sign * coef[k] for k in idx)))
+    (circuit,) = circuits
+    return circuit
+
+
+def separating_sets_by_scan(ta, tb, circuit) -> tuple[tuple[int, ...], ...]:
+    """The separating sets of an edge: the rest of every simplex of either
+    endpoint that holds all of the circuit but one point."""
+    cset = set(circuit.indices)
+    out = set()
+    for tri in (ta, tb):
+        for sigma in tri.simplices:
+            if len(cset - set(sigma)) == 1:
+                out.add(tuple(sorted(set(sigma) - cset)))
+    return tuple(sorted(out))

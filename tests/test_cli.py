@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gkzrank import discriminant, ktheory
 from gkzrank.cli import main
 from gkzrank.discriminant import face_discriminant
 from gkzrank.ktheory import verify_theorem
@@ -492,3 +493,41 @@ def test_verification_failure_exit_code_mapping():
         cli_mod.verify_theorem = original
     assert code == 1
     assert "status: fail" in out
+
+
+def _assert_verify_and_multiplicities_fail_with(details):
+    # gkzrank verify and gkzrank multiplicities exit 1 and print each
+    # failing edge's detail
+    for command in ("verify", "multiplicities"):
+        code, out, _ = run_cli([command, "f2"])
+        assert code == 1, command
+        assert all("FAIL (%s)" % detail in out for detail in details), command
+
+
+def test_a_failing_rank_identity_is_reported(monkeypatch, f2):
+    # every edge's lhs raised by one: the identity fails on each edge
+    rank_k0_edge = ktheory.rank_k0_edge
+
+    def raised(sp, ed):
+        ranks = rank_k0_edge(sp, ed)
+        return ranks._replace(zf_rank=ranks.zf_rank + 1)
+
+    monkeypatch.setattr(ktheory, "rank_k0_edge", raised)
+    report = verify_theorem(f2)
+    assert report.status == "fail" and len(report.edges) == 4
+    for e in report.edges:
+        assert (e.status, e.zf_rank) == ("fail", e.rhs + 1)
+        assert e.detail == "rank identity fails: lhs %d vs rhs %d" % (e.zf_rank, e.rhs)
+    _assert_verify_and_multiplicities_fail_with([e.detail for e in report.edges])
+
+
+def test_a_leading_form_that_is_no_power_is_reported(monkeypatch, f2):
+    # match_power finding no power: every edge has a face whose leading form
+    # is no monomial, and fails on the first such face
+    monkeypatch.setattr(discriminant, "match_power", lambda form, base: None)
+    report = verify_theorem(f2)
+    assert report.status == "fail" and len(report.edges) == 4
+    for e in report.edges:
+        assert e.status == "fail" and e.rhs is None
+        assert e.detail.startswith("not a power of the circuit discriminant: leading form ")
+    _assert_verify_and_multiplicities_fail_with([e.detail for e in report.edges])

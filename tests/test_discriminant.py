@@ -9,6 +9,7 @@ from itertools import combinations, islice
 from math import gcd, isqrt, prod
 
 import pytest
+from hypothesis import given, settings
 
 from gkzrank import discriminant, elimination
 from gkzrank.discriminant import (
@@ -34,7 +35,7 @@ from gkzrank.polytope import InvalidConfiguration, faces, fold_table, h_represen
 from gkzrank.secondary import NotAnEdge, edge_data, hull_edges, secondary_polytope
 
 from buchberger import _groebner_eliminant
-from conftest import four_dimensional_draws, make_random_aset, singular_point_vector
+from conftest import four_dimensional_draws, height_one_asets, make_random_aset, singular_point_vector
 from degree_formula import multidegree, predicted_degree, predicted_multidegree
 from echelon_reference import ListEchelon
 from fold_reference import circuit_from_points
@@ -790,6 +791,16 @@ def test_face_degrees_follow_from_the_face_lattice(name, request):
     assert [multidegree(aset, row.discriminant) for row in rows] == [
         predicted_multidegree(aset, row.face) for row in rows
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(height_one_asets())
+def test_face_degrees_follow_from_the_face_lattice_on_random_sets(aset):
+    # the hypothesis twin of the loops over the built-ins, the corpus and the
+    # four-dimensional draws: each face's degree and B beta as predicted
+    for row in principal_a_determinant(aset).factors:
+        assert row.discriminant.total_degree() == predicted_degree(aset, row.face)
+        assert multidegree(aset, row.discriminant) == predicted_multidegree(aset, row.face)
 
 
 def test_four_dimensional_faces_take_the_closed_form(monkeypatch):

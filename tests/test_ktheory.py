@@ -1,10 +1,9 @@
 import random
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from gkzrank import ktheory
 from gkzrank.ktheory import (
@@ -19,15 +18,16 @@ from gkzrank.discriminant import newton_polytope_check
 from gkzrank.lattice import kernel_basis, smith_normal_form, span
 from gkzrank.polytope import (
     Face,
-    InvalidConfiguration,
     faces,
     fold_table,
     lower_hull_triangulation,
+    placing_lifts,
     validate_aset,
 )
 from gkzrank.secondary import edge_data, secondary_polytope
 
-from conftest import four_dimensional_draws, make_random_aset
+from conftest import four_dimensional_draws, height_one_asets, make_random_aset
+from degree_formula import predicted_multidegree
 from fold_reference import edge_indices_by_snf, subset_volume
 from projection_reference import project_mod_face, rank_row_by_projection, staircase_by_projection
 
@@ -167,6 +167,38 @@ FANS_D4 = {
         (1, 0, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0), (1, 0, 0, 1), (1, 0, 0, -1),
     ],
 }
+
+
+HEXAGON = [(0, 0), (1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+IDENTITY_CONFIGURATIONS = {
+    "3x3 grid": (3, [(1, x, y) for x in range(3) for y in range(3)]),
+    # the 10-point reflexive triangle conv{(-1, -1), (2, -1), (-1, 2)}
+    "triangle": (3, [(1, x, y) for x in range(-1, 3) for y in range(-1, 3) if x + y <= 1]),
+    # P1 x dP6: the bipyramid over the hexagon
+    "P1xdP6": (4, [(1, x, y, 0) for x, y in HEXAGON] + [(1, 0, 0, 1), (1, 0, 0, -1)]),
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_CONFIGURATIONS)
+def test_the_placing_phi_is_the_weighted_sum_of_predicted_multidegrees(name):
+    # E_A = prod_F Delta_F^((u * i)_F) has phi_T as the exponent that T's
+    # lift picks out, so A phi_T = sum_F (u * i)_F B beta_F with T the
+    # placing triangulation: the rank rows checked where no discriminant is
+    # computed (the triangle's top face and P1 x dP6's are over the default
+    # budget).  Every (u * i)_F of the grid and the triangle is 1; P1 x dP6
+    # has weights 2 and 6 at vertices and 2 on six edges.
+    dim, points = IDENTITY_CONFIGURATIONS[name]
+    aset = validate_aset(dim, points)
+    table = fold_table(aset.points, aset.dim)
+    lhs = [0] * aset.dim
+    for sigma in lower_hull_triangulation(table, placing_lifts(table)):
+        for i in sigma:
+            lhs = [t + abs(table[sigma][0]) * x for t, x in zip(lhs, aset.points[i])]
+    rhs = [0] * aset.dim
+    for f in faces(aset):  # the rank row off the table, B beta off the face lattice
+        weight = rank_k0_face(aset, f, table).k0_rank
+        rhs = [t + weight * x for t, x in zip(rhs, predicted_multidegree(aset, f))]
+    assert lhs == rhs
 
 
 @pytest.mark.parametrize("name, triangulations, edges", [("P3", 2, 1), ("P1xP2", 3, 3), ("P1xP1xP1", 4, 6)])
@@ -334,19 +366,6 @@ def _reference_staircase(aset, face):
     facets = _reference_bounded_facets(proj.images, q)
     u = sum(subset_volume(ws, [ids.index(i) for i in f], q) for f in facets)
     return u, tuple(sorted({i for f in facets for i in f})), tuple(facets)
-
-
-@st.composite
-def height_one_asets(draw):
-    """Height-one configurations with d = 3 or 4; d = 4 reaches q = 3."""
-    d = draw(st.sampled_from([3, 4]))
-    r = 2 if d == 3 else 1
-    box = list(product(range(-r, r + 1), repeat=d - 1))
-    pts = draw(st.lists(st.sampled_from(box), min_size=d + 1, max_size=d + 3, unique=True))
-    try:
-        return validate_aset(d, [p + (1,) for p in pts])
-    except InvalidConfiguration:
-        assume(False)
 
 
 @settings(max_examples=40, deadline=None)

@@ -47,11 +47,13 @@ from fold_reference import (
     ridge_sides_by_det,
 )
 from hull_reference import (
+    circuit_by_cell_search,
     facet_vertex_sets,
     hull_edges_by_lp,
     hull_edges_by_rank,
     hull_vertex_indices,
     lower_hull_cells_symbolic,
+    separating_sets_by_scan,
 )
 from projection_reference import project_mod_face
 from secondary_lp_reference import (
@@ -303,6 +305,49 @@ def test_edge_cells_from_the_endpoints_rows_match_the_full_scan(a3, kp2, f2, gri
             assert ed.cells == lower_hull_cells(sp.table, [-v for v in ed.psi])
             edges += 1
     assert edges == 1417
+
+
+def test_flip_circuits_and_separating_sets_match_the_cells_and_the_scan(a3, kp2, f2, grid_secondary):
+    # every edge of the built-ins, corpus instances 0-99 (seed 271828) and
+    # the 3x3 grid, each pair in both orders: the circuit (relation and its
+    # sign included, as Circuit equality compares both fields) and the
+    # separating sets taken from the edge's flip are those read off its
+    # cells and off its endpoints' simplices
+    rng = random.Random(271828)
+    corpus = [make_random_aset(rng) for _ in range(100)]
+    walks = [secondary_polytope(aset) for aset in (a3, kp2, f2, *corpus)] + [grid_secondary]
+    edges = 0
+    for sp in walks:
+        for i, j in sp.edges:
+            for pair in ((i, j), (j, i)):
+                ed = edge_data(sp, *pair)
+                circuit = circuit_by_cell_search(sp.table, ed.cells, sp.aset.dim)
+                assert ed.circuit == circuit
+                assert ed.separating_sets == separating_sets_by_scan(*ed.endpoints, circuit)
+            edges += 1
+    assert edges == 2275
+
+
+def test_a_flip_record_that_disagrees_with_the_cells_is_an_error(f2_secondary):
+    # edge (0, 2) of f2 has the circuit (0, 2, 4) and the separating sets
+    # (1,) and (3,): a record missing one of those, or no record at all,
+    # raises; a negated relation passes edge_data's own checks, and only the
+    # cell search above sees it
+    sp = f2_secondary
+    circuit, seps = sp.flips[0, 2]
+    assert (circuit, seps) == (((0, 2, 4), (2, -1, -1)), ((1,), (3,)))
+    for record, message in (
+        ((circuit, seps[:1]), "from the subdivision and from the flip disagree"),
+        ((circuit._replace(indices=(0, 2), relation=(2, -1)), seps), "disagree"),
+    ):
+        with pytest.raises(RuntimeError, match=message):
+            edge_data(sp._replace(flips={**sp.flips, (0, 2): record}), 0, 2)
+    negated = circuit._replace(relation=tuple(-x for x in circuit.relation))
+    ed = edge_data(sp._replace(flips={**sp.flips, (0, 2): (negated, seps)}), 2, 0)
+    assert ed.circuit != circuit_by_cell_search(sp.table, ed.cells, sp.aset.dim) == circuit
+    for i, j in sp.edges:
+        with pytest.raises(RuntimeError, match="no flip joins them"):
+            edge_data(sp._replace(flips={}), j, i)
 
 
 # sha256 of the canonical JSON of the grid's secondary polytope and of the
@@ -631,7 +676,7 @@ def test_bistellar_flip_matches_the_lifted_lower_hull(a3, kp2, f2):
         for tri in sp.triangulations:
             folds = _secondary_cone(aset, sp.table, tri.simplices)[0]
             for k, w in wall_points(aset, sp.table, tri.simplices).items():
-                assert _flip(tri.simplices, folds[k]) == flip_by_lift(sp.table, w, folds[k])
+                assert _flip(tri.simplices, folds[k])[0] == flip_by_lift(sp.table, w, folds[k])
                 walls += 1
     assert walls == 3644
 
