@@ -13,9 +13,10 @@ faces in faces order, so the top face comes last and reads its multidegree
 off the factors already held; a higher face asked for on its own is the top
 face of its own configuration.  The discriminant is the kernel of the matrix
 that evaluates the monomials of that multidegree at points of the dual
-variety, eliminated modulo primes below 2^21 in rows packed into 64-bit
-slots, lifted by CRT and certified exactly.  Both oracles read the face in
-the lattice its points generate, so either eliminant is the irreducible
+variety, each point's row evaluated once, exactly, and kept in bytes; it is
+eliminated modulo primes below 2^21 in rows packed into 64-bit slots, lifted
+by CRT and certified exactly on the same rows.  Both oracles read the face
+in the lattice its points generate, so either eliminant is the irreducible
 discriminant up to its content and sign, which primitive_part removes.  Both
 oracles poll one budget clock and share its exponent limit.  The principal
 A-determinant is the product of the loop's face discriminants raised to
@@ -39,7 +40,7 @@ from .elimination import (
 )
 from .ktheory import FaceInvariants, rank_k0_face
 from .lattice import Span, kernel_basis, span
-from .polynomial import IntPolynomial, _value, match_power
+from .polynomial import IntPolynomial, match_power
 from .polytope import (
     ASet,
     Face,
@@ -287,7 +288,9 @@ def _interpolation_eliminant(conf: ASet, table, rows, clock: _Clock) -> IntPolyn
     (_Echelon); the rank over QQ is at least the rank mod p, so the kernel
     over QQ is the line through Delta_B.  The kernel vector is lifted by CRT
     over further primes with rational reconstruction (Wang 1981) until it
-    vanishes exactly at every sample.
+    vanishes exactly at every sample.  Each sample's row is evaluated once,
+    exactly, and kept packed for the first prime, the pivots' rows mod every
+    further prime and the exact check, a dot product with the lifted vector.
     """
     clock.check("interpolation")  # a row over budget means the deadline has passed
     cands = _fiber(table, _target(conf.n, table, rows), clock)
@@ -304,19 +307,19 @@ def _interpolation_eliminant(conf: ASet, table, rows, clock: _Clock) -> IntPolyn
     # sample until the nullity mod p is one, then check a few more samples
     # against it
     echelon = _Echelon(p, ncols)
-    points = []
+    exact = []  # every sample's row, exactly, packed
     pivots = []
     spare = 0
     while spare < _SPARE_SAMPLES:
-        if len(points) > 2 * ncols + 16:
+        if len(exact) > 2 * ncols + 16:
             raise OracleError("evaluation matrix keeps a kernel of dimension above one")
-        u = next(samples)
-        points.append(u)
         clock.check("interpolation")
-        if echelon.add(_evaluation_row(u, cands, p)):
+        row = _exact_row(next(samples), cands)
+        exact.append(_pack(row))
+        if echelon.add([x % p for x in row]):
             if len(pivots) == ncols - 1:
                 raise OracleError("no candidate polynomial vanishes on the dual variety")
-            pivots.append(u)
+            pivots.append(exact[-1])
         elif len(pivots) == ncols - 1:
             spare += 1
     free = echelon.free_column()
@@ -330,13 +333,13 @@ def _interpolation_eliminant(conf: ASet, table, rows, clock: _Clock) -> IntPolyn
             # primes the attempts would cost more than the lift
             attempt += 1 + lifted // 8
             v = _reconstruct(residues, modulus)
-            if v is not None and not any(_value(u, cands, v) for u in points):
+            if v is not None and not any(sum(map(mul, _unpack(row), v)) for row in exact):
                 return IntPolynomial(conf.n, dict(zip(cands, v)))
         q = next(primes)
         echelon = _Echelon(q, ncols)
-        for u in pivots:
+        for row in pivots:
             clock.check("interpolation")
-            echelon.add(_evaluation_row(u, cands, q))
+            echelon.add([x % q for x in _unpack(row)])
         if len(echelon.rows) != ncols - 1 or echelon.free_column() != free:
             continue  # q divides a pivot minor
         w = echelon.kernel_vector(free)
@@ -416,11 +419,23 @@ def _kernel_samples(kernel):
         yield tuple(sum(c * v[j] for c, v in zip(lam, kernel)) for j in range(len(kernel[0])))
 
 
-def _evaluation_row(u, cands, p: int) -> list[int]:
-    """[u^beta mod p for beta in cands], read from one table of powers mod p
+def _exact_row(u, cands) -> list[int]:
+    """[u^beta for beta in cands], exactly, read from one table of powers
     per coordinate of u, over the exponents the candidates give it."""
-    tables = [{b: pow(x, b, p) for b in set(col)} for x, col in zip(u, zip(*cands))]
-    return [prod(map(getitem, tables, beta)) % p for beta in cands]
+    tables = [{b: x**b for b in set(col)} for x, col in zip(u, zip(*cands))]
+    return [prod(map(getitem, tables, beta)) for beta in cands]
+
+
+def _pack(row) -> tuple[int, bytes]:
+    """row as signed little-endian bytes, bit_length // 8 + 1 bytes per entry
+    for the longest (room for its sign): far less memory than a list of ints."""
+    width = max(map(int.bit_length, row)) // 8 + 1
+    return width, b"".join([x.to_bytes(width, "little", signed=True) for x in row])
+
+
+def _unpack(packed: tuple[int, bytes]) -> list[int]:
+    width, data = packed
+    return [int.from_bytes(data[i : i + width], "little", signed=True) for i in range(0, len(data), width)]
 
 
 # primes lie below this bound, so a slot entry and a reduction factor are

@@ -370,12 +370,13 @@ def test_golden_text_outputs(run):
     assert out == expected
 
 
-def assert_golden_document(tmp_path, doc, command="edet"):
-    path = tmp_path / ("%s.json" % doc["name"])
+def assert_golden_document(tmp_path, doc, command="edet", stem=None):
+    stem = stem or doc["name"]
+    path = tmp_path / ("%s.json" % stem)
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli([command, str(path), "--json"])
     assert code == 0
-    assert out == (GOLDEN / ("%s_%s.json" % (doc["name"], command))).read_text()
+    assert out == (GOLDEN / ("%s_%s.json" % (stem, command))).read_text()
 
 
 def test_golden_line6_edet(tmp_path):
@@ -393,6 +394,13 @@ def test_golden_line7_edet(tmp_path):
     # a line of degree 9 with gaps: the largest resultant of the golden files
     points = [[1, e] for e in (0, 1, 2, 4, 6, 7, 9)]
     assert_golden_document(tmp_path, {"dim": 2, "points": points, "name": "line7"})
+
+
+def test_golden_corpus10_edet(tmp_path):
+    # acceptance-corpus instance 10, unnamed: its top face is interpolated
+    # with a lift over two primes
+    points = [[-1, 1, 1], [0, -1, 1], [1, 0, 1], [1, 1, 1], [2, -1, 1], [2, 0, 1]]
+    assert_golden_document(tmp_path, {"dim": 3, "points": points}, stem="corpus10")
 
 
 def test_golden_p1p1p1_verify(tmp_path):

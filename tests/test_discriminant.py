@@ -16,11 +16,13 @@ from gkzrank.discriminant import (
     _PRIME_BOUND,
     MultiplicityError,
     _Echelon,
-    _evaluation_row,
+    _exact_row,
     _factors,
     _interpolation_eliminant,
+    _pack,
     _primes,
     _resultant_eliminant,
+    _unpack,
     circuit_discriminant,
     face_discriminant,
     face_local_exponents,
@@ -460,7 +462,7 @@ def test_interpolation_clock_read_at_every_row(monkeypatch):
     aset = validate_aset(3, [(1, i, j) for i in range(3) for j in range(3)])
     passed = []
     rows = []
-    fiber, evaluation_row = discriminant._fiber, discriminant._evaluation_row
+    fiber, exact_row = discriminant._fiber, discriminant._exact_row
 
     def fiber_then_deadline(*args):
         out = fiber(*args)
@@ -469,16 +471,79 @@ def test_interpolation_clock_read_at_every_row(monkeypatch):
 
     def counted_row(*args):
         rows.append(1)
-        return evaluation_row(*args)
+        return exact_row(*args)
 
     monkeypatch.setattr(discriminant, "_fiber", fiber_then_deadline)
-    monkeypatch.setattr(discriminant, "_evaluation_row", counted_row)
+    monkeypatch.setattr(discriminant, "_exact_row", counted_row)
     fake_time = types.SimpleNamespace(monotonic=lambda: 1e9 if passed else 0.0)
     monkeypatch.setattr(elimination, "time", fake_time)
     with pytest.raises(BudgetExceeded, match="during interpolation"):
         face_discriminant(aset, faces(aset)[-1], Budget(seconds=60))
     assert passed == [1166]
     assert len(rows) <= 1
+
+
+def corpus10_top_face():
+    (aset,) = corpus_instances([10])
+    assert aset.points == ((-1, 1, 1), (0, -1, 1), (1, 0, 1), (1, 1, 1), (2, -1, 1), (2, 0, 1))
+    return aset, faces(aset)[-1]
+
+
+def test_interpolation_evaluates_each_sample_once(monkeypatch):
+    # corpus instance 10's top face: 60 candidates, so 59 pivots and two
+    # spare samples, and a lift over two primes; each sample's row is
+    # evaluated once, for both primes and the exact check
+    aset, top = corpus10_top_face()
+    calls = {"_exact_row": 0, "_reconstruct": 0}
+    for name in calls:
+        step = getattr(discriminant, name)
+
+        def counted(*args, name=name, step=step):
+            calls[name] += 1
+            return step(*args)
+
+        monkeypatch.setattr(discriminant, name, counted)
+    delta = face_discriminant(aset, top)
+    assert calls == {"_exact_row": 61, "_reconstruct": 2}
+    assert len(delta.terms) == 51
+    digest = hashlib.sha256(repr(sorted(delta.terms.items())).encode()).hexdigest()
+    assert digest == "3ca2ce9ad1a56766adc14e9e7b690bdca56161d661ddacc84095673d0d303c00"
+
+
+def test_interpolation_checks_the_reconstruction_exactly(monkeypatch):
+    # a reconstruction off by one in one entry vanishes at no sample, so no
+    # lift is accepted and the budget stops the oracle
+    aset, top = corpus10_top_face()
+    reconstruct = discriminant._reconstruct
+
+    def off_by_one(*args):
+        v = reconstruct(*args)
+        return None if v is None else [v[0] + 1, *v[1:]]
+
+    monkeypatch.setattr(discriminant, "_reconstruct", off_by_one)
+    with pytest.raises(BudgetExceeded, match="during interpolation"):
+        face_discriminant(aset, top, Budget(seconds=1))
+
+
+def test_interpolation_checks_the_spare_samples_exactly(monkeypatch):
+    # after the 59 pivots of corpus instance 10's top face, every sample row
+    # is replaced by the first pivot's row plus p in every entry: the same
+    # row mod p, so a spare, on which the discriminant (its coefficients
+    # sum to Delta(1, ..., 1) != 0) does not vanish exactly; a check of
+    # the pivots alone would accept it
+    aset, top = corpus10_top_face()
+    assert face_discriminant(aset, top).evaluate([1] * aset.n) != 0
+    p = next(_primes())
+    rows = []
+
+    def spare_off_the_variety(u, cands):
+        rows.append(_exact_row(u, cands))
+        return rows[-1] if len(rows) < len(cands) else [x + p for x in rows[0]]
+
+    monkeypatch.setattr(discriminant, "_exact_row", spare_off_the_variety)
+    with pytest.raises(BudgetExceeded, match="during interpolation"):
+        face_discriminant(aset, top, Budget(seconds=1))
+    assert len(rows) == 61
 
 
 # f2 with a fourth point on its edge (1, 2, 3), which is then a cubic:
@@ -890,16 +955,27 @@ def test_packed_echelon_matches_list_reference(p):
             assert packed.kernel_vector(free) == listed.kernel_vector(free)
 
 
-@pytest.mark.parametrize("p", [7, next(_primes())])
-def test_evaluation_row_reads_power_tables(p):
-    rng = random.Random(p + 1)
+def test_exact_row_reads_power_tables():
+    rng = random.Random(8)
     for nvars in (1, 3, 6):
         cands = [tuple(rng.randrange(12) for _ in range(nvars)) for _ in range(40)]
         for _ in range(5):
             u = tuple(rng.choice([0, rng.randint(-200, 200)]) for _ in range(nvars))
-            assert _evaluation_row(u, cands, p) == [
-                prod(pow(x, b, p) for x, b in zip(u, beta)) % p for beta in cands
-            ]
+            assert _exact_row(u, cands) == [prod(x**b for x, b in zip(u, beta)) for beta in cands]
+
+
+def test_packed_rows_round_trip():
+    rng = random.Random(9)
+    edges = [0, 1, -1]
+    for k in range(1, 12):
+        edges += [(1 << 8 * k - 1) - 1, 1 - (1 << 8 * k - 1), -(1 << 8 * k - 1)]
+    rows = [[0] * 7, edges, [rng.randint(-(1 << 300), 1 << 300) for _ in range(50)]]
+    rows += [[x] for x in edges]
+    for row in rows:
+        width, data = _pack(row)
+        assert len(data) == width * len(row)
+        assert width == max(x.bit_length() for x in row) // 8 + 1
+        assert _unpack((width, data)) == row
 
 
 def test_primes_descend_through_the_primes_below_the_bound():
