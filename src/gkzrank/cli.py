@@ -206,28 +206,18 @@ def cmd_edet(args) -> int:
 def cmd_multiplicities(args) -> int:
     aset, name = _load_aset(args.input)
     result = verify_theorem(aset, Budget(seconds=args.budget))
-    rows = [
-        {
-            "vertex_pair": list(e.vertex_pair),
-            "circuit": list(e.circuit_indices),
-            "status": e.status,
-            "multiplicities": [{"face": list(f), "n": n} for f, n in e.multiplicities],
-        }
-        for e in result.edges
-    ]
     lines = ["multiplicities of %s (per edge, per face)" % (name or args.input)]
-    lines += [
-        "  edge %s circuit %s: %s"
-        % (
-            row["vertex_pair"],
-            row["circuit"],
-            "skipped (%s)" % e.detail
-            if e.status == "skipped"
-            else [[m["face"], m["n"]] for m in row["multiplicities"]],
-        )
-        + (" FAIL (%s)" % e.detail if e.status == "fail" else "")
-        for e, row in zip(result.edges, rows)
-    ]
+    rows = []
+    for e in result.edges:
+        pair, circuit = list(e.vertex_pair), list(e.circuit_indices)
+        mults = [[list(f), n] for f, n in e.multiplicities]
+        row = {"vertex_pair": pair, "circuit": circuit, "status": e.status}
+        if e.status != "ok":  # the reason the text layout prints
+            row["detail"] = e.detail
+        rows.append({**row, "multiplicities": [{"face": f, "n": n} for f, n in mults]})
+        shown = "skipped (%s)" % e.detail if e.status == "skipped" else mults
+        fail = " FAIL (%s)" % e.detail if e.status == "fail" else ""
+        lines.append("  edge %s circuit %s: %s%s" % (pair, circuit, shown, fail))
     _emit(args, lines, {"name": name, "edges": rows})
     return _STATUS_EXIT[result.status]
 

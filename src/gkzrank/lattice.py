@@ -1,7 +1,7 @@
 """Exact integer linear algebra over ZZ^d.
 
 Smith normal forms, built with only the transforms the caller reads;
-adjugates; integer kernels; and the lattice a point set generates (span):
+integer kernels; and the lattice a point set generates (span):
 its rank, its invariant factors, coordinates in the saturation and the
 projection onto the saturated quotient, all from one Smith normal form.
 All arithmetic is arbitrary-precision integer; there is no floating point
@@ -36,32 +36,6 @@ def identity_matrix(k: int) -> list[list[int]]:
 
 def mat_vec(a, v) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def adjugate(rows) -> tuple[int, IntMatrix | None]:
-    """(det M, adj M) of a square integer matrix M, so that
-    M adj = adj M = det I, by one fraction-free Gauss-Jordan pass on [M | I]
-    (Bareiss 1968); (0, None) when M is singular."""
-    n = len(rows)
-    a = [list(map(int, r)) + [int(i == k) for k in range(n)] for i, r in enumerate(rows)]
-    if any(len(r) != 2 * n for r in a):
-        raise LatticeError("adjugate of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0, None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        ak = a[k]
-        for i, ai in enumerate(a):
-            if i != k:  # every entry is a minor of [M | I], so each division is exact
-                f = ai[k]
-                a[i] = [(ak[k] * x - f * y) // prev for x, y in zip(ai, ak)]
-        prev = ak[k]
-    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in a)
 
 
 class SmithDecomposition(NamedTuple):

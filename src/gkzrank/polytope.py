@@ -23,7 +23,7 @@ from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
-from .lattice import adjugate, kernel_basis, smith_normal_form
+from .lattice import LatticeError, kernel_basis, smith_normal_form
 
 IntVector = tuple[int, ...]
 
@@ -183,20 +183,39 @@ def extreme_rays(rows) -> list[tuple[IntVector, int]]:
     on as one bitmask (bit t for row t), by integer double description
     (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).
 
-    The rows are added one at a time to the simplicial cone of an independent
-    subset.  A new ray combines a ray on each side of the added row whose
-    common tight rows lie in no third ray's (the combinatorial adjacency
-    test); every step is integer and primitive."""
+    The start is the simplicial cone of the basis, each row independent of
+    the rows before it, found by one incremental fraction-free Gauss-Jordan
+    pass (Bareiss 1968).  A row times the common pivot, less the stored rows
+    times its entries at their pivots, is a row of minors, zero when the row
+    is dependent; a kept row clears its pivot from the stored ones, by exact
+    division.  Each stored row carries the combination of basis rows that
+    reduces it to its pivot, so the combinations are the pivot times the
+    basis inverse: column k, signed and made primitive, is the ray tight on
+    every basis row but the k-th.  The other rows are added one at a time.
+    A new ray combines a ray on each side of the added row whose common
+    tight rows lie in no third ray's (the combinatorial adjacency test);
+    every step is integer and primitive."""
     m = len(rows[0])
-    basis = _independent_rows(rows)
-    # the basis rows times their adjugate is det I: column k, signed by
-    # det, is the ray tight on every basis row but the k-th
-    det, adj = adjugate([rows[s] for s in basis])
+    basis, stored, det = [], [], 1  # stored: (pivot column, row | combination)
+    for t, row in enumerate(rows):
+        if len(basis) == m:
+            break
+        x = [det * v for v in row] + [det if k == len(basis) else 0 for k in range(m)]
+        for k, s in stored:
+            if f := row[k]:
+                x = [a - f * b for a, b in zip(x, s)]
+        if (c := next((k for k in range(m) if x[k]), None)) is not None:
+            stored = [(k, [(x[c] * a - s[c] * b) // det for a, b in zip(s, x)]) for k, s in stored]
+            stored.append((c, x))
+            det = x[c]
+            basis.append(t)
+    if len(basis) < m:
+        raise LatticeError("extreme rays of rows without full rank")
+    inverse = [x[m:] if det > 0 else [-v for v in x[m:]] for _, x in sorted(stored)]
     rays = []
     for k, s in enumerate(basis):
-        h = [x[k] if det > 0 else -x[k] for x in adj]
-        g = gcd(*h)
-        rays.append((tuple(x // g for x in h), sum(1 << s for s in basis) ^ 1 << s))
+        g = gcd(*(x[k] for x in inverse))
+        rays.append((tuple(x[k] // g for x in inverse), sum(1 << s for s in basis) ^ 1 << s))
     for t in (t for t in range(len(rows)) if t not in basis):
         vals = [_dot(rows[t], h) for h, _ in rays]
         new = [(h, tight | 1 << t if v == 0 else tight) for (h, tight), v in zip(rays, vals) if v >= 0]

@@ -10,8 +10,10 @@ maximal set of rays.  The point certifies T with no appeal to that theorem:
 each row of T positive on it makes each simplex a lower cell, and volumes
 adding up to vol(Q), read off the seed, leave room for no other.  The
 neighbor across a facet is the bistellar flip on the circuit of its wall,
-whose link sets are the edge's separating sets.  is_regular reads the same
-cone and certificate for a triangulation given from outside;
+whose link sets are the edge's separating sets.  Each edge's flip is found
+from the endpoint reached first; the other endpoint's cone has the negated
+wall as a facet, which it does not flip across again.  is_regular reads
+the same cone and certificate for a triangulation given from outside;
 check_triangulation reads ridge sides off the fold table.
 Folds, volumes and ridge sides come from one fold table per configuration
 (polytope.fold_table), which the secondary polytope keeps for its edges.
@@ -292,46 +294,51 @@ def _certify_lifting(table: FoldTable, sims, lifting, volume: int) -> None:
         raise RuntimeError("the secondary cone's interior point fails to induce the triangulation")
 
 
-def _flip_node(aset: ASet, table: FoldTable, sims, volume: int):
-    """The triangulation sims, certified by the lifting inside its cone and
-    vol(Q), and its flips, one across each facet."""
-    folds, lifting, facets = _secondary_cone(aset, table, sims)
-    _certify_lifting(table, sims, lifting, volume)
-    return Triangulation(simplices=sims, lifting=lifting), [_flip(sims, folds[k]) for k in facets]
-
-
 def placing_triangulation(aset: ASet) -> Triangulation:
     """The placing triangulation (points in input order), certified by its cone."""
     table = fold_table(aset.points, aset.dim)
     sims = lower_hull_triangulation(table, placing_lifts(table))
-    return _flip_node(aset, table, sims, sum(abs(table[s][0]) for s in sims))[0]
+    lifting = _secondary_cone(aset, table, sims)[1]
+    _certify_lifting(table, sims, lifting, sum(abs(table[s][0]) for s in sims))
+    return Triangulation(simplices=sims, lifting=lifting)
 
 
 def secondary_polytope(aset: ASet) -> SecondaryPolytope:
-    """The secondary polytope: vertices, flip edges and dimension."""
+    """The secondary polytope: vertices, flip edges and dimension.  Each
+    triangulation is certified by its cone's lifting and vol(Q), and flipped
+    across each facet of its cone but the walls it was reached across."""
     table = fold_table(aset.points, aset.dim)
     seed = lower_hull_triangulation(table, placing_lifts(table))
     volume = sum(abs(table[s][0]) for s in seed)  # vol(Q), as placing_volume reads it
-    by_key = {seed: None}
-    queue = [seed]
-    found = {}
-    while queue:
-        key = queue.pop(0)
-        by_key[key], neighbors = _flip_node(aset, table, key, volume)
-        for sims, circuit, seps in neighbors:
-            if sims not in by_key:
-                by_key[sims] = None
+    seen, queue, tris, found = {seed}, [seed], [], {}
+    crossed = set()  # (T', -c) for each flip T -> T' across c, until T' is processed
+    phi = {}  # the characteristic function of each triangulation
+    for key in queue:
+        folds, lifting, facets = _secondary_cone(aset, table, key)
+        _certify_lifting(table, key, lifting, volume)
+        tris.append(Triangulation(simplices=key, lifting=lifting))
+        phi[key] = v = [0] * aset.n
+        for s in key:
+            for i in s:
+                v[i] += abs(table[s][0])
+        for k in facets:
+            if (key, folds[k]) in crossed:
+                crossed.discard((key, folds[k]))
+                continue
+            sims, circuit, seps = _flip(key, folds[k])
+            if sims not in seen:
+                seen.add(sims)
                 queue.append(sims)
+            crossed.add((sims, tuple(-x for x in folds[k])))
             found[tuple(sorted((key, sims)))] = circuit, seps
+    if crossed:
+        raise RuntimeError("a flip's wall is not a facet of its neighbor's cone")
 
-    phi = {  # the characteristic function of each triangulation
-        k: tuple(sum(abs(table[s][0]) for s in k if i in s) for i in range(aset.n)) for k in by_key
-    }
-    tris = sorted(by_key.values(), key=lambda t: phi[t.simplices])
+    tris.sort(key=lambda t: phi[t.simplices])
     index = {t.simplices: i for i, t in enumerate(tris)}
     flips = {tuple(sorted((index[a], index[b]))): rec for (a, b), rec in found.items()}
     edges = tuple(sorted(flips))
-    phis = tuple(phi[t.simplices] for t in tris)
+    phis = tuple(tuple(phi[t.simplices]) for t in tris)
     expected = aset.n - aset.dim
     hull = h_representation(phis)
     got = aset.n - len(hull.equations)

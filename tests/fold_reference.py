@@ -8,19 +8,21 @@ table; every fold functional of a triangulation, from Fraction barycentric
 coordinates, for the cone that all its folds cut out; the facets of a
 secondary cone by the rank of the extreme rays tight on each fold; an edge's lattice indices, each by the Smith normal form of
 its point set rather than from the table's volumes; and the integer linear
-algebra they and the lattice tests rest on: det_int (Bareiss), mat_mul, the
-product that rebuilds a Smith normal form, and integer_solve, with the
-A-set validation by two Smith normal forms built on it."""
+algebra they and the lattice tests rest on: det_int (Bareiss), adjugate
+(one fraction-free Gauss-Jordan pass on [M | I], the start of the
+reference double description `hull_reference.extreme_rays_by_adjugate`),
+mat_mul, the product that rebuilds a Smith normal form, and integer_solve,
+with the A-set validation by two Smith normal forms built on it."""
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 
 from gkzrank.lattice import (
+    IntMatrix,
     IntVector,
     LatticeError,
     _check_matrix,
-    adjugate,
     kernel_basis,
     mat_vec,
     smith_normal_form,
@@ -64,6 +66,32 @@ def det_int(rows) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def adjugate(rows) -> tuple[int, IntMatrix | None]:
+    """(det M, adj M) of a square integer matrix M, so that
+    M adj = adj M = det I, by one fraction-free Gauss-Jordan pass on [M | I]
+    (Bareiss 1968); (0, None) when M is singular."""
+    n = len(rows)
+    a = [list(map(int, r)) + [int(i == k) for k in range(n)] for i, r in enumerate(rows)]
+    if any(len(r) != 2 * n for r in a):
+        raise LatticeError("adjugate of a non-square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        ak = a[k]
+        for i, ai in enumerate(a):
+            if i != k:  # every entry is a minor of [M | I], so each division is exact
+                f = ai[k]
+                a[i] = [(ak[k] * x - f * y) // prev for x, y in zip(ai, ak)]
+        prev = ak[k]
+    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in a)
 
 
 def reconstruct(dec, matrix) -> list[list[int]]:

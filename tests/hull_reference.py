@@ -14,16 +14,21 @@ package are checked against it, and the references that lift a point set
 by a fraction or across a wall read it.  `circuit_by_cell_search` and
 `separating_sets_by_scan` read an edge's circuit off its cells and its
 separating sets off its endpoints' simplices; the circuit and separating
-sets that `edge_data` takes from the edge's flip are checked against them."""
+sets that `edge_data` takes from the edge's flip are checked against them.
+`extreme_rays_by_adjugate` is the double description started from the
+independent rows and their adjugate, two eliminations of the same rows;
+the one-pass start of `extreme_rays` is checked against it."""
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import lcm
+from itertools import combinations, product
+from math import gcd, lcm
 
 from gkzrank.lattice import kernel_basis
 from gkzrank.polytope import _independent_rows, affine_rank, h_representation
 from gkzrank.secondary import Circuit, NotAnEdge, normal_cone_sample
+
+from fold_reference import adjugate
 
 
 def hull_edges_by_lp(sp) -> tuple[tuple[int, int], ...]:
@@ -160,3 +165,32 @@ def separating_sets_by_scan(ta, tb, circuit) -> tuple[tuple[int, ...], ...]:
             if len(cset - set(sigma)) == 1:
                 out.add(tuple(sorted(set(sigma) - cset)))
     return tuple(sorted(out))
+
+
+def extreme_rays_by_adjugate(rows):
+    """extreme_rays with its start from two eliminations: the rows
+    independent of the rows before them, then the adjugate of those rows,
+    whose column k, signed by the determinant, is the ray tight on every
+    basis row but the k-th."""
+    m = len(rows[0])
+    basis = _independent_rows(rows)
+    det, adj = adjugate([rows[s] for s in basis])
+    rays = []
+    for k, s in enumerate(basis):
+        h = [x[k] if det > 0 else -x[k] for x in adj]
+        g = gcd(*h)
+        rays.append((tuple(x // g for x in h), sum(1 << s for s in basis) ^ 1 << s))
+    for t in (t for t in range(len(rows)) if t not in basis):
+        vals = [_dot(rows[t], h) for h, _ in rays]
+        new = [(h, tight | 1 << t if v == 0 else tight) for (h, tight), v in zip(rays, vals) if v >= 0]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        for p, q in product(pos, [k for k, v in enumerate(vals) if v < 0]):
+            common = rays[p][1] & rays[q][1]
+            if common.bit_count() >= m - 2 and not any(
+                common & tight == common for k, (_, tight) in enumerate(rays) if k not in (p, q)
+            ):
+                h = [vals[p] * y - vals[q] * x for x, y in zip(rays[p][0], rays[q][0])]
+                g = gcd(*h)
+                new.append((tuple(x // g for x in h), common | 1 << t))
+        rays = new
+    return rays

@@ -252,6 +252,8 @@ def test_multiplicities_budget_skips_every_edge():
     rows = json.loads(out)["edges"]
     assert len(rows) == 12
     assert all(row["status"] == "skipped" and row["multiplicities"] == [] for row in rows)
+    # the JSON gives the reason the text prints
+    assert {row["detail"] for row in rows} == {"face discriminants over budget: (0, 1, 2, 3, 4)"}
 
 
 @pytest.mark.parametrize(
@@ -505,11 +507,14 @@ def test_verification_failure_exit_code_mapping():
 
 def _assert_verify_and_multiplicities_fail_with(details):
     # gkzrank verify and gkzrank multiplicities exit 1 and print each
-    # failing edge's detail
+    # failing edge's detail; multiplicities --json gives it on each edge
     for command in ("verify", "multiplicities"):
         code, out, _ = run_cli([command, "f2"])
         assert code == 1, command
         assert all("FAIL (%s)" % detail in out for detail in details), command
+    code, out, _ = run_cli(["multiplicities", "f2", "--json"])
+    rows = json.loads(out)["edges"]
+    assert code == 1 and [(row["status"], row["detail"]) for row in rows] == [("fail", d) for d in details]
 
 
 def test_a_failing_rank_identity_is_reported(monkeypatch, f2):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkzrank.lattice import LatticeError, adjugate, kernel_basis, smith_normal_form, span
+from gkzrank.lattice import LatticeError, kernel_basis, smith_normal_form, span
 
-from fold_reference import det_int, integer_solve, mat_mul, primitive_relation, reconstruct
+from fold_reference import adjugate, det_int, integer_solve, mat_mul, primitive_relation, reconstruct
 
 
 def diag_matrix(diag, m, n):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkzrank.lattice import smith_normal_form
+from gkzrank import polytope, secondary
+from gkzrank.lattice import LatticeError, smith_normal_form
 from gkzrank.polytope import (
     InvalidConfiguration,
     affine_rank,
@@ -36,6 +37,7 @@ from fold_reference import (
     validate_by_two_snfs,
 )
 from hull_reference import (
+    extreme_rays_by_adjugate,
     facet_vertex_sets,
     hull_vertex_indices,
     lower_hull_cells_symbolic,
@@ -478,3 +480,60 @@ def test_rank_by_elimination_examples():
     assert _independent_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == [0, 2]
     assert _independent_rows([[6, 4], [9, 6]]) == [0]
     assert _independent_rows([[0, 0], [0, 3], [1, 1], [2, 5]]) == [1, 2]
+
+
+def test_extreme_rays_match_the_adjugate_route(monkeypatch, a3, kp2, f2, grid):
+    # every row set of the secondary cones, the hulls of the phis and the
+    # hulls inside faces, on the built-ins, the acceptance corpus and the
+    # 3 x 3 grid: the same rays in the same order with the same masks
+    rng = random.Random(271828)
+    asets = [a3, kp2, f2, *(make_random_aset(rng) for _ in range(100)), grid]
+    seen = []
+
+    def recorded(rows):
+        seen.append([list(r) for r in rows])
+        return extreme_rays(rows)
+
+    monkeypatch.setattr(polytope, "extreme_rays", recorded)
+    monkeypatch.setattr(secondary, "extreme_rays", recorded)
+    for aset in asets:
+        secondary.secondary_polytope(aset)
+        faces(aset)
+    monkeypatch.undo()
+    assert len(seen) == 1313
+    for rows in seen:
+        assert extreme_rays(rows) == extreme_rays_by_adjugate(rows)
+
+
+@st.composite
+def full_rank_rows_with_dependent_ones(draw):
+    """Integer rows of full column rank, 1 to 6 columns: the basis rows in
+    order, with rows dependent on the rows before them (zero rows and
+    integer combinations) mixed in before, between and after them."""
+    cols = draw(st.integers(1, 6))
+    row = st.lists(_small_ints, min_size=cols, max_size=cols)
+    basis = draw(st.lists(row, min_size=cols, max_size=cols))
+    assume(smith_normal_form(basis).rank == cols)
+    rows = []
+    for b in basis + [None]:
+        for _ in range(draw(st.integers(0, 2))):
+            coefs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[k] for c, r in zip(coefs, rows)) for k in range(cols)])
+        if b is not None:
+            rows.append(b)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_rank_rows_with_dependent_ones())
+def test_extreme_rays_match_the_adjugate_route_with_dependent_rows(rows):
+    assert extreme_rays(rows) == extreme_rays_by_adjugate(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0]], [[0], [0]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 0]],
+])
+def test_extreme_rays_of_rows_without_full_rank_raise(rows):
+    with pytest.raises(LatticeError, match="without full rank"):
+        extreme_rays(rows)
+

@@ -681,6 +681,38 @@ def test_bistellar_flip_matches_the_lifted_lower_hull(a3, kp2, f2):
     assert walls == 3644
 
 
+def test_each_edge_is_flipped_once_from_its_first_endpoint(monkeypatch, a3, kp2, f2, grid):
+    # the walk flips once per edge; from the other endpoint, the negated
+    # wall is a facet of its cone and flips back to the first endpoint with
+    # the same Circuit and separating sets, the edge's record
+    flip = secondary._flip
+    edges = 0
+    for aset in _walk_configurations(a3, kp2, f2) + [grid]:
+        calls = []
+
+        def counted(sims, fold):
+            calls.append((sims, fold, flip(sims, fold)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(secondary, "_flip", counted)
+        sp = secondary_polytope(aset)
+        monkeypatch.setattr(secondary, "_flip", flip)
+        assert len(calls) == len(sp.edges)
+        index = {t.simplices: k for k, t in enumerate(sp.triangulations)}
+        pairs = set()
+        for first, fold, (later, circuit, seps) in calls:
+            pair = tuple(sorted((index[first], index[later])))
+            assert sp.flips[pair] == (circuit, seps)
+            back = tuple(-x for x in fold)
+            folds, _, facets = _secondary_cone(aset, sp.table, later)
+            assert back in [folds[k] for k in facets]
+            assert _flip(later, back) == (first, circuit, seps)
+            pairs.add(pair)
+        assert sorted(pairs) == list(sp.edges)
+        edges += len(pairs)
+    assert edges == 3012
+
+
 def _walk_cones(a3, kp2, f2, grid_secondary):
     """(aset, simplices, walls, facets) for every secondary cone of the walk
     configurations and of the 3 x 3 grid."""
