@@ -16,6 +16,11 @@ face (`-` when a proper face ran over budget), the seconds the loop took,
 The second table has one line per exponent pattern of LINES, the points
 (1, e) of a line: the median seconds of 3 `face_discriminant` calls on its
 top face, each on the default Budget, and the discriminant's term count.
+
+The third table has one line each for the 3x3 grid and the 10-point
+reflexive triangle conv{(-1, -1), (2, -1), (-1, 2)}, in the point order of
+CI's grid.json and triangle.json: `secondary_polytope`'s triangulations,
+edges and facets, and the seconds it took.
 """
 
 import random
@@ -25,8 +30,11 @@ import time
 from gkzrank.discriminant import _factors, _fiber, _target, face_discriminant
 from gkzrank.elimination import Budget, _Clock
 from gkzrank.polytope import faces, fold_table, validate_aset
+from gkzrank.secondary import secondary_polytope
 
 BOX = [(x, y) for x in range(-1, 3) for y in range(-1, 3)]
+GRID = [(1, x, y) for x in range(3) for y in range(3)]
+TRIANGLE = [(1, x, y) for y in range(-1, 3) for x in range(-1, 3) if x + y <= 1]
 
 # the dense lines of degree 3 to 7, two of degree 5 with a gap, one of
 # degree 10 and the line of degree 9 of tests/golden/line7_edet.json
@@ -39,7 +47,7 @@ LINES = [tuple(range(top + 1)) for top in range(3, 8)] + [
 
 
 def configurations():
-    yield "grid", validate_aset(3, [(1, i, j) for i in range(3) for j in range(3)])
+    yield "grid", validate_aset(3, GRID)
     rng = random.Random(7)
     for k in range(6):
         while True:
@@ -71,6 +79,7 @@ def main():
             flush=True,
         )
     line_table()
+    hull_table()
 
 
 def line_table():
@@ -85,6 +94,19 @@ def line_table():
         print(
             "line %-20s seconds=%.4f terms=%d"
             % (",".join(map(str, pattern)), statistics.median(seconds), len(delta.terms)),
+            flush=True,
+        )
+
+
+def hull_table():
+    for name, points in (("grid", GRID), ("triangle", TRIANGLE)):
+        aset = validate_aset(3, points)
+        start = time.monotonic()
+        sp = secondary_polytope(aset)
+        seconds = time.monotonic() - start
+        print(
+            "secondary %-9s triangulations=%d edges=%d facets=%d seconds=%.2f"
+            % (name, len(sp.triangulations), len(sp.edges), len(sp.hull.facets), seconds),
             flush=True,
         )
 

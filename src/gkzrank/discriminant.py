@@ -611,7 +611,7 @@ class NewtonReport(NamedTuple):
 def newton_polytope_check(e_a: IntPolynomial, sp: SecondaryPolytope) -> NewtonReport:
     """Vertices of the Newton polytope of E_A must be exactly the
     characteristic functions of the regular triangulations, read from the
-    facets of their convex hull (sp.hull, built from sp.phis in order): each
+    facets of their convex hull (sp.hull, incidence in sp.phis order): each
     phi must be a vertex (the only phi on every facet through it) and every
     other exponent must satisfy the hull equations and every facet
     inequality."""

@@ -9,11 +9,11 @@ configuration: the integer affine relation on each full simplex plus each
 further point, read off the maximal minors as one relation per
 (d + 1)-subset, once per configuration.
 
-The facets of every point set (Q, the secondary polytope) and the
-extreme rays of every cone (a secondary cone), each with its tight
-rows as one bitmask, come from one integer double description, with no LP
-and no floating-point predicate; the face lattice of Q is the closure of
-its facets under intersection.
+The facets of a point set (Q) and the extreme rays of every cone (a
+secondary cone, whose rays give the secondary polytope's facets), each
+with its tight rows as one bitmask, come from one integer double
+description, with no LP and no floating-point predicate; the face lattice
+of Q is the closure of its facets under intersection.
 """
 
 from __future__ import annotations

@@ -18,22 +18,26 @@ check_triangulation reads ridge sides off the fold table.
 Folds, volumes and ridge sides come from one fold table per configuration
 (polytope.fold_table), which the secondary polytope keeps for its edges.
 
-The characteristic functions of the triangulations found are then described
-once by their facets (polytope.h_representation), with the phis on each
-facet.  The hull skeleton that cross-checks the flip walk, the
-Newton-polytope check and the normal direction of every edge are read from
-that incidence: the smallest face through some phis is the intersection of
-the facets containing them.  An edge's cells are its normal's lower hull on
-the table rows of its endpoints' simplices alone, since each cell of a
-coarsening holds a simplex of every refinement; they cross-check the flip's
-circuit and separating sets.  The one LP left is normal_cone_sample, the
-edge normal that `gkzrank edge` prints.
+The secondary fan is the normal fan of the hull of the characteristic
+functions (Gelfand, Kapranov and Zelevinsky 1994, chapter 7).  Every cone
+is read on one set of coordinates, so that hull's facets are read off the
+cones with no second double description: one inner normal per distinct
+ray, on the phis of the cones holding it; its equations are A's rows, and
+every phi checks both.  The hull skeleton that cross-checks the flip walk,
+the Newton-polytope check and the normal direction of every edge are read
+from that incidence: the smallest face through some phis is the
+intersection of the facets containing them.  An edge's cells are its
+normal's lower hull on the table rows of its endpoints' simplices alone,
+since each cell of a coarsening holds a simplex of every refinement; they
+cross-check the flip's circuit and separating sets.  The one LP left is
+normal_cone_sample, the edge normal that `gkzrank edge` prints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 from .lattice import kernel_basis
@@ -45,12 +49,12 @@ from .polytope import (
     MarkedPolytope,
     extreme_rays,
     fold_table,
-    h_representation,
     lower_hull_cells,
     lower_hull_triangulation,
     placing_lifts,
     placing_volume,
     _dot,
+    _independent_rows,
     _is_int,
 )
 
@@ -132,7 +136,7 @@ class SecondaryPolytope(NamedTuple):
     phis: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
     dim: int
-    hull: HRepresentation  # of conv(phis), built from the phis alone
+    hull: HRepresentation  # of conv(phis), read off the secondary cones
     table: FoldTable  # fold_table of aset
     flips: dict[tuple[int, int], tuple]  # edge -> its flip's Circuit and separating sets
 
@@ -228,7 +232,7 @@ def is_regular(aset: ASet, triangulation) -> RegularityResult:
     simplices = triangulation.simplices if isinstance(triangulation, Triangulation) else triangulation
     table = fold_table(aset.points, aset.dim)
     sims = check_triangulation(aset, table, simplices)
-    folds, lifting, _ = _secondary_cone(aset, table, sims)
+    folds, lifting, _, _ = _secondary_cone(aset, table, sims)
     tight = [k for k, c in enumerate(folds) if _dot(c, lifting) == 0]
     if not tight:
         _certify_lifting(table, sims, lifting, sum(abs(table[s][0]) for s in sims))
@@ -244,21 +248,31 @@ def is_regular(aset: ASet, triangulation) -> RegularityResult:
     return RegularityResult(regular=False, refutation=tuple(y))
 
 
+def _off_frame(table: FoldTable, n: int) -> list[int]:
+    """The coordinates off the frame, A's lexicographically last basis: the
+    table's last simplex, as the greedy basis from the last point is
+    componentwise the largest (Gale 1968).  Every cone is read on them, so a
+    ray of the secondary fan is one vector in every cone that holds it; by
+    matroid duality they are the ones h_representation reads the phis on."""
+    frame = next(reversed(table))
+    return [i for i in range(n) if i not in frame]
+
+
 def _secondary_cone(aset: ASet, table: FoldTable, sims):
     """The walls c of T, a lifting inside its cone C(T) = {w : c.w >= 0},
-    and the indices of the walls that are facets.  The lifting is the sum of
-    the extreme rays of the cone read on the coordinates outside the first
-    simplex, which determine the folds, so it is pointed there, and for a
-    regular T full-dimensional: a wall is a facet when its tight rays are no
-    other wall's proper subset (on a half-line, tight on none, all are)."""
+    the indices of the walls that are facets, and the extreme rays of the
+    cone on the coordinates off the frame, which determine the folds, so it
+    is pointed there, and for a regular T full-dimensional.  The lifting is
+    the sum of the rays; a wall is a facet when its tight rays are no other
+    wall's proper subset (on a half-line, tight on none, all are)."""
     folds = _walls(aset, table, sims)
-    off = [i for i in range(aset.n) if i not in sims[0]]
+    off = _off_frame(table, aset.n)
     rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
     total = dict(zip(off, map(sum, zip(*(h for h, _ in rays)))))
     tight = [sum(1 << r for r, (_, on) in enumerate(rays) if on >> k & 1) for k in range(len(folds))]
     distinct = set(tight)
     facets = [k for k, m in enumerate(tight) if not any(m != o and m & o == m for o in distinct)]
-    return folds, tuple(total.get(i, 0) for i in range(aset.n)), facets
+    return folds, tuple(total.get(i, 0) for i in range(aset.n)), facets, rays
 
 
 def _flip(sims, fold):
@@ -313,10 +327,13 @@ def secondary_polytope(aset: ASet) -> SecondaryPolytope:
     seen, queue, tris, found = {seed}, [seed], [], {}
     crossed = set()  # (T', -c) for each flip T -> T' across c, until T' is processed
     phi = {}  # the characteristic function of each triangulation
+    cones = {}  # each ray of the secondary fan -> the triangulations whose cones hold it
     for key in queue:
-        folds, lifting, facets = _secondary_cone(aset, table, key)
+        folds, lifting, facets, rays = _secondary_cone(aset, table, key)
         _certify_lifting(table, key, lifting, volume)
         tris.append(Triangulation(simplices=key, lifting=lifting))
+        for h, _ in rays:
+            cones.setdefault(h, []).append(key)
         phi[key] = v = [0] * aset.n
         for s in key:
             for i in s:
@@ -339,17 +356,38 @@ def secondary_polytope(aset: ASet) -> SecondaryPolytope:
     flips = {tuple(sorted((index[a], index[b]))): rec for (a, b), rec in found.items()}
     edges = tuple(sorted(flips))
     phis = tuple(tuple(phi[t.simplices]) for t in tris)
-    expected = aset.n - aset.dim
-    hull = h_representation(phis)
-    got = aset.n - len(hull.equations)
-    if got != expected:
-        raise RuntimeError(
-            "secondary polytope dimension %d differs from n - d = %d" % (got, expected)
-        )
+    rays = [(h, sum(1 << index[key] for key in keys)) for h, keys in cones.items()]
     return SecondaryPolytope(
-        aset=aset, triangulations=tuple(tris), phis=phis, edges=edges, dim=expected, hull=hull,
-        table=table, flips=flips,
+        aset=aset, triangulations=tuple(tris), phis=phis, edges=edges, dim=aset.n - aset.dim,
+        hull=_secondary_hull(aset, table, phis, rays), table=table, flips=flips,
     )
+
+
+def _secondary_hull(aset: ASet, table: FoldTable, phis, rays) -> HRepresentation:
+    """Equations and facets of conv(phis), read off the secondary fan, its
+    normal fan: A's rows, and for each distinct ray r of the cones (with
+    the phis of the cones holding it as a bitmask) the facet a.x <= b with
+    a = -r off the frame, tight on exactly those phis.  Certified: the
+    phis' differences have rank n - d exactly off the frame, A's rows are
+    constant on the phis, and b, the largest a.phi, is taken on that mask."""
+    off = _off_frame(table, aset.n)
+    diffs = [[x - y for x, y in zip(p, phis[0])] for p in phis[1:]]
+    if _independent_rows(list(zip(*diffs))) != off:
+        raise RuntimeError("the phis do not span a polytope of dimension n - d = %d" % len(off))
+    equations = tuple((row, _dot(row, phis[0])) for row in zip(*aset.points))
+    if any(sum(map(mul, row, p)) != e for row, e in equations for p in phis):
+        raise RuntimeError("A's rows are not constant on the phis")
+    low = [[p[i] for i in off] for p in phis]
+    facets = []
+    for h, mask in rays:
+        vals = [-sum(map(mul, h, p)) for p in low]
+        b = max(vals)
+        if sum(1 << k for k, v in enumerate(vals) if v == b) != mask:
+            raise RuntimeError("a ray of the secondary fan is not a facet of the phis")
+        r = dict(zip(off, h))
+        facets.append((tuple(-r.get(i, 0) for i in range(aset.n)), b, mask))
+    facets.sort()
+    return HRepresentation(equations, tuple((a, b) for a, b, _ in facets), tuple(m for *_, m in facets))
 
 
 def normal_cone_sample(sp: SecondaryPolytope, i: int, j: int) -> tuple[Fraction, ...]:

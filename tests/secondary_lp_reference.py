@@ -175,7 +175,7 @@ def wall_points(aset, table, sims):
     """A point inside each facet of C(T), keyed by the index of its wall in
     `_walls`: the sum of the extreme rays of the cone tight on
     it, read on the coordinates outside T's first simplex (zero on it)."""
-    folds, _, facets = _secondary_cone(aset, table, sims)
+    folds, _, facets, _ = _secondary_cone(aset, table, sims)
     off = [i for i in range(aset.n) if i not in sims[0]]
     rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
     walls = {}

@@ -1047,6 +1047,28 @@ def test_principal_a_determinant_f2(f2):
     assert exps[(1, 2, 3)] == 1 and exps[(0, 1, 2, 3, 4)] == 1
 
 
+def test_vertex_coefficients_of_e_a_are_powers_of_simplex_volumes(a3, kp2, f2):
+    # the coefficient of a^phi_T in E_A is +-prod_(sigma in T) vol(sigma)^vol(sigma)
+    # (GKZ 1994, ch. 10); E_A here is a product of primitive parts, so it
+    # holds up to one constant c per configuration, on the built-ins and the
+    # acceptance corpus, whose triangulations hold 1,106 non-unimodular
+    # simplices (counted once per triangulation)
+    rng = random.Random(271828)
+    constants, singular = set(), 0
+    for aset in [a3, kp2, f2, *(make_random_aset(rng) for _ in range(100))]:
+        terms = principal_a_determinant(aset).e_a.terms
+        sp = secondary_polytope(aset)
+        ratios = set()
+        for tri, phi in zip(sp.triangulations, sp.phis):
+            vols = [abs(sp.table[s][0]) for s in tri.simplices]
+            ratios.add(Fraction(abs(terms[phi]), prod(v**v for v in vols)))
+            singular += sum(v > 1 for v in vols)
+        assert len(ratios) == 1, aset
+        constants |= ratios
+    assert singular == 1106
+    assert constants == {Fraction(1, c) for c in (1, 4, 16, 27, 64, 108, 2916)}
+
+
 def test_leading_form_binomial():
     p = IntPolynomial(2, {(2, 0): 1, (0, 2): -1})
     assert p.leading_form([1, 0]) == IntPolynomial(2, {(2, 0): 1})

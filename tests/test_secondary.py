@@ -8,13 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkzrank import linprog, secondary
+from gkzrank import lattice, linprog, polytope, secondary
+from gkzrank.lattice import span
 from gkzrank.polytope import (
     InvalidConfiguration,
     MarkedPolytope,
+    _independent_rows,
     extreme_rays,
     faces,
     fold_table,
+    h_representation,
     lower_hull_cells,
     total_volume,
     validate_aset,
@@ -64,6 +67,7 @@ from secondary_lp_reference import (
     proper_intersection_by_lp,
     wall_points,
 )
+from test_ktheory import FANS_D4
 
 
 def tri_index(sp, simplices):
@@ -178,6 +182,76 @@ def test_grid_hull_skeleton_and_sampled_edge_normals(grid_secondary):
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+def _in_integer_span(equations, basis) -> bool:
+    """Whether every equation (c, e) lies in the integer span of the basis,
+    each read as the vector (c, e)."""
+    spanned = span([c + (e,) for c, e in basis], len(basis[0][0]) + 1)
+    return all(
+        not any(x % q for x, q in zip(spanned.coordinates(c + (e,)), spanned.diag))
+        for c, e in equations
+    )
+
+
+def test_hull_from_the_cones_matches_the_double_description_of_the_phis(a3, kp2, f2, grid_secondary):
+    # the facets read off the rays of the secondary cones against the
+    # reference, h_representation of the phis: the same facets, the same
+    # incidence, and equations spanning the same integer lattice; on the
+    # built-ins, the acceptance corpus, the nested triangles, the 3 x 3 grid
+    # and the fan polytopes of P^3, P^1 x P^2 and P^1 x P^1 x P^1
+    rng = random.Random(271828)
+    asets = [a3, kp2, f2, *(make_random_aset(rng) for _ in range(100)), validate_aset(3, NESTED_TRIANGLES)]
+    asets += [validate_aset(4, points) for points in FANS_D4.values()]
+    facets = 0
+    for sp in [secondary_polytope(aset) for aset in asets] + [grid_secondary]:
+        ref = h_representation(sp.phis)
+        assert (sp.hull.facets, sp.hull.incidence) == (ref.facets, ref.incidence)
+        assert _in_integer_span(sp.hull.equations, ref.equations)
+        assert _in_integer_span(ref.equations, sp.hull.equations)
+        facets += len(ref.facets)
+    assert facets == 555
+
+
+def test_the_walk_describes_no_phis_and_takes_no_kernel(monkeypatch, a3, kp2, f2, grid):
+    # one double description per secondary cone, none of the phis, and no
+    # Smith normal form for the equations
+    def refused(*args, **kwargs):
+        raise AssertionError("the walk described the phis a second time")
+
+    for module, name in [(polytope, "h_representation"), (polytope, "kernel_basis"),
+                         (lattice, "kernel_basis"), (secondary, "kernel_basis")]:
+        monkeypatch.setattr(module, name, refused)
+    rays = secondary.extreme_rays
+    for aset in (a3, kp2, f2, grid, validate_aset(3, NESTED_TRIANGLES)):
+        calls = []
+        monkeypatch.setattr(secondary, "extreme_rays", lambda rows: calls.append(rows) or rays(rows))
+        sp = secondary_polytope(aset)
+        assert sp.hull.facets and len(calls) == len(sp.triangulations)
+
+
+def test_a_hull_that_disagrees_with_the_phis_is_an_error(monkeypatch, f2, grid):
+    # one phi on a facet pushed past it, along the line from a phi off the
+    # facet (so the affine hull is kept), and one incidence bit flipped:
+    # each fails the walk's certificate
+    hull = secondary._secondary_hull
+
+    def pushed(aset, table, phis, rays):
+        _, mask = rays[0]
+        k = (mask & -mask).bit_length() - 1
+        j = next(j for j in range(len(phis)) if not mask >> j & 1)
+        moved = tuple(2 * x - y for x, y in zip(phis[k], phis[j]))
+        return hull(aset, table, phis[:k] + (moved,) + phis[k + 1:], rays)
+
+    def flipped(aset, table, phis, rays):
+        (h, mask), *rest = rays
+        return hull(aset, table, phis, [(h, mask ^ 1)] + rest)
+
+    for aset in (f2, grid):
+        for mutated in (pushed, flipped):
+            monkeypatch.setattr(secondary, "_secondary_hull", mutated)
+            with pytest.raises(RuntimeError, match="not a facet"):
+                secondary_polytope(aset)
 
 
 @st.composite
@@ -352,7 +426,7 @@ def test_a_flip_record_that_disagrees_with_the_cells_is_an_error(f2_secondary):
 
 # sha256 of the canonical JSON of the grid's secondary polytope and of the
 # data of each of its edges
-GRID_DIGEST = "c375c4a2b3a4b2b6b84fbc97ed03be77fa9c94deccdf14751c0f0441b92c5b82"
+GRID_DIGEST = "e0717d68a6de4aa8afb74bec41bc863efa1d1c9df0fc5827dae672a493e4533d"
 
 
 def test_grid_records_are_pinned_by_a_digest(grid_secondary):
@@ -517,7 +591,7 @@ def _check_cones_against_lp(aset):
     """Every secondary cone of the walk, and the walk itself, against LP."""
     sp = secondary_polytope(aset)
     for tri in sp.triangulations:
-        walls, lifting, facets = _secondary_cone(aset, sp.table, tri.simplices)
+        walls, lifting, facets, _ = _secondary_cone(aset, sp.table, tri.simplices)
         # the double description keeps exactly the walls the LP finds irredundant
         assert facets == facets_of_secondary_cone(aset, walls)
         points = wall_points(aset, sp.table, tri.simplices)
@@ -544,11 +618,11 @@ def test_secondary_cones_edge_cases(kp2):
     # the segment has no fold: the cone is everything, lifted by zero
     seg = validate_aset(2, [(1, 0), (1, 1)])
     sp = _check_cones_against_lp(seg)
-    assert _secondary_cone(seg, sp.table, sp.triangulations[0].simplices) == ([], (0, 0), [])
+    assert _secondary_cone(seg, sp.table, sp.triangulations[0].simplices) == ([], (0, 0), [], [])
     # kp2: modulo affine functions each cone is a half-line, one fold, one wall
     sp = _check_cones_against_lp(kp2)
     for tri in sp.triangulations:
-        folds, _, facets = _secondary_cone(kp2, sp.table, tri.simplices)
+        folds, _, facets, _ = _secondary_cone(kp2, sp.table, tri.simplices)
         assert len(folds) == 1 and facets == [0]
         assert wall_points(kp2, sp.table, tri.simplices) == {0: (0,) * kp2.n}
     # nested triangles: the walk never reaches the two spirals
@@ -559,19 +633,21 @@ def test_secondary_cones_edge_cases(kp2):
 
 def _check_walls_against_every_fold(sp) -> int:
     """Each cone of the walk from T's walls and from every fold of T, the
-    reference (extreme_rays over reference_fold_functionals): the same
+    reference (extreme_rays over reference_fold_functionals), on the
+    coordinates off the one frame, the last basis of A's points: the same
     extreme rays, the same lifting, their sum, and the same facet
     functionals.  Returns the number of cones."""
     aset = sp.aset
+    frame = [aset.n - 1 - t for t in _independent_rows(aset.points[::-1])]
+    off = [i for i in range(aset.n) if i not in frame]
     for tri in sp.triangulations:
         sims = tri.simplices
-        walls, lifting, facets = _secondary_cone(aset, sp.table, sims)
+        walls, lifting, facets, cone_rays = _secondary_cone(aset, sp.table, sims)
         folds = reference_fold_functionals(aset, sims)
         assert set(walls) <= set(folds)
-        off = [i for i in range(aset.n) if i not in sims[0]]
         rays = [sorted(h for h, _ in extreme_rays([[c[i] for i in off] for c in rows])) if rows else []
                 for rows in (walls, folds)]
-        assert rays[0] == rays[1]
+        assert sorted(h for h, _ in cone_rays) == rays[0] == rays[1]
         total = dict(zip(off, map(sum, zip(*rays[1]))))
         assert lifting == tuple(total.get(i, 0) for i in range(aset.n))
         assert {walls[k] for k in facets} == {folds[k] for k in facets_by_rank(aset, folds, sims)}
@@ -647,7 +723,7 @@ def test_fold_tight_on_enough_rays_need_not_be_a_facet():
     aset = validate_aset(3, points)
     sims = ((0, 1, 3), (0, 3, 5), (1, 2, 3), (1, 2, 7), (2, 3, 4), (2, 4, 7), (3, 4, 7), (3, 5, 6), (3, 6, 7))
     table = fold_table(aset.points, aset.dim)
-    walls, _, facets = _secondary_cone(aset, table, sims)
+    walls, _, facets, _ = _secondary_cone(aset, table, sims)
     assert walls == _walls(aset, table, sims)
     k = walls.index((0, 3, -5, 1, 0, 0, 0, 1))
     off = [i for i in range(aset.n) if i not in sims[0]]
@@ -704,7 +780,7 @@ def test_each_edge_is_flipped_once_from_its_first_endpoint(monkeypatch, a3, kp2,
             pair = tuple(sorted((index[first], index[later])))
             assert sp.flips[pair] == (circuit, seps)
             back = tuple(-x for x in fold)
-            folds, _, facets = _secondary_cone(aset, sp.table, later)
+            folds, _, facets, _ = _secondary_cone(aset, sp.table, later)
             assert back in [folds[k] for k in facets]
             assert _flip(later, back) == (first, circuit, seps)
             pairs.add(pair)
@@ -719,7 +795,7 @@ def _walk_cones(a3, kp2, f2, grid_secondary):
     walks = [secondary_polytope(aset) for aset in _walk_configurations(a3, kp2, f2)]
     for sp in walks + [grid_secondary]:
         for tri in sp.triangulations:
-            folds, _, facets = _secondary_cone(sp.aset, sp.table, tri.simplices)
+            folds, _, facets, _ = _secondary_cone(sp.aset, sp.table, tri.simplices)
             yield sp.aset, tri.simplices, folds, facets
 
 
