@@ -9,11 +9,11 @@ configuration: the integer affine relation on each full simplex plus each
 further point, read off the maximal minors as one relation per
 (d + 1)-subset, once per configuration.
 
-The facets of a point set (Q) and the extreme rays of every cone (a
-secondary cone, whose rays give the secondary polytope's facets), each
-with its tight rows as one bitmask, come from one integer double
-description, with no LP and no floating-point predicate; the face lattice
-of Q is the closure of its facets under intersection.
+The facets of Q (its one equation is the height functional) and the
+extreme rays of every cone (a secondary cone, whose rays give the secondary
+polytope's facets), each with its tight rows as one bitmask, come from one
+integer double description, with no LP and no floating-point predicate;
+the face lattice of Q is the closure of its facets under intersection.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
-from .lattice import LatticeError, kernel_basis, smith_normal_form
+from .lattice import LatticeError, smith_normal_form
 
 IntVector = tuple[int, ...]
 
@@ -232,44 +232,26 @@ def extreme_rays(rows) -> list[tuple[IntVector, int]]:
     return rays
 
 
-def h_representation(points) -> HRepresentation:
-    """Equations and facets of conv(points).  The points are read on a set of
-    coordinates onto which their affine hull projects one to one; a facet
-    a.x <= b there is an extreme ray (b, a) of {h : h.(1, -x) >= 0 for all x},
-    and the ray's tight-row mask, kept as it is, is the facet's incidence."""
-    pts = [tuple(p) for p in points]
-    n = len(pts[0])
-    diffs = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]] or [[0] * n]
-    equations = tuple((c, _dot(c, pts[0])) for c in kernel_basis(diffs))
-    dim = n - len(equations)
-    if dim == 0:
-        return HRepresentation(equations=equations, facets=(), incidence=())
-    coords = _independent_rows(list(zip(*diffs)))
-    rays = extreme_rays([(1,) + tuple(-p[c] for c in coords) for p in pts])
-    place = dict(zip(coords, range(1, dim + 1)))
-    facets = sorted(
-        (tuple(h[place[k]] if k in place else 0 for k in range(n)), h[0], tight)
-        for h, tight in rays
-    )
-    return HRepresentation(
-        equations=equations,
-        facets=tuple((a, b) for a, b, _ in facets),
-        incidence=tuple(on for _, _, on in facets),
-    )
-
-
 def faces(aset: ASet) -> tuple[Face, ...]:
     """All non-empty faces of Q, vertices through Q itself, with certificates.
 
-    The facets are those of h_representation(aset.points), each the set of
-    points its incidence records; every other proper face is an intersection
-    of facets, certified by the sum of the facets containing it (a point of
-    the relative interior of its normal cone).  Ordered by (dim,
-    lexicographic indices).
+    Q's one equation is the height functional; its facets come from one
+    double description on c, the first coordinates independent on the
+    points' differences (d - 1 of them, Q projects onto them one to one): a
+    facet a.x <= b is an extreme ray (b, a_c) of {h : h.(1, -p_c) >= 0 for
+    every point p}, its tight-row mask the points on it.  Every other proper
+    face is an intersection of facets, certified by the sum of the facets
+    containing it (a point of the relative interior of its normal cone).
+    Ordered by (dim, lexicographic indices).  At d = 1, Q is a point.
     """
-    d = aset.dim
-    pts = aset.points
-    hull = h_representation(pts)
+    d, pts = aset.dim, aset.points
+    coords = _independent_rows([[p[k] - pts[0][k] for p in pts[1:]] for k in range(d)])
+    place = dict(zip(coords, range(1, d)))
+    rays = extreme_rays([(1, *(-p[c] for c in coords)) for p in pts]) if d > 1 else []
+    facets = sorted(
+        (tuple(h[place[k]] if k in place else 0 for k in range(d)), h[0], on) for h, on in rays
+    )
+    hull = HRepresentation(((aset.height, 1),), tuple(f[:2] for f in facets), tuple(f[2] for f in facets))
 
     face_sets = set(hull.incidence)
     frontier = set(face_sets)

@@ -252,8 +252,8 @@ def _off_frame(table: FoldTable, n: int) -> list[int]:
     """The coordinates off the frame, A's lexicographically last basis: the
     table's last simplex, as the greedy basis from the last point is
     componentwise the largest (Gale 1968).  Every cone is read on them, so a
-    ray of the secondary fan is one vector in every cone that holds it; by
-    matroid duality they are the ones h_representation reads the phis on."""
+    ray of the secondary fan is one vector in every cone holding it; the
+    test reference h_representation reads the phis on them (matroid duality)."""
     frame = next(reversed(table))
     return [i for i in range(n) if i not in frame]
 

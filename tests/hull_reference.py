@@ -4,8 +4,14 @@ polytope by one exact LP per pair of vertices, or from the rank of the
 facet normals through each pair, and the facets of a polytope by trying
 every hyperplane through affinely independent points.  The incidence-based
 `hull_edges`, `h_representation` and the facets of `polytope.faces` are
-checked against them.  `hull_vertex_indices` reads the vertices of a point
-set off its double description; the vertices of each edge cell, which
+checked against them.  `h_representation` describes a point set from its
+points alone: its equations from a Smith normal form of their differences,
+its facets from the package's double description.  It is the reference
+for both hulls the package reads off its own data: the secondary
+polytope's, off the secondary cones with A's rows as its equations, and
+Q's, in `faces` with the height functional as its one equation.
+`hull_vertex_indices` reads the vertices of a point set off
+`h_representation`; the vertices of each edge cell, which
 `EdgeData.subdivision` reads off the edge's circuit, are checked against
 it.  `lower_hull_cells_symbolic` is the lower hull under symbolic lifts
 (tuples of infinitesimal coefficients, ints or Fractions), scanned one
@@ -24,11 +30,38 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import gcd, lcm
 
+from gkzrank import polytope
 from gkzrank.lattice import kernel_basis
-from gkzrank.polytope import _independent_rows, affine_rank, h_representation
+from gkzrank.polytope import HRepresentation, _independent_rows, affine_rank
 from gkzrank.secondary import Circuit, NotAnEdge, normal_cone_sample
 
 from fold_reference import adjugate
+
+
+def h_representation(points) -> HRepresentation:
+    """Equations and facets of conv(points).  The points are read on a set of
+    coordinates onto which their affine hull projects one to one; a facet
+    a.x <= b there is an extreme ray (b, a) of {h : h.(1, -x) >= 0 for all x},
+    and the ray's tight-row mask, kept as it is, is the facet's incidence."""
+    pts = [tuple(p) for p in points]
+    n = len(pts[0])
+    diffs = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]] or [[0] * n]
+    equations = tuple((c, _dot(c, pts[0])) for c in kernel_basis(diffs))
+    dim = n - len(equations)
+    if dim == 0:
+        return HRepresentation(equations=equations, facets=(), incidence=())
+    coords = _independent_rows(list(zip(*diffs)))
+    rays = polytope.extreme_rays([(1,) + tuple(-p[c] for c in coords) for p in pts])
+    place = dict(zip(coords, range(1, dim + 1)))
+    facets = sorted(
+        (tuple(h[place[k]] if k in place else 0 for k in range(n)), h[0], tight)
+        for h, tight in rays
+    )
+    return HRepresentation(
+        equations=equations,
+        facets=tuple((a, b) for a, b, _ in facets),
+        incidence=tuple(on for _, _, on in facets),
+    )
 
 
 def hull_edges_by_lp(sp) -> tuple[tuple[int, int], ...]:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import sys
 import time
@@ -7,6 +8,7 @@ import types
 from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd, isqrt, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from gkzrank import discriminant, elimination
 from gkzrank.discriminant import (
     _PRIME_BOUND,
     MultiplicityError,
+    OracleError,
     _Echelon,
     _exact_row,
     _factors,
@@ -26,6 +29,7 @@ from gkzrank.discriminant import (
     circuit_discriminant,
     face_discriminant,
     face_local_exponents,
+    form_multiplicity,
     multiplicity,
     newton_polytope_check,
     principal_a_determinant,
@@ -33,7 +37,7 @@ from gkzrank.discriminant import (
 from gkzrank.elimination import Budget, BudgetExceeded, ExponentOverflow, InvalidBudget, _Clock
 from gkzrank.lattice import kernel_basis, span
 from gkzrank.polynomial import IntPolynomial
-from gkzrank.polytope import InvalidConfiguration, faces, fold_table, h_representation, validate_aset
+from gkzrank.polytope import InvalidConfiguration, faces, fold_table, validate_aset
 from gkzrank.secondary import NotAnEdge, edge_data, hull_edges, secondary_polytope
 
 from buchberger import _groebner_eliminant
@@ -41,6 +45,7 @@ from conftest import four_dimensional_draws, height_one_asets, make_random_aset,
 from degree_formula import multidegree, predicted_degree, predicted_multidegree
 from echelon_reference import ListEchelon
 from fold_reference import circuit_from_points
+from hull_reference import h_representation
 from resultant_reference import resultant_by_sylvester, resultant_f_fprime
 from test_elimination import QUARTIC_DISCRIMINANT
 
@@ -544,6 +549,50 @@ def test_interpolation_checks_the_spare_samples_exactly(monkeypatch):
     with pytest.raises(BudgetExceeded, match="during interpolation"):
         face_discriminant(aset, top, Budget(seconds=1))
     assert len(rows) == 61
+
+
+def test_interpolation_skips_a_prime_that_divides_a_pivot_minor(monkeypatch):
+    # corpus instance 10 with 2, 3, 5, 7, 11 and 13 drawn after the first
+    # prime: mod each of them the 59 pivot rows of the top face keep rank
+    # 4, 9, 23, 30, 51 and 52 over 60 columns, so each is skipped, the lift
+    # goes on over the usual primes, and E_A is the golden file's
+    aset, _ = corpus10_top_face()
+    small, usual, echelons = (2, 3, 5, 7, 11, 13), _primes, []
+
+    def primes():
+        rest = usual()
+        yield next(rest)
+        yield from small
+        yield from rest
+
+    class Recorded(_Echelon):
+        def __init__(self, p, ncols):
+            super().__init__(p, ncols)
+            echelons.append(self)
+
+    monkeypatch.setattr(discriminant, "_primes", primes)
+    monkeypatch.setattr(discriminant, "_Echelon", Recorded)
+    e_a = principal_a_determinant(aset).e_a
+    skipped = [(e.p, len(e.rows), e.ncols) for e in echelons if e.p in small]
+    assert skipped == [(p, rank, 60) for p, rank in zip(small, (4, 9, 23, 30, 51, 52))]
+    golden = json.loads((Path(__file__).parent / "golden" / "corpus10_edet.json").read_text())
+    assert e_a == IntPolynomial(aset.n, {tuple(t["exps"]): int(t["coeff"]) for t in golden["e_a"]})
+
+
+def test_interpolation_stops_at_the_sample_cap(monkeypatch):
+    # with 2 as the first prime the nullity of corpus instance 10's top face
+    # never falls to one: the oracle stops at the cap of 2 * 60 + 16
+    # samples instead of sampling on
+    aset, top = corpus10_top_face()
+    usual = _primes
+
+    def primes():
+        yield 2
+        yield from usual()
+
+    monkeypatch.setattr(discriminant, "_primes", primes)
+    with pytest.raises(OracleError, match="^evaluation matrix keeps a kernel of dimension above one$"):
+        face_discriminant(aset, top)
 
 
 # f2 with a fourth point on its edge (1, 2, 3), which is then a cubic:
@@ -1109,6 +1158,15 @@ def test_multiplicity_mismatch_error(a3, a3_secondary):
     bogus = IntPolynomial(5, {(3, 0, 0, 0, 1): 256, (0, 4, 0, 0, 0): -26})
     with pytest.raises(MultiplicityError):
         multiplicity(bogus, e1)
+
+
+def test_form_multiplicity_refuses_a_degree_off_the_bases_multiples():
+    # 4 a1 a3 - a2^2 times a linear form has degree 3, no multiple of 2:
+    # match_power finds no power, and the form is no monomial
+    delta = IntPolynomial(5, {(0, 1, 0, 1, 0): 4, (0, 0, 2, 0, 0): -1})
+    form = delta * IntPolynomial(5, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1): 1})
+    with pytest.raises(MultiplicityError, match="not a power of the circuit discriminant"):
+        form_multiplicity(form, delta)
 
 
 def test_leading_forms_along_f2_edges(f2, f2_secondary):

@@ -92,6 +92,17 @@ def test_match_power():
     assert match_power(other, delta) is None
 
 
+def test_match_power_refuses_a_constant_base_and_a_degree_off_its_multiples():
+    # a base that is a constant times a monomial is constant once both are
+    # stripped, so no non-constant value is a power of it; a value of
+    # degree 3 is no power of a base of degree 2
+    delta = poly(5, {(0, 1, 0, 1, 0): 4, (0, 0, 2, 0, 0): -1})
+    for base in (IntPolynomial.constant(5, 7), poly(5, {(1, 0, 0, 0, 2): -3})):
+        assert match_power(delta, base) is None
+    cubic = delta * poly(5, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1): 1})
+    assert match_power(cubic, delta) is None
+
+
 def test_polynomial_gcd():
     x = IntPolynomial.variable(2, 0)
     y = IntPolynomial.variable(2, 1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkzrank import polytope, secondary
+from gkzrank import lattice, polytope, secondary
 from gkzrank.lattice import LatticeError, smith_normal_form
 from gkzrank.polytope import (
     InvalidConfiguration,
@@ -24,7 +24,7 @@ from gkzrank.polytope import (
     _independent_rows,
 )
 
-from conftest import make_random_aset
+from conftest import four_dimensional_draws, make_random_aset
 from fold_reference import (
     barycentric,
     characteristic_function,
@@ -39,6 +39,7 @@ from fold_reference import (
 from hull_reference import (
     extreme_rays_by_adjugate,
     facet_vertex_sets,
+    h_representation,
     hull_vertex_indices,
     lower_hull_cells_symbolic,
     lower_hull_triangulation_symbolic,
@@ -46,6 +47,7 @@ from hull_reference import (
 )
 from projection_reference import project_mod_face
 from secondary_lp_reference import in_convex_hull
+from test_ktheory import FANS_D4, IDENTITY_CONFIGURATIONS
 
 
 def face_by_indices(aset, indices):
@@ -170,6 +172,50 @@ def test_faces_match_the_reference_facets(a3, kp2, f2):
         assert facets == facet_vertex_sets(aset.points, aset.dim - 1)
         for f in fs:
             assert_certified(aset, f)
+
+
+def face_lattice_configurations(a3, kp2, f2):
+    """The built-ins, the acceptance corpus, the 3 x 3 grid, the 10-point
+    reflexive triangle, the point at d = 1, the segments {0, 1} and
+    {0, 1, 5}, P^1 x P^1 x P^1 and the 40 seeded d = 4 draws: 149
+    configurations."""
+    rng = random.Random(271828)  # the acceptance corpus
+    out = [a3, kp2, f2, *(make_random_aset(rng) for _ in range(100))]
+    out += [validate_aset(*IDENTITY_CONFIGURATIONS[name]) for name in ("3x3 grid", "triangle")]
+    out += [validate_aset(1, [(1,)]), validate_aset(2, [(1, 0), (1, 1)]), validate_aset(2, [(1, 0), (1, 1), (1, 5)])]
+    return out + [validate_aset(4, FANS_D4["P1xP1xP1"]), *four_dimensional_draws()]
+
+
+def test_faces_read_the_reference_hull_with_the_height_as_its_equation(monkeypatch, a3, kp2, f2):
+    # the hull faces() builds against h_representation of the points alone:
+    # the same facets in the same order and the same incidence, the facet
+    # records certified by the facets themselves, and (height, 1) spanning
+    # the same integer lattice as the reference's one equation
+    built = []
+    hull = polytope.HRepresentation
+    monkeypatch.setattr(polytope, "HRepresentation", lambda *args: built.append(hull(*args)) or built[-1])
+    for aset in face_lattice_configurations(a3, kp2, f2):
+        fs = faces(aset)
+        ours, ref = built.pop(), h_representation(aset.points)
+        assert (ours.facets, ours.incidence) == (ref.facets, ref.incidence)
+        facets = {(f.support, f.offset, sum(1 << i for i in f.indices)) for f in fs if f.dim == aset.dim - 2}
+        assert facets == {(a, b, on) for (a, b), on in zip(ref.facets, ref.incidence)}
+        minus = tuple(-x for x in aset.height)
+        assert ours.equations == ((aset.height, 1),) and ref.equations in (ours.equations, ((minus, -1),))
+    assert built == []
+
+
+def test_faces_take_no_smith_normal_form(monkeypatch, a3, kp2, f2):
+    # Q's one equation is the height functional validate_aset found: once
+    # the configurations are built, no face lattice takes a Smith normal form
+    asets = face_lattice_configurations(a3, kp2, f2)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("faces() took a Smith normal form")
+
+    monkeypatch.setattr(lattice, "smith_normal_form", refused)
+    monkeypatch.setattr(polytope, "smith_normal_form", refused)
+    assert sum(len(faces(aset)) for aset in asets) > len(asets)
 
 
 def test_faces_ordering(f2):
@@ -497,7 +543,7 @@ def test_extreme_rays_match_the_adjugate_route(monkeypatch, a3, kp2, f2, grid):
     monkeypatch.setattr(polytope, "extreme_rays", recorded)
     monkeypatch.setattr(secondary, "extreme_rays", recorded)
     for aset in asets:
-        polytope.h_representation(secondary.secondary_polytope(aset).phis)
+        h_representation(secondary.secondary_polytope(aset).phis)
         faces(aset)
     monkeypatch.undo()
     assert len(seen) == 1313
