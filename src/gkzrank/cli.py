@@ -22,7 +22,6 @@ from .discriminant import principal_a_determinant
 from .elimination import (
     DEFAULT_BUDGET_SECONDS,
     Budget,
-    BudgetExceeded,
     ExponentOverflow,
     InvalidBudget,
     parse_seconds,
@@ -316,8 +315,6 @@ def main(argv=None) -> int:
         error, code = exc, exc.code
     except ExponentOverflow as exc:
         error, code = exc, EXIT_INVALID_INPUT
-    except BudgetExceeded as exc:
-        error, code = exc, EXIT_BUDGET
     finally:  # _load_aset lifted it for the command's output
         sys.set_int_max_str_digits(digits)
     sys.stderr.write("error: %s\n" % error)

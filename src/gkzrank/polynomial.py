@@ -361,7 +361,7 @@ def match_power(value: IntPolynomial, base: IntPolynomial) -> int | None:
         return None
     deg_b = b.total_degree()
     deg_v = core.total_degree()
-    if deg_b == 0 or deg_v % deg_b:
+    if deg_v % deg_b:
         return None
     k = deg_v // deg_b
     probe = b**k

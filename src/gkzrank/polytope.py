@@ -9,11 +9,14 @@ configuration: the integer affine relation on each full simplex plus each
 further point, read off the maximal minors as one relation per
 (d + 1)-subset, once per configuration.
 
-The facets of Q (its one equation is the height functional) and the
-extreme rays of every cone (a secondary cone, whose rays give the secondary
-polytope's facets), each with its tight rows as one bitmask, come from one
-integer double description, with no LP and no floating-point predicate;
-the face lattice of Q is the closure of its facets under intersection.
+The facets of Q (its one equation is the height functional, which also
+names the coordinate Q is projected off) and the extreme rays of every cone
+(a secondary cone, whose rays give the secondary polytope's facets), each
+with its tight rows as one bitmask, come from one integer double
+description, with no LP and no floating-point predicate, started by the
+module's one fraction-free elimination; the face lattice of Q is the
+closure of its facets under intersection, and each face's dimension is its
+height in that graded lattice.
 """
 
 from __future__ import annotations
@@ -110,35 +113,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def affine_rank(points) -> int:
-    """Rank of the difference lattice of the points (dim of their affine hull)."""
-    pts = [tuple(p) for p in points]
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-    return len(_independent_rows(rows))
-
-
-def _independent_rows(rows) -> list[int]:
-    """The indices of the rows that are independent of the rows before them
-    (as many as the rank), by one incremental fraction-free elimination:
-    each row is reduced against the stored ones, each zero at the pivots of
-    those stored before it, and kept, divided by its gcd, when it is not
-    zero."""
-    stored, out = [], []
-    for t, row in enumerate(rows):
-        if len(out) == len(row):
-            break
-        for k, pivot in stored:
-            if row[k]:
-                row = [pivot[k] * x - row[k] * y for x, y in zip(row, pivot)]
-        if g := gcd(*row):
-            stored.append((next(k for k, x in enumerate(row) if x), [x // g for x in row]))
-            out.append(t)
-    return out
-
-
 def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
@@ -177,26 +151,18 @@ class HRepresentation(NamedTuple):
         return self.face(1 << k, m)[0] == 1 << k
 
 
-def extreme_rays(rows) -> list[tuple[IntVector, int]]:
-    """The extreme rays of the cone {h : r.h >= 0 for every row r}, whose
-    rows must have full rank, each primitive and with the rows it is tight
-    on as one bitmask (bit t for row t), by integer double description
-    (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).
-
-    The start is the simplicial cone of the basis, each row independent of
-    the rows before it, found by one incremental fraction-free Gauss-Jordan
-    pass (Bareiss 1968).  A row times the common pivot, less the stored rows
-    times its entries at their pivots, is a row of minors, zero when the row
-    is dependent; a kept row clears its pivot from the stored ones, by exact
-    division.  Each stored row carries the combination of basis rows that
-    reduces it to its pivot, so the combinations are the pivot times the
-    basis inverse: column k, signed and made primitive, is the ray tight on
-    every basis row but the k-th.  The other rows are added one at a time.
-    A new ray combines a ray on each side of the added row whose common
-    tight rows lie in no third ray's (the combinatorial adjacency test);
-    every step is integer and primitive."""
-    m = len(rows[0])
-    basis, stored, det = [], [], 1  # stored: (pivot column, row | combination)
+def _gauss_jordan(rows) -> tuple[list[int], list[tuple[int, list[int]]], int]:
+    """The indices of the rows independent of the rows before them (as many
+    as the rank), the stored rows as (pivot column, row | combination) and
+    their common pivot, by one incremental fraction-free Gauss-Jordan pass
+    (Bareiss 1968); ([], [], 1) for no rows.  A row times the common pivot,
+    less the stored rows times its entries at their pivots, is a row of
+    minors, zero when the row is dependent; a kept row clears its pivot from
+    the stored ones, by exact division.  Each stored row carries the
+    combination of basis rows that reduces it to its pivot, so at full rank
+    the combinations are the pivot times the basis inverse."""
+    m = len(rows[0]) if rows else 0
+    basis, stored, det = [], [], 1
     for t, row in enumerate(rows):
         if len(basis) == m:
             break
@@ -209,6 +175,24 @@ def extreme_rays(rows) -> list[tuple[IntVector, int]]:
             stored.append((c, x))
             det = x[c]
             basis.append(t)
+    return basis, stored, det
+
+
+def extreme_rays(rows) -> list[tuple[IntVector, int]]:
+    """The extreme rays of the cone {h : r.h >= 0 for every row r}, whose
+    rows must have full rank, each primitive and with the rows it is tight
+    on as one bitmask (bit t for row t), by integer double description
+    (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).
+
+    The start is the simplicial cone of the basis that `_gauss_jordan`
+    finds: column k of its combinations, the pivot times the basis inverse,
+    signed and made primitive, is the ray tight on every basis row but the
+    k-th.  The other rows are added one at a time.  A new ray combines a
+    ray on each side of the added row whose common tight rows lie in no
+    third ray's (the combinatorial adjacency test); every step is integer
+    and primitive."""
+    m = len(rows[0])
+    basis, stored, det = _gauss_jordan(rows)
     if len(basis) < m:
         raise LatticeError("extreme rays of rows without full rank")
     inverse = [x[m:] if det > 0 else [-v for v in x[m:]] for _, x in sorted(stored)]
@@ -235,17 +219,22 @@ def extreme_rays(rows) -> list[tuple[IntVector, int]]:
 def faces(aset: ASet) -> tuple[Face, ...]:
     """All non-empty faces of Q, vertices through Q itself, with certificates.
 
-    Q's one equation is the height functional; its facets come from one
-    double description on c, the first coordinates independent on the
-    points' differences (d - 1 of them, Q projects onto them one to one): a
-    facet a.x <= b is an extreme ray (b, a_c) of {h : h.(1, -p_c) >= 0 for
-    every point p}, its tight-row mask the points on it.  Every other proper
-    face is an intersection of facets, certified by the sum of the facets
-    containing it (a point of the relative interior of its normal cone).
-    Ordered by (dim, lexicographic indices).  At d = 1, Q is a point.
+    Q's one equation is the height functional, the one relation among the
+    coordinates of the points' differences, so Q projects one to one onto
+    c, every coordinate but the last one the height is non-zero on.  Its
+    facets come from one double description there: a facet a.x <= b is an
+    extreme ray (b, a_c) of {h : h.(1, -p_c) >= 0 for every point p}, its
+    tight-row mask the points on it.  Every other proper face is an
+    intersection of facets, certified by the sum of the facets containing
+    it (a point of the relative interior of its normal cone).  The face
+    lattice is graded (Ziegler 1995, Thm 2.7): a face's dimension is one
+    more than the largest among the faces it strictly contains, 0 for a
+    vertex.  Ordered by (dim, lexicographic indices).  At d = 1, Q is a
+    point.
     """
     d, pts = aset.dim, aset.points
-    coords = _independent_rows([[p[k] - pts[0][k] for p in pts[1:]] for k in range(d)])
+    last = max(k for k, x in enumerate(aset.height) if x)
+    coords = [k for k in range(d) if k != last]
     place = dict(zip(coords, range(1, d)))
     rays = extreme_rays([(1, *(-p[c] for c in coords)) for p in pts]) if d > 1 else []
     facets = sorted(
@@ -266,7 +255,9 @@ def faces(aset: ASet) -> tuple[Face, ...]:
         frontier = new
 
     out = [Face(indices=tuple(range(aset.n)), support=(0,) * d, offset=0, dim=d - 1)]
-    for fs in face_sets:
+    dims = {}  # a face strictly inside another has fewer points, so it comes first
+    for fs in sorted(face_sets, key=int.bit_count):
+        dims[fs] = 1 + max((dims[g] for g in dims if g & fs == g), default=-1)
         containing = [hull.facets[f] for f in hull.face(fs, aset.n)[1]]
         support = tuple(sum(u[i] for u, _ in containing) for i in range(d))
         offset = sum(c for _, c in containing)
@@ -274,14 +265,7 @@ def faces(aset: ASet) -> tuple[Face, ...]:
         exact = tuple(i for i, v in enumerate(vals) if v == offset)
         if sum(1 << i for i in exact) != fs:
             raise RuntimeError("face certificate failed to isolate the face")
-        out.append(
-            Face(
-                indices=exact,
-                support=support,
-                offset=offset,
-                dim=affine_rank([pts[i] for i in exact]),
-            )
-        )
+        out.append(Face(indices=exact, support=support, offset=offset, dim=dims[fs]))
     out.sort(key=lambda f: (f.dim, f.indices))
     return tuple(out)
 

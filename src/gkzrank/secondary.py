@@ -54,7 +54,7 @@ from .polytope import (
     placing_lifts,
     placing_volume,
     _dot,
-    _independent_rows,
+    _gauss_jordan,
     _is_int,
 )
 
@@ -372,7 +372,7 @@ def _secondary_hull(aset: ASet, table: FoldTable, phis, rays) -> HRepresentation
     constant on the phis, and b, the largest a.phi, is taken on that mask."""
     off = _off_frame(table, aset.n)
     diffs = [[x - y for x, y in zip(p, phis[0])] for p in phis[1:]]
-    if _independent_rows(list(zip(*diffs))) != off:
+    if _gauss_jordan(list(zip(*diffs)))[0] != off:
         raise RuntimeError("the phis do not span a polytope of dimension n - d = %d" % len(off))
     equations = tuple((row, _dot(row, phis[0])) for row in zip(*aset.points))
     if any(sum(map(mul, row, p)) != e for row, e in equations for p in phis):

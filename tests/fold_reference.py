@@ -31,7 +31,7 @@ from gkzrank.lattice import (
 from gkzrank.polytope import (
     ASet,
     InvalidConfiguration,
-    _independent_rows,
+    _gauss_jordan,
     extreme_rays,
     fold_table,
     placing_volume,
@@ -282,4 +282,4 @@ def facets_by_rank(aset, folds, sims):
     rays = extreme_rays([[c[i] for i in off] for c in folds]) if folds else []
     rank = len(off) - 1
     tight = [[h for h, on in rays if on >> k & 1] for k in range(len(folds))]
-    return [k for k, hs in enumerate(tight) if len(hs) >= rank and len(_independent_rows(hs)) == rank]
+    return [k for k, hs in enumerate(tight) if len(hs) >= rank and len(_gauss_jordan(hs)[0]) == rank]

@@ -21,6 +21,9 @@ by a fraction or across a wall read it.  `circuit_by_cell_search` and
 `separating_sets_by_scan` read an edge's circuit off its cells and its
 separating sets off its endpoints' simplices; the circuit and separating
 sets that `edge_data` takes from the edge's flip are checked against them.
+`affine_rank`, the rank of a point set's differences, is the dimension
+every face of `faces` is checked against; `faces` reads it off its graded
+lattice instead.
 `extreme_rays_by_adjugate` is the double description started from the
 independent rows and their adjugate, two eliminations of the same rows;
 the one-pass start of `extreme_rays` is checked against it."""
@@ -32,7 +35,7 @@ from math import gcd, lcm
 
 from gkzrank import polytope
 from gkzrank.lattice import kernel_basis
-from gkzrank.polytope import HRepresentation, _independent_rows, affine_rank
+from gkzrank.polytope import HRepresentation, _gauss_jordan
 from gkzrank.secondary import Circuit, NotAnEdge, normal_cone_sample
 
 from fold_reference import adjugate
@@ -50,7 +53,7 @@ def h_representation(points) -> HRepresentation:
     dim = n - len(equations)
     if dim == 0:
         return HRepresentation(equations=equations, facets=(), incidence=())
-    coords = _independent_rows(list(zip(*diffs)))
+    coords = _gauss_jordan(list(zip(*diffs)))[0]
     rays = polytope.extreme_rays([(1,) + tuple(-p[c] for c in coords) for p in pts])
     place = dict(zip(coords, range(1, dim + 1)))
     facets = sorted(
@@ -92,11 +95,21 @@ def hull_edges_by_rank(sp) -> tuple[tuple[int, int], ...]:
 def _face_dim(hull, *xs) -> int:
     """The dimension of the smallest face of the hull containing the points."""
     normals = [a for a, b in hull.facets if all(_dot(a, x) == b for x in xs)]
-    return len(xs[0]) - len(hull.equations) - len(_independent_rows(normals))
+    return len(xs[0]) - len(hull.equations) - len(_gauss_jordan(normals)[0])
 
 
 def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
+
+
+def affine_rank(points) -> int:
+    """Rank of the difference lattice of the points (dim of their affine hull)."""
+    pts = [tuple(p) for p in points]
+    if len(pts) <= 1:
+        return 0
+    base = pts[0]
+    rows = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
+    return len(_gauss_jordan(rows)[0])
 
 
 def facet_vertex_sets(points, dim) -> set[frozenset[int]]:
@@ -206,7 +219,7 @@ def extreme_rays_by_adjugate(rows):
     whose column k, signed by the determinant, is the ray tight on every
     basis row but the k-th."""
     m = len(rows[0])
-    basis = _independent_rows(rows)
+    basis = _gauss_jordan(rows)[0]
     det, adj = adjugate([rows[s] for s in basis])
     rays = []
     for k, s in enumerate(basis):

@@ -91,6 +91,8 @@ def test_exit_code_invalid_inputs(tmp_path):
         ({"dim": 0, "points": [[1]]}, "non-positive dim"),
         ({"dim": 2, "points": 5}, "malformed points"),
         ({"dim": 2, "points": [5, 6]}, "malformed points"),
+        ({"dim": 2, "points": []}, "invalid A-set: empty configuration"),
+        ({"dim": 2, "points": [[1, 0], [1]]}, "invalid A-set: wrong point length"),
         ({"name": [1], "dim": 2, "points": [[1, 0], [1, 1]]}, '"name" must be a string'),
         ({"points": [[1, 0], [1, 1]]}, 'malformed document: need {"dim": .., "points": ..}'),
     ]:

@@ -38,7 +38,7 @@ from gkzrank.elimination import Budget, BudgetExceeded, ExponentOverflow, Invali
 from gkzrank.lattice import kernel_basis, span
 from gkzrank.polynomial import IntPolynomial
 from gkzrank.polytope import InvalidConfiguration, faces, fold_table, validate_aset
-from gkzrank.secondary import NotAnEdge, edge_data, hull_edges, secondary_polytope
+from gkzrank.secondary import Circuit, NotAnEdge, edge_data, hull_edges, secondary_polytope
 
 from buchberger import _groebner_eliminant
 from conftest import four_dimensional_draws, height_one_asets, make_random_aset, singular_point_vector
@@ -76,6 +76,13 @@ def test_circuit_discriminant_kp2(kp2):
     d = circuit_discriminant(circuit_from_points(kp2, (0, 1, 2, 3)), 4)
     # the signed relation coefficients force +27 here
     assert d == IntPolynomial(4, {(3, 0, 0, 0): 1, (0, 1, 1, 1): 27})
+
+
+def test_circuit_discriminant_refuses_a_relation_that_is_not_primitive():
+    with pytest.raises(ValueError, match="zero coefficient"):
+        circuit_discriminant(Circuit(indices=(0, 1, 2), relation=(1, 0, -1)), 3)
+    with pytest.raises(ValueError, match="relation is not primitive"):
+        circuit_discriminant(Circuit(indices=(0, 1, 2), relation=(2, -4, 2)), 3)
 
 
 def test_circuit_discriminant_quasi_homogeneity(a3, kp2, f2, a3_secondary, kp2_secondary, f2_secondary):

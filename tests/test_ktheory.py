@@ -118,6 +118,14 @@ def test_rank_k0_edge_a3(a3, a3_secondary):
     assert r2.per_j_indices == (((), 2),)
 
 
+def test_rank_k0_edge_refuses_a_separating_set_that_does_not_span(a3_secondary):
+    # a3's first edge has the circuit (2, 3, 4); with point 0 as its
+    # separating set, no simplex of the fold table is (I - i) + J
+    ed = edge_data(a3_secondary, *a3_secondary.edges[0])
+    with pytest.raises(RankInconsistency, match="fails to span"):
+        rank_k0_edge(a3_secondary, ed._replace(separating_sets=((0,),)))
+
+
 def test_verify_theorem_a3(a3, a3_secondary):
     rep = verify_theorem(a3, sp=a3_secondary)
     assert rep.status == "pass"

@@ -11,7 +11,6 @@ from gkzrank import lattice, polytope, secondary
 from gkzrank.lattice import LatticeError, smith_normal_form
 from gkzrank.polytope import (
     InvalidConfiguration,
-    affine_rank,
     extreme_rays,
     faces,
     fold_table,
@@ -21,7 +20,7 @@ from gkzrank.polytope import (
     placing_volume,
     total_volume,
     validate_aset,
-    _independent_rows,
+    _gauss_jordan,
 )
 
 from conftest import four_dimensional_draws, make_random_aset
@@ -37,6 +36,7 @@ from fold_reference import (
     validate_by_two_snfs,
 )
 from hull_reference import (
+    affine_rank,
     extreme_rays_by_adjugate,
     facet_vertex_sets,
     h_representation,
@@ -216,6 +216,38 @@ def test_faces_take_no_smith_normal_form(monkeypatch, a3, kp2, f2):
     monkeypatch.setattr(lattice, "smith_normal_form", refused)
     monkeypatch.setattr(polytope, "smith_normal_form", refused)
     assert sum(len(faces(aset)) for aset in asets) > len(asets)
+
+
+def test_faces_read_each_dimension_off_the_lattice_and_project_by_the_height(monkeypatch, a3, kp2, f2):
+    # every face's dimension, read off the graded lattice, is the affine rank
+    # of its points, and the coordinates Q is read on, every one but the
+    # last one the height is non-zero on, are the greedy independent
+    # coordinate rows of the points' differences
+    seen = []
+    rays = polytope.extreme_rays
+    monkeypatch.setattr(polytope, "extreme_rays", lambda rows: seen.append(rows) or rays(rows))
+    for aset in face_lattice_configurations(a3, kp2, f2):
+        d, pts = aset.dim, aset.points
+        for f in faces(aset):
+            assert f.dim == affine_rank([pts[i] for i in f.indices])
+        if d > 1:
+            coords = _gauss_jordan([[p[k] - pts[0][k] for p in pts[1:]] for k in range(d)])[0]
+            assert seen.pop() == [(1, *(-p[c] for c in coords)) for p in pts]
+    assert seen == []
+
+
+def test_faces_run_one_elimination_per_configuration(monkeypatch, a3, kp2, f2):
+    # the start of Q's one double description is the face lattice's only
+    # elimination: no rank per face, none at all when Q is a point
+    started, calls = [], []
+    rays, eliminate = polytope.extreme_rays, polytope._gauss_jordan
+    monkeypatch.setattr(polytope, "extreme_rays", lambda rows: started.append(rows) or rays(rows))
+    monkeypatch.setattr(polytope, "_gauss_jordan", lambda rows: calls.append(rows) or eliminate(rows))
+    for aset in face_lattice_configurations(a3, kp2, f2):
+        started.clear()
+        calls.clear()
+        faces(aset)
+        assert len(calls) == (1 if aset.dim > 1 else 0) and calls == started
 
 
 def test_faces_ordering(f2):
@@ -494,8 +526,8 @@ def test_rank_by_elimination_matches_smith_normal_form(rows):
     # a row is kept exactly when it raises the rank of the rows before it
     ranks = [0] + [smith_normal_form(rows[: t + 1]).rank for t in range(len(rows))]
     kept = [t for t in range(len(rows)) if ranks[t + 1] > ranks[t]]
-    assert _independent_rows(rows) == kept
-    assert _independent_rows([]) == []
+    assert _gauss_jordan(rows)[0] == kept
+    assert _gauss_jordan([])[0] == []
 
 
 @st.composite
@@ -521,11 +553,11 @@ def test_extreme_ray_masks_hold_exactly_the_tight_rows(rows):
 
 
 def test_rank_by_elimination_examples():
-    assert _independent_rows([[0, 0], [0, 0]]) == []
-    assert _independent_rows([[2], [4], [0]]) == [0]
-    assert _independent_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == [0, 2]
-    assert _independent_rows([[6, 4], [9, 6]]) == [0]
-    assert _independent_rows([[0, 0], [0, 3], [1, 1], [2, 5]]) == [1, 2]
+    assert _gauss_jordan([[0, 0], [0, 0]])[0] == []
+    assert _gauss_jordan([[2], [4], [0]])[0] == [0]
+    assert _gauss_jordan([[1, 2, 3], [2, 4, 6], [1, 0, 1]])[0] == [0, 2]
+    assert _gauss_jordan([[6, 4], [9, 6]])[0] == [0]
+    assert _gauss_jordan([[0, 0], [0, 3], [1, 1], [2, 5]])[0] == [1, 2]
 
 
 def test_extreme_rays_match_the_adjugate_route(monkeypatch, a3, kp2, f2, grid):

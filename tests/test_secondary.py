@@ -13,7 +13,7 @@ from gkzrank.lattice import span
 from gkzrank.polytope import (
     InvalidConfiguration,
     MarkedPolytope,
-    _independent_rows,
+    _gauss_jordan,
     extreme_rays,
     faces,
     fold_table,
@@ -48,7 +48,6 @@ from fold_reference import (
     reference_fold_functionals,
     ridge_sides_by_det,
 )
-import hull_reference
 from hull_reference import (
     circuit_by_cell_search,
     facet_vertex_sets,
@@ -141,6 +140,12 @@ def test_is_regular_rejects_non_triangulations(a3):
         is_regular(a3, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])  # overcomplete
     with pytest.raises(TriangulationError):
         is_regular(a3, [(1, 2), (1, 3), (2, 3)])  # right volume and ridge counts, folded
+    with pytest.raises(TriangulationError, match="repeated simplex"):
+        is_regular(a3, [(0, 4), (0, 4)])
+    with pytest.raises(TriangulationError, match="wrong vertex count"):
+        is_regular(a3, [(0, 1, 2)])
+    with pytest.raises(TriangulationError, match="flat simplex"):
+        is_regular(a3, [(0, 4), (4, 4)])
 
 
 def test_bad_simplex_indices_are_rejected(a3):
@@ -218,10 +223,9 @@ def test_the_walk_describes_no_phis_and_takes_no_kernel(monkeypatch, a3, kp2, f2
     # one double description per secondary cone, none of the phis, and no
     # Smith normal form for the equations
     def refused(*args, **kwargs):
-        raise AssertionError("the walk described the phis a second time")
+        raise AssertionError("the walk took a kernel for the phis' equations")
 
-    for module, name in [(hull_reference, "h_representation"), (lattice, "kernel_basis"),
-                         (secondary, "kernel_basis")]:
+    for module, name in [(lattice, "kernel_basis"), (secondary, "kernel_basis")]:
         monkeypatch.setattr(module, name, refused)
     rays = secondary.extreme_rays
     for aset in (a3, kp2, f2, grid, validate_aset(3, NESTED_TRIANGLES)):
@@ -639,7 +643,7 @@ def _check_walls_against_every_fold(sp) -> int:
     extreme rays, the same lifting, their sum, and the same facet
     functionals.  Returns the number of cones."""
     aset = sp.aset
-    frame = [aset.n - 1 - t for t in _independent_rows(aset.points[::-1])]
+    frame = [aset.n - 1 - t for t in _gauss_jordan(aset.points[::-1])[0]]
     off = [i for i in range(aset.n) if i not in frame]
     for tri in sp.triangulations:
         sims = tri.simplices
